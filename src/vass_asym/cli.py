@@ -572,7 +572,6 @@ def _cmd_simulate(args) -> int:
         theta=args.theta,
         max_steps=args.max_steps,
         init_state=init,
-        threads=args.threads,
     )
     doc = build_sim_report(m, rep, init, args.runs, strategy)
     if args.csv:
@@ -711,7 +710,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--theta", type=float, default=None, help="cap steps at ceil(4*n**theta)")
     p.add_argument("--max-steps", type=int, default=None, help="fixed step cap (overrides --theta)")
     p.add_argument("--init-state", default=None, help="start state (default: least name)")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--csv", action="store_true", help="emit CSV rows")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     p.add_argument("-o", "--output", default=None)

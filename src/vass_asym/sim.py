@@ -6,24 +6,40 @@ Randomness discipline: every run owns an independent Philox stream keyed by
 picked by comparing the word against cumulative thresholds floor(cum * 2**64),
 so each branch's sampling probability is off by less than 2**-64 from its
 exact rational probability. Because consumption is one word per step in
-stream order, the vectorized fast path, the scalar path, and any thread
-layout all produce byte-identical trajectories.
+stream order, the three execution paths below produce byte-identical
+trajectories, and a run's trajectory does not depend on which other runs
+execute or on which path steps it.
 
-The fast path applies while the run sits in a state whose every resolved
-branch is a self-loop (the absorbing tail phase of typical models): blocks of
-draws are mapped to branch indices, update rows are cumulatively summed, and
-the first terminal crossing, per-counter maxima, and branch-use counts are
-read off vectorized. It requires |counter| < 2**53 and |update| <= 2**20 so
-int64 arithmetic cannot overflow; otherwise the scalar path (arbitrary
-precision integers) takes over.
+* The lockstep kernel (`_lockstep`) steps the runs of a `simulate_many` batch
+  together, at most MAX_IN_FLIGHT at a time. Each wave takes one word from
+  every active run's stream and maps (state, word) to a branch key through
+  padded per-state threshold tables; the keys then index padded tables of
+  next states and updates. Once per block of RUN_BUFFER waves the counter
+  updates are cumulatively summed, and each run's first terminal crossing,
+  peaks, per-transition counts and realized-type entries are read off. It
+  runs a batch when the start state is not a block-path state, every state
+  reachable from it resolves under the strategy, and
+  n + cap * max|update| < 2**53, so that no counter can leave exact int64
+  range within the cap.
+* The block path applies while a run sits in a state whose every resolved
+  branch is a self-loop (the absorbing tail phase of typical models): blocks
+  of draws are mapped to branch indices, update rows are cumulatively summed,
+  and the first terminal crossing, per-counter maxima, and branch-use counts
+  are read off vectorized. A run never leaves such a state, so a run that
+  enters one leaves the kernel and finishes here on the rest of its stream.
+  It requires |counter| < 2**53 and |update| <= 2**20 so int64 arithmetic
+  cannot overflow.
+* The scalar path (`_run`) steps one run at a time in arbitrary-precision
+  integers and resolves states as runs enter them. It is the draw-for-draw
+  reference (`_vectorized=False`), it runs `simulate_one`, and it runs every
+  batch the kernel does not take; there an incomplete strategy raises only
+  when a run reaches the state it misses.
 """
 
 from __future__ import annotations
 
-import os
 import statistics
 from collections import Counter as TallyCounter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, inf
@@ -38,6 +54,8 @@ MASK64 = (1 << 64) - 1
 BLOCK = 4096
 FAST_COUNTER_LIMIT = 1 << 53
 FAST_UPDATE_LIMIT = 1 << 20
+MAX_IN_FLIGHT = 64  # runs the lockstep kernel steps together
+RUN_BUFFER = 64  # waves per kernel block: words drawn per run in flight at a time
 
 # a strategy is one choice per controlled state: either a transition id or a
 # full rational distribution over outgoing transition ids
@@ -83,19 +101,24 @@ def _cumulative_thresholds(probs: Sequence[Fraction]) -> np.ndarray:
     return np.array(out, dtype=np.uint64)
 
 
+def _philox(seed: int, n: int, run: int) -> np.random.Philox:
+    """The bit generator of run `run` at start value `n`."""
+    stream = (n << 32) + run
+    return np.random.Philox(key=np.array([seed & MASK64, stream & MASK64], dtype=np.uint64))
+
+
 class _DrawStream:
     """Sequential raw 64-bit words of one run's Philox stream, block-buffered.
 
     Words are consumed strictly in stream order no matter how calls mix
-    scalar and block takes, which is what makes the two execution paths
-    byte-identical.
+    scalar and block takes, which is what makes the execution paths
+    byte-identical. `buf` holds words already drawn from `bg` and not yet
+    consumed; they come first.
     """
 
-    def __init__(self, seed: int, stream: int):
-        self._bg = np.random.Philox(
-            key=np.array([seed & MASK64, stream & MASK64], dtype=np.uint64)
-        )
-        self._buf = np.empty(0, dtype=np.uint64)
+    def __init__(self, bg: np.random.Philox, buf: Optional[np.ndarray] = None):
+        self._bg = bg
+        self._buf = np.empty(0, dtype=np.uint64) if buf is None else buf
         self._pos = 0
 
     def take(self, k: int) -> np.ndarray:
@@ -126,6 +149,7 @@ class _StateRec:
         "tids",
         "targets",
         "updates",
+        "probs",
         "thresholds",
         "updates_np",
         "all_self",
@@ -136,7 +160,8 @@ class _StateRec:
         self.tids = [b[0] for b in branches]
         self.targets = [b[1] for b in branches]
         self.updates = [b[2] for b in branches]
-        self.thresholds = _cumulative_thresholds([b[3] for b in branches])
+        self.probs = [b[3] for b in branches]
+        self.thresholds = _cumulative_thresholds(self.probs)
         self.all_self = all(t == name for t in self.targets)
         self.fast_ok = (
             self.all_self
@@ -200,24 +225,41 @@ class _Resolved:
         return rec
 
 
+@dataclass
+class _Walk:
+    """Where a run stands: its state, counters, per-counter peaks, transition
+    counts, realized type so far and the number of steps taken."""
+
+    state: str
+    cur: list[int]
+    peak: list[int]
+    counts: TallyCounter
+    rtype: list[str]
+    steps: int = 0
+
+
+def _start(res: _Resolved, n: int, init_state: str) -> _Walk:
+    mid = res.owner.get(init_state)
+    d = res.dimension
+    return _Walk(init_state, [n] * d, [n] * d, TallyCounter(), [] if mid is None else [mid])
+
+
 def _run(
     res: _Resolved,
-    n: int,
+    walk: _Walk,
     stream: _DrawStream,
     cap: int,
-    init_state: str,
     vectorized: bool,
 ) -> TrajectoryStats:
-    d = res.dimension
-    cur = [n] * d
-    peak = list(cur)
-    counts: TallyCounter = TallyCounter()
-    rtype: list[str] = []
-    mid = res.owner.get(init_state)
-    if mid is not None:
-        rtype.append(mid)
-    state = init_state
-    steps = 0
+    """Finish `walk` on the scalar path, or on the block path where it applies."""
+    state, cur, peak, counts, rtype, steps = (
+        walk.state,
+        walk.cur,
+        walk.peak,
+        walk.counts,
+        walk.rtype,
+        walk.steps,
+    )
     terminated = False
 
     while steps < cap:
@@ -281,6 +323,186 @@ def _run(
     )
 
 
+class _Tables:
+    """Padded branch tables of the states reachable from the start state.
+
+    A branch is addressed by key = state_index * width + branch_index, and a
+    run's state by the key of its first branch. Pad columns repeat a state's
+    last branch; pad thresholds are 2**64 - 1, which only the draw 2**64 - 1
+    reaches, and that draw selects the last branch anyway.
+    """
+
+    def __init__(self, res: _Resolved, recs: dict[str, _StateRec]):
+        index = {name: i for i, name in enumerate(recs)}
+        width = max(len(rec.tids) for rec in recs.values())
+        size = len(recs) * width
+        self.index = index
+        self.width = width
+        self.size = size
+        self.names = list(recs)
+        # one column per branch past the first; only state keys are read
+        self.thresholds = [np.full(size, MASK64, dtype=np.uint64) for _ in range(width - 1)]
+        self.nxt = np.empty(size, dtype=np.int64)  # key of the target state
+        self.updates = np.empty((size, res.dimension), dtype=np.int64)
+        self.fast = np.empty(size, dtype=bool)  # the target is a block-path state
+        self.enters = np.empty(size, dtype=bool)  # the target may extend the realized type
+        self.tids: list[str] = []
+        self.mids: list[Optional[str]] = []
+        for i, (name, rec) in enumerate(recs.items()):
+            for j, th in enumerate(rec.thresholds):
+                self.thresholds[j][i * width] = th
+            for k in range(width):
+                b = min(k, len(rec.tids) - 1)
+                target = rec.targets[b]
+                mid = res.owner.get(target)
+                key = i * width + k
+                self.nxt[key] = index[target] * width
+                self.updates[key] = rec.updates[b]
+                self.fast[key] = recs[target].fast_ok
+                self.enters[key] = mid is not None and mid != res.owner.get(name)
+                self.tids.append(rec.tids[b])
+                self.mids.append(mid)
+
+    def branch(self, sk: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Branch keys that draws `u` select in the states with keys `sk`."""
+        key = sk
+        for th in self.thresholds:
+            key = key + (u >= th[sk])
+        return key
+
+
+def _lockstep_tables(res: _Resolved, start: str, n: int, cap: int) -> Optional[_Tables]:
+    """Kernel tables for a batch, or None when the batch must run on the
+    scalar path: a reachable state does not resolve under the strategy, or a
+    counter could reach 2**53 within the cap."""
+    recs: dict[str, _StateRec] = {}
+    todo = [start]
+    while todo:
+        name = todo.pop()
+        if name in recs:
+            continue
+        try:
+            recs[name] = res.resolve(name)
+        except (ArithmeticError, AttributeError, TypeError, ValueError):
+            # whatever a strategy entry makes resolve() raise, the scalar path
+            # raises too, when and only when a run reaches that state
+            return None
+        todo.extend(recs[name].targets)
+    bound = max((abs(u) for rec in recs.values() for upd in rec.updates for u in upd), default=0)
+    if n + cap * bound >= FAST_COUNTER_LIMIT:
+        return None
+    return _Tables(res, recs)
+
+
+def _lockstep(
+    res: _Resolved,
+    t: _Tables,
+    n: int,
+    runs: int,
+    seed: int,
+    cap: int,
+    start: str,
+) -> list[TrajectoryStats]:
+    """Step the runs of a batch together; see the module docstring."""
+    d = res.dimension
+    width = RUN_BUFFER
+    wave = np.arange(width)[:, None]  # a block's wave index, against (wave, row) arrays
+    start_mid = res.owner.get(start)
+    out: list[Optional[TrajectoryStats]] = [None] * runs
+    # rows in flight: Python lists and numpy arrays in the same row order
+    run_ids: list[int] = []
+    gens: list[np.random.Philox] = []
+    rtypes: list[list[str]] = []
+    sk = np.empty(0, dtype=np.int64)  # key of each row's state
+    cur = np.empty((0, d), dtype=np.int64)
+    peak = np.empty((0, d), dtype=np.int64)
+    steps = np.empty(0, dtype=np.int64)
+    counts = np.empty((0, t.size), dtype=np.int64)  # per row and branch key
+    admitted = 0
+    while admitted < runs or run_ids:
+        new = min(MAX_IN_FLIGHT - len(run_ids), runs - admitted)
+        if new:
+            fresh = range(admitted, admitted + new)
+            admitted += new
+            run_ids.extend(fresh)
+            gens.extend(_philox(seed, n, r) for r in fresh)
+            rtypes.extend([] if start_mid is None else [start_mid] for _ in fresh)
+            sk = np.concatenate([sk, np.full(new, t.index[start] * t.width)])
+            cur = np.concatenate([cur, np.full((new, d), n, dtype=np.int64)])
+            peak = np.concatenate([peak, np.full((new, d), n, dtype=np.int64)])
+            steps = np.concatenate([steps, np.zeros(new, dtype=np.int64)])
+            counts = np.concatenate([counts, np.zeros((new, t.size), dtype=np.int64)])
+        rows = len(run_ids)
+
+        # the waves: branch keys in order, one word per run and wave
+        words = np.empty((width, rows), dtype=np.uint64)
+        for i, g in enumerate(gens):
+            words[:, i] = g.random_raw(width)
+        keys = np.empty((width, rows), dtype=np.int64)
+        for j in range(width):
+            keys[j] = t.branch(sk, words[j])
+            sk = t.nxt[keys[j]]
+
+        # where each row leaves the block: the step that terminates it, enters
+        # a block-path state or reaches the cap, whichever comes first
+        pos = t.updates[keys]
+        np.cumsum(pos, axis=0, out=pos)
+        pos += cur
+        neg = (pos < 0).any(axis=2)
+        term_at = np.where(neg.any(axis=0), neg.argmax(axis=0), width)
+        fast = t.fast[keys]
+        hand_at = np.where(fast.any(axis=0), fast.argmax(axis=0), width)
+        stop = np.minimum(np.minimum(term_at, hand_at), cap - 1 - steps)
+        taken = np.minimum(stop + 1, width)
+        terminated = (term_at < width) & (term_at == stop)
+        live = wave < taken - terminated  # configurations reached, terminal one excluded
+
+        cur = pos[taken - 1, np.arange(rows)]
+        steps += taken
+        flat = (keys + np.arange(rows) * t.size)[wave < taken]
+        counts += np.bincount(flat, minlength=rows * t.size).reshape(rows, t.size)
+        pos[~live] = 0  # live counters and peaks are all >= 0
+        np.maximum(peak, pos.max(axis=0), out=peak)
+        for j, i in zip(*np.nonzero(t.enters[keys] & live)):
+            mid = t.mids[keys[j, i]]
+            if not rtypes[i] or rtypes[i][-1] != mid:
+                rtypes[i].append(mid)
+
+        leaving = stop < width
+        if not leaving.any():
+            continue
+        for i in np.flatnonzero(leaving):
+            tally: TallyCounter = TallyCounter()
+            for key in np.flatnonzero(counts[i]):
+                tally[t.tids[key]] += int(counts[i, key])
+            last = int(stop[i])
+            walk = _Walk(
+                t.names[t.nxt[keys[last, i]] // t.width],
+                [int(v) for v in cur[i]],
+                [int(v) for v in peak[i]],
+                tally,
+                rtypes[i],
+                int(steps[i]),
+            )
+            if terminated[i]:
+                out[run_ids[i]] = TrajectoryStats(
+                    terminated=True,
+                    steps=walk.steps,
+                    max_counter=tuple(walk.peak),
+                    transition_counts=dict(tally),
+                    realized_type=tuple(walk.rtype),
+                )
+            else:  # the block path finishes the run; at the cap it returns at once
+                stream = _DrawStream(gens[i], words[last + 1 :, i].copy())
+                out[run_ids[i]] = _run(res, walk, stream, cap, True)
+        keep = np.flatnonzero(~leaving)
+        run_ids = [run_ids[i] for i in keep]
+        gens = [gens[i] for i in keep]
+        rtypes = [rtypes[i] for i in keep]
+        sk, cur, peak, steps, counts = sk[keep], cur[keep], peak[keep], steps[keep], counts[keep]
+    return out
+
+
 def _init_state(m: VassMdp, init_state: Optional[str]) -> str:
     if init_state is None:
         return min(m.state_names())
@@ -306,18 +528,8 @@ def simulate_one(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     res = _Resolved(m, strategy)
-    stream = _DrawStream(seed, (n << 32) + run)
-    return _run(res, n, stream, max_steps, _init_state(m, init_state), _vectorized)
-
-
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("VASS_ASYM_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    walk = _start(res, n, _init_state(m, init_state))
+    return _run(res, walk, _DrawStream(_philox(seed, n, run)), max_steps, _vectorized)
 
 
 def simulate_many(
@@ -329,32 +541,27 @@ def simulate_many(
     strategy: Optional[Strategy] = None,
     max_steps: int = 10**6,
     init_state: Optional[str] = None,
-    threads: Optional[int] = None,
     _vectorized: bool = True,
 ) -> list[TrajectoryStats]:
-    """Sample `runs` independent trajectories. Results are indexed by run and
-    independent of the thread layout (each run owns its own stream)."""
+    """Sample `runs` independent trajectories, indexed by run. Run `r` equals
+    `simulate_one(..., run=r)` whichever path the batch takes."""
     if n < 0:
         raise ValueError("start value n must be >= 0")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     start = _init_state(m, init_state)
-    nthreads = _thread_count(threads)
+    res = _Resolved(m, strategy)
+    tables = _lockstep_tables(res, start, n, max_steps) if _vectorized else None
+    if tables is not None and not res.resolve(start).fast_ok:
+        return _lockstep(res, tables, n, runs, seed, max_steps, start)
+    return [
+        _run(res, _start(res, n, start), _DrawStream(_philox(seed, n, r)), max_steps, _vectorized)
+        for r in range(runs)
+    ]
 
-    def work(run_indices: range) -> list[TrajectoryStats]:
-        res = _Resolved(m, strategy)  # per-worker tables: no shared mutation
-        return [
-            _run(res, n, _DrawStream(seed, (n << 32) + r), max_steps, start, _vectorized)
-            for r in run_indices
-        ]
 
-    if nthreads == 1 or runs <= 1:
-        return work(range(runs))
-    chunk = ceil(runs / nthreads)
-    ranges = [range(i, min(i + chunk, runs)) for i in range(0, runs, chunk)]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        parts = list(pool.map(work, ranges))
-    return [stat for part in parts for stat in part]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +617,6 @@ def estimate_tails(
     theta: Optional[float] = None,
     max_steps: Optional[int] = None,
     init_state: Optional[str] = None,
-    threads: Optional[int] = None,
 ) -> TailReport:
     """Simulate `runs` trajectories per start value and aggregate by realized
     type. The step cap per start value n is `max_steps` when given, else
@@ -435,7 +641,6 @@ def estimate_tails(
             strategy=strat,
             max_steps=cap,
             init_state=init_state,
-            threads=threads,
         )
         by_type: dict[tuple[str, ...], list[TrajectoryStats]] = {}
         for st in stats:
@@ -512,21 +717,9 @@ def expected_update(
     m: VassMdp, strategy: Optional[Strategy], state: str
 ) -> tuple[Fraction, ...]:
     """Exact expected counter change of one step from `state` under the
-    resolved branch distribution."""
-    outs = m.out(state)
-    if m.kind(state) == NONDET:
-        entry = dict(strategy or {}).get(state)
-        if entry is None:
-            raise IncompleteStrategy(f"no strategy entry for controlled state {state!r}")
-        if isinstance(entry, str):
-            dist = {entry: Fraction(1)}
-        else:
-            dist = {tid: Fraction(p) for tid, p in entry.items()}
-        probs = [dist.get(t.tid, Fraction(0)) for t in outs]
-    else:
-        probs = [t.prob for t in outs]
-    total = [Fraction(0)] * m.dimension
-    for t, p in zip(outs, probs):
-        for k, u in enumerate(t.update):
-            total[k] += p * u
-    return tuple(total)
+    branch distribution the simulator resolves there."""
+    rec = _Resolved(m, strategy).resolve(state)
+    return tuple(
+        sum((p * upd[k] for p, upd in zip(rec.probs, rec.updates)), Fraction(0))
+        for k in range(m.dimension)
+    )

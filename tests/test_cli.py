@@ -316,6 +316,8 @@ def test_simulate_rejects_bad_arguments(capsys):
     assert run(capsys, "simulate", model, "--n", "x", "--runs", "5")[0] == 1
     assert run(capsys, "simulate", model, "--n", "4", "--runs", "5",
                "--init-state", "zz")[0] == 1
+    for runs in ("0", "-3"):
+        assert run(capsys, "simulate", model, "--n", "4", "--runs", runs)[0] == 1
     # uncovered controlled state entered -> validation error, not a crash
     assert run(capsys, "simulate", str(MODELS / "decreasing_loop.json"),
                "--n", "3", "--runs", "2")[0] == 1

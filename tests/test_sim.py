@@ -4,8 +4,13 @@ import json
 from fractions import Fraction
 from math import isclose
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tests.strategies import random_models
+from vass_asym import sim
 from vass_asym.model import IncompleteStrategy, parse_vass
 from vass_asym.sim import (
     DegenerateInput,
@@ -142,20 +147,179 @@ def test_simulate_many_matches_simulate_one(walk):
         assert st == simulate_one(walk, 2, run=r, seed=5, max_steps=2000)
 
 
-def test_thread_layout_does_not_change_results(walk, monkeypatch):
-    one = simulate_many(walk, 3, 20, seed=9, max_steps=1000, threads=1)
-    three = simulate_many(walk, 3, 20, seed=9, max_steps=1000, threads=3)
-    assert one == three
-    monkeypatch.setenv("VASS_ASYM_THREADS", "4")
-    via_env = simulate_many(walk, 3, 20, seed=9, max_steps=1000)
-    assert via_env == one
-
-
 def test_runs_differ_across_run_index_and_seed(walk):
     a = simulate_one(walk, 6, run=0, seed=0, max_steps=4000)
     b = simulate_one(walk, 6, run=1, seed=0, max_steps=4000)
     c = simulate_one(walk, 6, run=0, seed=1, max_steps=4000)
     assert len({a.steps, b.steps, c.steps}) > 1 or not (a == b == c)
+
+
+# ---------------------------------------------------------------------------
+# lockstep kernel against the scalar reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def kernel_batches(monkeypatch):
+    """Counts the batches the lockstep kernel runs."""
+    calls = []
+    inner = sim._lockstep
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(sim, "_lockstep", counting)
+    return calls
+
+
+def assert_matches_reference(m, n, runs, **kw):
+    batch = simulate_many(m, n, runs, **kw)
+    assert len(batch) == runs
+    for r, stats in enumerate(batch):
+        assert stats == simulate_one(m, n, run=r, _vectorized=False, **kw), r
+    return batch
+
+
+def pump_leave(n):
+    leave = F(1, n * n)
+    return {"a": {"a_b": 1 - leave, "a_q": leave}, "e": "e_e"}
+
+
+def test_kernel_matches_reference_on_pump(pump, kernel_batches):
+    assert_matches_reference(pump, 4, 40, seed=11, strategy=pump_leave(4), max_steps=4 * 4**4)
+    assert_matches_reference(pump, 6, 70, seed=2, strategy={"a": "a_b"}, max_steps=36)
+    assert_matches_reference(pump, 3, 30, seed=5, strategy={"a": "a_q", "e": "e_e"}, max_steps=300)
+    # runs spanning several kernel blocks
+    assert_matches_reference(pump, 10, 100, seed=7, strategy={"a": "a_b"}, max_steps=400)
+    assert len(kernel_batches) == 4
+
+
+def test_kernel_tables_pick_as_scalar_path():
+    # width 3: q's and r's key rows are padded
+    m = parse_vass(
+        json.dumps(
+            {
+                "dimension": 1,
+                "states": [{"name": s, "kind": "prob"} for s in "pqr"],
+                "transitions": [
+                    {"id": "pp", "from": "p", "to": "p", "update": [0], "prob": "1/3"},
+                    {"id": "pq", "from": "p", "to": "q", "update": [0], "prob": "1/3"},
+                    {"id": "pr", "from": "p", "to": "r", "update": [0], "prob": "1/3"},
+                    {"id": "qp", "from": "q", "to": "p", "update": [0], "prob": "1/2"},
+                    {"id": "qq", "from": "q", "to": "q", "update": [0], "prob": "1/2"},
+                    {"id": "rp", "from": "r", "to": "p", "update": [0], "prob": "1"},
+                ],
+            }
+        )
+    )
+    res = sim._Resolved(m, None)
+    tables = sim._lockstep_tables(res, "p", 0, 100)
+    assert tables.width == 3
+    for name, i in tables.index.items():
+        rec = res.resolve(name)
+        words = [0, sim.MASK64 - 1, sim.MASK64]
+        words += [int(th) + e for th in rec.thresholds for e in (-1, 0)]
+        for u in words:
+            key = tables.branch(np.array([i * tables.width]), np.array([u], dtype=np.uint64))
+            assert tables.tids[key[0]] == rec.tids[rec.pick(u)]
+
+
+def test_kernel_matches_reference_on_zero_cycle(zero_cycle, kernel_batches):
+    batch = assert_matches_reference(
+        zero_cycle, 2, 5, seed=4, strategy={"p": "t_pq", "q": "t_qp"}, max_steps=301
+    )
+    assert kernel_batches
+    # every run reaches the cap in the same wave
+    assert {(st.terminated, st.steps) for st in batch} == {(False, 301)}
+
+
+def test_kernel_block_boundary_and_runs_ending_together(kernel_batches):
+    # a transient chain of RUN_BUFFER +1 steps enters the class {x, y} on the
+    # last wave of the first kernel block, at the only peak of the run; the
+    # class then counts down to termination in the same wave for every run
+    chain = [f"s{i:02d}" for i in range(sim.RUN_BUFFER)]
+    names = chain + ["x", "y"]
+    transitions = [
+        {"id": f"t_{a}", "from": a, "to": b, "update": [1], "prob": "1"}
+        for a, b in zip(names, names[1:])
+    ] + [{"id": "t_yx", "from": "y", "to": "x", "update": [0], "prob": "1"}]
+    transitions[-2]["update"] = [-1]  # x -> y
+    m = parse_vass(
+        json.dumps(
+            {
+                "dimension": 1,
+                "states": [{"name": s, "kind": "prob"} for s in names],
+                "transitions": transitions,
+            }
+        )
+    )
+    batch = assert_matches_reference(m, 0, 3, seed=1, max_steps=1000)
+    assert kernel_batches
+    counts = {f"t_{a}": 1 for a in chain} | {"t_x": 65, "t_yx": 64}
+    expected = TrajectoryStats(True, sim.RUN_BUFFER + 129, (sim.RUN_BUFFER,), counts, ("M1",))
+    assert all(stats == expected for stats in batch)
+
+
+def test_kernel_edge_cases(pump, walk, zero_cycle, kernel_batches):
+    alternate = {"p": "t_pq", "q": "t_qp"}
+    assert_matches_reference(zero_cycle, 0, 4, strategy=alternate, max_steps=1)
+    assert_matches_reference(pump, 0, 6, strategy=pump_leave(2), max_steps=50)
+    assert_matches_reference(pump, 5, 6, strategy=pump_leave(2), max_steps=1)
+    assert len(kernel_batches) == 3
+    # a start state whose branches are all self-loops goes straight to the
+    # block path
+    assert_matches_reference(walk, 4, 6, seed=3, max_steps=400)
+    assert_matches_reference(pump, 4, 6, strategy={"c": "c_c"}, init_state="c", max_steps=9)
+    assert len(kernel_batches) == 3
+
+
+def test_kernel_incomplete_strategy_raises_as_reference(pump, kernel_batches):
+    strat = {"a": "a_q"}  # e is reachable and has no entry
+    with pytest.raises(IncompleteStrategy) as batch_err:
+        simulate_many(pump, 2, 8, seed=3, strategy=strat, max_steps=100)
+    with pytest.raises(IncompleteStrategy) as ref_err:
+        for r in range(8):
+            simulate_one(pump, 2, run=r, seed=3, strategy=strat, max_steps=100, _vectorized=False)
+    assert str(batch_err.value) == str(ref_err.value)
+    # no run takes a step from e within two steps, so nothing is raised
+    assert_matches_reference(pump, 2, 8, seed=3, strategy=strat, max_steps=2)
+    assert not kernel_batches
+
+
+def test_kernel_declines_counters_beyond_exact_range(pump, kernel_batches):
+    batch = assert_matches_reference(pump, 2**62, 3, strategy={"a": "a_b"}, max_steps=20)
+    assert not kernel_batches
+    assert batch[0].max_counter[1] > 2**62
+
+
+@st.composite
+def models_with_strategies(draw):
+    m = draw(random_models())
+    strategy = {}
+    for s in m.nondet_states():
+        tids = [t.tid for t in m.out(s.name)]
+        chosen = draw(st.lists(st.sampled_from(tids), min_size=1, unique=True))
+        if len(chosen) == 1 and draw(st.booleans()):
+            strategy[s.name] = chosen[0]
+        else:
+            weights = [draw(st.integers(1, 4)) for _ in chosen]
+            strategy[s.name] = {tid: F(w, sum(weights)) for tid, w in zip(chosen, weights)}
+    init = draw(st.sampled_from(m.state_names()))
+    return m, strategy, init
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    models_with_strategies(),
+    st.integers(0, 6),
+    st.integers(1, 70),
+    st.integers(1, 150),
+    st.integers(0, 2**32),
+)
+def test_kernel_matches_reference_on_random_models(case, n, runs, cap, seed):
+    m, strategy, init = case
+    assert_matches_reference(m, n, runs, seed=seed, strategy=strategy, max_steps=cap, init_state=init)
 
 
 # ---------------------------------------------------------------------------
@@ -339,3 +503,8 @@ def test_expected_update_exact(walk, dec_loop, zero_cycle):
     assert expected_update(zero_cycle, {"p": "t_pq"}, "p") == (F(1),)
     with pytest.raises(IncompleteStrategy):
         expected_update(m, None, "s")
+    # validated as the simulator validates it
+    with pytest.raises(IncompleteStrategy):
+        expected_update(zero_cycle, {"p": {"t_pq": "2"}}, "p")
+    with pytest.raises(IncompleteStrategy):
+        expected_update(zero_cycle, {"p": "ghost"}, "p")
