@@ -8,8 +8,8 @@ pumping strategy (stay in the first class with probability 1 - 1/n^2 per
 round, then route to the oscillating class) and fits the realized growth
 exponent of the counter-3 peak, conditioned on runs that realized (M1, M4).
 
-  python3 scripts/pump_exponent_study.py             # quick (~20 s)
-  python3 scripts/pump_exponent_study.py --full      # larger n, more runs
+  python3 scripts/pump_exponent_study.py             # quick (~35 s)
+  python3 scripts/pump_exponent_study.py --full      # larger n, more runs (~3.5 min)
 """
 
 import argparse

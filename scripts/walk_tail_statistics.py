@@ -5,7 +5,7 @@ Reproduces the two empirical claims the analyzer makes exactly symbolic:
 the classic termination percentages at small start values, and the
 quadratic growth of the median termination time.
 
-  python3 scripts/walk_tail_statistics.py            # quick (~15 s)
+  python3 scripts/walk_tail_statistics.py            # quick (~4 s)
   python3 scripts/walk_tail_statistics.py --full     # acceptance scale (~3 min)
 """
 

@@ -255,7 +255,7 @@ def compute_maximal_solutions(m: VassMdp, mec: Mec) -> tuple[SystemIWitness, Ran
     `maximize_strict_count`); after scaling, every nonzero entry is >= 1.
     """
     p1 = build_system_I(m, mec)
-    s1 = scale_to_integers(maximize_strict_count(p1), min_nonzero_one=True)
+    s1 = scale_to_integers(maximize_strict_count(p1))
     labels1 = _achieved_labels(p1, s1)
     witness = SystemIWitness(
         mec_id=mec.mid,
@@ -269,7 +269,7 @@ def compute_maximal_solutions(m: VassMdp, mec: Mec) -> tuple[SystemIWitness, Ran
     )
 
     p2 = build_system_II(m, mec)
-    s2 = scale_to_integers(maximize_strict_count(p2), min_nonzero_one=True)
+    s2 = scale_to_integers(maximize_strict_count(p2))
     labels2 = _achieved_labels(p2, s2)
     ranking = RankingFunction(
         mec_id=mec.mid,

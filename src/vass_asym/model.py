@@ -169,9 +169,6 @@ class VassMdp:
     def nondet_states(self) -> list[State]:
         return [s for s in self.states if s.kind == NONDET]
 
-    def prob_states(self) -> list[State]:
-        return [s for s in self.states if s.kind == PROB]
-
 
 @dataclass(frozen=True)
 class Configuration:

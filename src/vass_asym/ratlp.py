@@ -248,21 +248,15 @@ def maximize_strict_count(problem: LpProblem) -> LpSolution:
     return LpSolution(assignment=total, achieved_strict=frozenset(achieved))
 
 
-def scale_to_integers(solution: LpSolution, min_nonzero_one: bool = False) -> LpSolution:
+def scale_to_integers(solution: LpSolution) -> LpSolution:
     """Scale a rational solution of a homogeneous system to integers.
 
-    Multiplies by the positive lcm of denominators; with ``min_nonzero_one``
-    additionally guarantees the least nonzero magnitude is >= 1 (automatic
-    after the lcm step, enforced for defensive clarity).
+    Multiplies by the positive lcm of denominators, so every nonzero entry
+    becomes an integer of magnitude >= 1.
     """
     dens = [v.denominator for v in solution.assignment.values() if v != 0]
     factor = math.lcm(*dens) if dens else 1
     scaled = {v: val * factor for v, val in solution.assignment.items()}
-    if min_nonzero_one:
-        nonzero = [abs(v) for v in scaled.values() if v != 0]
-        if nonzero and min(nonzero) < 1:  # unreachable post-lcm; belt and braces
-            bump = max(Fraction(1) / v for v in nonzero).__ceil__()
-            scaled = {v: val * bump for v, val in scaled.items()}
     for v in scaled.values():
         assert v.denominator == 1
     return LpSolution(assignment=scaled, achieved_strict=solution.achieved_strict)

@@ -22,13 +22,20 @@ execute or on which path steps it.
   n + cap * max|update| < 2**53, so that no counter can leave exact int64
   range within the cap.
 * The block path applies while a run sits in a state whose every resolved
-  branch is a self-loop (the absorbing tail phase of typical models): blocks
-  of draws are mapped to branch indices, update rows are cumulatively summed,
-  and the first terminal crossing, per-counter maxima, and branch-use counts
-  are read off vectorized. A run never leaves such a state, so a run that
-  enters one leaves the kernel and finishes here on the rest of its stream.
-  It requires |counter| < 2**53 and |update| <= 2**20 so int64 arithmetic
-  cannot overflow.
+  branch is a self-loop (the absorbing tail phase of typical models). It
+  takes blocks of at most BLOCK draws and picks branches by comparing the
+  words against each threshold (a word picks a branch past i iff it is
+  >= th[i], the kernel's rule). Counters are kept counter-major: a counter
+  whose update differs between branches becomes one cumulative sum over the
+  block, whose min() tells whether it goes negative and whose max() over the
+  steps before the terminal one is its peak; a counter whose update is the
+  same on every branch is resolved in closed form with no array. Branch
+  counts are differences of the numbers of words >= each threshold. A run
+  never leaves such a state, so a run that enters one leaves the kernel and
+  finishes here on the rest of its stream. It requires |counter| < 2**53 and
+  |update| <= 2**20 so int64 arithmetic cannot overflow. `simulate_many`
+  steps the runs it does not give the kernel one after another on one
+  reused Philox generator, reset to each run's key.
 * The scalar path (`_run`) steps one run at a time in arbitrary-precision
   integers and resolves states as runs enter them. It is the draw-for-draw
   reference (`_vectorized=False`), it runs `simulate_one`, and it runs every
@@ -39,6 +46,7 @@ execute or on which path steps it.
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_right
 from collections import Counter as TallyCounter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,7 +97,7 @@ class TrajectoryStats:
     realized_type: tuple[str, ...]
 
 
-def _cumulative_thresholds(probs: Sequence[Fraction]) -> np.ndarray:
+def _cumulative_thresholds(probs: Sequence[Fraction]) -> tuple[int, ...]:
     """First k-1 cumulative probabilities scaled to 64-bit thresholds:
     a draw u selects branch i iff th[i-1] <= u < th[i] (implicit th[k-1]=2^64).
     """
@@ -98,13 +106,31 @@ def _cumulative_thresholds(probs: Sequence[Fraction]) -> np.ndarray:
     for p in probs[:-1]:
         cum += p
         out.append((cum.numerator << 64) // cum.denominator)
-    return np.array(out, dtype=np.uint64)
+    return tuple(out)
+
+
+def _key(seed: int, n: int, run: int) -> np.ndarray:
+    return np.array([seed & MASK64, ((n << 32) + run) & MASK64], dtype=np.uint64)
 
 
 def _philox(seed: int, n: int, run: int) -> np.random.Philox:
     """The bit generator of run `run` at start value `n`."""
-    stream = (n << 32) + run
-    return np.random.Philox(key=np.array([seed & MASK64, stream & MASK64], dtype=np.uint64))
+    return np.random.Philox(key=_key(seed, n, run))
+
+
+def _restart(bg: np.random.Philox, seed: int, n: int, run: int) -> np.random.Philox:
+    """`bg` set to the start of the stream `_philox(seed, n, run)` draws,
+    without building a new generator (which draws OS entropy for a seed
+    sequence the key makes unused)."""
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _key(seed, n, run)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bg
 
 
 class _DrawStream:
@@ -151,9 +177,11 @@ class _StateRec:
         "updates",
         "probs",
         "thresholds",
-        "updates_np",
         "all_self",
         "fast_ok",
+        "block_thresholds",
+        "varying",
+        "constant",
     )
 
     def __init__(self, name: str, branches: list[tuple[str, str, tuple[int, ...], Fraction]]):
@@ -168,16 +196,21 @@ class _StateRec:
             and len(self.updates[0]) > 0
             and all(abs(u) <= FAST_UPDATE_LIMIT for upd in self.updates for u in upd)
         )
-        self.updates_np = (
-            np.array(self.updates, dtype=np.int64).reshape(len(self.tids), -1)
-            if self.fast_ok
-            else None
-        )
+        # the block path's tables: thresholds as uint64 scalars, then per
+        # counter either a column of per-branch updates (varying) or the one
+        # update every branch makes (constant)
+        self.block_thresholds = tuple(np.uint64(th) for th in self.thresholds)
+        self.varying: list[tuple[int, np.ndarray]] = []
+        self.constant: list[tuple[int, int]] = []
+        if self.fast_ok:
+            for k, col in enumerate(zip(*self.updates)):
+                if len(set(col)) == 1:
+                    self.constant.append((k, col[0]))
+                else:
+                    self.varying.append((k, np.array(col, dtype=np.int64)))
 
     def pick(self, u: int) -> int:
-        if not len(self.thresholds):
-            return 0
-        return int(np.searchsorted(self.thresholds, np.uint64(u), side="right"))
+        return bisect_right(self.thresholds, u)
 
 
 class _Resolved:
@@ -269,34 +302,12 @@ def _run(
             and rec.fast_ok
             and all(abs(c) < FAST_COUNTER_LIMIT for c in cur)
         ):
-            block = min(BLOCK, cap - steps)
-            us = stream.take(block)
-            if len(rec.thresholds):
-                idx = np.searchsorted(rec.thresholds, us, side="right")
-            else:
-                idx = np.zeros(block, dtype=np.intp)
-            pos = np.cumsum(rec.updates_np[idx], axis=0)
-            pos += np.array(cur, dtype=np.int64)
-            term_rows = (pos < 0).any(axis=1)
-            if term_rows.any():
-                j = int(np.argmax(term_rows))
-                for b, c in enumerate(np.bincount(idx[: j + 1], minlength=len(rec.tids))):
-                    if c:
-                        counts[rec.tids[b]] += int(c)
-                if j > 0:
-                    for k, v in enumerate(pos[:j].max(axis=0)):
-                        peak[k] = max(peak[k], int(v))
-                cur = [int(v) for v in pos[j]]
-                steps += j + 1
-                terminated = True
+            taken, terminated = _self_loop_block(
+                rec, stream.take(min(BLOCK, cap - steps)), cur, peak, counts
+            )
+            steps += taken
+            if terminated:
                 break
-            for b, c in enumerate(np.bincount(idx, minlength=len(rec.tids))):
-                if c:
-                    counts[rec.tids[b]] += int(c)
-            for k, v in enumerate(pos.max(axis=0)):
-                peak[k] = max(peak[k], int(v))
-            cur = [int(v) for v in pos[-1]]
-            steps += block
             continue
 
         i = rec.pick(stream.one())
@@ -321,6 +332,49 @@ def _run(
         transition_counts=dict(counts),
         realized_type=tuple(rtype),
     )
+
+
+def _self_loop_block(
+    rec: _StateRec, us: np.ndarray, cur: list[int], peak: list[int], counts: TallyCounter
+) -> tuple[int, bool]:
+    """Step a run in the all-self-loop state `rec` on the draws `us`, up to
+    and including a terminal step. Updates `cur`, `peak` and `counts` in
+    place; returns the steps taken and whether the last one terminates."""
+    block = len(us)
+    ge = [us >= th for th in rec.block_thresholds]  # ge[i]: picks a branch past i
+    if len(ge) > 1:
+        idx = ge[0].astype(np.intp)
+        for mask in ge[1:]:
+            idx += mask
+    # stop: the index of the terminal step, or block when there is none
+    stop = block
+    sums = []
+    for k, col in rec.varying:
+        rel = np.where(ge[0], col[1], col[0]) if len(col) == 2 else col.take(idx)
+        np.cumsum(rel, out=rel)  # counter k after each step, less cur[k]
+        sums.append((k, rel))
+        if rel.min() < -cur[k]:
+            stop = min(stop, int(np.argmax(rel < -cur[k])))
+    for k, c in rec.constant:
+        if c < 0:
+            stop = min(stop, cur[k] // -c)
+    terminated = stop < block
+    taken = stop + 1 if terminated else block
+    # peaks come from the `stop` configurations before the terminal one
+    for k, rel in sums:
+        if stop:
+            peak[k] = max(peak[k], cur[k] + int(rel[:stop].max()))
+        cur[k] += int(rel[taken - 1])
+    for k, c in rec.constant:
+        if c > 0:
+            peak[k] = max(peak[k], cur[k] + stop * c)
+        cur[k] += taken * c
+    # branch i is used by the steps that pick a branch past i - 1 but not past i
+    at_least = [taken] + [int(np.count_nonzero(mask[:taken])) for mask in ge] + [0]
+    for tid, a, b in zip(rec.tids, at_least, at_least[1:]):
+        if a > b:
+            counts[tid] += a - b
+    return taken, terminated
 
 
 class _Tables:
@@ -412,6 +466,7 @@ def _lockstep(
     # rows in flight: Python lists and numpy arrays in the same row order
     run_ids: list[int] = []
     gens: list[np.random.Philox] = []
+    spare: list[np.random.Philox] = []  # generators of runs that have left
     rtypes: list[list[str]] = []
     sk = np.empty(0, dtype=np.int64)  # key of each row's state
     cur = np.empty((0, d), dtype=np.int64)
@@ -425,7 +480,9 @@ def _lockstep(
             fresh = range(admitted, admitted + new)
             admitted += new
             run_ids.extend(fresh)
-            gens.extend(_philox(seed, n, r) for r in fresh)
+            gens.extend(
+                _restart(spare.pop(), seed, n, r) if spare else _philox(seed, n, r) for r in fresh
+            )
             rtypes.extend([] if start_mid is None else [start_mid] for _ in fresh)
             sk = np.concatenate([sk, np.full(new, t.index[start] * t.width)])
             cur = np.concatenate([cur, np.full((new, d), n, dtype=np.int64)])
@@ -495,6 +552,7 @@ def _lockstep(
             else:  # the block path finishes the run; at the cap it returns at once
                 stream = _DrawStream(gens[i], words[last + 1 :, i].copy())
                 out[run_ids[i]] = _run(res, walk, stream, cap, True)
+            spare.append(gens[i])
         keep = np.flatnonzero(~leaving)
         run_ids = [run_ids[i] for i in keep]
         gens = [gens[i] for i in keep]
@@ -556,12 +614,11 @@ def simulate_many(
     tables = _lockstep_tables(res, start, n, max_steps) if _vectorized else None
     if tables is not None and not res.resolve(start).fast_ok:
         return _lockstep(res, tables, n, runs, seed, max_steps, start)
+    bg = _philox(seed, n, 0)
     return [
-        _run(res, _start(res, n, start), _DrawStream(_philox(seed, n, r)), max_steps, _vectorized)
+        _run(res, _start(res, n, start), _DrawStream(_restart(bg, seed, n, r)), max_steps, _vectorized)
         for r in range(runs)
     ]
-
-
 
 
 # ---------------------------------------------------------------------------

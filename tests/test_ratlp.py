@@ -46,7 +46,7 @@ def test_equality_system():
     )
     sol = solve_feasibility(p)
     assert sol.assignment == {"y": Fraction(2, 3), "z": Fraction(1, 6)}
-    scaled = scale_to_integers(sol, min_nonzero_one=True)
+    scaled = scale_to_integers(sol)
     assert scaled.assignment == {"y": Fraction(4), "z": Fraction(1)}
 
 

@@ -1,6 +1,7 @@
 """Simulator tests: deterministic trajectories, path equivalence, statistics."""
 
 import json
+from collections import Counter as TallyCounter
 from fractions import Fraction
 from math import isclose
 
@@ -320,6 +321,139 @@ def models_with_strategies(draw):
 def test_kernel_matches_reference_on_random_models(case, n, runs, cap, seed):
     m, strategy, init = case
     assert_matches_reference(m, n, runs, seed=seed, strategy=strategy, max_steps=cap, init_state=init)
+
+
+# ---------------------------------------------------------------------------
+# self-loop block path against the scalar reference
+# ---------------------------------------------------------------------------
+
+RARE = F(1, 2**60)  # a branch probability no draw in these tests reaches
+
+
+def self_loop(updates, probs=None):
+    """One probabilistic state whose branches t0, t1, ... are all self-loops
+    with the given updates, uniform unless `probs` is given."""
+    probs = probs or [F(1, len(updates))] * len(updates)
+    return parse_vass(
+        json.dumps(
+            {
+                "dimension": len(updates[0]),
+                "states": [{"name": "s", "kind": "prob"}],
+                "transitions": [
+                    {"id": f"t{i}", "from": "s", "to": "s", "update": list(u), "prob": str(p)}
+                    for i, (u, p) in enumerate(zip(updates, probs))
+                ],
+            }
+        )
+    )
+
+
+def test_block_path_picks_as_scalar_path():
+    # two branches take the np.where path, four the summed-mask path
+    for m in (
+        self_loop([(-1, 2), (1, 0)], [F(1, 3), F(2, 3)]),
+        self_loop([(-1,), (0,), (1,), (2,)], [F(1, 3), F(1, 6), F(1, 4), F(1, 4)]),
+    ):
+        rec = sim._Resolved(m, None).resolve("s")
+        words = [0, sim.MASK64 - 1, sim.MASK64]
+        words += [th + e for th in rec.thresholds for e in (-1, 0)]
+        for u in words:
+            cur, peak, counts = [5] * m.dimension, [5] * m.dimension, TallyCounter()
+            taken, terminated = sim._self_loop_block(
+                rec, np.array([u], dtype=np.uint64), cur, peak, counts
+            )
+            i = rec.pick(u)
+            assert (taken, terminated) == (1, False)
+            assert counts == {rec.tids[i]: 1}
+            assert cur == [5 + c for c in rec.updates[i]]
+
+
+def test_block_path_many_branches():
+    m3 = self_loop([(-1, 2), (0, -1), (2, 0)], [F(1, 2), F(1, 4), F(1, 4)])
+    m4 = self_loop([(-2,), (-1,), (1,), (3,)])
+    ends = set()
+    for m in (m3, m4):
+        for n in (0, 5, 40):
+            batch = assert_matches_reference(m, n, 6, seed=n, max_steps=5 * sim.BLOCK)
+            ends |= {(st.terminated, st.steps > sim.BLOCK) for st in batch}
+    assert ends == {(True, False), (True, True), (False, True)}
+
+
+@pytest.mark.parametrize("n", [0, sim.BLOCK - 1, sim.BLOCK, 2 * sim.BLOCK - 1])
+def test_block_path_terminal_step_on_varying_counter(n):
+    # counter 1 goes negative first, at block index n % BLOCK; t1 is never
+    # drawn, so counter 0 and counter 1 vary but step by +1 and -1
+    m = self_loop([(1, -1, 2), (3, -2, 2)], [1 - RARE, RARE])
+    rec = sim._Resolved(m, None).resolve("s")
+    assert [k for k, _ in rec.varying] == [0, 1] and rec.constant == [(2, 2)]
+    batch = assert_matches_reference(m, n, 2, seed=1, max_steps=3 * sim.BLOCK)
+    # peaks exclude the terminal configuration, the closed-form counter's too
+    expected = TrajectoryStats(True, n + 1, (2 * n, n, 3 * n), {"t0": n + 1}, ("M1",))
+    assert batch == [expected, expected]
+
+
+@pytest.mark.parametrize("n", [0, sim.BLOCK - 1, sim.BLOCK, 2 * sim.BLOCK - 1])
+def test_block_path_terminal_step_on_constant_counter(n):
+    # counter 2 steps by -1 on every branch and goes negative first, at
+    # block index n % BLOCK; both branches are drawn
+    m = self_loop([(1, 3, -1), (2, 0, -1)])
+    rec = sim._Resolved(m, None).resolve("s")
+    assert [k for k, _ in rec.varying] == [0, 1] and rec.constant == [(2, -1)]
+    batch = assert_matches_reference(m, n, 3, seed=2, max_steps=3 * sim.BLOCK)
+    for st in batch:
+        assert st.terminated and st.steps == n + 1 and st.max_counter[2] == n
+        assert sum(st.transition_counts.values()) == n + 1
+
+
+@pytest.mark.parametrize("cap", [sim.BLOCK - 1, sim.BLOCK, sim.BLOCK + 1])
+def test_block_path_caps_around_block_size(walk, cap):
+    assert_matches_reference(walk, 30, 8, seed=4, max_steps=cap)
+    # counter 1 goes negative on step n + 1: at the cap, then just past it
+    m = self_loop([(1, -1), (-1, -1)])
+    (last,) = assert_matches_reference(m, cap - 1, 1, max_steps=cap)
+    (past,) = assert_matches_reference(m, cap, 1, max_steps=cap)
+    assert (last.terminated, last.steps) == (True, cap)
+    assert (past.terminated, past.steps) == (False, cap)
+    assert sum(past.transition_counts.values()) == cap
+
+
+def test_block_path_single_branch():
+    cap = 2 * sim.BLOCK + 1
+    up = self_loop([(2, 0)])
+    (st,) = assert_matches_reference(up, 3, 1, max_steps=cap)
+    assert st == TrajectoryStats(False, cap, (3 + 2 * cap, 3), {"t0": cap}, ("M1",))
+    down = self_loop([(1, -1)])
+    (st,) = assert_matches_reference(down, 5, 1, max_steps=cap)
+    assert st == TrajectoryStats(True, 6, (10, 5), {"t0": 6}, ("M1",))
+
+
+def test_block_path_from_zero(walk):
+    batch = assert_matches_reference(walk, 0, 40, seed=9, max_steps=3 * sim.BLOCK)
+    assert any(st.steps == 1 for st in batch) and any(st.steps > 1 for st in batch)
+
+
+def test_simulate_many_runs_multi_block_walks_as_simulate_one(walk):
+    # runs end inside a block with drawn words left over, which must not
+    # carry into the next run on the batch's reused generator
+    batch = simulate_many(walk, 40, 10, seed=8, max_steps=5 * sim.BLOCK)
+    assert sum(st.steps > sim.BLOCK for st in batch) >= 2
+    for r, st in enumerate(batch):
+        assert st == simulate_one(walk, 40, run=r, seed=8, max_steps=5 * sim.BLOCK)
+
+
+@st.composite
+def self_loop_models(draw):
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    updates = [tuple(draw(st.integers(-3, 3)) for _ in range(d)) for _ in range(k)]
+    weights = [draw(st.integers(1, 4)) for _ in range(k)]
+    return self_loop(updates, [F(w, sum(weights)) for w in weights])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(self_loop_models(), st.integers(0, 40), st.integers(1, 3 * sim.BLOCK), st.integers(0, 2**32))
+def test_block_path_matches_reference_on_random_self_loops(m, n, cap, seed):
+    assert_matches_reference(m, n, 3, seed=seed, max_steps=cap)
 
 
 # ---------------------------------------------------------------------------
