@@ -7,9 +7,9 @@ reduction).
 
 Exit codes: 0 success; 1 invalid input (bad JSON, schema or validation
 errors, unknown names, bad options); 2 out of scope (class graph not
-DAG-like where the analysis requires it, detector preconditions violated,
-enumeration bounds exceeded); 3 internal attestation failure (an emitted
-witness did not re-substitute exactly — never expected).
+DAG-like where the analysis requires it, enumeration bounds exceeded); 3
+internal attestation failure (an emitted witness did not re-substitute
+exactly — never expected).
 
 Every analysis report is attested before being emitted: all flows,
 rankings, stationary distributions, and reachability value certificates it
@@ -70,11 +70,10 @@ from .model import (
 )
 from .onedim import (
     ClassInventory,
-    PreconditionViolated,
     TooManyStrategies,
     VertexNotInGraph,
+    bounded_zero_witness,
     classify_onedim,
-    detect_bounded_zero,
     energy_safe,
     hamiltonian_reduction,
     verify_stationary,
@@ -222,10 +221,10 @@ def _attest(
             failures += [f"class {mid} flow: {e}" for e in verify_system_I_witness(m, by_id[mid], f.flow)]
             checks += 1
             failures += [f"class {mid} ranking: {e}" for e in verify_ranking(m, by_id[mid], f.ranking)]
-        # the zero-cycle detector (and its stationary witness) exists only in
-        # the regime where no class admits positive drift
+        # the zero-cycle stationary witness exists only in the regime where
+        # no class admits positive drift
         if not inventory.any_increasing:
-            w = detect_bounded_zero(m, mecs)
+            w = bounded_zero_witness(m, inventory)
             if w is not None:
                 chain = apply_md_strategy(m, w.strategy)
                 checks += 1
@@ -758,7 +757,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (NotDagLike, PreconditionViolated, TooManyStrategies) as e:
+    except (NotDagLike, TooManyStrategies) as e:
         print(f"out of scope: {e}", file=sys.stderr)
         return 2
     except AttestationError as e:

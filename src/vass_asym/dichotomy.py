@@ -394,22 +394,6 @@ def verify_dichotomy(
     return True
 
 
-def classify_counters_mec(m: VassMdp, mec: Mec) -> dict[int, Label]:
-    """Within one class: TightLinear iff the maximal ranking has y(c) > 0,
-    else LowerQuadratic (the dichotomy provides the pumping flow)."""
-    witness, ranking = compute_maximal_solutions(m, mec)
-    out = {}
-    for c in range(1, m.dimension + 1):
-        if ranking.y[c] > 0:
-            out[c] = Label.TIGHT_LINEAR
-        else:
-            assert counter_effect(m, witness, c) > 0, (
-                f"dichotomy violated for counter {c} in {mec.mid}"
-            )
-            out[c] = Label.LOWER_QUADRATIC
-    return out
-
-
 # --- DAG pipeline ---------------------------------------------------------------
 
 

@@ -271,13 +271,15 @@ def enumerate_types(
 # --- maximal reachability ------------------------------------------------------
 
 
-def _chain_values(
+def _chain(
     m: VassMdp,
     choice: dict[str, str],
     targets: frozenset[str],
     sinks: frozenset[str],
-) -> dict[str, Fraction]:
-    """Exact reach-target probabilities of the chain induced by `choice`."""
+) -> tuple[dict[str, list[tuple[Fraction, str]]], set[str]]:
+    """The chain induced by `choice` with targets and sinks absorbing, as
+    (successor (probability, state) pairs per state, states with a chain path
+    to a target)."""
     succ: dict[str, list[tuple[Fraction, str]]] = {}
     for s in m.states:
         name = s.name
@@ -301,7 +303,17 @@ def _chain_values(
             if p not in can_reach:
                 can_reach.add(p)
                 frontier.append(p)
+    return succ, can_reach
 
+
+def _chain_values(
+    m: VassMdp,
+    choice: dict[str, str],
+    targets: frozenset[str],
+    sinks: frozenset[str],
+) -> dict[str, Fraction]:
+    """Exact reach-target probabilities of the chain induced by `choice`."""
+    succ, can_reach = _chain(m, choice, targets, sinks)
     values: dict[str, Fraction] = {}
     for s in m.states:
         if s.name in targets:
@@ -384,29 +396,7 @@ def verify_reach_values(
     an improving deviation. Together these force optimality.
     """
     bad: list[str] = []
-    succ: dict[str, list[tuple[Fraction, str]]] = {}
-    for s in m.states:
-        name = s.name
-        if name in targets or name in sinks:
-            succ[name] = []
-        elif s.kind == NONDET:
-            succ[name] = [(Fraction(1), m.transition(choice[name]).target)]
-        else:
-            succ[name] = [(t.prob, t.target) for t in m.out(name)]
-
-    pred: dict[str, set[str]] = {s.name: set() for s in m.states}
-    for name, pairs in succ.items():
-        for _, tgt in pairs:
-            pred[tgt].add(name)
-    can_reach = set(targets)
-    frontier = list(targets)
-    while frontier:
-        s = frontier.pop()
-        for p in pred[s]:
-            if p not in can_reach:
-                can_reach.add(p)
-                frontier.append(p)
-
+    succ, can_reach = _chain(m, choice, targets, sinks)
     for s in m.states:
         name = s.name
         v = values[name]

@@ -170,23 +170,6 @@ class VassMdp:
         return [s for s in self.states if s.kind == NONDET]
 
 
-@dataclass(frozen=True)
-class Configuration:
-    state: str
-    counters: tuple[int, ...]
-
-    @property
-    def terminal(self) -> bool:
-        return any(c < 0 for c in self.counters)
-
-
-def initial_configuration(m: VassMdp, state: str, n: int) -> Configuration:
-    """The analysis convention: every counter starts at the same value n."""
-    if state not in m._by_name:
-        raise ValidationError(f"unknown initial state {state!r}")
-    return Configuration(state, (n,) * m.dimension)
-
-
 # --- measures -----------------------------------------------------------------
 
 

@@ -1,17 +1,20 @@
-"""One-counter models: behaviour detectors, growth case table, and oracles.
+"""One-counter models: behaviour inventory, growth case table, and oracles.
 
 A memoryless deterministic strategy turns the model into a finite chain whose
 bottom components each treat the single counter in one of four ways: drift up
 (Increasing), drift down (Decreasing), zero drift with every cycle summing to
 zero (BoundedZero), or zero drift with some nonzero cycle (UnboundedZero).
 
-The detectors decide, per class, whether each behaviour is achievable by some
-strategy, producing exact rational witnesses; `labels_from_inventory` is the
-pure case table turning a class-visit sequence plus those flags into growth
-estimates; `brute_force_classify` enumerates every strategy as an independent
-ground truth; `energy_safe` answers whether some recurrent behaviour never
-loses counter value along any cycle; `hamiltonian_reduction` encodes
-undirected-graph Hamiltonicity into exactly that question.
+`compute_inventory` decides, per class, whether each behaviour is achievable
+by some strategy, from one pair of maximal System I/II solutions per class,
+and keeps the exact rational witnesses. It is the only place that solves a
+class's systems: `bounded_zero_witness`, `energy_safe` and the report's
+attestation read the inventory the caller holds. `labels_from_inventory` is
+the pure case table turning a class-visit sequence plus those flags into
+growth estimates; `brute_force_classify` enumerates every strategy as an
+independent ground truth; `energy_safe` answers whether some recurrent
+behaviour never loses counter value along any cycle; `hamiltonian_reduction`
+encodes undirected-graph Hamiltonicity into exactly that question.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .dichotomy import (
     RankingFunction,
     SystemIWitness,
     compute_maximal_solutions,
-    counter_effect,
     rank_delta,
 )
 from .graph import (
@@ -59,10 +61,6 @@ from .ratlp import solve_linear_system
 
 class NotABottomScc(ValueError):
     """The given state set is not a bottom component of the strategy chain."""
-
-
-class PreconditionViolated(RuntimeError):
-    """A zero-drift detector was called although some class is increasing."""
 
 
 class TooManyStrategies(RuntimeError):
@@ -206,12 +204,6 @@ def bscc_analysis(
     return _analyze_bscc(chain, b)
 
 
-def classify_bscc(
-    m: VassMdp, strategy: Mapping[str, str], bscc_states: Sequence[str] | frozenset[str]
-) -> BsccClass:
-    return bscc_analysis(m, strategy, bscc_states).cls
-
-
 def verify_stationary(
     chain: VassMdp, states: frozenset[str], pi: Mapping[str, Fraction]
 ) -> list[str]:
@@ -233,17 +225,8 @@ def verify_stationary(
 
 
 # ---------------------------------------------------------------------------
-# per-class behaviour detectors
+# per-class behaviour inventory
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IncreasingWitness:
-    """Flow with strictly positive counter effect inside one class."""
-
-    mec_id: str
-    flow: SystemIWitness
-    effect: Fraction
 
 
 @dataclass(frozen=True)
@@ -262,16 +245,6 @@ class BoundedZeroWitness:
 
 
 @dataclass(frozen=True)
-class UnboundedZeroWitness:
-    """A flow component with zero drift but a cycle of nonzero counter sum."""
-
-    mec_id: str
-    flow: SystemIWitness
-    component_transitions: frozenset[str]
-    defect_transition: str
-
-
-@dataclass(frozen=True)
 class MecFlags:
     """Achievable bottom-component behaviours of one class.
 
@@ -280,8 +253,8 @@ class MecFlags:
     table never reads them. `bz_transitions` are the transitions lying on some
     zero-cycle end component; `uz_transitions` those lying on some zero-drift
     oscillating component but on no zero-cycle one. Witness payloads are
-    attached when the flags come from the detectors (the strategy-enumeration
-    oracle builds flag-only inventories).
+    attached when the flags come from `compute_inventory` (the
+    strategy-enumeration oracle builds flag-only inventories).
     """
 
     mec_id: str
@@ -311,10 +284,6 @@ class ClassInventory:
     @property
     def any_bounded_zero(self) -> bool:
         return any(f.bounded_zero is True for f in self.flags.values())
-
-    @property
-    def any_unbounded_zero(self) -> bool:
-        return any(f.unbounded_zero is True for f in self.flags.values())
 
     @property
     def all_decreasing(self) -> bool:
@@ -419,7 +388,7 @@ def _nonincreasing_flags(
     uz = uz_component is not None
     uz_transitions = witness.positive_transitions - bz_transitions
 
-    # internal cross-checks of the two detector routes (both exact)
+    # internal cross-checks of the two routes to the flags (both exact)
     assert bz_transitions <= witness.positive_transitions, (
         "zero-cycle component transitions must admit positive flow"
     )
@@ -469,34 +438,16 @@ def compute_inventory(
     return ClassInventory(flags=flags)
 
 
-def detect_increasing(
-    m: VassMdp, mecs: Optional[Sequence[Mec]] = None
-) -> Optional[IncreasingWitness]:
-    """First class (in id order) admitting a strategy with positive drift, as
-    an exact flow whose counter effect is >= 1; None if no class does."""
-    if m.dimension != 1:
-        raise ValueError("behaviour detectors are defined for one-counter models")
-    if mecs is None:
-        mecs = mec_decomposition(m)
-    for mec in mecs:
-        witness, _ = compute_maximal_solutions(m, mec)
-        if 1 in witness.positive_counters:
-            effect = counter_effect(m, witness, 1)
-            assert effect >= 1
-            return IncreasingWitness(mec_id=mec.mid, flow=witness, effect=effect)
-    return None
-
-
-def _require_no_increasing(m: VassMdp, mecs: Sequence[Mec]) -> None:
-    hit = detect_increasing(m, mecs)
-    if hit is not None:
-        raise PreconditionViolated(
-            f"class {hit.mec_id} admits positive drift; "
-            "zero-drift detectors require that no class does"
-        )
-
-
-def _bounded_zero_witness(m: VassMdp, flags: MecFlags) -> BoundedZeroWitness:
+def bounded_zero_witness(
+    m: VassMdp, inventory: ClassInventory
+) -> Optional[BoundedZeroWitness]:
+    """The first class (in class order) admitting a bottom component all of
+    whose cycles keep the counter unchanged, with a strategy owning it and
+    its exact stationary distribution; None if no class does. Built from the
+    inventory's zero-cycle subsystem: no class is solved again."""
+    flags = next((f for f in inventory.flags.values() if f.bounded_zero), None)
+    if flags is None:
+        return None
     assert flags.kept_states is not None and flags.kept_transitions is not None
     sub = _subsystem_model(m, flags.kept_states, flags.kept_transitions)
     comp = mec_decomposition(sub)[0]
@@ -522,51 +473,6 @@ def _bounded_zero_witness(m: VassMdp, flags: MecFlags) -> BoundedZeroWitness:
         strategy=strategy,
         stationary=analysis.stationary,
     )
-
-
-def detect_bounded_zero(
-    m: VassMdp, mecs: Optional[Sequence[Mec]] = None
-) -> Optional[BoundedZeroWitness]:
-    """First class (in id order) admitting a bottom component all of whose
-    cycles keep the counter unchanged. Only defined when no class is
-    increasing (PreconditionViolated otherwise)."""
-    if m.dimension != 1:
-        raise ValueError("behaviour detectors are defined for one-counter models")
-    if mecs is None:
-        mecs = mec_decomposition(m)
-    _require_no_increasing(m, mecs)
-    inv = compute_inventory(m, mecs)
-    for mec in mecs:
-        f = inv.flags[mec.mid]
-        if f.bounded_zero:
-            return _bounded_zero_witness(m, f)
-    return None
-
-
-def detect_unbounded_zero(
-    m: VassMdp, mecs: Optional[Sequence[Mec]] = None
-) -> Optional[UnboundedZeroWitness]:
-    """First class (in id order) admitting a zero-drift bottom component with
-    a cycle of nonzero counter sum. Only defined when no class is increasing
-    (PreconditionViolated otherwise)."""
-    if m.dimension != 1:
-        raise ValueError("behaviour detectors are defined for one-counter models")
-    if mecs is None:
-        mecs = mec_decomposition(m)
-    _require_no_increasing(m, mecs)
-    inv = compute_inventory(m, mecs)
-    for mec in mecs:
-        f = inv.flags[mec.mid]
-        if f.unbounded_zero:
-            assert f.flow is not None and f.uz_component is not None
-            assert f.uz_defect_transition is not None
-            return UnboundedZeroWitness(
-                mec_id=mec.mid,
-                flow=f.flow,
-                component_transitions=f.uz_component,
-                defect_transition=f.uz_defect_transition,
-            )
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -856,17 +762,17 @@ def _has_negative_cycle(edges: Sequence[Transition], nodes: Sequence[str]) -> bo
 def energy_safe(m: VassMdp, brute_bound: int = 10**6) -> EnergyAnswer:
     """Decide existence of a non-losing bottom component.
 
-    Without an increasing class the question collapses to the zero-cycle
-    detector (a non-losing component has drift <= 0 and cycles >= 0, hence all
-    cycles exactly zero), answered in polynomial time with a witness. With an
+    Without an increasing class the question collapses to the zero-cycle flag
+    (a non-losing component has drift <= 0 and cycles >= 0, hence all cycles
+    exactly zero), answered in polynomial time with a witness. With an
     increasing class the question is genuinely hard and is answered by
     strategy enumeration up to `brute_bound`, else UnknownNPRegime.
     """
     if m.dimension != 1:
         raise ValueError("energy safety is defined for one-counter models")
-    mecs = mec_decomposition(m)
-    if detect_increasing(m, mecs) is None:
-        w = detect_bounded_zero(m, mecs)
+    inventory = compute_inventory(m)
+    if not inventory.any_increasing:
+        w = bounded_zero_witness(m, inventory)
         if w is not None:
             return EnergyAnswer(
                 status="Safe",
@@ -900,29 +806,6 @@ def energy_safe(m: VassMdp, brute_bound: int = 10**6) -> EnergyAnswer:
         status="Unsafe",
         note="every bottom component of every strategy contains a negative cycle",
     )
-
-
-def pivot_safe_bruteforce(m: VassMdp, pivot: str, bound: int = 10**6) -> bool:
-    """Does some strategy own a non-losing bottom component containing `pivot`?
-
-    Decided by strategy enumeration (TooManyStrategies beyond `bound`). This
-    is the question the Hamiltonicity gadget reduces to.
-    """
-    if m.dimension != 1:
-        raise ValueError("energy safety is defined for one-counter models")
-    if pivot not in m.state_names():
-        raise ValueError(f"unknown state {pivot!r}")
-    _, _, total = _strategy_space(m)
-    if total > bound:
-        raise TooManyStrategies(
-            f"{total} memoryless strategies exceed the enumeration bound {bound}"
-        )
-    for choice in _iter_strategies(m):
-        chain = apply_md_strategy(m, choice)
-        for b in bottom_sccs(chain):
-            if pivot in b and not _has_negative_cycle(_bscc_edges(chain, b), sorted(b)):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,12 @@ execute or on which path steps it.
   same on every branch is resolved in closed form with no array. Branch
   counts are differences of the numbers of words >= each threshold. A run
   never leaves such a state, so a run that enters one leaves the kernel and
-  finishes here on the rest of its stream. It requires |counter| < 2**53 and
-  |update| <= 2**20 so int64 arithmetic cannot overflow. `simulate_many`
-  steps the runs it does not give the kernel one after another on one
-  reused Philox generator, reset to each run's key.
+  finishes here on the rest of its stream: first the words the kernel drew
+  for it and did not use, as one short block, then whole blocks. It
+  requires |counter| < 2**53 and |update| <= 2**20 so int64 arithmetic
+  cannot overflow. `simulate_many` steps the runs it does not give the
+  kernel one after another on one reused Philox generator, reset to each
+  run's key.
 * The scalar path (`_run`) steps one run at a time in arbitrary-precision
   integers and resolves states as runs enter them. It is the draw-for-draw
   reference (`_vectorized=False`), it runs `simulate_one`, and it runs every
@@ -148,16 +150,14 @@ class _DrawStream:
         self._pos = 0
 
     def take(self, k: int) -> np.ndarray:
-        avail = len(self._buf) - self._pos
-        if avail >= k:
-            out = self._buf[self._pos : self._pos + k]
-            self._pos += k
-            return out
-        head = self._buf[self._pos :]
-        fresh = self._bg.random_raw(max(k - avail, BLOCK))
-        self._buf = fresh
-        self._pos = k - avail
-        return np.concatenate([head, fresh[: self._pos]]) if avail else fresh[:k]
+        """The next at most `k` words: the buffered ones if any are left (a
+        short block), else the first `k` of `max(k, BLOCK)` fresh ones."""
+        if self._pos >= len(self._buf):
+            self._buf = self._bg.random_raw(max(k, BLOCK))
+            self._pos = 0
+        out = self._buf[self._pos : self._pos + k]
+        self._pos += len(out)
+        return out
 
     def one(self) -> int:
         if self._pos >= len(self._buf):

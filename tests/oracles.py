@@ -1,15 +1,95 @@
 """Independent ground-truth helpers shared by unit and acceptance tests."""
 
 import itertools
+import math
+from dataclasses import dataclass
 
+from vass_asym.dichotomy import Label, compute_maximal_solutions, counter_effect
 from vass_asym.graph import state_to_mec
+from vass_asym.model import ValidationError, apply_md_strategy
 from vass_asym.onedim import (
     BsccClass,
     ClassInventory,
     MecFlags,
+    TooManyStrategies,
+    bottom_sccs,
     brute_force_classify,
+    bscc_analysis,
     chain_bscc_transitions,
 )
+
+
+@dataclass(frozen=True)
+class Configuration:
+    state: str
+    counters: tuple
+
+    @property
+    def terminal(self) -> bool:
+        return any(c < 0 for c in self.counters)
+
+
+def initial_configuration(m, state, n) -> Configuration:
+    """The analysis convention: every counter starts at the same value n."""
+    if state not in m.state_names():
+        raise ValidationError(f"unknown initial state {state!r}")
+    return Configuration(state, (n,) * m.dimension)
+
+
+def classify_bscc(m, strategy, bscc_states) -> BsccClass:
+    """Behaviour class of one bottom component of a strategy chain."""
+    return bscc_analysis(m, strategy, bscc_states).cls
+
+
+def classify_counters_mec(m, mec) -> dict:
+    """Within one class: TightLinear iff the maximal ranking has y(c) > 0,
+    else LowerQuadratic (the dichotomy provides the pumping flow)."""
+    witness, ranking = compute_maximal_solutions(m, mec)
+    out = {}
+    for c in range(1, m.dimension + 1):
+        if ranking.y[c] > 0:
+            out[c] = Label.TIGHT_LINEAR
+        else:
+            assert counter_effect(m, witness, c) > 0, (
+                f"dichotomy violated for counter {c} in {mec.mid}"
+            )
+            out[c] = Label.LOWER_QUADRATIC
+    return out
+
+
+def _has_negative_cycle(edges, nodes) -> bool:
+    """Bellman-Ford from a virtual source joined to every node at cost 0."""
+    dist = dict.fromkeys(nodes, 0)
+    for _ in range(len(dist) - 1):
+        for e in edges:
+            dist[e.target] = min(dist[e.target], dist[e.source] + e.update[0])
+    return any(dist[e.source] + e.update[0] < dist[e.target] for e in edges)
+
+
+def pivot_safe_bruteforce(m, pivot, bound=10**6) -> bool:
+    """Does some strategy own a non-losing bottom component containing `pivot`?
+
+    Decided by strategy enumeration (TooManyStrategies beyond `bound`). This
+    is the question the Hamiltonicity gadget reduces to.
+    """
+    if m.dimension != 1:
+        raise ValueError("energy safety is defined for one-counter models")
+    if pivot not in m.state_names():
+        raise ValueError(f"unknown state {pivot!r}")
+    controlled = [s.name for s in m.nondet_states()]
+    menus = [[t.tid for t in m.out(name)] for name in controlled]
+    total = math.prod(len(menu) for menu in menus)
+    if total > bound:
+        raise TooManyStrategies(
+            f"{total} memoryless strategies exceed the enumeration bound {bound}"
+        )
+    for combo in itertools.product(*menus):
+        chain = apply_md_strategy(m, dict(zip(controlled, combo)))
+        for b in bottom_sccs(chain):
+            edges = [t for name in b for t in chain.out(name)]
+            if pivot in b and not _has_negative_cycle(edges, b):
+                return True
+    return False
 
 
 def flags_tuple(f):

@@ -12,20 +12,14 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from oracles import flags_tuple, inventory_from_bruteforce, is_hamiltonian
+from oracles import flags_tuple, inventory_from_bruteforce, is_hamiltonian, pivot_safe_bruteforce
 from strategies import random_model_from_rng
 
 from vass_asym.cli import build_analysis
 from vass_asym.dichotomy import compute_maximal_solutions, verify_dichotomy
 from vass_asym.graph import enumerate_types, mec_decomposition, transition_to_mec
 from vass_asym.model import parse_measure, parse_vass
-from vass_asym.onedim import (
-    classify_onedim,
-    compute_inventory,
-    hamiltonian_reduction,
-    labels_from_inventory,
-    pivot_safe_bruteforce,
-)
+from vass_asym.onedim import classify_onedim, hamiltonian_reduction, labels_from_inventory
 from vass_asym.sim import estimate_tails, fit_exponent, simulate_many
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -184,15 +178,14 @@ def test_criterion_7_detectors_and_labels_match_bruteforce():
             max_update=2,
             strongly_connected=(checked_models % 2 == 0),
         )
-        mecs = mec_decomposition(m)
-        inv = compute_inventory(m, mecs)
-        oracle = inventory_from_bruteforce(m, mecs)
+        report = classify_onedim(m)
+        inv = report.inventory  # the flags the labels were read off
+        oracle = inventory_from_bruteforce(m, report.mecs)
         for mid in sorted(inv.flags):
             assert flags_tuple(inv.flags[mid]) == flags_tuple(oracle.flags[mid]), (
                 f"detector flags differ from brute force on model #{checked_models} {mid}"
             )
-        report = classify_onedim(m)
-        owner = transition_to_mec(mecs)
+        owner = transition_to_mec(report.mecs)
         for mkey, per_type in report.estimates.items():
             measure = parse_measure(mkey)
             for beta, est in per_type.items():

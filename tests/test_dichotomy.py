@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from oracles import classify_counters_mec
 from vass_asym.dichotomy import (
     Estimate,
     InvalidType,
@@ -19,7 +20,6 @@ from vass_asym.dichotomy import (
     NotDagLike,
     build_system_I,
     build_system_II,
-    classify_counters_mec,
     classify_dag,
     compute_maximal_solutions,
     counter_effect,

@@ -25,8 +25,9 @@ from vass_asym.graph import (
     mec_quotient_edges,
     state_to_mec,
     transition_to_mec,
+    verify_reach_values,
 )
-from vass_asym.model import PROB, State, Transition, VassMdp, parse_vass
+from vass_asym.model import NONDET, PROB, State, Transition, VassMdp, parse_vass
 from tests.strategies import random_models
 
 
@@ -243,6 +244,39 @@ def test_max_reach_matches_strategy_enumeration(m):
     # the returned strategy actually attains the optimum
     attained = _chain_values(m, choice, targets, sinks)
     assert attained == values
+
+
+def test_reach_certificate_checks():
+    # p may loop forever or move to the target g
+    m = VassMdp(
+        1,
+        [State("g", NONDET), State("p", NONDET)],
+        [
+            Transition("t_gg", "g", (0,), "g", None),
+            Transition("t_pg", "p", (0,), "g", None),
+            Transition("t_pp", "p", (0,), "p", None),
+        ],
+    )
+    g, none = frozenset({"g"}), frozenset()
+    values, choice = max_reach_values(m, g, none)
+    assert (values, choice) == ({"g": 1, "p": 1}, {"p": "t_pg"})
+    assert verify_reach_values(m, g, none, values, choice) == []
+    # the looping strategy: value 1 satisfies p's chain equation, but the
+    # chain never reaches g from p
+    (bad,) = verify_reach_values(m, g, none, values, {"p": "t_pp"})
+    assert "cannot reach the target" in bad
+    (bad,) = verify_reach_values(m, g, none, {"g": 1, "p": 0}, {"p": "t_pp"})
+    assert "improving deviation at p via t_pg" in bad
+    assert verify_reach_values(m, g, none, {"g": 1, "p": Fraction(1, 2)}, choice) == [
+        "chain equation fails at p: 1/2 != 1",
+        "improving deviation at p via t_pg",
+    ]
+    assert verify_reach_values(m, g, frozenset({"p"}), values, {}) == [
+        "sink p has value 1 != 0"
+    ]
+    assert verify_reach_values(m, g, none, {"g": 0, "p": 0}, choice) == [
+        "target g has value 0 != 1"
+    ]
 
 
 def test_pair_probabilities_constant_on_class(pump):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from oracles import Configuration, initial_configuration
 from vass_asym.model import (
-    Configuration,
     Counter,
     IncompleteStrategy,
     SchemaError,
@@ -16,7 +16,6 @@ from vass_asym.model import (
     apply_md_strategy,
     augment_step_counter,
     canonical_json,
-    initial_configuration,
     measure_key,
     model_digest,
     parse_measure,

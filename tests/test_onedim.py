@@ -1,16 +1,25 @@
-"""Behaviour detectors, the growth case table, strategy-enumeration oracle,
+"""Behaviour inventory, the growth case table, strategy-enumeration oracle,
 energy safety, and the Hamiltonicity gadget — exact expectations on the
 bundled models plus randomized agreement with brute force."""
 
 import random
+from collections import Counter as Tally
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from oracles import flags_tuple, inventory_from_bruteforce, is_hamiltonian
+from conftest import load_doc, load_model
+from oracles import (
+    classify_bscc,
+    flags_tuple,
+    inventory_from_bruteforce,
+    is_hamiltonian,
+    pivot_safe_bruteforce,
+)
 from strategies import random_model_from_rng, random_models
-from vass_asym.dichotomy import Label
+from vass_asym import cli, dichotomy, onedim
+from vass_asym.dichotomy import Label, counter_effect
 from vass_asym.graph import mec_decomposition, transition_to_mec
 from vass_asym.model import (
     NONDET,
@@ -30,22 +39,17 @@ from vass_asym.onedim import (
     ClassInventory,
     MecFlags,
     NotABottomScc,
-    PreconditionViolated,
     TooManyStrategies,
     VertexNotInGraph,
     bottom_sccs,
+    bounded_zero_witness,
     bscc_analysis,
     brute_force_classify,
-    classify_bscc,
     classify_onedim,
     compute_inventory,
-    detect_bounded_zero,
-    detect_increasing,
-    detect_unbounded_zero,
     energy_safe,
     hamiltonian_reduction,
     labels_from_inventory,
-    pivot_safe_bruteforce,
     verify_stationary,
 )
 
@@ -94,7 +98,7 @@ def test_bscc_analysis_zero_cycle_stationary(zero_cycle):
 
 
 # ---------------------------------------------------------------------------
-# per-class detectors on the bundled models
+# the per-class inventory on the bundled models
 # ---------------------------------------------------------------------------
 
 
@@ -113,12 +117,13 @@ def test_walk_inventory(walk):
 
 
 def test_walk_detectors(walk):
-    assert detect_increasing(walk) is None
-    assert detect_bounded_zero(walk) is None
-    w = detect_unbounded_zero(walk)
-    assert w is not None and w.mec_id == "M1"
-    assert w.component_transitions == frozenset({"t_down", "t_up"})
-    assert w.flow.x["t_down"] == w.flow.x["t_up"] >= 1
+    inv = compute_inventory(walk)
+    assert not inv.any_increasing
+    assert bounded_zero_witness(walk, inv) is None
+    f = inv.flags["M1"]
+    assert f.unbounded_zero and f.mec_id == "M1"
+    assert f.uz_component == frozenset({"t_down", "t_up"})
+    assert f.flow.x["t_down"] == f.flow.x["t_up"] >= 1
 
 
 def test_dec_loop_inventory_all_decreasing(dec_loop):
@@ -131,16 +136,15 @@ def test_dec_loop_inventory_all_decreasing(dec_loop):
         frozenset(),
     )
     assert inv.all_decreasing
-    assert detect_unbounded_zero(dec_loop) is None
+    assert inv.flags["M1"].uz_component is None
 
 
-def test_inc_loop_detector_and_precondition(inc_loop):
-    w = detect_increasing(inc_loop)
-    assert w is not None and w.mec_id == "M1" and w.effect >= 1
-    with pytest.raises(PreconditionViolated):
-        detect_bounded_zero(inc_loop)
-    with pytest.raises(PreconditionViolated):
-        detect_unbounded_zero(inc_loop)
+def test_inc_loop_inventory(inc_loop):
+    inv = compute_inventory(inc_loop)
+    assert inv.any_increasing
+    f = inv.flags["M1"]
+    assert f.increasing and f.mec_id == "M1"
+    assert counter_effect(inc_loop, f.flow, 1) >= 1
 
 
 def test_zero_cycle_inventory_and_witness(zero_cycle):
@@ -152,8 +156,8 @@ def test_zero_cycle_inventory_and_witness(zero_cycle):
         frozenset({"t_pq", "t_qp"}),
         frozenset(),
     )
-    w = detect_bounded_zero(zero_cycle)
-    assert w is not None
+    w = bounded_zero_witness(zero_cycle, inv)
+    assert w is not None and w.mec_id == "M1"
     assert w.component_states == frozenset({"p", "q"})
     assert w.strategy == {"p": "t_pq", "q": "t_qp"}
     assert w.stationary == {"p": Fraction(1, 2), "q": Fraction(1, 2)}
@@ -168,7 +172,6 @@ def test_dimension_guards(pump):
         classify_onedim,
         brute_force_classify,
         energy_safe,
-        detect_increasing,
     ):
         with pytest.raises(ValueError):
             fn(pump)
@@ -316,9 +319,42 @@ def test_energy_unsafe_despite_positive_drift():
             Transition("t_plus", "r", (3,), "p", Fraction(1, 2)),
         ],
     )
-    assert detect_increasing(m) is not None
+    assert compute_inventory(m).any_increasing
     ans = energy_safe(m)
     assert ans.status == "Unsafe" and "negative cycle" in ans.note
+
+
+def test_each_class_solved_once_per_operation(monkeypatch):
+    """`analyze` and `energy` read every class's flags and witnesses off one
+    inventory: exactly one pair of maximal solutions per class."""
+    calls: Tally = Tally()
+    solve = dichotomy.compute_maximal_solutions
+
+    def counting(m, mec, *args, **kwargs):
+        calls[mec.mid] += 1
+        return solve(m, mec, *args, **kwargs)
+
+    for module in (dichotomy, onedim, cli):
+        monkeypatch.setattr(module, "compute_maximal_solutions", counting)
+
+    models = [
+        load_model(name)
+        for name in (
+            "random_walk_1d.json",
+            "decreasing_loop.json",
+            "increasing_loop.json",
+            "zero_cycle_2state.json",
+        )
+    ]
+    models.append(hamiltonian_reduction(load_doc("graphs/k3.json"), "a"))
+    for m in models:
+        once = Tally(mec.mid for mec in mec_decomposition(m))
+        calls.clear()
+        doc = cli.build_analysis(m)
+        assert calls == once == Tally(c["id"] for c in doc["classes"])
+        calls.clear()
+        energy_safe(m)
+        assert calls == once
 
 
 # ---------------------------------------------------------------------------

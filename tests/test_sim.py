@@ -441,6 +441,19 @@ def test_simulate_many_runs_multi_block_walks_as_simulate_one(walk):
         assert st == simulate_one(walk, 40, run=r, seed=8, max_steps=5 * sim.BLOCK)
 
 
+def test_draw_stream_short_block_then_aligned():
+    # a run handed to the block path with L < k words buffered takes those L
+    # words alone, then whole blocks straight from its stream
+    left = 100
+    words = np.random.Philox(key=7).random_raw(left + 2 * sim.BLOCK)
+    bg = np.random.Philox(key=7)
+    stream = sim._DrawStream(bg, bg.random_raw(left))
+    assert np.array_equal(stream.take(sim.BLOCK), words[:left])
+    assert np.array_equal(stream.take(sim.BLOCK), words[left : left + sim.BLOCK])
+    assert np.array_equal(stream.take(30), words[left + sim.BLOCK : left + sim.BLOCK + 30])
+    assert stream.one() == int(words[left + sim.BLOCK + 30])
+
+
 @st.composite
 def self_loop_models(draw):
     d = draw(st.integers(1, 3))
