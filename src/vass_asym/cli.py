@@ -8,8 +8,9 @@ reduction).
 Exit codes: 0 success; 1 invalid input (bad JSON, schema or validation
 errors, unknown names, bad options); 2 out of scope (class graph not
 DAG-like where the analysis requires it, enumeration bounds exceeded); 3
-internal attestation failure (an emitted witness did not re-substitute
-exactly — never expected).
+internal failure, never expected: an attestation failure (an emitted
+witness did not re-substitute exactly) or an internal invariant that did
+not hold (`InternalError`).
 
 Every analysis report is attested before being emitted: all flows,
 rankings, stationary distributions, and reachability value certificates it
@@ -52,6 +53,7 @@ from .graph import (
 from .model import (
     Counter,
     IncompleteStrategy,
+    InternalError,
     Measure,
     SchemaError,
     Termination,
@@ -762,6 +764,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except AttestationError as e:
         print(f"attestation failure: {e}", file=sys.stderr)
+        return 3
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
         return 3
     except (
         SchemaError,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import NONDET, PROB, VassMdp
+from .model import NONDET, PROB, InternalError, VassMdp
 from .ratlp import solve_linear_system
 
 
@@ -160,7 +160,8 @@ def mec_decomposition(m: VassMdp) -> list[Mec]:
             for t in m.transitions
             if t.tid in alive_trans and t.source in member and t.target in member
         )
-        assert tids, "a surviving component must carry internal transitions"
+        if not tids:
+            raise InternalError("a surviving component must carry internal transitions")
         mecs.append(Mec(f"M{i}", frozenset(member), tids))
     return mecs
 
@@ -336,7 +337,8 @@ def _chain_values(
                 else:
                     rhs[i] += p * values[tgt]
         sol = solve_linear_system(mat, rhs)
-        assert sol is not None, "reach system is nonsingular for proper chains"
+        if sol is None:
+            raise InternalError("reach system is nonsingular for proper chains")
         for n, v in zip(unknown, sol):
             values[n] = v
     return values
@@ -352,7 +354,8 @@ def max_reach_values(
     switch a controlled state only on strict improvement (to its least-id
     argmax). Returns (values, optimal choice map).
     """
-    assert not (targets & sinks)
+    if targets & sinks:
+        raise InternalError(f"states {sorted(targets & sinks)} are both targets and sinks")
     choice = {
         s.name: m.out(s.name)[0].tid
         for s in m.nondet_states()
@@ -361,7 +364,8 @@ def max_reach_values(
     guard = 0
     while True:
         guard += 1
-        assert guard <= 10_000, "strategy iteration failed to converge"
+        if guard > 10_000:
+            raise InternalError("strategy iteration failed to converge")
         values = _chain_values(m, choice, targets, sinks)
         improved = False
         for s in m.nondet_states():

@@ -53,6 +53,11 @@ class IncompleteStrategy(ValueError):
     pass
 
 
+class InternalError(RuntimeError):
+    """An internal invariant failed: a bug, never a property of the input.
+    Raised instead of `assert`, which `python -O` removes."""
+
+
 @dataclass(frozen=True)
 class State:
     name: str

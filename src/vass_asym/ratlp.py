@@ -18,6 +18,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
+from .model import InternalError
+
 RationalLike = Union[int, str, Fraction]
 
 
@@ -132,7 +134,7 @@ def _phase_one(
                     best = ratio
                     leave = i
         if leave < 0:
-            raise AssertionError("phase-one objective is bounded below; no pivot row")
+            raise InternalError("phase-one objective is bounded below; no pivot row")
         piv = tableau[leave][enter]
         tableau[leave] = [x / piv for x in tableau[leave]]
         pivot_row = tableau[leave]
@@ -198,7 +200,7 @@ def solve_feasibility(problem: LpProblem) -> Optional[LpSolution]:
     }
     for c in problem.constraints:  # exact re-substitution, cheap and load-bearing
         if not c.holds(assignment):
-            raise AssertionError(f"simplex returned a non-solution for {c.label or c}")
+            raise InternalError(f"simplex returned a non-solution for {c.label or c}")
     return LpSolution(assignment=assignment, achieved_strict=frozenset())
 
 
@@ -237,14 +239,14 @@ def maximize_strict_count(problem: LpProblem) -> LpSolution:
             total[v] += w[v]
 
     for c in problem.constraints:
-        assert c.holds(total), "sum of homogeneous witnesses left the system"
+        if not c.holds(total):
+            raise InternalError("sum of homogeneous witnesses left the system")
     for idx in achieved:
-        assert problem.candidates[idx].value(total) >= 1
-    for idx in range(len(problem.candidates)):
-        if idx not in achieved:
-            assert problem.candidates[idx].value(total) == 0 or not problem.candidates[
-                idx
-            ].with_rhs(1).holds(total), "sum achieved a candidate no probe achieved"
+        if problem.candidates[idx].value(total) < 1:
+            raise InternalError("sum lost a candidate a probe achieved")
+    for idx, cand in enumerate(problem.candidates):
+        if idx not in achieved and cand.value(total) != 0 and cand.with_rhs(1).holds(total):
+            raise InternalError("sum achieved a candidate no probe achieved")
     return LpSolution(assignment=total, achieved_strict=frozenset(achieved))
 
 
@@ -257,8 +259,8 @@ def scale_to_integers(solution: LpSolution) -> LpSolution:
     dens = [v.denominator for v in solution.assignment.values() if v != 0]
     factor = math.lcm(*dens) if dens else 1
     scaled = {v: val * factor for v, val in solution.assignment.items()}
-    for v in scaled.values():
-        assert v.denominator == 1
+    if any(v.denominator != 1 for v in scaled.values()):
+        raise InternalError("scaling by the lcm of denominators left a fraction")
     return LpSolution(assignment=scaled, achieved_strict=solution.achieved_strict)
 
 

@@ -30,7 +30,12 @@ execute or on which path steps it.
   block, whose min() tells whether it goes negative and whose max() over the
   steps before the terminal one is its peak; a counter whose update is the
   same on every branch is resolved in closed form with no array. Branch
-  counts are differences of the numbers of words >= each threshold. A run
+  counts are differences of the numbers of words >= each threshold. The
+  masks, the branch index (with more than two branches) and the sums are
+  written with `out=` into scratch buffers of BLOCK words that each state
+  record makes on its first block (`_StateRec.scratch`), so a block
+  allocates no array of its size; a shorter block writes and reads only
+  the first len(words) entries, never a stale tail. A run
   never leaves such a state, so a run that enters one leaves the kernel and
   finishes here on the rest of its stream: first the words the kernel drew
   for it and did not use, as one short block, then whole blocks. It
@@ -66,6 +71,9 @@ FAST_COUNTER_LIMIT = 1 << 53
 FAST_UPDATE_LIMIT = 1 << 20
 MAX_IN_FLIGHT = 64  # runs the lockstep kernel steps together
 RUN_BUFFER = 64  # waves per kernel block: words drawn per run in flight at a time
+
+# the block path's per-state scratch: masks, branch index, per-counter sums
+_Scratch = tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]
 
 # a strategy is one choice per controlled state: either a transition id or a
 # full rational distribution over outgoing transition ids
@@ -182,6 +190,7 @@ class _StateRec:
         "block_thresholds",
         "varying",
         "constant",
+        "_scratch",
     )
 
     def __init__(self, name: str, branches: list[tuple[str, str, tuple[int, ...], Fraction]]):
@@ -208,9 +217,24 @@ class _StateRec:
                     self.constant.append((k, col[0]))
                 else:
                     self.varying.append((k, np.array(col, dtype=np.int64)))
+        self._scratch: Optional[_Scratch] = None
 
     def pick(self, u: int) -> int:
         return bisect_right(self.thresholds, u)
+
+    def scratch(self) -> _Scratch:
+        """The block path's buffers, BLOCK words each, made on the first block
+        and refilled in place by every block: one mask per threshold, the
+        branch index (only with more than two branches and a varying
+        counter) and one cumulative sum per varying counter."""
+        if self._scratch is None:
+            indexed = len(self.thresholds) > 1 and bool(self.varying)
+            self._scratch = (
+                [np.empty(BLOCK, dtype=bool) for _ in self.thresholds],
+                np.empty(BLOCK if indexed else 0, dtype=np.intp),
+                [np.empty(BLOCK, dtype=np.int64) for _ in self.varying],
+            )
+        return self._scratch
 
 
 class _Resolved:
@@ -341,18 +365,29 @@ def _self_loop_block(
     and including a terminal step. Updates `cur`, `peak` and `counts` in
     place; returns the steps taken and whether the last one terminates."""
     block = len(us)
-    ge = [us >= th for th in rec.block_thresholds]  # ge[i]: picks a branch past i
-    if len(ge) > 1:
-        idx = ge[0].astype(np.intp)
+    masks, idx, rels = rec.scratch()
+    # ge[i]: the words that pick a branch past i
+    ge = [np.greater_equal(us, th, out=buf[:block]) for th, buf in zip(rec.block_thresholds, masks)]
+    rels = [buf[:block] for buf in rels]
+    if len(ge) > 1 and rels:
+        # the branch index is the number of masks a word passes; copyto
+        # widens each mask into rels[0], free until the first take below
+        # (`idx += mask` would allocate a cast buffer)
+        idx = idx[:block]
+        np.copyto(idx, ge[0])
         for mask in ge[1:]:
-            idx += mask
+            np.copyto(rels[0], mask)
+            idx += rels[0]
     # stop: the index of the terminal step, or block when there is none
     stop = block
-    sums = []
-    for k, col in rec.varying:
-        rel = np.where(ge[0], col[1], col[0]) if len(col) == 2 else col.take(idx)
+    for (k, col), rel in zip(rec.varying, rels):
+        if len(col) == 2:
+            np.copyto(rel, ge[0])
+            rel *= col[1] - col[0]
+            rel += col[0]
+        else:
+            col.take(idx, out=rel, mode="clip")  # mode="raise" would buffer `out`
         np.cumsum(rel, out=rel)  # counter k after each step, less cur[k]
-        sums.append((k, rel))
         if rel.min() < -cur[k]:
             stop = min(stop, int(np.argmax(rel < -cur[k])))
     for k, c in rec.constant:
@@ -361,7 +396,7 @@ def _self_loop_block(
     terminated = stop < block
     taken = stop + 1 if terminated else block
     # peaks come from the `stop` configurations before the terminal one
-    for k, rel in sums:
+    for (k, _), rel in zip(rec.varying, rels):
         if stop:
             peak[k] = max(peak[k], cur[k] + int(rel[:stop].max()))
         cur[k] += int(rel[taken - 1])

@@ -1,6 +1,9 @@
 """CLI tests: subcommands, report schemas, exit codes, attestation wiring."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -8,7 +11,7 @@ import pytest
 
 import vass_asym
 from vass_asym.cli import main
-from vass_asym.model import model_digest, parse_vass
+from vass_asym.model import InternalError, model_digest, parse_vass
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SCHEMAS = Path(vass_asym.__file__).parent / "schemas"
@@ -177,6 +180,28 @@ def test_attestation_failure_exits_3(capsys, monkeypatch):
     rc, _, err = run(capsys, "analyze", str(MODELS / "random_walk_1d.json"))
     assert rc == 3
     assert "attestation failure" in err and "injected defect" in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(*a, **k):
+        raise InternalError("injected invariant failure")
+
+    monkeypatch.setattr("vass_asym.cli.build_analysis", broken)
+    rc, out, err = run(capsys, "analyze", str(MODELS / "random_walk_1d.json"))
+    assert (rc, out) == (3, "")
+    assert err == "internal error: injected invariant failure\n"
+
+
+def test_analyze_under_python_O_prints_the_same_bytes():
+    # the invariant checks are raises, not asserts, so -O removes none of them
+    argv = ["-m", "vass_asym", "analyze", str(MODELS / "pump_transfer_3d.json"), "--json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(vass_asym.__file__).parent.parent))
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True, env=env, timeout=600)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+    assert plain.stdout and plain.stdout == optimized.stdout
 
 
 # ---------------------------------------------------------------------------

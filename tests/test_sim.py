@@ -1,6 +1,7 @@
 """Simulator tests: deterministic trajectories, path equivalence, statistics."""
 
 import json
+import tracemalloc
 from collections import Counter as TallyCounter
 from fractions import Fraction
 from math import isclose
@@ -452,6 +453,141 @@ def test_draw_stream_short_block_then_aligned():
     assert np.array_equal(stream.take(sim.BLOCK), words[left : left + sim.BLOCK])
     assert np.array_equal(stream.take(30), words[left + sim.BLOCK : left + sim.BLOCK + 30])
     assert stream.one() == int(words[left + sim.BLOCK + 30])
+
+
+def feed_blocks(m, blocks):
+    """Step one record of `m`'s state `s` through `blocks`, pairs of (words,
+    start counters), on the block path, so each block finds the scratch
+    buffers as the one before left them; each block must agree with the
+    scalar path run on the same words from the same counters."""
+    rec = sim._Resolved(m, None).resolve("s")
+    for words, start in blocks:
+        cur, peak, counts = list(start), list(start), TallyCounter()
+        taken, terminated = sim._self_loop_block(rec, words, cur, peak, counts)
+        walk = sim._Walk("s", list(start), list(start), TallyCounter(), [])
+        ref = sim._run(sim._Resolved(m, None), walk, sim._DrawStream(None, words), len(words), False)
+        assert (taken, terminated) == (ref.steps, ref.terminated)
+        assert (tuple(peak), dict(counts)) == (ref.max_counter, ref.transition_counts)
+        moved = [sum(counts[t] * u[k] for t, u in zip(rec.tids, rec.updates)) for k in range(len(start))]
+        assert cur == [c + d for c, d in zip(start, moved)]
+
+
+def constant_words(u, size):
+    return np.full(size, u, dtype=np.uint64)
+
+
+def test_block_path_short_block_ignores_stale_scratch():
+    # after a full block, a short block leaves the buffers' tails stale:
+    # all up-steps (a high cumulative sum, every mask set), which would
+    # raise the peak and the branch counts if read, or all down-steps (a
+    # sum far below the next short block's start counters)
+    walk = self_loop([(-1,), (1,)])
+    up, down = constant_words(sim.MASK64, sim.BLOCK), constant_words(0, sim.BLOCK)
+    random = np.random.Philox(key=5).random_raw(2 * sim.BLOCK)
+    feed_blocks(
+        walk,
+        [
+            (up, (0,)),
+            (down[:100], (200,)),
+            (down, (10**6,)),
+            (up[:100], (50,)),
+            (up, (0,)),
+            (down[:100], (10,)),  # terminates on its 11th word
+            (random[: sim.BLOCK], (30,)),
+            (random[sim.BLOCK : sim.BLOCK + 700], (30,)),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "updates",
+    [
+        [(-1, 2), (0, -1), (2, 0)],  # three branches: the branch index and take
+        [(-1, 1), (1, -2)],  # two branches, two varying counters
+        [(-1, 1), (1, 1)],  # a varying and a constant counter
+    ],
+)
+def test_block_path_stale_scratch_many_branches_and_counters(updates):
+    m = self_loop(updates)
+    first, last = constant_words(0, sim.BLOCK), constant_words(sim.MASK64, sim.BLOCK)
+    random = np.random.Philox(key=6).random_raw(3 * sim.BLOCK)
+    feed_blocks(
+        m,
+        [
+            (last, (10**6, 10**6)),
+            (first[:100], (500, 500)),
+            (first, (10**6, 10**6)),
+            (last[:100], (500, 500)),
+            (random[: sim.BLOCK], (40, 40)),
+            (random[sim.BLOCK : sim.BLOCK + 300], (40, 40)),
+            (random[2 * sim.BLOCK :], (10**6, 10**6)),
+            (random[:37], (2, 3)),
+            (first[:100], (10, 10**6)),  # counter 0 terminates
+            (last[:100], (10**6, 10)),  # counter 1 terminates, with two varying counters
+        ],
+    )
+
+
+def test_kernel_handoff_short_blocks_and_cap(kernel_batches, monkeypatch):
+    # runs leave the kernel for the walk state s with their leftover words as
+    # one short block: from n = 1 many terminate inside it, while others walk
+    # on to the cap; all share one record, and so one set of scratch buffers
+    m = parse_vass(
+        json.dumps(
+            {
+                "dimension": 1,
+                "states": [{"name": "a", "kind": "prob"}, {"name": "s", "kind": "prob"}],
+                "transitions": [
+                    {"id": "t_aa", "from": "a", "to": "a", "update": [0], "prob": "7/8"},
+                    {"id": "t_as", "from": "a", "to": "s", "update": [0], "prob": "1/8"},
+                    {"id": "t_up", "from": "s", "to": "s", "update": [1], "prob": "1/2"},
+                    {"id": "t_down", "from": "s", "to": "s", "update": [-1], "prob": "1/2"},
+                ],
+            }
+        )
+    )
+    blocks = []
+    inner = sim._self_loop_block
+
+    def recording(rec, us, *args):
+        taken, terminated = inner(rec, us, *args)
+        blocks.append((len(us), terminated))
+        return taken, terminated
+
+    monkeypatch.setattr(sim, "_self_loop_block", recording)
+    batch = simulate_many(m, 1, 200, seed=3, max_steps=300)
+    assert len(kernel_batches) == 1
+    assert any(size < sim.RUN_BUFFER and terminated for size, terminated in blocks)
+    assert sum(not st.terminated and st.steps == 300 for st in batch) >= 3
+    monkeypatch.undo()
+    for r, st in enumerate(batch):
+        assert st == simulate_one(m, 1, run=r, seed=3, max_steps=300, _vectorized=False), r
+
+
+@pytest.mark.parametrize(
+    "updates",
+    [
+        [(-1,), (1,)],  # the fair walk
+        [(-1, 2), (0, -1), (2, 0)],  # three branches: the branch index and take
+    ],
+)
+def test_block_path_allocates_no_block_sized_temporaries(updates):
+    # after the first block has made the scratch buffers, a block allocates
+    # no array of its size: the traced peak grows by less than one int64 block
+    rec = sim._Resolved(self_loop(updates), None).resolve("s")
+    blocks = np.random.Philox(key=3).random_raw((101, sim.BLOCK))
+    cur, peak, counts = [10**12] * len(updates[0]), [10**12] * len(updates[0]), TallyCounter()
+    sim._self_loop_block(rec, blocks[0], cur, peak, counts)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for words in blocks[1:]:
+            assert sim._self_loop_block(rec, words, cur, peak, counts) == (sim.BLOCK, False)
+        _, top = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert top - base < sim.BLOCK * 8
+    assert sum(counts.values()) == 101 * sim.BLOCK
 
 
 @st.composite
