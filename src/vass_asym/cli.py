@@ -10,7 +10,9 @@ errors, unknown names, bad options); 2 out of scope (class graph not
 DAG-like where the analysis requires it, enumeration bounds exceeded); 3
 internal failure, never expected: an attestation failure (an emitted
 witness did not re-substitute exactly) or an internal invariant that did
-not hold (`InternalError`).
+not hold (`InternalError`, or a bare `KeyError`: a lookup no valid input
+misses; unknown transition and vertex names raise `KeyError` subclasses
+and exit 1).
 
 Every analysis report is attested before being emitted: all flows,
 rankings, stationary distributions, and reachability value certificates it
@@ -62,7 +64,6 @@ from .model import (
     ValidationError,
     VassMdp,
     apply_md_strategy,
-    augment_step_counter,
     measure_key,
     model_digest,
     parse_measure,
@@ -196,14 +197,6 @@ def _ser_inventory(inv: Optional[ClassInventory]) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _base_model(m: VassMdp, measure: Measure) -> VassMdp:
-    if isinstance(measure, Termination):
-        return augment_step_counter(m)
-    if isinstance(measure, TransitionCount):
-        return augment_step_counter(m, only=measure.tid)
-    return m
-
-
 def _attest(
     m: VassMdp,
     mecs: Sequence[Mec],
@@ -264,20 +257,11 @@ def _attest(
             )
 
     for mkey, per_type in estimates.items():
-        measure = parse_measure(mkey)
-        base: Optional[VassMdp] = None
-        base_mecs: dict[str, Mec] = {}
         for beta, est in per_type.items():
-            pipeline = est.witnesses.get("pipeline") if est.witnesses else None
-            if not pipeline:
-                continue
-            if base is None:
-                base = _base_model(m, measure)
-                base_mecs = {x.mid: x for x in mec_decomposition(base)}
-            for step in pipeline:
+            for step in est.witnesses.get("pipeline", ()):
                 zeroed = step["zeroed_counters"]
-                zm = zero_counters(base, zeroed) if zeroed else base
-                mec = base_mecs[step["class"]]
+                zm = zero_counters(m, zeroed) if zeroed else m
+                mec = by_id[step["class"]]
                 where = f"{mkey} along {','.join(beta)} at class {step['class']}"
                 checks += 1
                 failures += [f"{where} flow: {e}" for e in verify_system_I_witness(zm, mec, step["flow"])]
@@ -313,6 +297,8 @@ def build_analysis(
     _validate_measures(m, measures)
     mecs = mec_decomposition(m)
     dag = is_dag_like(m, mecs)
+    if m.dimension >= 2 and not dag:  # before paying for the type enumeration
+        raise NotDagLike()
     if max_type_len is None:
         max_type_len = max(1, len(mecs))
 
@@ -336,7 +322,7 @@ def build_analysis(
                 ts.mecs: classify_dag(m, ts.mecs, ms, mecs) for ts in types
             }
         inventory = None
-        types_complete = dag and max_type_len >= len(mecs)
+        types_complete = max_type_len >= len(mecs)
 
     checks = _attest(m, mecs, types, estimates, inventory)
 
@@ -777,11 +763,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         VertexNotInGraph,
         json.JSONDecodeError,
         ValueError,
-        KeyError,
         OSError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except KeyError as e:  # a lookup no input should miss: a bug
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,13 +20,13 @@ a strictly decreasing row caps the corresponding transition's use count.
 
 Exactly one side of each candidate is achievable (the dichotomy): for every
 counter, y(c) > 0 or a flow pumps it; for every transition, its rank row is
-strict (resp. its source's expected row) or a flow uses it. `verify_dichotomy`
-checks this disjunction exhaustively from the two maximal solutions.
+strict (resp. its source's expected row) or a flow uses it.
 
 The DAG pipeline walks a type (class sequence): counters already pumped to a
 quadratic lower bound have their updates zeroed in later classes — the run can
 afford to pay them — which can promote further counters; promotions are
-monotone and never revert.
+monotone and never revert. The termination time and the transition use counts
+are read off the same walk, from the zeroed classes' maximal flows.
 """
 
 from __future__ import annotations
@@ -34,27 +34,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .graph import Mec, is_dag_like, mec_decomposition, mec_quotient_edges, transition_to_mec
 from .model import (
     NONDET,
     PROB,
     Counter,
+    InternalError,
     Measure,
     Termination,
     Transition,
     TransitionCount,
     UnknownTransition,
     VassMdp,
-    augment_step_counter,
+    measure_key,
     zero_counters,
 )
 from .ratlp import LpProblem, LpSolution, con, maximize_strict_count, scale_to_integers, solve_feasibility
 
 
 class NotDagLike(ValueError):
-    pass
+    def __init__(self, message: str = "class graph has mutually reachable classes"):
+        super().__init__(message)
 
 
 class InvalidType(ValueError):
@@ -163,7 +165,8 @@ def build_system_I(m: VassMdp, mec: Mec) -> LpProblem:
         if m.kind(s) != PROB:
             continue
         outs = m.out(s)
-        assert all(t.tid in mec.transitions for t in outs), "class closure violated"
+        if not all(t.tid in mec.transitions for t in outs):
+            raise InternalError(f"class closure violated at {s} in {mec.mid}")
         for t in outs:
             coeffs = {_xvar(o.tid): -t.prob for o in outs}
             coeffs[_xvar(t.tid)] = coeffs.get(_xvar(t.tid), Fraction(0)) + 1
@@ -369,31 +372,6 @@ def verify_ranking(m: VassMdp, mec: Mec, r: RankingFunction) -> list[str]:
     return bad
 
 
-def verify_dichotomy(
-    m: VassMdp, mec: Mec, w: SystemIWitness, r: RankingFunction
-) -> bool:
-    """Every counter and every internal transition is covered by one side.
-
-    Counters: y(c) > 0 or the flow pumps c. Controlled transitions: strict
-    rank decrease or positive flow. Transitions out of probabilistic states:
-    strict expected decrease at the source or positive flow.
-    """
-    if verify_system_I_witness(m, mec, w) or verify_ranking(m, mec, r):
-        return False
-    for c in range(1, m.dimension + 1):
-        if not (r.y[c] > 0 or counter_effect(m, w, c) > 0):
-            return False
-    for t in sorted(mec.transitions):
-        tr = m.transition(t)
-        if m.kind(tr.source) == NONDET:
-            covered = rank_delta(m, r, tr) < 0 or w.x[t] > 0
-        else:
-            covered = expected_rank_delta(m, r, tr.source) < 0 or w.x[t] > 0
-        if not covered:
-            return False
-    return True
-
-
 # --- DAG pipeline ---------------------------------------------------------------
 
 
@@ -404,7 +382,7 @@ class DagPipelineStep:
     witness: SystemIWitness          # of the zeroed class
     ranking: RankingFunction         # of the zeroed class
     zeroed: frozenset[int]           # counters zeroed before this class
-    hint: bool                       # fluctuation-limited pump detected here
+    hint: bool                       # fluctuation-limited pump of the tracked measure here
 
 
 @dataclass
@@ -416,20 +394,44 @@ class DagPipelineState:
     steps: list[DagPipelineStep]
 
 
-def _pump_probe(m: VassMdp, mec: Mec, c: int) -> dict[str, Fraction]:
-    """A flow with strictly positive effect on counter c (must exist when the
-    zeroed ranking gives y(c) = 0 — that is the dichotomy)."""
+def _pumps(measure: Measure, witness: SystemIWitness, newly: frozenset[int]) -> bool:
+    """Does the zeroed class pump the measure? A counter where its rank
+    coefficient first drops to zero; the termination time where the class
+    admits a nonzero flow; a use count where a flow uses the transition. The
+    last two are where a step counter appended to the model would be pumped:
+    it only ever increments, so it changes neither system's answer for the
+    original counters."""
+    if isinstance(measure, Counter):
+        return measure.index in newly
+    if isinstance(measure, Termination):
+        return bool(witness.positive_transitions)
+    return measure.tid in witness.positive_transitions
+
+
+def _pump_probe(m: VassMdp, mec: Mec, measure: Measure) -> dict[str, Fraction]:
+    """A flow of the class with its measure row at least 1: total effect on
+    the counter, total flow (termination time) or flow through the transition.
+    It exists wherever `_pumps` holds; that is the dichotomy."""
     p1 = build_system_I(m, mec)
-    probe_row = next(cand for cand in p1.candidates if cand.label == f"counter:{c}")
-    sol = solve_feasibility(
-        LpProblem(p1.variables, p1.constraints + (probe_row.with_rhs(1),))
-    )
-    assert sol is not None, f"dichotomy violated: counter {c} not pumpable in {mec.mid}"
+    if isinstance(measure, Termination):
+        row = con({_xvar(t): 1 for t in mec.transitions}, ">=", 0, label="steps")
+    else:
+        label = (
+            f"counter:{measure.index}"
+            if isinstance(measure, Counter)
+            else f"transition:{measure.tid}"
+        )
+        row = next(cand for cand in p1.candidates if cand.label == label)
+    sol = solve_feasibility(LpProblem(p1.variables, p1.constraints + (row.with_rhs(1),)))
+    if sol is None:
+        raise InternalError(
+            f"dichotomy violated: {measure_key(measure)} not pumpable in {mec.mid}"
+        )
     return {t: sol.assignment[_xvar(t)] for t in sorted(mec.transitions)}
 
 
 def _fluctuation_hint(
-    m_orig: VassMdp, mec: Mec, pump_x: dict[str, Fraction], pumped: frozenset[int]
+    m: VassMdp, mec: Mec, pump_x: dict[str, Fraction], pumped: frozenset[int]
 ) -> bool:
     """True when the pump leans on an already-pumped counter without spending
     it in expectation — the signature of growth beyond the generic quadratic
@@ -438,13 +440,13 @@ def _fluctuation_hint(
     touched = {
         c
         for c in pumped
-        if any(m_orig.transition(t).update[c - 1] != 0 for t in support)
+        if any(m.transition(t).update[c - 1] != 0 for t in support)
     }
     if not touched:
         return False
     for c in touched:
         drift = sum(
-            (pump_x[t] * m_orig.transition(t).update[c - 1] for t in support),
+            (pump_x[t] * m.transition(t).update[c - 1] for t in support),
             Fraction(0),
         )
         if drift < 0:
@@ -453,11 +455,16 @@ def _fluctuation_hint(
 
 
 def run_dag_pipeline(
-    m: VassMdp, beta_mecs: Sequence[Mec], track_hint_for: Optional[int] = None
+    m: VassMdp, beta_mecs: Sequence[Mec], track_hint_for: Optional[Measure] = None
 ) -> DagPipelineState:
-    """Walk the type, zeroing already-pumped counters before each class."""
+    """Walk the type, zeroing already-pumped counters before each class.
+
+    With `track_hint_for`, the first class that pumps that measure after
+    some counter was zeroed probes for a fluctuation-limited pump.
+    """
     pumped: frozenset[int] = frozenset()
     steps: list[DagPipelineStep] = []
+    tracking = track_hint_for is not None
     for mec in beta_mecs:
         zeroed_model = zero_counters(m, pumped) if pumped else m
         witness, ranking = compute_maximal_solutions(zeroed_model, mec)
@@ -467,9 +474,11 @@ def run_dag_pipeline(
             if c not in pumped and ranking.y[c] == 0
         )
         hint = False
-        if track_hint_for is not None and track_hint_for in newly and pumped:
-            pump_x = _pump_probe(zeroed_model, mec, track_hint_for)
-            hint = _fluctuation_hint(m, mec, pump_x, pumped)
+        if tracking and _pumps(track_hint_for, witness, newly):
+            tracking = False
+            if pumped:
+                pump_x = _pump_probe(zeroed_model, mec, track_hint_for)
+                hint = _fluctuation_hint(m, mec, pump_x, pumped)
         steps.append(
             DagPipelineStep(
                 mec_id=mec.mid,
@@ -512,45 +521,25 @@ def classify_dag(
     """Asymptotic estimate of one measure conditioned on one type, for any
     dimension, on DAG-like models.
 
-    Counters get the exact tight-linear / lower-quadratic dichotomy. The
-    termination time rides on an appended step counter (incremented by every
-    transition); a single transition's use count rides on a step counter
-    incremented by that transition alone, where only the quadratic lower
-    transfers — a linear cap on the step counter caps the count from above but
+    All three measures read the same pipeline. Counters get the exact
+    tight-linear / lower-quadratic dichotomy. The termination time is
+    quadratic as soon as a zeroed class admits a nonzero pumping flow, and
+    linear otherwise: every class transition then has a strict rank row. A
+    single transition's use count is quadratic when its zeroed class admits a
+    flow through it; otherwise a strict rank row caps the count linearly but
     promises no uses, hence `UpperLinear`.
     """
     if mecs is None:
         mecs = mec_decomposition(m)
     if not is_dag_like(m, mecs):
-        raise NotDagLike("class graph has mutually reachable classes")
+        raise NotDagLike()
     beta = tuple(beta)
     beta_mecs = _validate_type(m, beta, mecs)
 
     if isinstance(measure, Counter):
-        c = measure.index
-        if not (1 <= c <= m.dimension):
-            raise ValueError(f"counter index {c} out of range")
-        state = run_dag_pipeline(m, beta_mecs, track_hint_for=c)
-        return _counter_estimate(state, c, beta)
-
-    if isinstance(measure, Termination):
-        aug = augment_step_counter(m)
-        sc = aug.dimension
-        aug_mecs = mec_decomposition(aug)
-        assert [x.states for x in aug_mecs] == [x.states for x in mecs]
-        state = run_dag_pipeline(aug, _remap(aug_mecs, beta), track_hint_for=sc)
-        est = _counter_estimate(state, sc, beta)
-        note = "termination time tracked by an appended step counter"
-        return Estimate(
-            label=est.label,
-            tag=est.tag,
-            exact=est.exact,
-            note=note,
-            beyond_quadratic_hint=est.beyond_quadratic_hint,
-            witnesses=est.witnesses,
-        )
-
-    if isinstance(measure, TransitionCount):
+        if not (1 <= measure.index <= m.dimension):
+            raise ValueError(f"counter index {measure.index} out of range")
+    elif isinstance(measure, TransitionCount):
         tid = measure.tid
         if not m.has_transition(tid):
             raise UnknownTransition(tid)
@@ -574,42 +563,14 @@ def classify_dag(
                 exact=True,
                 note="the transition's class is never visited by this type",
             )
-        aug = augment_step_counter(m, only=tid)
-        sc = aug.dimension
-        aug_mecs = mec_decomposition(aug)
-        assert [x.states for x in aug_mecs] == [x.states for x in mecs]
-        state = run_dag_pipeline(aug, _remap(aug_mecs, beta), track_hint_for=sc)
-        est = _counter_estimate(state, sc, beta)
-        if est.label is Label.LOWER_QUADRATIC:
-            return Estimate(
-                label=Label.LOWER_QUADRATIC,
-                tag=est.tag,
-                exact=True,
-                beyond_quadratic_hint=est.beyond_quadratic_hint,
-                witnesses=est.witnesses,
-                note="pumping flow uses the transition quadratically often",
-            )
-        return Estimate(
-            label=Label.UPPER_LINEAR,
-            tag="rank-coefficient-positive",
-            exact=True,
-            witnesses=est.witnesses,
-            note=(
-                "a positive rank coefficient on the dedicated step counter "
-                "caps the use count linearly; no lower bound is claimed — "
-                "the count may be zero"
-            ),
-        )
+    elif not isinstance(measure, Termination):
+        raise TypeError(f"not a measure: {measure!r}")
 
-    raise TypeError(f"not a measure: {measure!r}")
+    state = run_dag_pipeline(m, beta_mecs, track_hint_for=measure)
+    return _estimate(state, measure, beta)
 
 
-def _remap(aug_mecs: Sequence[Mec], beta: Sequence[str]) -> list[Mec]:
-    by_id = {mec.mid: mec for mec in aug_mecs}
-    return [by_id[b] for b in beta]
-
-
-def _counter_estimate(state: DagPipelineState, c: int, beta: Sequence[str]) -> Estimate:
+def _estimate(state: DagPipelineState, measure: Measure, beta: Sequence[str]) -> Estimate:
     witnesses = {
         "pipeline": [
             {
@@ -622,17 +583,30 @@ def _counter_estimate(state: DagPipelineState, c: int, beta: Sequence[str]) -> E
             for step in state.steps
         ]
     }
-    if c in state.pumped:
-        promoted_at = next(s.mec_id for s in state.steps if c in s.newly_pumped)
-        hint = any(s.hint for s in state.steps if c in s.newly_pumped)
+    promoted = next(
+        (s for s in state.steps if _pumps(measure, s.witness, s.newly_pumped)), None
+    )
+    if promoted is not None:
         return Estimate(
             label=Label.LOWER_QUADRATIC,
             tag="flow-pumping-quadratic-lower",
             exact=True,
-            beyond_quadratic_hint=hint,
-            note=f"pumped in class {promoted_at} along type {','.join(beta)}"
-            + ("; fluctuation-limited pump, growth may exceed degree 2" if hint else ""),
+            beyond_quadratic_hint=promoted.hint,
+            note=f"pumped in class {promoted.mec_id} along type {','.join(beta)}"
+            + ("; fluctuation-limited pump, growth may exceed degree 2" if promoted.hint else ""),
             witnesses=witnesses,
+        )
+    if isinstance(measure, TransitionCount):
+        return Estimate(
+            label=Label.UPPER_LINEAR,
+            tag="rank-coefficient-positive",
+            exact=True,
+            witnesses=witnesses,
+            note=(
+                "no zeroed flow uses the transition, so a strict rank row caps "
+                "its use count linearly; no lower bound is claimed — the count "
+                "may be zero"
+            ),
         )
     return Estimate(
         label=Label.TIGHT_LINEAR,

@@ -1,4 +1,4 @@
-"""VASS MDP data model: parsing, validation, serialization, augmentation.
+"""VASS MDP data model: parsing, validation, serialization, derived models.
 
 A model is (d, states, transitions): states are controlled ("nondet") or
 probabilistic ("prob"); every transition carries an integer counter-update
@@ -76,8 +76,8 @@ class Transition:
 class VassMdp:
     """Validated in-memory model with indexed lookups.
 
-    Treated as immutable; derived models (augmentation, fixed strategies,
-    zeroed counters) are new instances.
+    Treated as immutable; derived models (fixed strategies, zeroed counters)
+    are new instances.
     """
 
     __slots__ = ("dimension", "states", "transitions", "_by_name", "_by_tid", "_out")
@@ -340,33 +340,6 @@ def model_digest(m: VassMdp) -> str:
 
 
 # --- derived models -------------------------------------------------------------
-
-
-STEP_COUNTER_PREFIX = "sc"
-
-
-def augment_step_counter(m: VassMdp, only: Optional[str] = None) -> VassMdp:
-    """Append counter d+1 counting transition uses.
-
-    With ``only=None`` every transition adds 1 to the new counter (termination
-    time becomes the peak of counter d+1 up to an off-by-one the callers
-    account for); with ``only=t`` just that transition does (its use count
-    becomes the new counter's peak). The new counter is never decremented, so
-    it cannot cause termination.
-    """
-    if only is not None and not m.has_transition(only):
-        raise UnknownTransition(only)
-    transitions = [
-        Transition(
-            t.tid,
-            t.source,
-            t.update + ((1 if only is None or t.tid == only else 0),),
-            t.target,
-            t.prob,
-        )
-        for t in m.transitions
-    ]
-    return VassMdp(m.dimension + 1, m.states, transitions)
 
 
 def apply_md_strategy(m: VassMdp, choice: Mapping[str, str]) -> VassMdp:

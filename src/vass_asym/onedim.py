@@ -47,6 +47,7 @@ from .model import (
     NONDET,
     PROB,
     Counter,
+    InternalError,
     Measure,
     State,
     Termination,
@@ -116,7 +117,8 @@ def _bscc_edges(chain: VassMdp, states: frozenset[str]) -> list[Transition]:
     edges = []
     for name in sorted(states):
         for t in chain.out(name):
-            assert t.target in states, "bottom component is not closed"
+            if t.target not in states:
+                raise InternalError("bottom component is not closed")
             edges.append(t)
     return edges
 
@@ -142,7 +144,8 @@ def _potential_defect(
             if e.target not in pot:
                 pot[e.target] = pot[s] + e.update[0]
                 frontier.append(e.target)
-    assert len(pot) == len(nodes), "edge set is not strongly connected"
+    if len(pot) != len(nodes):
+        raise InternalError("edge set is not strongly connected")
     for e in edges:
         if pot[e.target] != pot[e.source] + e.update[0]:
             return e.tid, pot
@@ -166,12 +169,15 @@ def _analyze_bscc(chain: VassMdp, states: frozenset[str]) -> BsccAnalysis:
         matrix.append(row)
         rhs.append(Fraction(0))
     sol = solve_linear_system(matrix, rhs)
-    assert sol is not None, "stationary system is singular on a bottom component"
+    if sol is None:
+        raise InternalError("stationary system is singular on a bottom component")
     pi = {n: sol[idx[n]] for n in names}
-    assert all(v > 0 for v in pi.values()), "stationary distribution not positive"
+    if not all(v > 0 for v in pi.values()):
+        raise InternalError("stationary distribution not positive")
     for s in names:  # includes the balance row the solve replaced
         inflow = sum((pi[e.source] * e.prob for e in edges if e.target == s), Fraction(0))
-        assert inflow == pi[s], "stationary balance failed re-substitution"
+        if inflow != pi[s]:
+            raise InternalError("stationary balance failed re-substitution")
 
     drift = sum((pi[e.source] * e.prob * e.update[0] for e in edges), Fraction(0))
     if drift > 0:
@@ -356,7 +362,8 @@ def _support_components(
     comp = _sccs(nodes, succ)
     groups: dict[int, set[str]] = {}
     for e in edges:
-        assert comp[e.source] == comp[e.target], "support edge crosses components"
+        if comp[e.source] != comp[e.target]:
+            raise InternalError("support edge crosses components")
         groups.setdefault(comp[e.source], set()).add(e.tid)
     return sorted((frozenset(g) for g in groups.values()), key=min)
 
@@ -364,9 +371,10 @@ def _support_components(
 def _nonincreasing_flags(
     m: VassMdp, mec: Mec, witness: SystemIWitness, ranking: RankingFunction
 ) -> MecFlags:
-    assert ranking.y[1] >= 1, (
-        "a class without positive counter effect must put positive weight on the counter"
-    )
+    if ranking.y[1] < 1:
+        raise InternalError(
+            "a class without positive counter effect must put positive weight on the counter"
+        )
     kept_states, kept_transitions = _zero_delta_subsystem(m, mec, ranking)
     if kept_states:
         sub = _subsystem_model(m, kept_states, kept_transitions)
@@ -389,12 +397,10 @@ def _nonincreasing_flags(
     uz_transitions = witness.positive_transitions - bz_transitions
 
     # internal cross-checks of the two routes to the flags (both exact)
-    assert bz_transitions <= witness.positive_transitions, (
-        "zero-cycle component transitions must admit positive flow"
-    )
-    assert bool(uz_transitions) == uz, (
-        "oscillation flag must agree with the transition-level split"
-    )
+    if not bz_transitions <= witness.positive_transitions:
+        raise InternalError("zero-cycle component transitions must admit positive flow")
+    if bool(uz_transitions) != uz:
+        raise InternalError("oscillation flag must agree with the transition-level split")
     return MecFlags(
         mec_id=mec.mid,
         increasing=False,
@@ -448,7 +454,8 @@ def bounded_zero_witness(
     flags = next((f for f in inventory.flags.values() if f.bounded_zero), None)
     if flags is None:
         return None
-    assert flags.kept_states is not None and flags.kept_transitions is not None
+    if flags.kept_states is None or flags.kept_transitions is None:
+        raise InternalError(f"class {flags.mec_id} has zero cycles but no kept subsystem")
     sub = _subsystem_model(m, flags.kept_states, flags.kept_transitions)
     comp = mec_decomposition(sub)[0]
     strategy: dict[str, str] = {}
@@ -460,9 +467,8 @@ def bounded_zero_witness(
         else:
             strategy[s.name] = m.out(s.name)[0].tid
     analysis = bscc_analysis(m, strategy, comp.states)
-    assert analysis.cls == BsccClass.BOUNDED_ZERO, (
-        "zero-cycle component failed its own behaviour check"
-    )
+    if analysis.cls != BsccClass.BOUNDED_ZERO:
+        raise InternalError("zero-cycle component failed its own behaviour check")
     return BoundedZeroWitness(
         mec_id=flags.mec_id,
         ranking=flags.ranking,
@@ -564,7 +570,8 @@ def labels_from_inventory(
             else "linear statement assumes every class of the whole model is decreasing",
         )
 
-    assert isinstance(measure, TransitionCount)
+    if not isinstance(measure, TransitionCount):
+        raise TypeError(f"not a measure: {measure!r}")
     tid = measure.tid
     owner = transition_owner.get(tid)
     if owner is None:

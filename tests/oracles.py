@@ -4,9 +4,24 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from vass_asym.dichotomy import Label, compute_maximal_solutions, counter_effect
+from vass_asym.dichotomy import (
+    Label,
+    compute_maximal_solutions,
+    counter_effect,
+    expected_rank_delta,
+    rank_delta,
+    verify_ranking,
+    verify_system_I_witness,
+)
 from vass_asym.graph import state_to_mec
-from vass_asym.model import ValidationError, apply_md_strategy
+from vass_asym.model import (
+    NONDET,
+    Transition,
+    UnknownTransition,
+    ValidationError,
+    VassMdp,
+    apply_md_strategy,
+)
 from vass_asym.onedim import (
     BsccClass,
     ClassInventory,
@@ -39,6 +54,53 @@ def initial_configuration(m, state, n) -> Configuration:
 def classify_bscc(m, strategy, bscc_states) -> BsccClass:
     """Behaviour class of one bottom component of a strategy chain."""
     return bscc_analysis(m, strategy, bscc_states).cls
+
+
+def augment_step_counter(m, only=None) -> VassMdp:
+    """Append counter d+1 counting transition uses.
+
+    With ``only=None`` every transition adds 1 to the new counter (its peak is
+    the termination time up to an off-by-one); with ``only=t`` just that
+    transition does (its peak is t's use count). The new counter is never
+    decremented, so it cannot cause termination. Classifying counter d+1 of
+    the augmented model is the reference encoding of the measures L and T:t.
+    """
+    if only is not None and not m.has_transition(only):
+        raise UnknownTransition(only)
+    transitions = [
+        Transition(
+            t.tid,
+            t.source,
+            t.update + ((1 if only is None or t.tid == only else 0),),
+            t.target,
+            t.prob,
+        )
+        for t in m.transitions
+    ]
+    return VassMdp(m.dimension + 1, m.states, transitions)
+
+
+def verify_dichotomy(m, mec, w, r) -> bool:
+    """Every counter and every internal transition is covered by one side.
+
+    Counters: y(c) > 0 or the flow pumps c. Controlled transitions: strict
+    rank decrease or positive flow. Transitions out of probabilistic states:
+    strict expected decrease at the source or positive flow.
+    """
+    if verify_system_I_witness(m, mec, w) or verify_ranking(m, mec, r):
+        return False
+    for c in range(1, m.dimension + 1):
+        if not (r.y[c] > 0 or counter_effect(m, w, c) > 0):
+            return False
+    for t in sorted(mec.transitions):
+        tr = m.transition(t)
+        if m.kind(tr.source) == NONDET:
+            covered = rank_delta(m, r, tr) < 0 or w.x[t] > 0
+        else:
+            covered = expected_rank_delta(m, r, tr.source) < 0 or w.x[t] > 0
+        if not covered:
+            return False
+    return True
 
 
 def classify_counters_mec(m, mec) -> dict:

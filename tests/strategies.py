@@ -12,7 +12,7 @@ _names = st.lists(
 
 
 @st.composite
-def random_models(draw, max_states=4, max_dim=3, max_update=9):
+def random_models(draw, max_states=4, max_dim=3, max_update=9, min_dim=1):
     names = draw(
         st.lists(
             st.text(alphabet="abcdefgh", min_size=1, max_size=3),
@@ -21,7 +21,7 @@ def random_models(draw, max_states=4, max_dim=3, max_update=9):
             unique=True,
         )
     )
-    dim = draw(st.integers(1, max_dim))
+    dim = draw(st.integers(min_dim, max_dim))
     states = [State(name, draw(st.sampled_from(["nondet", "prob"]))) for name in names]
     transitions = []
     tid = 0

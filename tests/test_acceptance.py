@@ -12,11 +12,17 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from oracles import flags_tuple, inventory_from_bruteforce, is_hamiltonian, pivot_safe_bruteforce
+from oracles import (
+    flags_tuple,
+    inventory_from_bruteforce,
+    is_hamiltonian,
+    pivot_safe_bruteforce,
+    verify_dichotomy,
+)
 from strategies import random_model_from_rng
 
 from vass_asym.cli import build_analysis
-from vass_asym.dichotomy import compute_maximal_solutions, verify_dichotomy
+from vass_asym.dichotomy import compute_maximal_solutions
 from vass_asym.graph import enumerate_types, mec_decomposition, transition_to_mec
 from vass_asym.model import parse_measure, parse_vass
 from vass_asym.onedim import classify_onedim, hamiltonian_reduction, labels_from_inventory

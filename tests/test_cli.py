@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +12,7 @@ import pytest
 
 import vass_asym
 from vass_asym.cli import main
-from vass_asym.model import InternalError, model_digest, parse_vass
+from vass_asym.model import InternalError, model_digest, parse_vass, serialize_vass
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SCHEMAS = Path(vass_asym.__file__).parent / "schemas"
@@ -144,6 +145,19 @@ def test_analyze_non_dag_multicounter_is_out_of_scope(capsys, non_dag_2d):
     assert "out of scope" in err
 
 
+def test_analyze_non_dag_multicounter_exits_before_enumerating_types(capsys, tmp_path):
+    from tests.test_graph import _three_mutually_reachable_classes_model
+
+    path = tmp_path / "three_classes_2d.json"
+    path.write_text(json.dumps(serialize_vass(_three_mutually_reachable_classes_model())))
+    t0 = time.monotonic()
+    rc, out, err = run(capsys, "analyze", str(path), "--max-type-len", "40")
+    elapsed = time.monotonic() - t0
+    assert (rc, out) == (2, "")
+    assert err == "out of scope: class graph has mutually reachable classes\n"
+    assert elapsed < 5.0, f"took {elapsed:.1f}s: the 2^39 types were enumerated first"
+
+
 def test_analyze_non_dag_one_counter_still_classified(capsys, tmp_path, non_dag_2d):
     doc = json.loads(non_dag_2d.read_text())
     doc["dimension"] = 1
@@ -190,6 +204,16 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     rc, out, err = run(capsys, "analyze", str(MODELS / "random_walk_1d.json"))
     assert (rc, out) == (3, "")
     assert err == "internal error: injected invariant failure\n"
+
+
+def test_bare_key_error_is_internal_error(capsys, monkeypatch):
+    def broken(*a, **k):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("vass_asym.cli.build_analysis", broken)
+    rc, out, err = run(capsys, "analyze", str(MODELS / "random_walk_1d.json"))
+    assert (rc, out) == (3, "")
+    assert err == "internal error: 'lost'\n"
 
 
 def test_analyze_under_python_O_prints_the_same_bytes():

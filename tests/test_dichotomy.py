@@ -10,14 +10,15 @@ y2 = 0 and counter 2 is the only pumped one, with no strict rows anywhere.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
-from oracles import classify_counters_mec
+from oracles import augment_step_counter, classify_counters_mec, verify_dichotomy
 from vass_asym.dichotomy import (
     Estimate,
     InvalidType,
     Label,
     NotDagLike,
+    _pump_probe,
     build_system_I,
     build_system_II,
     classify_dag,
@@ -26,20 +27,19 @@ from vass_asym.dichotomy import (
     expected_rank_delta,
     rank_delta,
     run_dag_pipeline,
-    verify_dichotomy,
     verify_ranking,
     verify_system_I_witness,
 )
-from vass_asym.graph import mec_decomposition
+from vass_asym.graph import enumerate_types, is_dag_like, mec_decomposition
 from vass_asym.model import (
     Counter,
+    InternalError,
     State,
     Termination,
     Transition,
     TransitionCount,
     UnknownTransition,
     VassMdp,
-    augment_step_counter,
 )
 from tests.strategies import random_models
 
@@ -160,7 +160,7 @@ def _mecs_by_id(m):
 def test_pipeline_promotion_chain(pump):
     mecs = mec_decomposition(pump)
     by_id = {mec.mid: mec for mec in mecs}
-    state = run_dag_pipeline(pump, [by_id["M1"], by_id["M2"]], track_hint_for=3)
+    state = run_dag_pipeline(pump, [by_id["M1"], by_id["M2"]], track_hint_for=Counter(3))
     assert state.steps[0].newly_pumped == frozenset({2})
     assert state.steps[1].zeroed == frozenset({2})
     assert state.steps[1].newly_pumped == frozenset({3})
@@ -218,13 +218,72 @@ def test_classify_dag_transition_counts(pump):
         classify_dag(pump, ("M1",), TransitionCount("ghost"))
 
 
+def test_augment_every_transition(walk):
+    aug = augment_step_counter(walk)
+    assert aug.dimension == 2
+    assert aug.transition("t_up").update == (1, 1)
+    assert aug.transition("t_down").update == (-1, 1)
+
+
+def test_augment_single_transition(pump):
+    aug = augment_step_counter(pump, only="c_c")
+    assert aug.dimension == 4
+    assert aug.transition("c_c").update == (0, -1, 1, 1)
+    assert aug.transition("a_b").update == (0, 0, 0, 0)
+    with pytest.raises(UnknownTransition):
+        augment_step_counter(pump, only="ghost")
+
+
+def _decision(est):
+    return (est.label, est.tag, est.exact, est.bound, est.beyond_quadratic_hint)
+
+
+def _assert_matches_step_counter_encoding(m):
+    """L and every pipeline-backed T:t, on every type, agree with counter
+    d+1 of the step-counter-augmented model (TightLinear read as UpperLinear
+    for a use count: a linear cap promises no uses). Returns the number of
+    estimates compared."""
+    mecs = mec_decomposition(m)
+    compared = 0
+    for ts in enumerate_types(m, max(1, len(mecs)), mecs):
+        beta = ts.mecs
+        direct = classify_dag(m, beta, Termination(), mecs)
+        oracle = classify_dag(augment_step_counter(m), beta, Counter(m.dimension + 1))
+        assert _decision(direct) == _decision(oracle), ("L", beta)
+        compared += 1
+        for t in m.transitions:
+            direct = classify_dag(m, beta, TransitionCount(t.tid), mecs)
+            if "pipeline" not in direct.witnesses:
+                continue  # transient transition or class off the type: no pipeline
+            oracle = classify_dag(
+                augment_step_counter(m, only=t.tid), beta, Counter(m.dimension + 1)
+            )
+            expected = _decision(oracle)
+            if oracle.label is Label.TIGHT_LINEAR:
+                expected = (Label.UPPER_LINEAR,) + expected[1:]
+            assert _decision(direct) == expected, (t.tid, beta)
+            compared += 1
+    return compared
+
+
 def test_encoding_coherence_termination_vs_step_counter(pump):
-    for beta in [("M1",), ("M1", "M2"), ("M1", "M4"), ("M2",)]:
-        direct = classify_dag(pump, beta, Termination())
-        aug = augment_step_counter(pump)
-        via_counter = classify_dag(aug, beta, Counter(aug.dimension))
-        assert direct.label is via_counter.label
-        assert direct.tag == via_counter.tag
+    assert _assert_matches_step_counter_encoding(pump) >= 10
+    # the hint is ported too: M4's coin flips lean on the pumped counter 2
+    est = classify_dag(pump, ("M1", "M4"), TransitionCount("f_f_up"))
+    assert est.label is Label.LOWER_QUADRATIC and est.beyond_quadratic_hint
+
+
+@given(random_models(max_states=3, min_dim=2, max_dim=3, max_update=2))
+@settings(max_examples=30, deadline=None)
+def test_encoding_coherence_random_dag_models(m):
+    assume(is_dag_like(m, mec_decomposition(m)))
+    _assert_matches_step_counter_encoding(m)
+
+
+def test_pump_probe_on_unpumpable_counter_is_internal_error(walk):
+    # the fair walk's flow balances both loops: no flow pumps its counter
+    with pytest.raises(InternalError):
+        _pump_probe(walk, _single_mec(walk), Counter(1))
 
 
 def test_classify_dag_rejects_bad_types(pump):

@@ -153,6 +153,27 @@ def _mutually_reachable_classes_model():
     return VassMdp(1, states, transitions)
 
 
+def _three_mutually_reachable_classes_model():
+    # three singleton classes, each reaching both others through a router
+    # that may also escape to a sink: 2^k types of length k+1
+    names = ("p", "q", "w")
+    states = [State(n, "nondet") for n in names]
+    states += [State(f"r_{n}", "prob") for n in names] + [State("s", "nondet")]
+    zero = (0, 0)
+    third = Fraction(1, 3)
+    transitions = [Transition("t_s", "s", zero, "s")]
+    for n in names:
+        transitions += [
+            Transition(f"t_{n}", n, (1, 0), n),
+            Transition(f"t_{n}_r", n, zero, f"r_{n}"),
+            Transition(f"t_r_{n}_s", f"r_{n}", zero, "s", third),
+        ]
+        transitions += [
+            Transition(f"t_r_{n}_{o}", f"r_{n}", zero, o, third) for o in names if o != n
+        ]
+    return VassMdp(2, states, transitions)
+
+
 def test_not_dag_like_detected():
     m = _mutually_reachable_classes_model()
     mecs = mec_decomposition(m)
@@ -161,6 +182,11 @@ def test_not_dag_like_detected():
         frozenset({"q"}),
         frozenset({"s"}),
     }
+    assert not is_dag_like(m, mecs)
+
+    m = _three_mutually_reachable_classes_model()
+    mecs = mec_decomposition(m)
+    assert sorted(min(x.states) for x in mecs) == ["p", "q", "s", "w"]
     assert not is_dag_like(m, mecs)
 
 

@@ -11,10 +11,8 @@ from vass_asym.model import (
     SchemaError,
     Termination,
     TransitionCount,
-    UnknownTransition,
     ValidationError,
     apply_md_strategy,
-    augment_step_counter,
     canonical_json,
     measure_key,
     model_digest,
@@ -130,22 +128,6 @@ def test_measure_parsing_roundtrip():
         parse_measure("C:0")
     with pytest.raises(ValueError):
         parse_measure("steps")
-
-
-def test_augment_every_transition(walk):
-    aug = augment_step_counter(walk)
-    assert aug.dimension == 2
-    assert aug.transition("t_up").update == (1, 1)
-    assert aug.transition("t_down").update == (-1, 1)
-
-
-def test_augment_single_transition(pump):
-    aug = augment_step_counter(pump, only="c_c")
-    assert aug.dimension == 4
-    assert aug.transition("c_c").update == (0, -1, 1, 1)
-    assert aug.transition("a_b").update == (0, 0, 0, 0)
-    with pytest.raises(UnknownTransition):
-        augment_step_counter(pump, only="ghost")
 
 
 def test_apply_md_strategy(pump):
