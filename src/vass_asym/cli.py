@@ -45,6 +45,7 @@ from .dichotomy import (
 )
 from .graph import (
     Mec,
+    TooManyTypes,
     TypeSeq,
     enumerate_types,
     is_dag_like,
@@ -745,7 +746,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (NotDagLike, TooManyStrategies) as e:
+    except (NotDagLike, TooManyStrategies, TooManyTypes) as e:
         print(f"out of scope: {e}", file=sys.stderr)
         return 2
     except AttestationError as e:

@@ -26,6 +26,14 @@ from .model import NONDET, PROB, InternalError, VassMdp
 from .ratlp import solve_linear_system
 
 
+MAX_TYPES = 10_000  # sequences `enumerate_types` builds before it gives up
+
+
+class TooManyTypes(RuntimeError):
+    """Type enumeration would build more than MAX_TYPES sequences: on a class
+    graph with cycles their number grows exponentially with the length cap."""
+
+
 @dataclass(frozen=True, order=True)
 class Mec:
     """A maximal end component: id, member states, internal transitions."""
@@ -238,7 +246,8 @@ def enumerate_types(
 
     For a DAG-like model with max_len >= number of classes the list is
     complete (no type can revisit a class). Weight multiplies the pairwise
-    maximal reaching probabilities; single-class types have weight 1.
+    maximal reaching probabilities; single-class types have weight 1. Raises
+    TooManyTypes past MAX_TYPES sequences.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -257,6 +266,8 @@ def enumerate_types(
     results: list[TypeSeq] = []
 
     def extend(seq: list[str], weight: Fraction):
+        if len(results) == MAX_TYPES:
+            raise TooManyTypes(f"more than {MAX_TYPES} types of length <= {max_len}")
         results.append(TypeSeq(tuple(seq), weight))
         if len(seq) >= max_len:
             return

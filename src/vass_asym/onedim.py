@@ -466,7 +466,14 @@ def bounded_zero_witness(
             )
         else:
             strategy[s.name] = m.out(s.name)[0].tid
-    analysis = bscc_analysis(m, strategy, comp.states)
+    # the component is closed under the strategy, but the least-id choices
+    # need not keep it strongly connected: then the witness is the first
+    # bottom component they realize inside it
+    states = comp.states
+    bottoms = bottom_sccs(apply_md_strategy(m, strategy))
+    if states not in bottoms:
+        states = next(b for b in bottoms if b <= comp.states)
+    analysis = bscc_analysis(m, strategy, states)
     if analysis.cls != BsccClass.BOUNDED_ZERO:
         raise InternalError("zero-cycle component failed its own behaviour check")
     return BoundedZeroWitness(
@@ -474,7 +481,7 @@ def bounded_zero_witness(
         ranking=flags.ranking,
         kept_states=flags.kept_states,
         kept_transitions=flags.kept_transitions,
-        component_states=comp.states,
+        component_states=states,
         component_transitions=analysis.transitions,
         strategy=strategy,
         stationary=analysis.stationary,

@@ -22,32 +22,38 @@ execute or on which path steps it.
   n + cap * max|update| < 2**53, so that no counter can leave exact int64
   range within the cap.
 * The block path applies while a run sits in a state whose every resolved
-  branch is a self-loop (the absorbing tail phase of typical models). It
-  takes blocks of at most BLOCK draws and picks branches by comparing the
-  words against each threshold (a word picks a branch past i iff it is
-  >= th[i], the kernel's rule). Counters are kept counter-major: a counter
-  whose update differs between branches becomes one cumulative sum over the
-  block, whose min() tells whether it goes negative and whose max() over the
-  steps before the terminal one is its peak; a counter whose update is the
-  same on every branch is resolved in closed form with no array. Branch
-  counts are differences of the numbers of words >= each threshold. The
-  masks, the branch index (with more than two branches) and the sums are
-  written with `out=` into scratch buffers of BLOCK words that each state
-  record makes on its first block (`_StateRec.scratch`), so a block
-  allocates no array of its size; a shorter block writes and reads only
-  the first len(words) entries, never a stale tail. A run
-  never leaves such a state, so a run that enters one leaves the kernel and
-  finishes here on the rest of its stream: first the words the kernel drew
-  for it and did not use, as one short block, then whole blocks. It
-  requires |counter| < 2**53 and |update| <= 2**20 so int64 arithmetic
-  cannot overflow. `simulate_many` steps the runs it does not give the
-  kernel one after another on one reused Philox generator, reset to each
-  run's key.
+  branch (at most 256) is a self-loop, the absorbing tail phase of typical
+  models; a run never leaves such a state. One stepper (`_Stepper`) per
+  such state holds up to ROWS runs and steps them in rounds. Each round
+  takes a block of at most BLOCK words from each run's stream and compares
+  it, as it is drawn, into that run's row of a (ROWS, BLOCK) byte buffer:
+  a word picks a branch past i iff it is >= th[i], the kernel's rule. The
+  stepper packs each row into group codes, one byte per g steps (g = 8
+  with two branches: one bit a step; fewer steps of more bits with more
+  branches), and each numpy call then serves every row. Per code, tables
+  of the state record give each varying counter's group sum and lowest and
+  highest prefix sums: a cumulative sum over the groups gives the counter
+  at each group's end, the lowest prefix finds the first group that goes
+  negative and the highest one the peak. Branch counts come from per-code
+  counts of the steps past each threshold or, with two branches, from a
+  varying counter's change. A counter whose update is the same on every
+  branch is resolved in closed form. Only the group that holds the
+  terminal step, the cap or a short block's end is then read step by step.
+  The buffers are made once per stepper and refilled in place, so a round
+  allocates no array of a block of words. A run that enters such a state
+  leaves the kernel and waits on the state's stepper, which runs whenever
+  ROWS runs wait; every stepper drains when the kernel is done. The run's
+  first block is the words the kernel drew for it and did not use, then
+  whole blocks follow. A batch that starts in such a state runs on its
+  stepper alone, and `_run` hands a single run to one. Counters must stay
+  below 2**53 and updates within 2**20, so int64 arithmetic cannot
+  overflow; a run whose counters reach 2**53 finishes on the scalar path.
 * The scalar path (`_run`) steps one run at a time in arbitrary-precision
   integers and resolves states as runs enter them. It is the draw-for-draw
-  reference (`_vectorized=False`), it runs `simulate_one`, and it runs every
-  batch the kernel does not take; there an incomplete strategy raises only
-  when a run reaches the state it misses.
+  reference (`_vectorized=False`), it runs `simulate_one` up to the block
+  path, and it runs every batch the kernel does not take, one run after the
+  other on one reused Philox generator, reset to each run's key; there an
+  incomplete strategy raises only when a run reaches the state it misses.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ import statistics
 from bisect import bisect_right
 from collections import Counter as TallyCounter
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import ceil, inf
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -71,9 +78,9 @@ FAST_COUNTER_LIMIT = 1 << 53
 FAST_UPDATE_LIMIT = 1 << 20
 MAX_IN_FLIGHT = 64  # runs the lockstep kernel steps together
 RUN_BUFFER = 64  # waves per kernel block: words drawn per run in flight at a time
+ROWS = 16  # runs a block-path stepper steps together
 
-# the block path's per-state scratch: masks, branch index, per-counter sums
-_Scratch = tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]
+_NO_WORDS = np.empty(0, dtype=np.uint64)
 
 # a strategy is one choice per controlled state: either a transition id or a
 # full rational distribution over outgoing transition ids
@@ -149,31 +156,43 @@ class _DrawStream:
     Words are consumed strictly in stream order no matter how calls mix
     scalar and block takes, which is what makes the execution paths
     byte-identical. `buf` holds words already drawn from `bg` and not yet
-    consumed; they come first.
+    consumed; they come first. A buffer is dropped once consumed, so a
+    stream that waits between blocks holds no block of words.
     """
 
     def __init__(self, bg: np.random.Philox, buf: Optional[np.ndarray] = None):
-        self._bg = bg
-        self._buf = np.empty(0, dtype=np.uint64) if buf is None else buf
+        self.bg = bg
+        self._buf = _NO_WORDS if buf is None else buf
         self._pos = 0
 
     def take(self, k: int) -> np.ndarray:
         """The next at most `k` words: the buffered ones if any are left (a
         short block), else the first `k` of `max(k, BLOCK)` fresh ones."""
         if self._pos >= len(self._buf):
-            self._buf = self._bg.random_raw(max(k, BLOCK))
+            self._buf = self.bg.random_raw(max(k, BLOCK))
             self._pos = 0
         out = self._buf[self._pos : self._pos + k]
         self._pos += len(out)
+        if self._pos == len(self._buf):
+            self._buf, self._pos = _NO_WORDS, 0
         return out
 
     def one(self) -> int:
         if self._pos >= len(self._buf):
-            self._buf = self._bg.random_raw(BLOCK)
+            self._buf = self.bg.random_raw(BLOCK)
             self._pos = 0
         u = int(self._buf[self._pos])
         self._pos += 1
         return u
+
+
+@cache
+def _group_branches(bits: int) -> np.ndarray:
+    """Per byte code, the branch indices of a group of `bits`-bit steps."""
+    g = 8 // bits
+    out = np.array([[c >> bits * (g - 1 - s) & (1 << bits) - 1 for s in range(g)] for c in range(256)])
+    out.setflags(write=False)
+    return out
 
 
 class _StateRec:
@@ -190,7 +209,11 @@ class _StateRec:
         "block_thresholds",
         "varying",
         "constant",
-        "_scratch",
+        "bits",
+        "group",
+        "code_branches",
+        "passes",
+        "tables",
     )
 
     def __init__(self, name: str, branches: list[tuple[str, str, tuple[int, ...], Fraction]]):
@@ -203,6 +226,7 @@ class _StateRec:
         self.fast_ok = (
             self.all_self
             and len(self.updates[0]) > 0
+            and len(self.tids) <= 256
             and all(abs(u) <= FAST_UPDATE_LIMIT for upd in self.updates for u in upd)
         )
         # the block path's tables: thresholds as uint64 scalars, then per
@@ -217,25 +241,31 @@ class _StateRec:
                     self.constant.append((k, col[0]))
                 else:
                     self.varying.append((k, np.array(col, dtype=np.int64)))
-        self._scratch: Optional[_Scratch] = None
+        # a group is `group` consecutive branch indices of `bits` bits each,
+        # packed into one byte code, first step highest; `code_branches`
+        # lists them per code. Per code, `tables` holds per varying counter
+        # the group's sum and its lowest and highest prefix sums, both less
+        # the sum, and `passes` per threshold the group's steps that pick a
+        # branch past it. With two branches a varying counter's change tells
+        # how often each was taken, and `passes` stays empty.
+        self.bits, self.group = 8, 1
+        self.code_branches: list[tuple[int, ...]] = []
+        self.passes: list[np.ndarray] = []
+        self.tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        if self.fast_ok and self.thresholds:
+            self.bits = next(b for b in (1, 2, 4, 8) if len(self.tids) <= 1 << b)
+            self.group = 8 // self.bits
+            branch = np.minimum(_group_branches(self.bits), len(self.tids) - 1)  # codes no block makes
+            self.code_branches = [tuple(row) for row in branch.tolist()]
+            if len(self.tids) > 2 or not self.varying:
+                self.passes = [(branch > j).sum(axis=1, dtype=np.int64) for j in range(len(self.thresholds))]
+            for _, col in self.varying:
+                prefix = np.cumsum(col[branch], axis=1, dtype=np.int64)
+                total = prefix[:, -1].copy()
+                self.tables.append((total, prefix.min(axis=1) - total, prefix.max(axis=1) - total))
 
     def pick(self, u: int) -> int:
         return bisect_right(self.thresholds, u)
-
-    def scratch(self) -> _Scratch:
-        """The block path's buffers, BLOCK words each, made on the first block
-        and refilled in place by every block: one mask per threshold, the
-        branch index (only with more than two branches and a varying
-        counter) and one cumulative sum per varying counter."""
-        if self._scratch is None:
-            indexed = len(self.thresholds) > 1 and bool(self.varying)
-            self._scratch = (
-                [np.empty(BLOCK, dtype=bool) for _ in self.thresholds],
-                np.empty(BLOCK if indexed else 0, dtype=np.intp),
-                [np.empty(BLOCK, dtype=np.int64) for _ in self.varying],
-            )
-        return self._scratch
-
 
 class _Resolved:
     """Model plus strategy, resolved lazily into per-state branch tables."""
@@ -301,6 +331,16 @@ def _start(res: _Resolved, n: int, init_state: str) -> _Walk:
     return _Walk(init_state, [n] * d, [n] * d, TallyCounter(), [] if mid is None else [mid])
 
 
+def _stats(walk: _Walk, terminated: bool) -> TrajectoryStats:
+    return TrajectoryStats(
+        terminated=terminated,
+        steps=walk.steps,
+        max_counter=tuple(walk.peak),
+        transition_counts=dict(walk.counts),
+        realized_type=tuple(walk.rtype),
+    )
+
+
 def _run(
     res: _Resolved,
     walk: _Walk,
@@ -308,7 +348,8 @@ def _run(
     cap: int,
     vectorized: bool,
 ) -> TrajectoryStats:
-    """Finish `walk` on the scalar path, or on the block path where it applies."""
+    """Finish `walk` on the scalar path, or hand it to a stepper where the
+    block path applies."""
     state, cur, peak, counts, rtype, steps = (
         walk.state,
         walk.cur,
@@ -317,30 +358,20 @@ def _run(
         walk.rtype,
         walk.steps,
     )
-    terminated = False
-
     while steps < cap:
         rec = res.resolve(state)
-        if (
-            vectorized
-            and rec.fast_ok
-            and all(abs(c) < FAST_COUNTER_LIMIT for c in cur)
-        ):
-            taken, terminated = _self_loop_block(
-                rec, stream.take(min(BLOCK, cap - steps)), cur, peak, counts
-            )
-            steps += taken
-            if terminated:
-                break
-            continue
+        if vectorized and rec.fast_ok:
+            stepper = _Stepper(res, rec, cap)
+            handed = _Walk(state, cur, peak, counts, rtype, steps)
+            ((_, stats, _),) = [*stepper.add(0, handed, stream), *stepper.drain()]
+            return stats
 
         i = rec.pick(stream.one())
         counts[rec.tids[i]] += 1
         steps += 1
         cur = [c + u for c, u in zip(cur, rec.updates[i])]
         if any(c < 0 for c in cur):
-            terminated = True
-            break
+            return _stats(_Walk(state, cur, peak, counts, rtype, steps), True)
         for k, c in enumerate(cur):
             if c > peak[k]:
                 peak[k] = c
@@ -348,68 +379,195 @@ def _run(
         mid = res.owner.get(state)
         if mid is not None and (not rtype or rtype[-1] != mid):
             rtype.append(mid)
-
-    return TrajectoryStats(
-        terminated=terminated,
-        steps=steps,
-        max_counter=tuple(peak),
-        transition_counts=dict(counts),
-        realized_type=tuple(rtype),
-    )
+    return _stats(_Walk(state, cur, peak, counts, rtype, steps), False)
 
 
-def _self_loop_block(
-    rec: _StateRec, us: np.ndarray, cur: list[int], peak: list[int], counts: TallyCounter
-) -> tuple[int, bool]:
-    """Step a run in the all-self-loop state `rec` on the draws `us`, up to
-    and including a terminal step. Updates `cur`, `peak` and `counts` in
-    place; returns the steps taken and whether the last one terminates."""
-    block = len(us)
-    masks, idx, rels = rec.scratch()
-    # ge[i]: the words that pick a branch past i
-    ge = [np.greater_equal(us, th, out=buf[:block]) for th, buf in zip(rec.block_thresholds, masks)]
-    rels = [buf[:block] for buf in rels]
-    if len(ge) > 1 and rels:
-        # the branch index is the number of masks a word passes; copyto
-        # widens each mask into rels[0], free until the first take below
-        # (`idx += mask` would allocate a cast buffer)
-        idx = idx[:block]
-        np.copyto(idx, ge[0])
-        for mask in ge[1:]:
-            np.copyto(rels[0], mask)
-            idx += rels[0]
-    # stop: the index of the terminal step, or block when there is none
-    stop = block
-    for (k, col), rel in zip(rec.varying, rels):
-        if len(col) == 2:
-            np.copyto(rel, ge[0])
-            rel *= col[1] - col[0]
-            rel += col[0]
+# a run the stepper has finished: its key, its statistics and its stream
+_Done = tuple[int, TrajectoryStats, _DrawStream]
+
+
+class _Stepper:
+    """Steps up to ROWS runs that sit in one block-path state, one block of
+    each run's words per round; see the module docstring.
+
+    Row i of the arrays belongs to `rows[i]`, a run's key, walk and stream;
+    the walk's counters and peaks live in `cur` and `peak`, and in `passed`
+    the steps it took here and, per threshold with `rec.passes`, those that
+    picked a branch past it, until the run leaves. Every buffer is made
+    once and refilled in place by each round.
+    """
+
+    def __init__(self, res: _Resolved, rec: _StateRec, cap: int):
+        self.res, self.rec, self.cap = res, rec, cap
+        d, nth = res.dimension, len(rec.thresholds)
+        self.rows: list[tuple[int, _Walk, _DrawStream]] = []
+        self.cur = np.empty((ROWS, d), dtype=np.int64)
+        self.peak = np.empty((ROWS, d), dtype=np.int64)
+        self.passed = np.empty((ROWS, 1 + len(rec.passes)), dtype=np.int64)
+        groups = BLOCK // rec.group if nth else 0
+        # a row's group codes; each round first compares the row's words
+        # into the same memory, as a branch mask (two branches) or a branch
+        # index of one byte per word
+        self.codes = np.empty((ROWS, groups), dtype=np.intp)
+        self.words = self.codes.view(np.uint8)[:, :BLOCK]
+        self.flags = self.words.view(bool)
+        self.scratch = np.empty(BLOCK if nth > 1 else 0, dtype=bool)
+        self.packed = np.empty((ROWS, groups if nth > 1 else 0), dtype=np.uint8)
+        # per varying counter, the counter after each group, less cur; and
+        # per group a table's value at its code, plus those sums
+        self.sums = np.empty((len(rec.varying), ROWS, groups), dtype=np.int64)
+        self.ends = np.empty((ROWS, groups), dtype=np.int64)
+
+    def add(self, key: int, walk: _Walk, stream: _DrawStream) -> list[_Done]:
+        """Take the run `key` on; step whenever every row is taken, and
+        return the runs that finish meanwhile."""
+        if max(walk.peak) >= FAST_COUNTER_LIMIT:  # beyond exact int64 range
+            return [(key, _run(self.res, walk, stream, self.cap, False), stream)]
+        i = len(self.rows)
+        self.rows.append((key, walk, stream))
+        self.cur[i], self.peak[i], self.passed[i] = walk.cur, walk.peak, 0
+        done: list[_Done] = []
+        while len(self.rows) == ROWS:
+            done += self._round()
+        return done
+
+    def drain(self) -> list[_Done]:
+        """Step until every run has finished; return them."""
+        done: list[_Done] = []
+        while self.rows:
+            done += self._round()
+        return done
+
+    def _codes(self, r: int) -> np.ndarray:
+        """Each row's group codes, from the bytes a round wrote per word."""
+        rec, codes = self.rec, self.codes[:r]
+        if rec.bits == 1:
+            packed = np.packbits(self.words[:r], axis=1)
         else:
-            col.take(idx, out=rel, mode="clip")  # mode="raise" would buffer `out`
-        np.cumsum(rel, out=rel)  # counter k after each step, less cur[k]
-        if rel.min() < -cur[k]:
-            stop = min(stop, int(np.argmax(rel < -cur[k])))
-    for k, c in rec.constant:
-        if c < 0:
-            stop = min(stop, cur[k] // -c)
-    terminated = stop < block
-    taken = stop + 1 if terminated else block
-    # peaks come from the `stop` configurations before the terminal one
-    for (k, _), rel in zip(rec.varying, rels):
-        if stop:
-            peak[k] = max(peak[k], cur[k] + int(rel[:stop].max()))
-        cur[k] += int(rel[taken - 1])
-    for k, c in rec.constant:
-        if c > 0:
-            peak[k] = max(peak[k], cur[k] + stop * c)
-        cur[k] += taken * c
-    # branch i is used by the steps that pick a branch past i - 1 but not past i
-    at_least = [taken] + [int(np.count_nonzero(mask[:taken])) for mask in ge] + [0]
-    for tid, a, b in zip(rec.tids, at_least, at_least[1:]):
-        if a > b:
-            counts[tid] += a - b
-    return taken, terminated
+            words, packed, g = self.words[:r], self.packed[:r], rec.group
+            np.copyto(packed, words[:, ::g])
+            for s in range(1, g):
+                np.left_shift(packed, rec.bits, out=packed)
+                np.bitwise_or(packed, words[:, s::g], out=packed)
+        np.copyto(codes, packed)
+        return codes
+
+    def _over_groups(self, table: np.ndarray, sums: Optional[np.ndarray], q: np.ndarray) -> np.ndarray:
+        """Per row, the sum of `table` at the codes of the row's first q
+        groups; with `sums` given, the most of `table` plus `sums` there (0
+        over no group)."""
+        ends = self.ends[: len(q)]
+        table.take(self.codes[: len(q)], out=ends, mode="clip")
+        if sums is None:
+            out = ends.sum(axis=1)
+        else:
+            ends += sums
+            out = ends.max(axis=1)
+        for i in np.flatnonzero(q < ends.shape[1]):
+            head = ends[i, : q[i]]
+            out[i] = head.sum() if sums is None else head.max(initial=0)
+        return out
+
+    def _round(self) -> list[_Done]:
+        """Step every row one block and return the runs that finish."""
+        rec, rows, cap = self.rec, self.rows, self.cap
+        r, g = len(rows), rec.group
+        ths, words = rec.block_thresholds, self.words
+        lens = []
+        for i, (_, walk, stream) in enumerate(rows):
+            us = stream.take(min(BLOCK, cap - walk.steps))
+            n = len(us)
+            lens.append(n)
+            walk.steps += n
+            if not ths:
+                continue
+            # a byte per word: the branch index, or with two branches
+            # whether the word picks the second
+            np.greater_equal(us, ths[0], out=self.flags[i, :n])
+            for th in ths[1:]:
+                mask = np.greater_equal(us, th, out=self.scratch[:n])
+                np.add(words[i, :n], mask.view(np.uint8), out=words[i, :n])
+            if n < BLOCK:
+                words[i, n:] = 0  # a short block's last group reads no stale byte
+        cur, peak, passed = self.cur[:r], self.peak[:r], self.passed[:r]
+        # q: the whole groups each row takes off the tables, which stop
+        # before the group that holds a terminal step
+        full = [n // g for n in lens]
+        for k, c in rec.constant:
+            if c < 0:
+                full = [min(f, v // -c // g) for f, v in zip(full, cur[:, k].tolist())]
+        q = np.array(full)
+        if rec.thresholds:
+            codes = self._codes(r)
+            ends = self.ends[:r]
+            for (k, _), (total, low, _), sums in zip(rec.varying, rec.tables, self.sums):
+                sums = sums[:r]
+                total.take(codes, out=sums, mode="clip")
+                np.cumsum(sums, axis=1, dtype=np.int64, out=sums)
+                low.take(codes, out=ends, mode="clip")
+                ends += sums  # the lowest value inside each group, less cur
+                # the first group that goes below zero; a short block's
+                # zeroed groups come after its whole ones, which q stops at
+                for i in np.flatnonzero(ends.min(axis=1) + cur[:, k] < 0):
+                    q[i] = min(q[i], np.argmax(ends[i] < -int(cur[i, k])))
+            for (k, _), (_, _, high), sums in zip(rec.varying, rec.tables, self.sums):
+                top = self._over_groups(high, sums[:r], q)
+                np.maximum(peak[:, k], cur[:, k] + top, out=peak[:, k])
+                cur[:, k] += np.where(q > 0, sums[:r][np.arange(r), q - 1], 0)
+            for j, table in enumerate(rec.passes, 1):
+                passed[:, j] += self._over_groups(table, None, q)
+        passed[:, 0] += q * g
+        for k, c in rec.constant:
+            cur[:, k] += c * g * q
+            if c > 0:
+                np.maximum(peak[:, k], cur[:, k], out=peak[:, k])
+
+        # the steps past the tables, at most one group a row, one at a time
+        leaving = {}  # row -> whether its last step terminates the run
+        for i in np.flatnonzero(q * g < lens):
+            s, end = int(q[i]) * g, lens[i]
+            vals, tops, tally = cur[i].tolist(), peak[i].tolist(), passed[i].tolist()
+            branches = rec.code_branches[codes[i, q[i]]] if rec.thresholds else (0,) * g
+            for b in branches[: end - s]:
+                vals = [v + u for v, u in zip(vals, rec.updates[b])]
+                for j in range(min(b, len(tally) - 1) + 1):
+                    tally[j] += 1
+                s += 1
+                if min(vals) < 0:  # the words past the terminal step go unused
+                    rows[i][1].steps -= end - s
+                    leaving[i] = True
+                    break
+                tops = [max(t, v) for t, v in zip(tops, vals)]
+            cur[i], peak[i], passed[i] = vals, tops, tally
+        for i, (_, walk, _) in enumerate(rows):
+            if walk.steps == cap:
+                leaving.setdefault(i, False)
+        for i in np.flatnonzero(cur.max(axis=1) >= FAST_COUNTER_LIMIT):
+            leaving.setdefault(int(i), None)  # leaves for the scalar path
+        if not leaving:
+            return []
+
+        done: list[_Done] = []
+        for i, terminated in sorted(leaving.items()):
+            key, walk, stream = rows[i]
+            entry, walk.cur, walk.peak = walk.cur, cur[i].tolist(), peak[i].tolist()
+            at_least = [*passed[i].tolist(), 0]
+            if len(rec.tids) == 2 and not rec.passes:
+                k, (c0, c1) = rec.varying[0][0], rec.varying[0][1].tolist()
+                at_least.insert(1, (walk.cur[k] - entry[k] - at_least[0] * c0) // (c1 - c0))
+            # branch b is used by the steps that pick a branch past b - 1 but not past b
+            for tid, a, b in zip(rec.tids, at_least, at_least[1:]):
+                if a > b:
+                    walk.counts[tid] += a - b
+            if terminated is None:
+                done.append((key, _run(self.res, walk, stream, cap, False), stream))
+            else:
+                done.append((key, _stats(walk, terminated), stream))
+        keep = [i for i in range(r) if i not in leaving]
+        self.rows = [rows[i] for i in keep]
+        for a in (self.cur, self.peak, self.passed):
+            a[: len(keep)] = a[keep]
+        return done
 
 
 class _Tables:
@@ -508,6 +666,7 @@ def _lockstep(
     peak = np.empty((0, d), dtype=np.int64)
     steps = np.empty(0, dtype=np.int64)
     counts = np.empty((0, t.size), dtype=np.int64)  # per row and branch key
+    steppers: dict[str, _Stepper] = {}  # by block-path state
     admitted = 0
     while admitted < runs or run_ids:
         new = min(MAX_IN_FLIGHT - len(run_ids), runs - admitted)
@@ -573,27 +732,49 @@ def _lockstep(
                 [int(v) for v in cur[i]],
                 [int(v) for v in peak[i]],
                 tally,
-                rtypes[i],
-                int(steps[i]),
+                rtype=rtypes[i],
+                steps=int(steps[i]),
             )
-            if terminated[i]:
-                out[run_ids[i]] = TrajectoryStats(
-                    terminated=True,
-                    steps=walk.steps,
-                    max_counter=tuple(walk.peak),
-                    transition_counts=dict(tally),
-                    realized_type=tuple(walk.rtype),
-                )
-            else:  # the block path finishes the run; at the cap it returns at once
-                stream = _DrawStream(gens[i], words[last + 1 :, i].copy())
-                out[run_ids[i]] = _run(res, walk, stream, cap, True)
-            spare.append(gens[i])
+            if terminated[i] or walk.steps == cap:
+                out[run_ids[i]] = _stats(walk, bool(terminated[i]))
+                spare.append(gens[i])
+                continue
+            # the run entered a block-path state: its stepper finishes the
+            # run, first on the words drawn here and not used
+            stepper = steppers.get(walk.state)
+            if stepper is None:
+                stepper = steppers[walk.state] = _Stepper(res, res.resolve(walk.state), cap)
+            stream = _DrawStream(gens[i], words[last + 1 :, i].copy())
+            _finish(stepper.add(run_ids[i], walk, stream), out, spare)
         keep = np.flatnonzero(~leaving)
         run_ids = [run_ids[i] for i in keep]
         gens = [gens[i] for i in keep]
         rtypes = [rtypes[i] for i in keep]
         sk, cur, peak, steps, counts = sk[keep], cur[keep], peak[keep], steps[keep], counts[keep]
+    for stepper in steppers.values():
+        _finish(stepper.drain(), out, spare)
     return out
+
+
+def _step_batch(
+    res: _Resolved, rec: _StateRec, n: int, runs: int, seed: int, cap: int, start: str
+) -> list[TrajectoryStats]:
+    """Run a batch whose start state is a block-path state on one stepper."""
+    stepper = _Stepper(res, rec, cap)
+    out: list[Optional[TrajectoryStats]] = [None] * runs
+    spare: list[np.random.Philox] = []  # generators of runs that have finished
+    for r in range(runs):
+        bg = _restart(spare.pop(), seed, n, r) if spare else _philox(seed, n, r)
+        _finish(stepper.add(r, _start(res, n, start), _DrawStream(bg)), out, spare)
+    _finish(stepper.drain(), out, spare)
+    return out
+
+
+def _finish(done: list[_Done], out: list, spare: list[np.random.Philox]) -> None:
+    """Record the runs a stepper finished and keep their generators."""
+    for key, stats, stream in done:
+        out[key] = stats
+        spare.append(stream.bg)
 
 
 def _init_state(m: VassMdp, init_state: Optional[str]) -> str:
@@ -647,7 +828,10 @@ def simulate_many(
     start = _init_state(m, init_state)
     res = _Resolved(m, strategy)
     tables = _lockstep_tables(res, start, n, max_steps) if _vectorized else None
-    if tables is not None and not res.resolve(start).fast_ok:
+    if tables is not None:
+        rec = res.resolve(start)
+        if rec.fast_ok:
+            return _step_batch(res, rec, n, runs, seed, max_steps, start)
         return _lockstep(res, tables, n, runs, seed, max_steps, start)
     bg = _philox(seed, n, 0)
     return [

@@ -158,6 +158,21 @@ def test_analyze_non_dag_multicounter_exits_before_enumerating_types(capsys, tmp
     assert elapsed < 5.0, f"took {elapsed:.1f}s: the 2^39 types were enumerated first"
 
 
+@pytest.mark.parametrize("command", ["analyze", "types"])
+def test_type_enumeration_budget_exits_2(capsys, tmp_path, command):
+    from tests.test_graph import _two_classes_around_a_hub_model
+
+    path = tmp_path / "hub_1d.json"
+    path.write_text(json.dumps(serialize_vass(_two_classes_around_a_hub_model())))
+    t0 = time.monotonic()
+    rc, out, err = run(capsys, command, str(path), "--max-type-len", "40")
+    elapsed = time.monotonic() - t0
+    assert (rc, out) == (2, "")
+    assert err == "out of scope: more than 10000 types of length <= 40\n"
+    assert elapsed < 5.0
+    assert run(capsys, command, str(path), "--max-type-len", "5")[0] == 0
+
+
 def test_analyze_non_dag_one_counter_still_classified(capsys, tmp_path, non_dag_2d):
     doc = json.loads(non_dag_2d.read_text())
     doc["dimension"] = 1
@@ -463,3 +478,17 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys, "analyze")[0] == 1
     assert run(capsys, "simulate", str(MODELS / "random_walk_1d.json"))[0] == 1
+
+
+def test_importing_the_cli_loads_numpy():
+    # the benchmark's calibration loops import numpy inside a SIGPROF handler;
+    # that is safe only if numpy is already fully imported when the handler
+    # first fires, so importing the CLI must import numpy eagerly (a lazily
+    # loaded numpy sits in sys.modules before its core is imported)
+    code = (
+        "import sys, vass_asym.cli; "
+        "print('numpy' in sys.modules, any(m in sys.modules for m in ('numpy._core.multiarray', 'numpy.core.multiarray')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(vass_asym.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "True True\n"), done.stderr

@@ -7,6 +7,7 @@ Two independent oracles back the algorithms here:
   strategy via the exact chain solver.
 """
 
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 
 from vass_asym.graph import (
+    MAX_TYPES,
     Mec,
+    TooManyTypes,
     TypeSeq,
     _chain_values,
     enumerate_types,
@@ -172,6 +175,46 @@ def _three_mutually_reachable_classes_model():
             Transition(f"t_r_{n}_{o}", f"r_{n}", zero, o, third) for o in names if o != n
         ]
     return VassMdp(2, states, transitions)
+
+
+def _two_classes_around_a_hub_model():
+    # d = 1: singleton classes a and b are both reached from the class c and
+    # lead back to it, each through a router that may escape to a sink
+    zero = (0,)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    states = [State(n, NONDET) for n in ("a", "b", "c", "s")]
+    states += [State(f"r_{n}", PROB) for n in ("a", "b", "c")]
+    transitions = [Transition("t_s", "s", zero, "s")]
+    for n in ("a", "b", "c"):
+        transitions += [
+            Transition(f"t_{n}", n, (1,), n),
+            Transition(f"t_{n}_r", n, zero, f"r_{n}"),
+        ]
+    transitions += [
+        Transition("t_r_c_a", "r_c", zero, "a", third),
+        Transition("t_r_c_b", "r_c", zero, "b", third),
+        Transition("t_r_c_s", "r_c", zero, "s", third),
+    ]
+    for n in ("a", "b"):
+        transitions += [
+            Transition(f"t_r_{n}_c", f"r_{n}", zero, "c", half),
+            Transition(f"t_r_{n}_s", f"r_{n}", zero, "s", half),
+        ]
+    return VassMdp(1, states, transitions)
+
+
+def test_type_enumeration_budget():
+    m = _two_classes_around_a_hub_model()
+    mecs = mec_decomposition(m)
+    assert sorted(min(x.states) for x in mecs) == ["a", "b", "c", "s"]
+    assert not is_dag_like(m, mecs)
+    # a, b and s follow c; c and s follow a or b; nothing follows s
+    lengths = [len(ts.mecs) for ts in enumerate_types(m, 5, mecs)]
+    assert [lengths.count(k) for k in range(1, 6)] == [4, 7, 10, 14, 20]
+    t0 = time.monotonic()
+    with pytest.raises(TooManyTypes, match=f"more than {MAX_TYPES} types of length <= 40"):
+        enumerate_types(m, 40, mecs)
+    assert time.monotonic() - t0 < 5.0
 
 
 def test_not_dag_like_detected():

@@ -166,6 +166,45 @@ def test_zero_cycle_inventory_and_witness(zero_cycle):
     )
 
 
+def _zero_loop_and_exchange(back_to):
+    """d = 1: s0 has a 0 self-loop and a -2 move to s1, which returns by +2
+    or takes -1 to `back_to`; both states controlled. The least-id choices
+    {s0: t000, s1: t002} make {s0} bottom, not the whole zero-cycle component."""
+    return VassMdp(
+        1,
+        [State("s0", NONDET), State("s1", NONDET)],
+        [
+            Transition("t000", "s0", (0,), "s0"),
+            Transition("t001", "s0", (-2,), "s1"),
+            Transition("t002", "s1", (2,), "s0"),
+            Transition("t003", "s1", (-1,), back_to),
+        ],
+    )
+
+
+def _criterion_7_model(index):
+    rng = random.Random(77)
+    for i in range(index + 1):
+        m = random_model_from_rng(rng, n_states=rng.randint(2, 4), dim=1, max_update=2, strongly_connected=(i % 2 == 0))
+    return m
+
+
+@pytest.mark.parametrize("model", ["s1", "s0", "criterion-7 #39"])
+def test_zero_cycle_witness_reports_the_bottom_component_it_realizes(model):
+    m = _criterion_7_model(39) if model.startswith("criterion") else _zero_loop_and_exchange(model)
+    if model.startswith("criterion"):
+        assert m.transitions == _zero_loop_and_exchange("s0").transitions
+    w = bounded_zero_witness(m, compute_inventory(m))
+    assert w.strategy == {"s0": "t000", "s1": "t002"}
+    assert w.component_states == frozenset({"s0"}) and w.component_transitions == frozenset({"t000"})
+    assert w.stationary == {"s0": Fraction(1)}
+    assert not verify_stationary(apply_md_strategy(m, w.strategy), w.component_states, w.stationary)
+    ans = energy_safe(m)
+    assert (ans.status, ans.strategy, ans.bscc_states) == ("Safe", w.strategy, frozenset({"s0"}))
+    doc = cli.build_analysis(m, measures=None, max_type_len=4)
+    assert doc["estimates"]
+
+
 def test_dimension_guards(pump):
     for fn in (
         compute_inventory,

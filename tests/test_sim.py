@@ -149,6 +149,17 @@ def test_simulate_many_matches_simulate_one(walk):
         assert st == simulate_one(walk, 2, run=r, seed=5, max_steps=2000)
 
 
+def test_trajectory_stats_hold_python_ints(walk, pump):
+    # the benchmark digests reprs, and reports serialize the values
+    batches = [
+        simulate_many(walk, 5, 40, seed=1, max_steps=3 * sim.BLOCK),
+        simulate_many(pump, 3, 40, seed=1, strategy=pump_leave(3), max_steps=300),
+    ]
+    for st in (st for batch in batches for st in batch):
+        values = (st.steps, *st.max_counter, *st.transition_counts.values())
+        assert type(st.terminated) is bool and all(type(v) is int for v in values), st
+
+
 def test_runs_differ_across_run_index_and_seed(walk):
     a = simulate_one(walk, 6, run=0, seed=0, max_steps=4000)
     b = simulate_one(walk, 6, run=1, seed=0, max_steps=4000)
@@ -349,24 +360,52 @@ def self_loop(updates, probs=None):
     )
 
 
+def stepper_of(m, cap):
+    """A stepper of state `s` of `m` with step cap `cap`."""
+    res = sim._Resolved(m, None)
+    return sim._Stepper(res, res.resolve("s"), cap)
+
+
+def step_rows(stepper, rows):
+    """Run `rows`, pairs of (words, start counters), as runs on `stepper`;
+    run i's stream is its words, then `Philox(key=i)`. Each run must equal
+    the scalar path on the same stream, and its final counters the start
+    plus its transitions' updates. Returns each run's statistics and walk,
+    in row order."""
+    rec, cap, m = stepper.rec, stepper.cap, stepper.res.m
+    walks = [sim._Walk("s", list(start), list(start), TallyCounter(), ["M1"]) for _, start in rows]
+    done = []
+    for i, ((words, _), walk) in enumerate(zip(rows, walks)):
+        done += stepper.add(i, walk, sim._DrawStream(np.random.Philox(key=i), words))
+    done += stepper.drain()
+    stats = {key: st for key, st, _ in done}
+    assert sorted(stats) == list(range(len(rows)))
+    for i, (words, start) in enumerate(rows):
+        walk = sim._Walk("s", list(start), list(start), TallyCounter(), ["M1"])
+        stream = sim._DrawStream(np.random.Philox(key=i), words)
+        assert stats[i] == sim._run(sim._Resolved(m, None), walk, stream, cap, False), i
+        counts = stats[i].transition_counts
+        moved = [sum(counts.get(t, 0) * u[k] for t, u in zip(rec.tids, rec.updates)) for k in range(len(start))]
+        assert walks[i].cur == [c + d for c, d in zip(start, moved)]
+    return [(stats[i], walks[i]) for i in range(len(rows))]
+
+
 def test_block_path_picks_as_scalar_path():
-    # two branches take the np.where path, four the summed-mask path
+    # two branches take the one-bit codes, four the two-bit codes; every word
+    # is a one-step run, and one round steps up to ROWS of them
     for m in (
         self_loop([(-1, 2), (1, 0)], [F(1, 3), F(2, 3)]),
         self_loop([(-1,), (0,), (1,), (2,)], [F(1, 3), F(1, 6), F(1, 4), F(1, 4)]),
     ):
         rec = sim._Resolved(m, None).resolve("s")
         words = [0, sim.MASK64 - 1, sim.MASK64]
-        words += [th + e for th in rec.thresholds for e in (-1, 0)]
-        for u in words:
-            cur, peak, counts = [5] * m.dimension, [5] * m.dimension, TallyCounter()
-            taken, terminated = sim._self_loop_block(
-                rec, np.array([u], dtype=np.uint64), cur, peak, counts
-            )
+        words += [th + e for th in rec.thresholds for e in (-1, 0, 1)]
+        rows = [(np.array([u], dtype=np.uint64), [5] * m.dimension) for u in words]
+        for u, (st, walk) in zip(words, step_rows(stepper_of(m, 1), rows)):
             i = rec.pick(u)
-            assert (taken, terminated) == (1, False)
-            assert counts == {rec.tids[i]: 1}
-            assert cur == [5 + c for c in rec.updates[i]]
+            assert (st.steps, st.terminated) == (1, False)
+            assert st.transition_counts == {rec.tids[i]: 1}
+            assert walk.cur == [5 + c for c in rec.updates[i]]
 
 
 def test_block_path_many_branches():
@@ -455,46 +494,40 @@ def test_draw_stream_short_block_then_aligned():
     assert stream.one() == int(words[left + sim.BLOCK + 30])
 
 
-def feed_blocks(m, blocks):
-    """Step one record of `m`'s state `s` through `blocks`, pairs of (words,
-    start counters), on the block path, so each block finds the scratch
-    buffers as the one before left them; each block must agree with the
-    scalar path run on the same words from the same counters."""
-    rec = sim._Resolved(m, None).resolve("s")
-    for words, start in blocks:
-        cur, peak, counts = list(start), list(start), TallyCounter()
-        taken, terminated = sim._self_loop_block(rec, words, cur, peak, counts)
-        walk = sim._Walk("s", list(start), list(start), TallyCounter(), [])
-        ref = sim._run(sim._Resolved(m, None), walk, sim._DrawStream(None, words), len(words), False)
-        assert (taken, terminated) == (ref.steps, ref.terminated)
-        assert (tuple(peak), dict(counts)) == (ref.max_counter, ref.transition_counts)
-        moved = [sum(counts[t] * u[k] for t, u in zip(rec.tids, rec.updates)) for k in range(len(start))]
-        assert cur == [c + d for c, d in zip(start, moved)]
-
-
 def constant_words(u, size):
     return np.full(size, u, dtype=np.uint64)
+
+
+def feed_rounds(m, rounds):
+    """Run each of `rounds`, lists of rows as for `step_rows`, on one stepper
+    with cap BLOCK, one after the other, so row j of a round finds slot j's
+    buffers as row j of the round before left them."""
+    stepper = stepper_of(m, sim.BLOCK)
+    for rows in rounds:
+        assert len(rows) < sim.ROWS
+        step_rows(stepper, rows)
 
 
 def test_block_path_short_block_ignores_stale_scratch():
     # after a full block, a short block leaves the buffers' tails stale:
     # all up-steps (a high cumulative sum, every mask set), which would
     # raise the peak and the branch counts if read, or all down-steps (a
-    # sum far below the next short block's start counters)
+    # sum far below the next short block's start counters); rows of
+    # different lengths share each round
     walk = self_loop([(-1,), (1,)])
     up, down = constant_words(sim.MASK64, sim.BLOCK), constant_words(0, sim.BLOCK)
     random = np.random.Philox(key=5).random_raw(2 * sim.BLOCK)
-    feed_blocks(
+    feed_rounds(
         walk,
         [
-            (up, (0,)),
-            (down[:100], (200,)),
-            (down, (10**6,)),
-            (up[:100], (50,)),
-            (up, (0,)),
-            (down[:100], (10,)),  # terminates on its 11th word
-            (random[: sim.BLOCK], (30,)),
-            (random[sim.BLOCK : sim.BLOCK + 700], (30,)),
+            [(up, (0,)), (down, (10**6,)), (up, (0,)), (random[: sim.BLOCK], (30,))],
+            [
+                (down[:100], (200,)),
+                (up[:100], (50,)),
+                (down[:100], (10,)),  # terminates on its 11th word
+                (random[sim.BLOCK : sim.BLOCK + 700], (30,)),
+                (up, (0,)),
+            ],
         ],
     )
 
@@ -502,7 +535,7 @@ def test_block_path_short_block_ignores_stale_scratch():
 @pytest.mark.parametrize(
     "updates",
     [
-        [(-1, 2), (0, -1), (2, 0)],  # three branches: the branch index and take
+        [(-1, 2), (0, -1), (2, 0)],  # three branches: two-bit codes
         [(-1, 1), (1, -2)],  # two branches, two varying counters
         [(-1, 1), (1, 1)],  # a varying and a constant counter
     ],
@@ -511,19 +544,21 @@ def test_block_path_stale_scratch_many_branches_and_counters(updates):
     m = self_loop(updates)
     first, last = constant_words(0, sim.BLOCK), constant_words(sim.MASK64, sim.BLOCK)
     random = np.random.Philox(key=6).random_raw(3 * sim.BLOCK)
-    feed_blocks(
+    feed_rounds(
         m,
         [
-            (last, (10**6, 10**6)),
-            (first[:100], (500, 500)),
-            (first, (10**6, 10**6)),
-            (last[:100], (500, 500)),
-            (random[: sim.BLOCK], (40, 40)),
-            (random[sim.BLOCK : sim.BLOCK + 300], (40, 40)),
-            (random[2 * sim.BLOCK :], (10**6, 10**6)),
-            (random[:37], (2, 3)),
-            (first[:100], (10, 10**6)),  # counter 0 terminates
-            (last[:100], (10**6, 10)),  # counter 1 terminates, with two varying counters
+            [(last, (10**6, 10**6)), (first, (10**6, 10**6)), (random[: sim.BLOCK], (40, 40))],
+            [
+                (first[:100], (500, 500)),
+                (last[:100], (500, 500)),
+                (random[sim.BLOCK : sim.BLOCK + 300], (40, 40)),
+            ],
+            [(random[2 * sim.BLOCK :], (10**6, 10**6)), (last, (10**6, 10**6)), (first, (10**6, 10**6))],
+            [
+                (random[:37], (2, 3)),
+                (first[:100], (10, 10**6)),  # counter 0 terminates
+                (last[:100], (10**6, 10)),  # counter 1 terminates, with two varying counters
+            ],
         ],
     )
 
@@ -546,18 +581,19 @@ def test_kernel_handoff_short_blocks_and_cap(kernel_batches, monkeypatch):
             }
         )
     )
-    blocks = []
-    inner = sim._self_loop_block
+    blocks = []  # per run a stepper finishes: the words it had buffered, whether it terminated
+    inner = sim._Stepper._round
 
-    def recording(rec, us, *args):
-        taken, terminated = inner(rec, us, *args)
-        blocks.append((len(us), terminated))
-        return taken, terminated
+    def recording(self):
+        buffered = {key: len(stream._buf) - stream._pos for key, _, stream in self.rows}
+        done = inner(self)
+        blocks.extend((buffered[key], st.terminated) for key, st, _ in done)
+        return done
 
-    monkeypatch.setattr(sim, "_self_loop_block", recording)
+    monkeypatch.setattr(sim._Stepper, "_round", recording)
     batch = simulate_many(m, 1, 200, seed=3, max_steps=300)
     assert len(kernel_batches) == 1
-    assert any(size < sim.RUN_BUFFER and terminated for size, terminated in blocks)
+    assert any(0 < size < sim.RUN_BUFFER and terminated for size, terminated in blocks)
     assert sum(not st.terminated and st.steps == 300 for st in batch) >= 3
     monkeypatch.undo()
     for r, st in enumerate(batch):
@@ -568,26 +604,29 @@ def test_kernel_handoff_short_blocks_and_cap(kernel_batches, monkeypatch):
     "updates",
     [
         [(-1,), (1,)],  # the fair walk
-        [(-1, 2), (0, -1), (2, 0)],  # three branches: the branch index and take
+        [(-1, 2), (0, -1), (2, 0)],  # three branches: two-bit codes
     ],
 )
 def test_block_path_allocates_no_block_sized_temporaries(updates):
-    # after the first block has made the scratch buffers, a block allocates
-    # no array of its size: the traced peak grows by less than one int64 block
-    rec = sim._Resolved(self_loop(updates), None).resolve("s")
-    blocks = np.random.Philox(key=3).random_raw((101, sim.BLOCK))
-    cur, peak, counts = [10**12] * len(updates[0]), [10**12] * len(updates[0]), TallyCounter()
-    sim._self_loop_block(rec, blocks[0], cur, peak, counts)
+    # after its first round has run, a round allocates no array of a block
+    # of words: the traced peak grows by less than one int64 block, for
+    # ROWS - 1 rows; every row reads one pre-drawn stream
+    stepper = stepper_of(self_loop(updates), 10**9)
+    words = np.random.Philox(key=3).random_raw(101 * sim.BLOCK)
+    walks = [sim._Walk("s", [10**12] * len(updates[0]), [10**12] * len(updates[0]), TallyCounter(), []) for _ in range(sim.ROWS - 1)]
+    for i, walk in enumerate(walks):
+        assert stepper.add(i, walk, sim._DrawStream(None, words)) == []
+    assert stepper._round() == []
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        for words in blocks[1:]:
-            assert sim._self_loop_block(rec, words, cur, peak, counts) == (sim.BLOCK, False)
+        for _ in range(100):
+            assert stepper._round() == []
         _, top = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert top - base < sim.BLOCK * 8
-    assert sum(counts.values()) == 101 * sim.BLOCK
+    assert all(walk.steps == 101 * sim.BLOCK for walk in walks)
 
 
 @st.composite
@@ -599,10 +638,45 @@ def self_loop_models(draw):
     return self_loop(updates, [F(w, sum(weights)) for w in weights])
 
 
+# caps next to the edges of one- to eight-step groups and of blocks
+EDGE_CAPS = sorted({c + e for c in (2, 4, 8, 16, sim.BLOCK, 2 * sim.BLOCK) for e in (-1, 0, 1)})
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(self_loop_models(), st.integers(0, 40), st.integers(1, 3 * sim.BLOCK), st.integers(0, 2**32))
-def test_block_path_matches_reference_on_random_self_loops(m, n, cap, seed):
-    assert_matches_reference(m, n, 3, seed=seed, max_steps=cap)
+@given(
+    self_loop_models(),
+    st.integers(0, 40),
+    st.one_of(st.integers(1, 3 * sim.BLOCK), st.sampled_from(EDGE_CAPS)),
+    st.integers(1, 2 * sim.ROWS + 3),
+    st.integers(0, 2**32),
+)
+def test_block_path_matches_reference_on_random_self_loops(m, n, cap, runs, seed):
+    # more runs than rows: slots recycle, and one round's rows have
+    # different lengths once some have ended
+    assert_matches_reference(m, n, runs, seed=seed, max_steps=cap)
+
+
+def test_kernel_handoff_fills_two_steppers(pump, kernel_batches, monkeypatch):
+    # under the criterion-5 strategy runs leave the pump for e (one branch)
+    # or f (two branches); more than ROWS wait on each stepper at a time
+    rounds = TallyCounter()  # (state, rows) per round
+    inner = sim._Stepper._round
+
+    def recording(self):
+        rounds[self.rows[0][1].state, len(self.rows)] += 1
+        return inner(self)
+
+    monkeypatch.setattr(sim._Stepper, "_round", recording)
+    batch = simulate_many(pump, 3, 150, seed=4, strategy=pump_leave(3), max_steps=8 * 3**4)
+    assert len(kernel_batches) == 1
+    for state in "ef":
+        assert rounds[state, sim.ROWS] >= 2, rounds
+        assert any(rows < sim.ROWS for s, rows in rounds if s == state)  # the drain
+    assert {st.realized_type for st in batch} >= {("M1", "M3"), ("M1", "M4")}
+    monkeypatch.undo()
+    for r, st in enumerate(batch):
+        ref = simulate_one(pump, 3, run=r, seed=4, strategy=pump_leave(3), max_steps=8 * 3**4, _vectorized=False)
+        assert st == ref, r
 
 
 # ---------------------------------------------------------------------------
