@@ -16,7 +16,10 @@ and exit 1).
 
 Every analysis report is attested before being emitted: all flows,
 rankings, stationary distributions, and reachability value certificates it
-carries are re-checked by exact rational substitution.
+carries are re-checked by exact rational substitution, and each class's
+flow and ranking are checked to be maximal (complementary). For d >= 2 the
+report carries each type's pipeline once, under `pipelines`; the estimates
+along a type name it by their `type`.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Optional, Sequence, Union
 
 from . import __version__
 from .dichotomy import (
+    DagPipelineStep,
     Estimate,
     InvalidType,
     NotDagLike,
@@ -40,6 +44,9 @@ from .dichotomy import (
     SystemIWitness,
     classify_dag,
     compute_maximal_solutions,
+    pipeline_label,
+    verify_dichotomy,
+    verify_pipeline,
     verify_ranking,
     verify_system_I_witness,
 )
@@ -83,6 +90,8 @@ from .onedim import (
     verify_stationary,
 )
 from .sim import TailReport, estimate_tails, multicycle_strategy_from_x
+
+Pipeline = tuple[DagPipelineStep, ...]
 
 INITIAL_CONVENTION = (
     "runs start in the lexicographically least state name unless overridden, "
@@ -131,23 +140,25 @@ def _ser_ranking(r: RankingFunction) -> dict:
     }
 
 
-def _ser_witnesses(w: dict) -> dict:
-    out: dict = {}
-    for key, val in w.items():
-        if key == "pipeline":
-            out[key] = [
+def _ser_pipelines(pipelines: Optional[dict[tuple[str, ...], Pipeline]]) -> Optional[list]:
+    if pipelines is None:
+        return None
+    return [
+        {
+            "type": list(beta),
+            "steps": [
                 {
-                    "class": step["class"],
-                    "zeroed_counters": list(step["zeroed_counters"]),
-                    "newly_pumped": list(step["newly_pumped"]),
-                    "flow": _ser_flow(step["flow"]),
-                    "ranking": _ser_ranking(step["ranking"]),
+                    "class": step.mec_id,
+                    "zeroed_counters": sorted(step.zeroed),
+                    "newly_pumped": sorted(step.newly_pumped),
+                    "flow": _ser_flow(step.witness),
+                    "ranking": _ser_ranking(step.ranking),
                 }
-                for step in val
-            ]
-        else:
-            out[key] = val
-    return out
+                for step in steps
+            ],
+        }
+        for beta, steps in pipelines.items()
+    ]
 
 
 def _ser_estimate(beta: tuple[str, ...], est: Estimate) -> dict:
@@ -159,7 +170,7 @@ def _ser_estimate(beta: tuple[str, ...], est: Estimate) -> dict:
         "bound": est.bound,
         "note": est.note,
         "beyond_quadratic_hint": est.beyond_quadratic_hint,
-        "witnesses": _ser_witnesses(est.witnesses),
+        "witnesses": dict(est.witnesses),
     }
 
 
@@ -203,20 +214,35 @@ def _attest(
     mecs: Sequence[Mec],
     types: Sequence[TypeSeq],
     estimates: dict[str, dict[tuple[str, ...], Estimate]],
+    pipelines: Optional[dict[tuple[str, ...], Pipeline]],
     inventory: Optional[ClassInventory],
 ) -> int:
-    """Re-substitute every witness behind the report; raise on any failure."""
+    """Re-substitute every witness behind the report; raise on any failure.
+
+    Every class solve (an inventory class, a pipeline step on the model with
+    that step's counters zeroed) is checked for a valid flow, a valid ranking
+    and their maximality (`verify_dichotomy`); a pipeline step repeating a
+    (zeroed set, class) solve already checked is skipped. Each type's
+    pipeline is checked for its bookkeeping, and each estimate read off a
+    pipeline for the label the type's emitted pipeline gives it."""
     failures: list[str] = []
     checks = 0
     by_id = {mec.mid: mec for mec in mecs}
 
+    def check_solve(zm: VassMdp, mec: Mec, flow, ranking, where: str) -> None:
+        nonlocal checks
+        for kind, errors in (
+            ("flow", verify_system_I_witness(zm, mec, flow)),
+            ("ranking", verify_ranking(zm, mec, ranking)),
+            ("maximality", verify_dichotomy(zm, mec, flow, ranking)),
+        ):
+            checks += 1
+            failures.extend(f"{where} {kind}: {e}" for e in errors)
+
     if inventory is not None:
         for mid in sorted(inventory.flags):
             f = inventory.flags[mid]
-            checks += 1
-            failures += [f"class {mid} flow: {e}" for e in verify_system_I_witness(m, by_id[mid], f.flow)]
-            checks += 1
-            failures += [f"class {mid} ranking: {e}" for e in verify_ranking(m, by_id[mid], f.ranking)]
+            check_solve(m, by_id[mid], f.flow, f.ranking, f"class {mid}")
         # the zero-cycle stationary witness exists only in the regime where
         # no class admits positive drift
         if not inventory.any_increasing:
@@ -257,17 +283,33 @@ def _attest(
                 f"type {','.join(ts.mecs)}: reported weight {ts.weight} != recomputed {weight}"
             )
 
+    zeroed_models: dict[frozenset[int], VassMdp] = {frozenset(): m}
+    checked: dict[tuple[frozenset[int], str], tuple] = {}
+    for beta, steps in (pipelines or {}).items():
+        checks += 1
+        failures += [f"pipeline along {','.join(beta)}: {e}" for e in verify_pipeline(m, beta, steps)]
+        for step in steps:
+            key, solve = (step.zeroed, step.mec_id), (step.witness, step.ranking)
+            if checked.get(key) == solve:
+                continue
+            checked[key] = solve
+            if step.zeroed not in zeroed_models:
+                zeroed_models[step.zeroed] = zero_counters(m, step.zeroed)
+            where = f"along {','.join(beta)} at class {step.mec_id}"
+            check_solve(zeroed_models[step.zeroed], by_id[step.mec_id], *solve, where)
+
     for mkey, per_type in estimates.items():
+        measure = parse_measure(mkey)
         for beta, est in per_type.items():
-            for step in est.witnesses.get("pipeline", ()):
-                zeroed = step["zeroed_counters"]
-                zm = zero_counters(m, zeroed) if zeroed else m
-                mec = by_id[step["class"]]
-                where = f"{mkey} along {','.join(beta)} at class {step['class']}"
-                checks += 1
-                failures += [f"{where} flow: {e}" for e in verify_system_I_witness(zm, mec, step["flow"])]
-                checks += 1
-                failures += [f"{where} ranking: {e}" for e in verify_ranking(zm, mec, step["ranking"])]
+            if est.pipeline is None:
+                continue
+            checks += 1
+            expected = pipeline_label(pipelines[beta], measure)
+            if est.label is not expected:
+                failures.append(
+                    f"{mkey} along {','.join(beta)}: label {est.label.value}, "
+                    f"but its type's pipeline gives {expected.value}"
+                )
 
     if failures:
         raise AttestationError("; ".join(failures))
@@ -289,6 +331,20 @@ def _validate_measures(m: VassMdp, measures: Optional[list[Measure]]) -> None:
             raise UnknownTransition(ms.tid)
 
 
+def _type_pipelines(
+    types: Sequence[TypeSeq], estimates: dict[str, dict[tuple[str, ...], Estimate]]
+) -> dict[tuple[str, ...], Pipeline]:
+    """Each type's pipeline, once and in type order, for the types some
+    estimate was read off a pipeline along (the attestation checks every
+    such estimate's label against it)."""
+    found: dict[tuple[str, ...], Pipeline] = {}
+    for per_type in estimates.values():
+        for beta, est in per_type.items():
+            if est.pipeline is not None:
+                found.setdefault(beta, est.pipeline)
+    return {ts.mecs: found[ts.mecs] for ts in types if ts.mecs in found}
+
+
 def build_analysis(
     m: VassMdp,
     measures: Optional[list[Measure]] = None,
@@ -307,6 +363,7 @@ def build_analysis(
         rep = classify_onedim(m, measures, max_type_len)
         types = rep.types
         inventory = rep.inventory
+        pipelines = None
         estimates = rep.estimates
         types_complete = rep.types_complete
     else:
@@ -322,10 +379,11 @@ def build_analysis(
             estimates[measure_key(ms)] = {
                 ts.mecs: classify_dag(m, ts.mecs, ms, mecs) for ts in types
             }
+        pipelines = _type_pipelines(types, estimates)
         inventory = None
         types_complete = max_type_len >= len(mecs)
 
-    checks = _attest(m, mecs, types, estimates, inventory)
+    checks = _attest(m, mecs, types, estimates, pipelines, inventory)
 
     return {
         "tool": {"name": "vass-asym", "version": __version__},
@@ -351,6 +409,7 @@ def build_analysis(
             {"classes": list(ts.mecs), "weight": _frac(ts.weight)} for ts in types
         ],
         "inventory": _ser_inventory(inventory),
+        "pipelines": _ser_pipelines(pipelines),
         "estimates": {
             mkey: [_ser_estimate(beta, est) for beta, est in per_type.items()]
             for mkey, per_type in estimates.items()

@@ -18,9 +18,14 @@ rank never increases along controlled transitions and never increases in
 expectation out of probabilistic states. ``y(c) > 0`` caps counter c linearly;
 a strictly decreasing row caps the corresponding transition's use count.
 
-Exactly one side of each candidate is achievable (the dichotomy): for every
-counter, y(c) > 0 or a flow pumps it; for every transition, its rank row is
-strict (resp. its source's expected row) or a flow uses it.
+The candidates come in complementary pairs, and exactly one side of each pair
+is achievable (the ranking/flow dichotomy; Tucker's strictly complementary
+solutions): for every counter, y(c) > 0 or a flow pumps it; for every
+controlled transition, its rank row is strict or a flow uses it; for every
+probabilistic state, its expected rank row is strict or a flow leaves it.
+`compute_maximal_solutions` walks the pairs and probes one side at a time,
+the ranking first, so most probes are feasible; `verify_dichotomy` checks
+the result's maximality from the witnesses alone.
 
 The DAG pipeline walks a type (class sequence): counters already pumped to a
 quadratic lower bound have their updates zeroed in later classes — the run can
@@ -51,7 +56,7 @@ from .model import (
     measure_key,
     zero_counters,
 )
-from .ratlp import LpProblem, LpSolution, con, maximize_strict_count, scale_to_integers, solve_feasibility
+from .ratlp import LpProblem, LpSolution, con, scale_to_integers, solve_feasibility
 
 
 class NotDagLike(ValueError):
@@ -93,6 +98,9 @@ class Estimate:
     note: Optional[str] = None
     beyond_quadratic_hint: bool = False
     witnesses: dict = field(default_factory=dict)
+    # the type's DAG pipeline the label was read off (d >= 2); the same for
+    # every measure along the type, so a report emits it once per type
+    pipeline: Optional[tuple[DagPipelineStep, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -251,14 +259,103 @@ def _achieved_labels(problem: LpProblem, solution: LpSolution) -> set[str]:
     return {problem.candidates[i].label for i in solution.achieved_strict}
 
 
+def _candidate_pairs(m: VassMdp, p1: LpProblem, p2: LpProblem) -> list[tuple[int, int]]:
+    """(System I, System II) candidate indices, one pair per System II
+    candidate and in its order: a counter's effect and its coefficient y(c);
+    a controlled transition's flow and its rank row; the flow out of a
+    probabilistic state (read on its first transition, the others are
+    proportional) and its expected rank row."""
+    index_I = {cand.label: i for i, cand in enumerate(p1.candidates)}
+    pairs = []
+    for j, cand in enumerate(p2.candidates):
+        kind, name = cand.label.split(":", 1)
+        if kind == "counter":
+            partner = cand.label
+        elif kind == "nondet":
+            partner = f"transition:{name}"
+        else:
+            partner = f"transition:{m.out(name)[0].tid}"
+        pairs.append((index_I[partner], j))
+    return pairs
+
+
+def _probe(problem: LpProblem, idx: int) -> Optional[dict[str, Fraction]]:
+    """A solution with candidate `idx` at least 1, or None."""
+    cand = problem.candidates[idx]
+    sol = solve_feasibility(
+        LpProblem(problem.variables, problem.constraints + (cand.with_rhs(1),))
+    )
+    return None if sol is None else sol.assignment
+
+
+def _strict(problem: LpProblem, x: dict[str, Fraction]) -> frozenset[int]:
+    return frozenset(i for i, cand in enumerate(problem.candidates) if cand.value(x) > 0)
+
+
+def _sum_witnesses(
+    problem: LpProblem, witnesses: list[dict[str, Fraction]], strict: set[int]
+) -> LpSolution:
+    """The sum of homogeneous solutions, re-checked: it solves the system,
+    leaves no candidate row negative, and is strict on exactly the candidates
+    some summand is strict on."""
+    total = {v: sum((w[v] for w in witnesses), Fraction(0)) for v in problem.variables}
+    for c in problem.constraints:
+        if not c.holds(total):
+            raise InternalError("sum of homogeneous witnesses left the system")
+    if any(cand.value(total) < 0 for cand in problem.candidates):
+        raise InternalError("sum of homogeneous witnesses has a negative candidate row")
+    achieved = _strict(problem, total)
+    if achieved != strict:
+        raise InternalError("sum is not strict on exactly its summands' candidates")
+    return LpSolution(assignment=total, achieved_strict=achieved)
+
+
 def compute_maximal_solutions(m: VassMdp, mec: Mec) -> tuple[SystemIWitness, RankingFunction]:
     """Integer-scaled maximal solutions of systems (I) and (II) for one class.
 
-    Maximal: strict on exactly the achievable candidates (see
-    `maximize_strict_count`); after scaling, every nonzero entry is >= 1.
+    Maximal: strict on every achievable candidate. The candidates come in
+    complementary pairs (`_candidate_pairs`), exactly one side of each
+    achievable. The pairs are walked in order; a pair that an earlier witness
+    of either system is already strict on is skipped, otherwise System (II)
+    is probed with its candidate at >= 1 and, if that is infeasible, System
+    (I) with its own, which must then be feasible. Each system's witnesses
+    are summed (homogeneous systems are closed under addition, and every
+    candidate row is nonnegative on their solutions), so each sum is strict
+    on one side of every pair, the achievable one. After scaling, every
+    nonzero entry is >= 1.
     """
-    p1 = build_system_I(m, mec)
-    s1 = scale_to_integers(maximize_strict_count(p1))
+    p1, p2 = build_system_I(m, mec), build_system_II(m, mec)
+    pairs = _candidate_pairs(m, p1, p2)
+    flows: list[dict[str, Fraction]] = []
+    rankings: list[dict[str, Fraction]] = []
+    strict1: set[int] = set()
+    strict2: set[int] = set()
+    for i, j in pairs:
+        if i in strict1 or j in strict2:
+            continue
+        y = _probe(p2, j)
+        if y is not None:
+            rankings.append(y)
+            strict2 |= _strict(p2, y)
+            continue
+        x = _probe(p1, i)
+        if x is None:
+            raise InternalError(
+                f"dichotomy violated in {mec.mid}: neither {p1.candidates[i].label} "
+                f"of the flow system nor {p2.candidates[j].label} of the ranking "
+                "system can be made strict"
+            )
+        flows.append(x)
+        strict1 |= _strict(p1, x)
+    s1 = scale_to_integers(_sum_witnesses(p1, flows, strict1))
+    s2 = scale_to_integers(_sum_witnesses(p2, rankings, strict2))
+    for i, j in pairs:
+        if (i in s1.achieved_strict) == (j in s2.achieved_strict):
+            raise InternalError(
+                f"pair {p1.candidates[i].label} / {p2.candidates[j].label} in "
+                f"{mec.mid} is not strict on exactly one side"
+            )
+
     labels1 = _achieved_labels(p1, s1)
     witness = SystemIWitness(
         mec_id=mec.mid,
@@ -271,8 +368,6 @@ def compute_maximal_solutions(m: VassMdp, mec: Mec) -> tuple[SystemIWitness, Ran
         ),
     )
 
-    p2 = build_system_II(m, mec)
-    s2 = scale_to_integers(maximize_strict_count(p2))
     labels2 = _achieved_labels(p2, s2)
     ranking = RankingFunction(
         mec_id=mec.mid,
@@ -372,6 +467,39 @@ def verify_ranking(m: VassMdp, mec: Mec, r: RankingFunction) -> list[str]:
     return bad
 
 
+def verify_dichotomy(m: VassMdp, mec: Mec, w: SystemIWitness, r: RankingFunction) -> list[str]:
+    """Maximality of a valid flow and ranking pair: every candidate pair is
+    strict on at least one side (empty = maximal). Counters: y(c) > 0 or a
+    positive effect. Controlled transitions: strict rank decrease or positive
+    flow. Transitions out of probabilistic states: strict expected decrease
+    at the source or positive flow. Both sides never hold at once: by flow
+    conservation, sum_t x(t) * rank delta(t) = sum_c y(c) * effect(c), the
+    left side <= 0 and the right side >= 0. Validity itself is checked by
+    `verify_system_I_witness` and `verify_ranking`."""
+    if (
+        set(w.x) != set(mec.transitions)
+        or set(r.y) != set(range(1, m.dimension + 1))
+        or set(r.z) != set(mec.states)
+    ):
+        return [f"dichotomy domain mismatch in {mec.mid}"]
+    bad: list[str] = []
+    for c in range(1, m.dimension + 1):
+        if not (r.y[c] > 0 or counter_effect(m, w, c) > 0):
+            bad.append(f"counter {c}: neither y({c}) > 0 nor a positive effect")
+    expected = {s: expected_rank_delta(m, r, s) for s in mec.states if m.kind(s) == PROB}
+    for t in sorted(mec.transitions):
+        tr = m.transition(t)
+        if m.kind(tr.source) == NONDET:
+            if not (rank_delta(m, r, tr) < 0 or w.x[t] > 0):
+                bad.append(f"transition {t}: neither a strict rank decrease nor a positive flow")
+        elif not (expected[tr.source] < 0 or w.x[t] > 0):
+            bad.append(
+                f"transition {t}: neither a strict expected decrease at {tr.source} "
+                "nor a positive flow"
+            )
+    return bad
+
+
 # --- DAG pipeline ---------------------------------------------------------------
 
 
@@ -382,16 +510,25 @@ class DagPipelineStep:
     witness: SystemIWitness          # of the zeroed class
     ranking: RankingFunction         # of the zeroed class
     zeroed: frozenset[int]           # counters zeroed before this class
-    hint: bool                       # fluctuation-limited pump of the tracked measure here
 
 
 @dataclass
 class DagPipelineState:
     """Walk state: the monotonically growing pumped-counter set plus a record
-    of each class's contribution (for reports and re-verification)."""
+    of each class's contribution (for reports and re-verification). `hint`:
+    the tracked measure's first pumping class found a fluctuation-limited
+    pump."""
 
     pumped: frozenset[int]
     steps: list[DagPipelineStep]
+    hint: bool = False
+
+
+def _newly_pumped(m: VassMdp, ranking: RankingFunction, pumped: frozenset[int]) -> frozenset[int]:
+    """The counters not yet pumped whose rank coefficient is zero."""
+    return frozenset(
+        c for c in range(1, m.dimension + 1) if c not in pumped and ranking.y.get(c) == 0
+    )
 
 
 def _pumps(measure: Measure, witness: SystemIWitness, newly: frozenset[int]) -> bool:
@@ -465,15 +602,11 @@ def run_dag_pipeline(
     pumped: frozenset[int] = frozenset()
     steps: list[DagPipelineStep] = []
     tracking = track_hint_for is not None
+    hint = False
     for mec in beta_mecs:
         zeroed_model = zero_counters(m, pumped) if pumped else m
         witness, ranking = compute_maximal_solutions(zeroed_model, mec)
-        newly = frozenset(
-            c
-            for c in range(1, m.dimension + 1)
-            if c not in pumped and ranking.y[c] == 0
-        )
-        hint = False
+        newly = _newly_pumped(m, ranking, pumped)
         if tracking and _pumps(track_hint_for, witness, newly):
             tracking = False
             if pumped:
@@ -486,11 +619,10 @@ def run_dag_pipeline(
                 witness=witness,
                 ranking=ranking,
                 zeroed=pumped,
-                hint=hint,
             )
         )
         pumped = pumped | newly
-    return DagPipelineState(pumped=pumped, steps=steps)
+    return DagPipelineState(pumped=pumped, steps=steps, hint=hint)
 
 
 def _validate_type(
@@ -570,38 +702,63 @@ def classify_dag(
     return _estimate(state, measure, beta)
 
 
+def _promoted(steps: Sequence[DagPipelineStep], measure: Measure) -> Optional[DagPipelineStep]:
+    """The first step that pumps the measure, if any."""
+    return next((s for s in steps if _pumps(measure, s.witness, s.newly_pumped)), None)
+
+
+def pipeline_label(steps: Sequence[DagPipelineStep], measure: Measure) -> Label:
+    """The label a type's pipeline gives a measure: `LowerQuadratic` where a
+    step pumps it, else `UpperLinear` for a use count and `TightLinear` for
+    a counter or the termination time."""
+    if _promoted(steps, measure) is not None:
+        return Label.LOWER_QUADRATIC
+    return Label.UPPER_LINEAR if isinstance(measure, TransitionCount) else Label.TIGHT_LINEAR
+
+
+def verify_pipeline(m: VassMdp, beta: Sequence[str], steps: Sequence[DagPipelineStep]) -> list[str]:
+    """A pipeline's bookkeeping (empty = consistent): one step per class of
+    the type, in order; each step zeroes exactly the counters earlier steps
+    pumped and newly pumps exactly the other counters its ranking leaves at
+    y(c) = 0. With each step's solve attested, the labels `pipeline_label`
+    reads follow from the witnesses."""
+    if [step.mec_id for step in steps] != list(beta):
+        return [f"pipeline classes {[step.mec_id for step in steps]} do not follow the type"]
+    bad: list[str] = []
+    pumped: frozenset[int] = frozenset()
+    for step in steps:
+        if step.zeroed != pumped:
+            bad.append(f"class {step.mec_id} zeroes {sorted(step.zeroed)}, not {sorted(pumped)}")
+        newly = _newly_pumped(m, step.ranking, pumped)
+        if step.newly_pumped != newly:
+            bad.append(
+                f"class {step.mec_id} claims {sorted(step.newly_pumped)} newly pumped, "
+                f"its ranking gives {sorted(newly)}"
+            )
+        pumped |= newly
+    return bad
+
+
 def _estimate(state: DagPipelineState, measure: Measure, beta: Sequence[str]) -> Estimate:
-    witnesses = {
-        "pipeline": [
-            {
-                "class": step.mec_id,
-                "zeroed_counters": sorted(step.zeroed),
-                "newly_pumped": sorted(step.newly_pumped),
-                "flow": step.witness,
-                "ranking": step.ranking,
-            }
-            for step in state.steps
-        ]
-    }
-    promoted = next(
-        (s for s in state.steps if _pumps(measure, s.witness, s.newly_pumped)), None
-    )
-    if promoted is not None:
+    pipeline = tuple(state.steps)
+    label = pipeline_label(pipeline, measure)
+    if label is Label.LOWER_QUADRATIC:
+        promoted = _promoted(pipeline, measure)
         return Estimate(
-            label=Label.LOWER_QUADRATIC,
+            label=label,
             tag="flow-pumping-quadratic-lower",
             exact=True,
-            beyond_quadratic_hint=promoted.hint,
+            beyond_quadratic_hint=state.hint,
             note=f"pumped in class {promoted.mec_id} along type {','.join(beta)}"
-            + ("; fluctuation-limited pump, growth may exceed degree 2" if promoted.hint else ""),
-            witnesses=witnesses,
+            + ("; fluctuation-limited pump, growth may exceed degree 2" if state.hint else ""),
+            pipeline=pipeline,
         )
-    if isinstance(measure, TransitionCount):
+    if label is Label.UPPER_LINEAR:
         return Estimate(
-            label=Label.UPPER_LINEAR,
+            label=label,
             tag="rank-coefficient-positive",
             exact=True,
-            witnesses=witnesses,
+            pipeline=pipeline,
             note=(
                 "no zeroed flow uses the transition, so a strict rank row caps "
                 "its use count linearly; no lower bound is claimed — the count "
@@ -609,8 +766,8 @@ def _estimate(state: DagPipelineState, measure: Measure, beta: Sequence[str]) ->
             ),
         )
     return Estimate(
-        label=Label.TIGHT_LINEAR,
+        label=label,
         tag="rank-coefficient-positive",
         exact=True,
-        witnesses=witnesses,
+        pipeline=pipeline,
     )

@@ -8,6 +8,16 @@ always yields the same witness, byte for byte.
 
 Free variables are handled by the classic split ``v = v_plus - v_minus``; the
 callers' systems carry their own nonnegativity rows where needed.
+
+An `LpProblem` may name candidate rows, homogeneous ``>= 0`` rows a caller
+wants strict. This module only solves single probes: the caller adds one
+candidate at ``>= 1`` to the base rows and calls `solve_feasibility`. The
+maximal solutions of the two dual dichotomy systems are built from such
+probes in `dichotomy.compute_maximal_solutions`, one probe per complementary
+candidate pair rather than one per candidate; `scale_to_integers` then clears
+their denominators. The per-candidate reference, which probes every
+candidate of one system and sums the feasible witnesses, is kept with the
+test oracles.
 """
 
 from __future__ import annotations
@@ -21,10 +31,6 @@ from typing import Mapping, Optional, Sequence, Union
 from .model import InternalError
 
 RationalLike = Union[int, str, Fraction]
-
-
-class NonHomogeneousSystem(ValueError):
-    """Strict-count maximization requires every right-hand side to be zero."""
 
 
 class Relation(Enum):
@@ -202,52 +208,6 @@ def solve_feasibility(problem: LpProblem) -> Optional[LpSolution]:
         if not c.holds(assignment):
             raise InternalError(f"simplex returned a non-solution for {c.label or c}")
     return LpSolution(assignment=assignment, achieved_strict=frozenset())
-
-
-def maximize_strict_count(problem: LpProblem) -> LpSolution:
-    """One solution of the homogeneous base system making as many candidate
-    rows simultaneously strict as possible.
-
-    Each candidate is probed independently at ``>= 1``; the witnesses are
-    summed. Additive closure of the homogeneous system keeps the sum feasible,
-    and the sum achieves exactly the individually-achievable candidates: were
-    it strict on another candidate, it would itself be a probe witness for it.
-    """
-    for c in problem.constraints:
-        if c.rhs != 0:
-            raise NonHomogeneousSystem(
-                f"base constraint {c.label or c.coeffs} has rhs {c.rhs} != 0"
-            )
-    for c in problem.candidates:
-        if c.relation is not Relation.GEQ or c.rhs != 0:
-            raise ValueError("candidates must be homogeneous '>= 0' rows")
-
-    achieved: list[int] = []
-    witnesses: list[dict[str, Fraction]] = []
-    for idx, cand in enumerate(problem.candidates):
-        probe = LpProblem(
-            problem.variables, problem.constraints + (cand.with_rhs(1),)
-        )
-        sol = solve_feasibility(probe)
-        if sol is not None:
-            achieved.append(idx)
-            witnesses.append(sol.assignment)
-
-    total = {v: Fraction(0) for v in problem.variables}
-    for w in witnesses:
-        for v in problem.variables:
-            total[v] += w[v]
-
-    for c in problem.constraints:
-        if not c.holds(total):
-            raise InternalError("sum of homogeneous witnesses left the system")
-    for idx in achieved:
-        if problem.candidates[idx].value(total) < 1:
-            raise InternalError("sum lost a candidate a probe achieved")
-    for idx, cand in enumerate(problem.candidates):
-        if idx not in achieved and cand.value(total) != 0 and cand.with_rhs(1).holds(total):
-            raise InternalError("sum achieved a candidate no probe achieved")
-    return LpSolution(assignment=total, achieved_strict=frozenset(achieved))
 
 
 def scale_to_integers(solution: LpSolution) -> LpSolution:

@@ -3,19 +3,18 @@
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from vass_asym.dichotomy import (
     Label,
+    build_system_I,
+    build_system_II,
     compute_maximal_solutions,
     counter_effect,
-    expected_rank_delta,
-    rank_delta,
-    verify_ranking,
-    verify_system_I_witness,
 )
 from vass_asym.graph import state_to_mec
 from vass_asym.model import (
-    NONDET,
+    InternalError,
     Transition,
     UnknownTransition,
     ValidationError,
@@ -32,6 +31,7 @@ from vass_asym.onedim import (
     bscc_analysis,
     chain_bscc_transitions,
 )
+from vass_asym.ratlp import LpProblem, LpSolution, Relation, solve_feasibility
 
 
 @dataclass(frozen=True)
@@ -80,27 +80,78 @@ def augment_step_counter(m, only=None) -> VassMdp:
     return VassMdp(m.dimension + 1, m.states, transitions)
 
 
-def verify_dichotomy(m, mec, w, r) -> bool:
-    """Every counter and every internal transition is covered by one side.
+class NonHomogeneousSystem(ValueError):
+    """Strict-count maximization requires every right-hand side to be zero."""
 
-    Counters: y(c) > 0 or the flow pumps c. Controlled transitions: strict
-    rank decrease or positive flow. Transitions out of probabilistic states:
-    strict expected decrease at the source or positive flow.
+
+def maximize_strict_count(problem: LpProblem) -> LpSolution:
+    """Reference strict-count maximization: one solution of the homogeneous
+    base system making as many candidate rows simultaneously strict as
+    possible.
+
+    Each candidate is probed independently at ``>= 1``; the witnesses are
+    summed. Additive closure of the homogeneous system keeps the sum feasible,
+    and the sum achieves exactly the individually-achievable candidates: were
+    it strict on another candidate, it would itself be a probe witness for it.
     """
-    if verify_system_I_witness(m, mec, w) or verify_ranking(m, mec, r):
-        return False
-    for c in range(1, m.dimension + 1):
-        if not (r.y[c] > 0 or counter_effect(m, w, c) > 0):
-            return False
-    for t in sorted(mec.transitions):
-        tr = m.transition(t)
-        if m.kind(tr.source) == NONDET:
-            covered = rank_delta(m, r, tr) < 0 or w.x[t] > 0
-        else:
-            covered = expected_rank_delta(m, r, tr.source) < 0 or w.x[t] > 0
-        if not covered:
-            return False
-    return True
+    for c in problem.constraints:
+        if c.rhs != 0:
+            raise NonHomogeneousSystem(
+                f"base constraint {c.label or c.coeffs} has rhs {c.rhs} != 0"
+            )
+    for c in problem.candidates:
+        if c.relation is not Relation.GEQ or c.rhs != 0:
+            raise ValueError("candidates must be homogeneous '>= 0' rows")
+
+    achieved: list[int] = []
+    witnesses: list[dict[str, Fraction]] = []
+    for idx, cand in enumerate(problem.candidates):
+        probe = LpProblem(
+            problem.variables, problem.constraints + (cand.with_rhs(1),)
+        )
+        sol = solve_feasibility(probe)
+        if sol is not None:
+            achieved.append(idx)
+            witnesses.append(sol.assignment)
+
+    total = {v: Fraction(0) for v in problem.variables}
+    for w in witnesses:
+        for v in problem.variables:
+            total[v] += w[v]
+
+    for c in problem.constraints:
+        if not c.holds(total):
+            raise InternalError("sum of homogeneous witnesses left the system")
+    for idx in achieved:
+        if problem.candidates[idx].value(total) < 1:
+            raise InternalError("sum lost a candidate a probe achieved")
+    for idx, cand in enumerate(problem.candidates):
+        if idx not in achieved and cand.value(total) != 0 and cand.with_rhs(1).holds(total):
+            raise InternalError("sum achieved a candidate no probe achieved")
+    return LpSolution(assignment=total, achieved_strict=frozenset(achieved))
+
+
+def reference_strict_labels(m, mec) -> tuple[set, set]:
+    """Candidate labels of systems (I) and (II) that the per-candidate
+    reference makes strict."""
+    out = []
+    for problem in (build_system_I(m, mec), build_system_II(m, mec)):
+        sol = maximize_strict_count(problem)
+        out.append({problem.candidates[i].label for i in sol.achieved_strict})
+    return out[0], out[1]
+
+
+def strict_labels(m, witness, ranking) -> tuple[set, set]:
+    """The same candidate labels, read off a flow and ranking pair."""
+    flow = {f"counter:{c}" for c in witness.positive_counters} | {
+        f"transition:{t}" for t in witness.positive_transitions
+    }
+    rank = (
+        {f"counter:{c}" for c, v in ranking.y.items() if v > 0}
+        | {f"nondet:{t}" for t in ranking.strict_nondet}
+        | {f"prob:{s}" for s in ranking.strict_prob}
+    )
+    return flow, rank
 
 
 def classify_counters_mec(m, mec) -> dict:

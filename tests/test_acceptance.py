@@ -17,12 +17,16 @@ from oracles import (
     inventory_from_bruteforce,
     is_hamiltonian,
     pivot_safe_bruteforce,
-    verify_dichotomy,
 )
 from strategies import random_model_from_rng
 
 from vass_asym.cli import build_analysis
-from vass_asym.dichotomy import compute_maximal_solutions
+from vass_asym.dichotomy import (
+    compute_maximal_solutions,
+    verify_dichotomy,
+    verify_ranking,
+    verify_system_I_witness,
+)
 from vass_asym.graph import enumerate_types, mec_decomposition, transition_to_mec
 from vass_asym.model import parse_measure, parse_vass
 from vass_asym.onedim import classify_onedim, hamiltonian_reduction, labels_from_inventory
@@ -165,7 +169,12 @@ def test_criterion_6_dichotomy_property_suite():
         models += 1
         for mec in mec_decomposition(m):
             w, r = compute_maximal_solutions(m, mec)
-            assert verify_dichotomy(m, mec, w, r), (
+            violations = (
+                verify_system_I_witness(m, mec, w)
+                + verify_ranking(m, mec, r)
+                + verify_dichotomy(m, mec, w, r)
+            )
+            assert violations == [], (
                 f"dichotomy violated on model #{models} class {mec.mid}"
             )
             pairs += 1

@@ -1,18 +1,28 @@
 """CLI tests: subcommands, report schemas, exit codes, attestation wiring."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import vass_asym
-from vass_asym.cli import main
-from vass_asym.model import InternalError, model_digest, parse_vass, serialize_vass
+from vass_asym import cli, dichotomy
+from vass_asym.cli import AttestationError, build_analysis, main
+from vass_asym.dichotomy import (
+    Label,
+    RankingFunction,
+    verify_dichotomy,
+    verify_ranking,
+    verify_system_I_witness,
+)
+from vass_asym.model import Counter, InternalError, model_digest, parse_vass, serialize_vass
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SCHEMAS = Path(vass_asym.__file__).parent / "schemas"
@@ -92,6 +102,7 @@ def test_analyze_walk_json_report(capsys, walk):
     assert by_measure["L"][("M1",)]["exact"] is True
     assert by_measure["C:1"][("M1",)]["label"] == "TightLinear"
     assert by_measure["T:t_down"][("M1",)]["label"] == "TightQuadratic"
+    assert doc["pipelines"] is None  # one-counter labels read the inventory
     assert doc["attestation"]["exact_arithmetic"] is True
     assert doc["attestation"]["checks"] >= 3
 
@@ -123,7 +134,10 @@ def test_analyze_pump_selected_measure(capsys):
     assert ests[("M1", "M4")]["label"] == "LowerQuadratic"
     assert ests[("M1", "M4")]["beyond_quadratic_hint"]
     assert doc["inventory"] is None  # behaviour inventories are one-counter only
-    steps = ests[("M1", "M2")]["witnesses"]["pipeline"]
+    assert all(e["witnesses"] == {} for e in doc["estimates"]["C:3"])
+    pipelines = {tuple(p["type"]): p["steps"] for p in doc["pipelines"]}
+    assert list(pipelines) == [tuple(t["classes"]) for t in doc["types"]]
+    steps = pipelines[("M1", "M2")]
     assert [s["class"] for s in steps] == ["M1", "M2"]
     assert steps[1]["zeroed_counters"] == steps[0]["newly_pumped"]
 
@@ -209,6 +223,63 @@ def test_attestation_failure_exits_3(capsys, monkeypatch):
     rc, _, err = run(capsys, "analyze", str(MODELS / "random_walk_1d.json"))
     assert rc == 3
     assert "attestation failure" in err and "injected defect" in err
+
+
+def test_valid_but_not_maximal_solutions_fail_attestation(capsys, monkeypatch):
+    # class M1 of the pump with its maximal flow but the all-zero ranking:
+    # both solutions re-substitute, yet counters 1 and 3 are strict on
+    # neither side, and the pipeline would read them as pumped
+    pump = parse_vass((MODELS / "pump_transfer_3d.json").read_text())
+    solve = dichotomy.compute_maximal_solutions
+    patched = []
+
+    def not_maximal(m, mec):
+        witness, ranking = solve(m, mec)
+        if mec.mid != "M1":
+            return witness, ranking
+        zero = RankingFunction(
+            mec.mid,
+            {c: Fraction(0) for c in ranking.y},
+            {s: Fraction(0) for s in ranking.z},
+            frozenset(),
+            frozenset(),
+        )
+        assert verify_system_I_witness(m, mec, witness) == []
+        assert verify_ranking(m, mec, zero) == []
+        assert verify_dichotomy(m, mec, witness, zero)
+        patched.append(mec.mid)
+        return witness, zero
+
+    monkeypatch.setattr(dichotomy, "compute_maximal_solutions", not_maximal)
+    with pytest.raises(AttestationError, match="maximality: counter 1"):
+        build_analysis(pump, [Counter(1)])
+    rc, out, err = run(capsys, "analyze", str(MODELS / "pump_transfer_3d.json"))
+    assert (rc, out) == (3, "")
+    assert "attestation failure" in err and "maximality" in err
+    assert patched
+
+
+def test_label_not_read_off_its_pipeline_fails_attestation(monkeypatch):
+    real = cli.classify_dag
+
+    def relabeled(m, beta, measure, mecs=None):
+        est = real(m, beta, measure, mecs)
+        if measure == Counter(1) and beta == ("M1",):
+            return dataclasses.replace(est, label=Label.LOWER_QUADRATIC)
+        return est
+
+    monkeypatch.setattr(cli, "classify_dag", relabeled)
+    pump = parse_vass((MODELS / "pump_transfer_3d.json").read_text())
+    with pytest.raises(AttestationError, match="C:1 along M1: label LowerQuadratic, but"):
+        build_analysis(pump, [Counter(1)])
+
+
+def test_dichotomy_violation_exits_3(capsys, monkeypatch):
+    # neither side of any candidate pair can be made strict
+    monkeypatch.setattr(dichotomy, "solve_feasibility", lambda problem: None)
+    rc, out, err = run(capsys, "analyze", str(MODELS / "pump_transfer_3d.json"))
+    assert (rc, out) == (3, "")
+    assert err.startswith("internal error: dichotomy violated in M1")
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

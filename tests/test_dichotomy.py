@@ -7,17 +7,20 @@ row forces z(b) <= z(a) while the expectation row forces z(a) + y2 <= z(b), so
 y2 = 0 and counter 2 is the only pumped one, with no strict rows anywhere.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import augment_step_counter, classify_counters_mec, verify_dichotomy
+from conftest import MODELS, load_model
+from oracles import augment_step_counter, classify_counters_mec, reference_strict_labels, strict_labels
 from vass_asym.dichotomy import (
     Estimate,
     InvalidType,
     Label,
     NotDagLike,
+    _candidate_pairs,
     _pump_probe,
     build_system_I,
     build_system_II,
@@ -27,9 +30,12 @@ from vass_asym.dichotomy import (
     expected_rank_delta,
     rank_delta,
     run_dag_pipeline,
+    verify_dichotomy,
+    verify_pipeline,
     verify_ranking,
     verify_system_I_witness,
 )
+from vass_asym import dichotomy
 from vass_asym.graph import enumerate_types, is_dag_like, mec_decomposition
 from vass_asym.model import (
     Counter,
@@ -40,6 +46,7 @@ from vass_asym.model import (
     TransitionCount,
     UnknownTransition,
     VassMdp,
+    zero_counters,
 )
 from tests.strategies import random_models
 
@@ -61,7 +68,7 @@ def test_walk_flow_balances_loops(walk):
     assert ranking.strict_prob == frozenset()
     assert verify_system_I_witness(walk, mec, witness) == []
     assert verify_ranking(walk, mec, ranking) == []
-    assert verify_dichotomy(walk, mec, witness, ranking)
+    assert verify_dichotomy(walk, mec, witness, ranking) == []
 
 
 def test_walk_counter_tight_linear(walk):
@@ -76,7 +83,9 @@ def test_decreasing_loop_all_strict(dec_loop):
     assert ranking.y[1] >= 1
     assert ranking.strict_nondet == frozenset({"t_dec"})
     assert rank_delta(dec_loop, ranking, dec_loop.transition("t_dec")) < 0
-    assert verify_dichotomy(dec_loop, mec, witness, ranking)
+    assert verify_system_I_witness(dec_loop, mec, witness) == []
+    assert verify_ranking(dec_loop, mec, ranking) == []
+    assert verify_dichotomy(dec_loop, mec, witness, ranking) == []
 
 
 def test_pump_m1_forces_y2_zero(pump):
@@ -165,7 +174,7 @@ def test_pipeline_promotion_chain(pump):
     assert state.steps[1].zeroed == frozenset({2})
     assert state.steps[1].newly_pumped == frozenset({3})
     assert state.pumped == frozenset({2, 3})
-    assert not state.steps[1].hint  # budget-limited transfer, drift -1
+    assert not state.hint  # budget-limited transfer, drift -1
 
 
 def test_classify_dag_counter_labels(pump):
@@ -253,7 +262,7 @@ def _assert_matches_step_counter_encoding(m):
         compared += 1
         for t in m.transitions:
             direct = classify_dag(m, beta, TransitionCount(t.tid), mecs)
-            if "pipeline" not in direct.witnesses:
+            if direct.pipeline is None:
                 continue  # transient transition or class off the type: no pipeline
             oracle = classify_dag(
                 augment_step_counter(m, only=t.tid), beta, Counter(m.dimension + 1)
@@ -307,6 +316,21 @@ def test_classify_dag_rejects_non_dag_like():
         classify_dag(m, ("M1",), Counter(1))
 
 
+def test_pipeline_bookkeeping_is_verified(pump):
+    by_id = _mecs_by_id(pump)
+    beta = ("M1", "M2")
+    steps = run_dag_pipeline(pump, [by_id[b] for b in beta]).steps
+    assert verify_pipeline(pump, beta, steps) == []
+    assert verify_pipeline(pump, ("M1", "M4"), steps)
+    first, second = steps
+    unpumped = dataclasses.replace(first, newly_pumped=frozenset())
+    assert verify_pipeline(pump, beta, [unpumped, second]) == [
+        "class M1 claims [] newly pumped, its ranking gives [2]"
+    ]
+    unzeroed = dataclasses.replace(second, zeroed=frozenset())
+    assert verify_pipeline(pump, beta, [first, unzeroed]) == ["class M2 zeroes [], not [2]"]
+
+
 def test_pipeline_monotone_prefix(pump):
     by_id = _mecs_by_id(pump)
     full = run_dag_pipeline(pump, [by_id["M1"], by_id["M4"]])
@@ -332,7 +356,7 @@ def test_dichotomy_holds_on_random_classes(m):
         witness, ranking = compute_maximal_solutions(m, mec)
         assert verify_system_I_witness(m, mec, witness) == []
         assert verify_ranking(m, mec, ranking) == []
-        assert verify_dichotomy(m, mec, witness, ranking)
+        assert verify_dichotomy(m, mec, witness, ranking) == []
 
 
 @given(random_models(max_states=4, max_dim=2, max_update=3))
@@ -344,3 +368,102 @@ def test_counter_labels_partition(m):
         assert all(
             v in (Label.TIGHT_LINEAR, Label.LOWER_QUADRATIC) for v in labels.values()
         )
+
+
+# --- complementary class solves ---------------------------------------------------
+
+
+CORPUS = sorted(p.name for p in MODELS.glob("*.json"))
+
+
+def _zeroed_variants(m, zeroed):
+    """The model itself and, with a nonempty counter set, its zeroed copy."""
+    return [m] + ([zero_counters(m, zeroed)] if zeroed else [])
+
+
+def _assert_matches_per_candidate_reference(m):
+    for mec in mec_decomposition(m):
+        witness, ranking = compute_maximal_solutions(m, mec)
+        assert strict_labels(m, witness, ranking) == reference_strict_labels(m, mec), mec.mid
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_pair_solves_match_per_candidate_reference_on_corpus(name):
+    m = load_model(name)
+    for c in range(m.dimension + 1):
+        for model in _zeroed_variants(m, frozenset(range(1, c + 1))):
+            _assert_matches_per_candidate_reference(model)
+
+
+@given(random_models(max_states=3, max_dim=3, max_update=3), st.sets(st.integers(1, 3)))
+@settings(max_examples=100, deadline=None)
+def test_pair_solves_match_per_candidate_reference(m, zeroed):
+    zeroed = frozenset(c for c in zeroed if c <= m.dimension)
+    for model in _zeroed_variants(m, zeroed):
+        _assert_matches_per_candidate_reference(model)
+
+
+def _count_probes(monkeypatch, m, mec):
+    """The probes of one class solve: (system, candidate label, feasible)."""
+    probes = []
+    solve = dichotomy.solve_feasibility
+
+    def counting(problem):
+        sol = solve(problem)
+        system = "I" if problem.variables[0].startswith("x:") else "II"
+        probes.append((system, problem.constraints[-1].label, sol is not None))
+        return sol
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dichotomy, "solve_feasibility", counting)
+        compute_maximal_solutions(m, mec)
+    return probes
+
+
+def _assert_probe_budget(monkeypatch, m):
+    for mec in mec_decomposition(m):
+        p1, p2 = build_system_I(m, mec), build_system_II(m, mec)
+        pairs = _candidate_pairs(m, p1, p2)
+        pair_of = {}
+        for k, (i, j) in enumerate(pairs):
+            pair_of[("I", p1.candidates[i].label)] = k
+            pair_of[("II", p2.candidates[j].label)] = k
+        probes = _count_probes(monkeypatch, m, mec)
+        assert len(probes) <= 2 * len(pairs)
+        infeasible = [pair_of[(system, label)] for system, label, ok in probes if not ok]
+        assert len(infeasible) == len(set(infeasible)), "two infeasible probes on one pair"
+        # a System (I) probe only follows an infeasible System (II) probe
+        assert sum(system == "I" for system, _, _ in probes) == len(infeasible)
+        assert all(system == "II" for system, _, ok in probes if not ok)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_probe_budget_on_corpus(monkeypatch, name):
+    _assert_probe_budget(monkeypatch, load_model(name))
+
+
+@given(random_models(max_states=4, max_dim=3, max_update=3))
+@settings(max_examples=40, deadline=None)
+def test_probe_budget(m):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_probe_budget(monkeypatch, m)
+
+
+def test_pump_m1_probes_fewer_than_per_candidate(monkeypatch, pump):
+    m1 = _mecs_by_id(pump)["M1"]
+    probes = _count_probes(monkeypatch, pump, m1)
+    per_candidate = len(build_system_I(pump, m1).candidates) + len(
+        build_system_II(pump, m1).candidates
+    )
+    assert len(probes) < per_candidate == 11
+
+
+def test_both_sides_of_a_pair_infeasible_is_internal_error(monkeypatch, pump):
+    solve = dichotomy.solve_feasibility
+
+    def no_counter_1(problem):
+        return None if problem.constraints[-1].label == "counter:1" else solve(problem)
+
+    monkeypatch.setattr(dichotomy, "solve_feasibility", no_counter_1)
+    with pytest.raises(InternalError, match="neither counter:1 of the flow system nor counter:1"):
+        compute_maximal_solutions(pump, _mecs_by_id(pump)["M1"])

@@ -13,14 +13,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import NonHomogeneousSystem, maximize_strict_count
 from vass_asym.ratlp import (
     LinearConstraint,
     LpProblem,
     LpSolution,
-    NonHomogeneousSystem,
     Relation,
     con,
-    maximize_strict_count,
     scale_to_integers,
     solve_feasibility,
     solve_linear_system,
@@ -54,6 +53,9 @@ def test_free_variables_allowed_negative():
     p = LpProblem(("x",), (con({"x": 1}, "<=", -3),))
     sol = solve_feasibility(p)
     assert sol.assignment["x"] <= -3
+
+
+# --- the per-candidate reference of the dichotomy solves (tests/oracles.py) ----
 
 
 def test_strict_count_probing_achievable():
