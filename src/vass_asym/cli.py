@@ -1,25 +1,21 @@
 """Command line interface.
 
-Subcommands: `analyze` (growth classification report), `simulate` (Monte
-Carlo tail estimation), `mecs` / `types` (structure inspection), `energy`
-(non-losing component decision), `gen-hamiltonian` (graph-to-model
-reduction).
+Subcommands: `analyze` (growth classification report), `check` (re-check a
+report against its model), `simulate` (Monte Carlo tail estimation), `mecs`
+/ `types` (structure inspection), `energy` (non-losing component decision),
+`gen-hamiltonian` (graph-to-model reduction).
 
 Exit codes: 0 success; 1 invalid input (bad JSON, schema or validation
-errors, unknown names, bad options); 2 out of scope (class graph not
-DAG-like where the analysis requires it, enumeration bounds exceeded); 3
-internal failure, never expected: an attestation failure (an emitted
-witness did not re-substitute exactly) or an internal invariant that did
-not hold (`InternalError`, or a bare `KeyError`: a lookup no valid input
-misses; unknown transition and vertex names raise `KeyError` subclasses
-and exit 1).
+errors, unknown names, bad options, a report that cannot be read or names
+another model); 2 out of scope (class graph not DAG-like where the analysis
+requires it, enumeration bounds exceeded); 3 a witness failed its exact
+re-check (`attestation failure:`), or an internal invariant did not hold
+(`InternalError`, or a bare `KeyError`: a lookup no valid input misses;
+unknown transition and vertex names raise `KeyError` subclasses and exit 1).
 
-Every analysis report is attested before being emitted: all flows,
-rankings, stationary distributions, and reachability value certificates it
-carries are re-checked by exact rational substitution, and each class's
-flow and ranking are checked to be maximal (complementary). For d >= 2 the
-report carries each type's pipeline once, under `pipelines`; the estimates
-along a type name it by their `type`.
+`analyze` attests its report by running `check.check_report` on the document
+before emitting it; README § analyze and `schemas/analysis_report.schema.json`
+describe the report's fields.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from . import __version__
+from .check import AttestationError, ReportError, check_report
 from .dichotomy import (
     DagPipelineStep,
     Estimate,
@@ -44,21 +41,15 @@ from .dichotomy import (
     SystemIWitness,
     classify_dag,
     compute_maximal_solutions,
-    pipeline_label,
-    verify_dichotomy,
-    verify_pipeline,
-    verify_ranking,
-    verify_system_I_witness,
 )
 from .graph import (
     Mec,
+    Reach,
     TooManyTypes,
     TypeSeq,
     enumerate_types,
     is_dag_like,
-    max_reach_values,
     mec_decomposition,
-    verify_reach_values,
 )
 from .model import (
     Counter,
@@ -71,15 +62,14 @@ from .model import (
     UnknownTransition,
     ValidationError,
     VassMdp,
-    apply_md_strategy,
     measure_key,
     model_digest,
     parse_measure,
     parse_vass,
     serialize_vass,
-    zero_counters,
 )
 from .onedim import (
+    BoundedZeroWitness,
     ClassInventory,
     TooManyStrategies,
     VertexNotInGraph,
@@ -87,7 +77,6 @@ from .onedim import (
     classify_onedim,
     energy_safe,
     hamiltonian_reduction,
-    verify_stationary,
 )
 from .sim import TailReport, estimate_tails, multicycle_strategy_from_x
 
@@ -97,10 +86,6 @@ INITIAL_CONVENTION = (
     "runs start in the lexicographically least state name unless overridden, "
     "with every counter at the scale parameter n"
 )
-
-
-class AttestationError(RuntimeError):
-    """An emitted witness failed exact re-substitution."""
 
 
 class _CliError(Exception):
@@ -119,6 +104,31 @@ class _Parser(argparse.ArgumentParser):
 
 def _frac(x: Fraction) -> str:
     return str(Fraction(x))
+
+
+def _ser_class(mec: Mec) -> dict:
+    return {"id": mec.mid, "states": sorted(mec.states), "transitions": sorted(mec.transitions)}
+
+
+def _ser_reach(reach: dict[tuple[str, str], Reach]) -> list:
+    return [
+        {
+            "from": a,
+            "to": b,
+            "values": {s: _frac(v) for s, v in sorted(values.items()) if v != 0},
+            "choice": {s: t for s, t in sorted(choice.items()) if values[s] != 0},
+        }
+        for (a, b), (values, choice) in sorted(reach.items())
+    ]
+
+
+def _ser_zero_cycle(w: BoundedZeroWitness) -> dict:
+    return {
+        "class": w.mec_id,
+        "strategy": dict(sorted(w.strategy.items())),
+        "component": sorted(w.component_states),
+        "stationary": {s: _frac(v) for s, v in sorted(w.stationary.items())},
+    }
 
 
 def _ser_flow(w: SystemIWitness) -> dict:
@@ -205,118 +215,6 @@ def _ser_inventory(inv: Optional[ClassInventory]) -> Optional[dict]:
 
 
 # ---------------------------------------------------------------------------
-# attestation
-# ---------------------------------------------------------------------------
-
-
-def _attest(
-    m: VassMdp,
-    mecs: Sequence[Mec],
-    types: Sequence[TypeSeq],
-    estimates: dict[str, dict[tuple[str, ...], Estimate]],
-    pipelines: Optional[dict[tuple[str, ...], Pipeline]],
-    inventory: Optional[ClassInventory],
-) -> int:
-    """Re-substitute every witness behind the report; raise on any failure.
-
-    Every class solve (an inventory class, a pipeline step on the model with
-    that step's counters zeroed) is checked for a valid flow, a valid ranking
-    and their maximality (`verify_dichotomy`); a pipeline step repeating a
-    (zeroed set, class) solve already checked is skipped. Each type's
-    pipeline is checked for its bookkeeping, and each estimate read off a
-    pipeline for the label the type's emitted pipeline gives it."""
-    failures: list[str] = []
-    checks = 0
-    by_id = {mec.mid: mec for mec in mecs}
-
-    def check_solve(zm: VassMdp, mec: Mec, flow, ranking, where: str) -> None:
-        nonlocal checks
-        for kind, errors in (
-            ("flow", verify_system_I_witness(zm, mec, flow)),
-            ("ranking", verify_ranking(zm, mec, ranking)),
-            ("maximality", verify_dichotomy(zm, mec, flow, ranking)),
-        ):
-            checks += 1
-            failures.extend(f"{where} {kind}: {e}" for e in errors)
-
-    if inventory is not None:
-        for mid in sorted(inventory.flags):
-            f = inventory.flags[mid]
-            check_solve(m, by_id[mid], f.flow, f.ranking, f"class {mid}")
-        # the zero-cycle stationary witness exists only in the regime where
-        # no class admits positive drift
-        if not inventory.any_increasing:
-            w = bounded_zero_witness(m, inventory)
-            if w is not None:
-                chain = apply_md_strategy(m, w.strategy)
-                checks += 1
-                failures += [
-                    f"class {w.mec_id} stationary: {e}"
-                    for e in verify_stationary(chain, w.component_states, w.stationary)
-                ]
-
-    pair_cache: dict[tuple[str, str], Fraction] = {}
-
-    def pair(a: str, b: str) -> Fraction:
-        nonlocal checks
-        if (a, b) not in pair_cache:
-            targets = frozenset(by_id[b].states)
-            sinks = frozenset(
-                s for mec in mecs if mec.mid not in (a, b) for s in mec.states
-            )
-            values, choice = max_reach_values(m, targets, sinks)
-            checks += 1
-            failures.extend(
-                f"reach {a}->{b}: {e}"
-                for e in verify_reach_values(m, targets, sinks, values, choice)
-            )
-            pair_cache[(a, b)] = values[min(by_id[a].states)]
-        return pair_cache[(a, b)]
-
-    for ts in types:
-        weight = Fraction(1)
-        for a, b in zip(ts.mecs, ts.mecs[1:]):
-            weight *= pair(a, b)
-        checks += 1
-        if weight != ts.weight:
-            failures.append(
-                f"type {','.join(ts.mecs)}: reported weight {ts.weight} != recomputed {weight}"
-            )
-
-    zeroed_models: dict[frozenset[int], VassMdp] = {frozenset(): m}
-    checked: dict[tuple[frozenset[int], str], tuple] = {}
-    for beta, steps in (pipelines or {}).items():
-        checks += 1
-        failures += [f"pipeline along {','.join(beta)}: {e}" for e in verify_pipeline(m, beta, steps)]
-        for step in steps:
-            key, solve = (step.zeroed, step.mec_id), (step.witness, step.ranking)
-            if checked.get(key) == solve:
-                continue
-            checked[key] = solve
-            if step.zeroed not in zeroed_models:
-                zeroed_models[step.zeroed] = zero_counters(m, step.zeroed)
-            where = f"along {','.join(beta)} at class {step.mec_id}"
-            check_solve(zeroed_models[step.zeroed], by_id[step.mec_id], *solve, where)
-
-    for mkey, per_type in estimates.items():
-        measure = parse_measure(mkey)
-        for beta, est in per_type.items():
-            if est.pipeline is None:
-                continue
-            checks += 1
-            expected = pipeline_label(pipelines[beta], measure)
-            if est.label is not expected:
-                failures.append(
-                    f"{mkey} along {','.join(beta)}: label {est.label.value}, "
-                    f"but its type's pipeline gives {expected.value}"
-                )
-
-    if failures:
-        raise AttestationError("; ".join(failures))
-    return checks
-
-
-# ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
 
@@ -350,7 +248,8 @@ def build_analysis(
     measures: Optional[list[Measure]] = None,
     max_type_len: Optional[int] = None,
 ) -> dict:
-    """Classify, attest, and serialize: the `analyze` subcommand's payload."""
+    """Classify, serialize, and attest: the `analyze` subcommand's payload.
+    The attestation is `check_report` run on the document itself."""
     _validate_measures(m, measures)
     mecs = mec_decomposition(m)
     dag = is_dag_like(m, mecs)
@@ -359,13 +258,15 @@ def build_analysis(
     if max_type_len is None:
         max_type_len = max(1, len(mecs))
 
+    pipelines, zero_cycle = None, None
     if m.dimension == 1:
         rep = classify_onedim(m, measures, max_type_len)
-        types = rep.types
-        inventory = rep.inventory
-        pipelines = None
+        types, reach, inventory = rep.types, rep.reach, rep.inventory
         estimates = rep.estimates
         types_complete = rep.types_complete
+        # the zero-cycle witness matters only where no class admits positive drift
+        if not inventory.any_increasing:
+            zero_cycle = bounded_zero_witness(m, inventory)
     else:
         if measures is None:
             measures = (
@@ -373,7 +274,7 @@ def build_analysis(
                 + [Counter(c) for c in range(1, m.dimension + 1)]
                 + [TransitionCount(t.tid) for t in m.transitions]
             )
-        types = enumerate_types(m, max_type_len, mecs)
+        types, reach = enumerate_types(m, max_type_len, mecs)
         estimates = {}
         for ms in measures:
             estimates[measure_key(ms)] = {
@@ -383,9 +284,7 @@ def build_analysis(
         inventory = None
         types_complete = max_type_len >= len(mecs)
 
-    checks = _attest(m, mecs, types, estimates, pipelines, inventory)
-
-    return {
+    doc = {
         "tool": {"name": "vass-asym", "version": __version__},
         "model": {
             "digest": model_digest(m),
@@ -394,28 +293,28 @@ def build_analysis(
             "transitions": len(m.transitions),
         },
         "initial_convention": INITIAL_CONVENTION,
-        "classes": [
-            {
-                "id": mec.mid,
-                "states": sorted(mec.states),
-                "transitions": sorted(mec.transitions),
-            }
-            for mec in mecs
-        ],
+        "classes": [_ser_class(mec) for mec in mecs],
         "dag_like": dag,
         "types_complete": types_complete,
         "max_type_len": max_type_len,
         "types": [
             {"classes": list(ts.mecs), "weight": _frac(ts.weight)} for ts in types
         ],
+        "reach": _ser_reach(reach),
         "inventory": _ser_inventory(inventory),
+        "zero_cycle_witness": None if zero_cycle is None else _ser_zero_cycle(zero_cycle),
         "pipelines": _ser_pipelines(pipelines),
         "estimates": {
             mkey: [_ser_estimate(beta, est) for beta, est in per_type.items()]
             for mkey, per_type in estimates.items()
         },
-        "attestation": {"exact_arithmetic": True, "checks": checks},
     }
+    try:
+        checks = check_report(m, doc)
+    except ReportError as e:  # the analysis wrote what its checker cannot read
+        raise InternalError(str(e)) from None
+    doc["attestation"] = {"exact_arithmetic": True, "checks": checks}
+    return doc
 
 
 def _analysis_text(doc: dict) -> str:
@@ -602,6 +501,12 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _cmd_check(args) -> int:
+    checks = check_report(_read_model(args.model), json.loads(Path(args.report).read_text()))
+    _emit(f"{checks} exact re-substitution checks passed", None)
+    return 0
+
+
 def _cmd_simulate(args) -> int:
     m = _read_model(args.model)
     try:
@@ -635,17 +540,7 @@ def _cmd_mecs(args) -> int:
     mecs = mec_decomposition(m)
     dag = is_dag_like(m, mecs)
     if args.json:
-        doc = {
-            "classes": [
-                {
-                    "id": mec.mid,
-                    "states": sorted(mec.states),
-                    "transitions": sorted(mec.transitions),
-                }
-                for mec in mecs
-            ],
-            "dag_like": dag,
-        }
+        doc = {"classes": [_ser_class(mec) for mec in mecs], "dag_like": dag}
         _emit(json.dumps(doc, indent=2), args.output)
         return 0
     lines = [
@@ -661,8 +556,8 @@ def _cmd_mecs(args) -> int:
 def _cmd_types(args) -> int:
     m = _read_model(args.model)
     mecs = mec_decomposition(m)
-    max_len = args.max_type_len if args.max_type_len else max(1, len(mecs))
-    types = enumerate_types(m, max_len, mecs)
+    max_len = args.max_type_len if args.max_type_len is not None else max(1, len(mecs))
+    types, _ = enumerate_types(m, max_len, mecs)
     if args.json:
         doc = {
             "max_type_len": max_len,
@@ -742,6 +637,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--text", action="store_true", help="emit the text report (default)")
     p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
     p.set_defaults(func=_cmd_analyze)
+
+    p = sub.add_parser("check", help="re-check every witness of an analysis report exactly")
+    p.add_argument("model", help="model JSON file")
+    p.add_argument("report", help="the model's `analyze --json` report")
+    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("simulate", help="estimate measure tails by simulation")
     p.add_argument("model", help="model JSON file")

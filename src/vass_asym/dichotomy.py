@@ -24,8 +24,8 @@ solutions): for every counter, y(c) > 0 or a flow pumps it; for every
 controlled transition, its rank row is strict or a flow uses it; for every
 probabilistic state, its expected rank row is strict or a flow leaves it.
 `compute_maximal_solutions` walks the pairs and probes one side at a time,
-the ranking first, so most probes are feasible; `verify_dichotomy` checks
-the result's maximality from the witnesses alone.
+the ranking first, so most probes are feasible; `check.solve_failures`
+checks the result's maximality from the serialized witnesses alone.
 
 The DAG pipeline walks a type (class sequence): counters already pumped to a
 quadratic lower bound have their updates zeroed in later classes — the run can
@@ -394,112 +394,6 @@ def rank_delta(m: VassMdp, r: RankingFunction, t: Transition) -> Fraction:
     )
 
 
-def expected_rank_delta(m: VassMdp, r: RankingFunction, state: str) -> Fraction:
-    return sum(
-        (t.prob * rank_delta(m, r, t) for t in m.out(state)), Fraction(0)
-    )
-
-
-def counter_effect(m: VassMdp, w: SystemIWitness, c: int) -> Fraction:
-    return sum(
-        (w.x[t] * m.transition(t).update[c - 1] for t in w.x), Fraction(0)
-    )
-
-
-def verify_system_I_witness(m: VassMdp, mec: Mec, w: SystemIWitness) -> list[str]:
-    """Exact re-substitution; returns human-readable violations (empty = valid)."""
-    bad: list[str] = []
-    if set(w.x) != set(mec.transitions):
-        return [f"flow domain mismatch in {mec.mid}"]
-    for t, v in w.x.items():
-        if v < 0:
-            bad.append(f"x({t}) = {v} < 0")
-    for c in range(1, m.dimension + 1):
-        eff = counter_effect(m, w, c)
-        if eff < 0:
-            bad.append(f"counter {c} effect {eff} < 0")
-        if (eff > 0) != (c in w.positive_counters):
-            bad.append(f"counter {c} strictness claim mismatch (effect {eff})")
-    for s in mec.states:
-        inflow = sum((w.x[t] for t in w.x if m.transition(t).target == s), Fraction(0))
-        outflow = sum((w.x[t] for t in w.x if m.transition(t).source == s), Fraction(0))
-        if inflow != outflow:
-            bad.append(f"flow not conserved at {s}: in {inflow} != out {outflow}")
-        if m.kind(s) == PROB:
-            for t in m.out(s):
-                if w.x[t.tid] != t.prob * outflow:
-                    bad.append(f"flow out of {s} not proportional on {t.tid}")
-    for t, v in w.x.items():
-        if (v > 0) != (t in w.positive_transitions):
-            bad.append(f"transition {t} strictness claim mismatch (x = {v})")
-    return bad
-
-
-def verify_ranking(m: VassMdp, mec: Mec, r: RankingFunction) -> list[str]:
-    """Exact re-substitution for a ranking solution (empty = valid)."""
-    bad: list[str] = []
-    if set(r.y) != set(range(1, m.dimension + 1)) or set(r.z) != set(mec.states):
-        return [f"ranking domain mismatch in {mec.mid}"]
-    for c, v in r.y.items():
-        if v < 0:
-            bad.append(f"y({c}) = {v} < 0")
-    for s, v in r.z.items():
-        if v < 0:
-            bad.append(f"z({s}) = {v} < 0")
-    nonzero = [abs(v) for v in list(r.y.values()) + list(r.z.values()) if v != 0]
-    if nonzero and min(nonzero) < 1:
-        bad.append("minimum nonzero entry below 1")
-    for t in sorted(mec.transitions):
-        tr = m.transition(t)
-        if m.kind(tr.source) == NONDET:
-            d = rank_delta(m, r, tr)
-            if d > 0:
-                bad.append(f"rank increases along {t}: delta {d}")
-            if (d < 0) != (t in r.strict_nondet):
-                bad.append(f"strictness claim mismatch on {t} (delta {d})")
-    for s in sorted(mec.states):
-        if m.kind(s) == PROB:
-            d = expected_rank_delta(m, r, s)
-            if d > 0:
-                bad.append(f"expected rank increases out of {s}: delta {d}")
-            if (d < 0) != (s in r.strict_prob):
-                bad.append(f"strictness claim mismatch at {s} (delta {d})")
-    return bad
-
-
-def verify_dichotomy(m: VassMdp, mec: Mec, w: SystemIWitness, r: RankingFunction) -> list[str]:
-    """Maximality of a valid flow and ranking pair: every candidate pair is
-    strict on at least one side (empty = maximal). Counters: y(c) > 0 or a
-    positive effect. Controlled transitions: strict rank decrease or positive
-    flow. Transitions out of probabilistic states: strict expected decrease
-    at the source or positive flow. Both sides never hold at once: by flow
-    conservation, sum_t x(t) * rank delta(t) = sum_c y(c) * effect(c), the
-    left side <= 0 and the right side >= 0. Validity itself is checked by
-    `verify_system_I_witness` and `verify_ranking`."""
-    if (
-        set(w.x) != set(mec.transitions)
-        or set(r.y) != set(range(1, m.dimension + 1))
-        or set(r.z) != set(mec.states)
-    ):
-        return [f"dichotomy domain mismatch in {mec.mid}"]
-    bad: list[str] = []
-    for c in range(1, m.dimension + 1):
-        if not (r.y[c] > 0 or counter_effect(m, w, c) > 0):
-            bad.append(f"counter {c}: neither y({c}) > 0 nor a positive effect")
-    expected = {s: expected_rank_delta(m, r, s) for s in mec.states if m.kind(s) == PROB}
-    for t in sorted(mec.transitions):
-        tr = m.transition(t)
-        if m.kind(tr.source) == NONDET:
-            if not (rank_delta(m, r, tr) < 0 or w.x[t] > 0):
-                bad.append(f"transition {t}: neither a strict rank decrease nor a positive flow")
-        elif not (expected[tr.source] < 0 or w.x[t] > 0):
-            bad.append(
-                f"transition {t}: neither a strict expected decrease at {tr.source} "
-                "nor a positive flow"
-            )
-    return bad
-
-
 # --- DAG pipeline ---------------------------------------------------------------
 
 
@@ -702,50 +596,15 @@ def classify_dag(
     return _estimate(state, measure, beta)
 
 
-def _promoted(steps: Sequence[DagPipelineStep], measure: Measure) -> Optional[DagPipelineStep]:
-    """The first step that pumps the measure, if any."""
-    return next((s for s in steps if _pumps(measure, s.witness, s.newly_pumped)), None)
-
-
-def pipeline_label(steps: Sequence[DagPipelineStep], measure: Measure) -> Label:
-    """The label a type's pipeline gives a measure: `LowerQuadratic` where a
-    step pumps it, else `UpperLinear` for a use count and `TightLinear` for
-    a counter or the termination time."""
-    if _promoted(steps, measure) is not None:
-        return Label.LOWER_QUADRATIC
-    return Label.UPPER_LINEAR if isinstance(measure, TransitionCount) else Label.TIGHT_LINEAR
-
-
-def verify_pipeline(m: VassMdp, beta: Sequence[str], steps: Sequence[DagPipelineStep]) -> list[str]:
-    """A pipeline's bookkeeping (empty = consistent): one step per class of
-    the type, in order; each step zeroes exactly the counters earlier steps
-    pumped and newly pumps exactly the other counters its ranking leaves at
-    y(c) = 0. With each step's solve attested, the labels `pipeline_label`
-    reads follow from the witnesses."""
-    if [step.mec_id for step in steps] != list(beta):
-        return [f"pipeline classes {[step.mec_id for step in steps]} do not follow the type"]
-    bad: list[str] = []
-    pumped: frozenset[int] = frozenset()
-    for step in steps:
-        if step.zeroed != pumped:
-            bad.append(f"class {step.mec_id} zeroes {sorted(step.zeroed)}, not {sorted(pumped)}")
-        newly = _newly_pumped(m, step.ranking, pumped)
-        if step.newly_pumped != newly:
-            bad.append(
-                f"class {step.mec_id} claims {sorted(step.newly_pumped)} newly pumped, "
-                f"its ranking gives {sorted(newly)}"
-            )
-        pumped |= newly
-    return bad
-
-
 def _estimate(state: DagPipelineState, measure: Measure, beta: Sequence[str]) -> Estimate:
+    """The label the type's pipeline gives a measure: `LowerQuadratic` where a
+    step pumps it, else `UpperLinear` for a use count and `TightLinear` for a
+    counter or the termination time."""
     pipeline = tuple(state.steps)
-    label = pipeline_label(pipeline, measure)
-    if label is Label.LOWER_QUADRATIC:
-        promoted = _promoted(pipeline, measure)
+    promoted = next((s for s in pipeline if _pumps(measure, s.witness, s.newly_pumped)), None)
+    if promoted is not None:
         return Estimate(
-            label=label,
+            label=Label.LOWER_QUADRATIC,
             tag="flow-pumping-quadratic-lower",
             exact=True,
             beyond_quadratic_hint=state.hint,
@@ -753,9 +612,9 @@ def _estimate(state: DagPipelineState, measure: Measure, beta: Sequence[str]) ->
             + ("; fluctuation-limited pump, growth may exceed degree 2" if state.hint else ""),
             pipeline=pipeline,
         )
-    if label is Label.UPPER_LINEAR:
+    if isinstance(measure, TransitionCount):
         return Estimate(
-            label=label,
+            label=Label.UPPER_LINEAR,
             tag="rank-coefficient-positive",
             exact=True,
             pipeline=pipeline,
@@ -766,7 +625,7 @@ def _estimate(state: DagPipelineState, measure: Measure, beta: Sequence[str]) ->
             ),
         )
     return Estimate(
-        label=label,
+        label=Label.TIGHT_LINEAR,
         tag="rank-coefficient-positive",
         exact=True,
         pipeline=pipeline,

@@ -13,7 +13,8 @@ consecutive pair is connected by a path avoiding all *other* classes. The
 weight of a type multiplies, along its pairs, the maximal probability of
 reaching the next class from the current one while treating every third class
 as a losing sink — computed exactly by strategy iteration with rational
-Markov-chain solves.
+Markov-chain solves; the values and the choice attaining them are the
+certificate a report carries.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .ratlp import solve_linear_system
 
 
 MAX_TYPES = 10_000  # sequences `enumerate_types` builds before it gives up
+
+# a class pair's maximal reach values and the choice attaining them
+Reach = tuple[dict[str, Fraction], dict[str, str]]
 
 
 class TooManyTypes(RuntimeError):
@@ -241,13 +245,18 @@ def mec_quotient_edges(m: VassMdp, mecs: Sequence[Mec]) -> dict[str, list[str]]:
 
 def enumerate_types(
     m: VassMdp, max_len: int, mecs: Optional[Sequence[Mec]] = None
-) -> list[TypeSeq]:
-    """All realizable types of length <= max_len, with exact weights.
+) -> tuple[list[TypeSeq], dict[tuple[str, str], Reach]]:
+    """All realizable types of length <= max_len, with exact weights, and
+    the certificate (values, choice) of `max_reach_values` of each class
+    pair they step through, keyed by (from, to).
 
     For a DAG-like model with max_len >= number of classes the list is
-    complete (no type can revisit a class). Weight multiplies the pairwise
-    maximal reaching probabilities; single-class types have weight 1. Raises
-    TooManyTypes past MAX_TYPES sequences.
+    complete (no type can revisit a class). Weight multiplies, along the
+    type's class pairs, the maximal probability of reaching the next class
+    while every other class is a losing sink, evaluated at the least state
+    of the earlier class (it is the same at every state of a class, which
+    can be navigated internally); single-class types have weight 1. Each
+    pair is solved once. Raises TooManyTypes past MAX_TYPES sequences.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -255,13 +264,15 @@ def enumerate_types(
         mecs = mec_decomposition(m)
     edges = mec_quotient_edges(m, mecs)
     by_id = {mec.mid: mec for mec in mecs}
-
-    pair_prob: dict[tuple[str, str], Fraction] = {}
+    reach: dict[tuple[str, str], Reach] = {}
 
     def weight_step(a: str, b: str) -> Fraction:
-        if (a, b) not in pair_prob:
-            pair_prob[(a, b)] = max_reach_probability(m, by_id[a], by_id[b], mecs=mecs)
-        return pair_prob[(a, b)]
+        if (a, b) not in reach:
+            sinks = frozenset(
+                s for mec in mecs if mec.mid not in (a, b) for s in mec.states
+            )
+            reach[(a, b)] = max_reach_values(m, frozenset(by_id[b].states), sinks)
+        return reach[(a, b)][0][min(by_id[a].states)]
 
     results: list[TypeSeq] = []
 
@@ -277,45 +288,10 @@ def enumerate_types(
     for mec in mecs:
         extend([mec.mid], Fraction(1))
     results.sort(key=lambda ts: (len(ts.mecs), ts.mecs))
-    return results
+    return results, reach
 
 
 # --- maximal reachability ------------------------------------------------------
-
-
-def _chain(
-    m: VassMdp,
-    choice: dict[str, str],
-    targets: frozenset[str],
-    sinks: frozenset[str],
-) -> tuple[dict[str, list[tuple[Fraction, str]]], set[str]]:
-    """The chain induced by `choice` with targets and sinks absorbing, as
-    (successor (probability, state) pairs per state, states with a chain path
-    to a target)."""
-    succ: dict[str, list[tuple[Fraction, str]]] = {}
-    for s in m.states:
-        name = s.name
-        if name in targets or name in sinks:
-            succ[name] = []
-        elif s.kind == NONDET:
-            succ[name] = [(Fraction(1), m.transition(choice[name]).target)]
-        else:
-            succ[name] = [(t.prob, t.target) for t in m.out(name)]
-
-    # states with a chain path to a target
-    pred: dict[str, set[str]] = {s.name: set() for s in m.states}
-    for name, pairs in succ.items():
-        for _, tgt in pairs:
-            pred[tgt].add(name)
-    can_reach = set(targets)
-    frontier = list(targets)
-    while frontier:
-        s = frontier.pop()
-        for p in pred[s]:
-            if p not in can_reach:
-                can_reach.add(p)
-                frontier.append(p)
-    return succ, can_reach
 
 
 def _chain_values(
@@ -324,14 +300,30 @@ def _chain_values(
     targets: frozenset[str],
     sinks: frozenset[str],
 ) -> dict[str, Fraction]:
-    """Exact reach-target probabilities of the chain induced by `choice`."""
-    succ, can_reach = _chain(m, choice, targets, sinks)
-    values: dict[str, Fraction] = {}
+    """Exact reach-target probabilities of the chain induced by `choice`, with
+    targets and sinks absorbing: 0 where the chain has no path to a target,
+    else the solution of the chain's linear system."""
+    succ: dict[str, list[tuple[Fraction, str]]] = {}
+    pred: dict[str, set[str]] = {s.name: set() for s in m.states}
     for s in m.states:
-        if s.name in targets:
-            values[s.name] = Fraction(1)
-        elif s.name not in can_reach:
-            values[s.name] = Fraction(0)
+        if s.name in targets or s.name in sinks:
+            succ[s.name] = []
+        elif s.kind == NONDET:
+            succ[s.name] = [(Fraction(1), m.transition(choice[s.name]).target)]
+        else:
+            succ[s.name] = [(t.prob, t.target) for t in m.out(s.name)]
+        for _, tgt in succ[s.name]:
+            pred[tgt].add(s.name)
+    can_reach = set(targets)
+    frontier = list(targets)
+    while frontier:
+        s = frontier.pop()
+        for p in pred[s]:
+            if p not in can_reach:
+                can_reach.add(p)
+                frontier.append(p)
+    known = [s for s in m.state_names() if s in targets or s not in can_reach]
+    values = {s: Fraction(1 if s in targets else 0) for s in known}
 
     unknown = sorted(n for n in can_reach if n not in targets)
     if unknown:
@@ -355,9 +347,7 @@ def _chain_values(
     return values
 
 
-def max_reach_values(
-    m: VassMdp, targets: frozenset[str], sinks: frozenset[str]
-) -> tuple[dict[str, Fraction], dict[str, str]]:
+def max_reach_values(m: VassMdp, targets: frozenset[str], sinks: frozenset[str]) -> Reach:
     """Optimal reach-`targets` probabilities (sinks absorbing and losing).
 
     Strategy iteration over memoryless deterministic strategies: start from
@@ -393,67 +383,3 @@ def max_reach_values(
                 improved = True
         if not improved:
             return values, choice
-
-
-def verify_reach_values(
-    m: VassMdp,
-    targets: frozenset[str],
-    sinks: frozenset[str],
-    values: dict[str, Fraction],
-    choice: dict[str, str],
-) -> list[str]:
-    """Optimality certificate check by pure substitution (no solving).
-
-    Bellman equalities alone do not pin down maximal reachability values (a
-    controlled cycle admits inflated fixed points), so the certificate is:
-    `values` solves the chain of the returned strategy — including being zero
-    wherever that chain cannot reach the target — and no controlled state has
-    an improving deviation. Together these force optimality.
-    """
-    bad: list[str] = []
-    succ, can_reach = _chain(m, choice, targets, sinks)
-    for s in m.states:
-        name = s.name
-        v = values[name]
-        if name in targets:
-            if v != 1:
-                bad.append(f"target {name} has value {v} != 1")
-            continue
-        if name in sinks:
-            if v != 0:
-                bad.append(f"sink {name} has value {v} != 0")
-            continue
-        if name not in can_reach:
-            if v != 0:
-                bad.append(f"{name} cannot reach the target under the strategy but has value {v}")
-        else:
-            expected = sum((p * values[tgt] for p, tgt in succ[name]), Fraction(0))
-            if v != expected:
-                bad.append(f"chain equation fails at {name}: {v} != {expected}")
-        if s.kind == NONDET:
-            for t in m.out(name):
-                if values[t.target] > v:
-                    bad.append(f"improving deviation at {name} via {t.tid}")
-    return bad
-
-
-def max_reach_probability(
-    m: VassMdp,
-    frm: Mec,
-    to: Mec,
-    mecs: Optional[Sequence[Mec]] = None,
-) -> Fraction:
-    """Maximal probability of reaching class `to` from class `frm` while no
-    other class is entered (those states are losing sinks). Evaluated at the
-    lexicographically least state of `frm`; the value is the same at every
-    state of `frm` because the class can be navigated internally.
-    """
-    if frm.mid == to.mid:
-        raise ValueError("source and target class must differ")
-    if mecs is None:
-        mecs = mec_decomposition(m)
-    sinks = frozenset(
-        s for mec in mecs if mec.mid not in (frm.mid, to.mid) for s in mec.states
-    )
-    values, _ = max_reach_values(m, frozenset(to.states), sinks)
-    return values[min(frm.states)]

@@ -8,8 +8,8 @@ zero (BoundedZero), or zero drift with some nonzero cycle (UnboundedZero).
 `compute_inventory` decides, per class, whether each behaviour is achievable
 by some strategy, from one pair of maximal System I/II solutions per class,
 and keeps the exact rational witnesses. It is the only place that solves a
-class's systems: `bounded_zero_witness`, `energy_safe` and the report's
-attestation read the inventory the caller holds. `labels_from_inventory` is
+class's systems: `bounded_zero_witness` and `energy_safe` read the
+inventory the caller holds. `labels_from_inventory` is
 the pure case table turning a class-visit sequence plus those flags into
 growth estimates; `brute_force_classify` enumerates every strategy as an
 independent ground truth; `energy_safe` answers whether some recurrent
@@ -36,6 +36,7 @@ from .dichotomy import (
 )
 from .graph import (
     Mec,
+    Reach,
     TypeSeq,
     _sccs,
     enumerate_types,
@@ -210,26 +211,6 @@ def bscc_analysis(
     return _analyze_bscc(chain, b)
 
 
-def verify_stationary(
-    chain: VassMdp, states: frozenset[str], pi: Mapping[str, Fraction]
-) -> list[str]:
-    """Re-substitute a claimed stationary distribution: exact balance at every
-    state, positivity, normalization. Pure checking, no solving."""
-    bad: list[str] = []
-    if set(pi) != set(states):
-        return [f"support mismatch: {sorted(pi)} vs {sorted(states)}"]
-    edges = _bscc_edges(chain, frozenset(states))
-    if sum(pi.values()) != 1:
-        bad.append("weights do not sum to 1")
-    for s in sorted(states):
-        if pi[s] <= 0:
-            bad.append(f"weight of {s} not positive")
-        inflow = sum((pi[e.source] * e.prob for e in edges if e.target == s), Fraction(0))
-        if inflow != pi[s]:
-            bad.append(f"balance fails at {s}: inflow {inflow} != {pi[s]}")
-    return bad
-
-
 # ---------------------------------------------------------------------------
 # per-class behaviour inventory
 # ---------------------------------------------------------------------------
@@ -241,9 +222,6 @@ class BoundedZeroWitness:
     counter unchanged along every cycle."""
 
     mec_id: str
-    ranking: RankingFunction
-    kept_states: frozenset[str]
-    kept_transitions: frozenset[str]
     component_states: frozenset[str]
     component_transitions: frozenset[str]
     strategy: dict[str, str]
@@ -478,9 +456,6 @@ def bounded_zero_witness(
         raise InternalError("zero-cycle component failed its own behaviour check")
     return BoundedZeroWitness(
         mec_id=flags.mec_id,
-        ranking=flags.ranking,
-        kept_states=flags.kept_states,
-        kept_transitions=flags.kept_transitions,
         component_states=states,
         component_transitions=analysis.transitions,
         strategy=strategy,
@@ -653,6 +628,7 @@ class OneDimReport:
 
     mecs: list[Mec]
     types: list[TypeSeq]
+    reach: dict[tuple[str, str], Reach]  # each type's class pairs, solved once
     inventory: ClassInventory
     dag_like: bool
     types_complete: bool
@@ -672,7 +648,7 @@ def classify_onedim(
     dag = is_dag_like(m, mecs)
     if max_type_len is None:
         max_type_len = len(mecs)
-    types = enumerate_types(m, max_type_len, mecs)
+    types, reach = enumerate_types(m, max_type_len, mecs)
     inventory = compute_inventory(m, mecs)
     owner = transition_to_mec(mecs)
     if measures is None:
@@ -688,6 +664,7 @@ def classify_onedim(
     return OneDimReport(
         mecs=list(mecs),
         types=types,
+        reach=reach,
         inventory=inventory,
         dag_like=dag,
         types_complete=dag and max_type_len >= len(mecs),
@@ -784,6 +761,8 @@ def energy_safe(m: VassMdp, brute_bound: int = 10**6) -> EnergyAnswer:
     """
     if m.dimension != 1:
         raise ValueError("energy safety is defined for one-counter models")
+    if brute_bound < 0:
+        raise ValueError(f"the enumeration bound must be >= 0, got {brute_bound}")
     inventory = compute_inventory(m)
     if not inventory.any_increasing:
         w = bounded_zero_witness(m, inventory)

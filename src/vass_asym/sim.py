@@ -64,7 +64,7 @@ from collections import Counter as TallyCounter
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import ceil, inf
+from math import ceil, inf, isfinite
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -901,13 +901,19 @@ def estimate_tails(
     """
     if not n_list or sorted(set(n_list)) != list(n_list):
         raise ValueError("n_list must be strictly increasing and nonempty")
-    caps: dict[int, int] = {}
+    if theta is not None and not isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    try:  # every cap before the first run
+        caps = {
+            n: max_steps if max_steps is not None else (
+                max(1, ceil(4 * n**theta)) if theta is not None else 10**6
+            )
+            for n in n_list
+        }
+    except OverflowError:
+        raise ValueError(f"step cap 4*n**{theta} is too large to compute") from None
     groups: dict[int, tuple[TailGroup, ...]] = {}
     for n in n_list:
-        cap = max_steps if max_steps is not None else (
-            max(1, ceil(4 * n**theta)) if theta is not None else 10**6
-        )
-        caps[n] = cap
         strat = strategy(n) if callable(strategy) else strategy
         stats = simulate_many(
             m,
@@ -915,7 +921,7 @@ def estimate_tails(
             runs,
             seed=seed,
             strategy=strat,
-            max_steps=cap,
+            max_steps=caps[n],
             init_state=init_state,
         )
         by_type: dict[tuple[str, ...], list[TrajectoryStats]] = {}

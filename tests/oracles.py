@@ -10,8 +10,8 @@ from vass_asym.dichotomy import (
     build_system_I,
     build_system_II,
     compute_maximal_solutions,
-    counter_effect,
 )
+from vass_asym import check, cli
 from vass_asym.graph import state_to_mec
 from vass_asym.model import (
     InternalError,
@@ -154,6 +154,21 @@ def strict_labels(m, witness, ranking) -> tuple[set, set]:
     return flow, rank
 
 
+def counter_effect(m, x, c) -> Fraction:
+    """Total effect of the flow `x` on counter c."""
+    return sum((v * m.transition(t).update[c - 1] for t, v in x.items()), Fraction(0))
+
+
+def solve_failures(m, mec, witness, ranking, zeroed=frozenset()) -> list:
+    """What the report checker finds wrong with one in-memory class solve,
+    serialized as a report carries it: `kind: message` lines, empty when the
+    flow and the ranking are valid and maximal."""
+    failures = check.solve_failures(
+        m, cli._ser_class(mec), cli._ser_flow(witness), cli._ser_ranking(ranking), zeroed
+    )
+    return [f"{kind}: {e}" for kind, errors in failures.items() for e in errors]
+
+
 def classify_counters_mec(m, mec) -> dict:
     """Within one class: TightLinear iff the maximal ranking has y(c) > 0,
     else LowerQuadratic (the dichotomy provides the pumping flow)."""
@@ -163,7 +178,7 @@ def classify_counters_mec(m, mec) -> dict:
         if ranking.y[c] > 0:
             out[c] = Label.TIGHT_LINEAR
         else:
-            assert counter_effect(m, witness, c) > 0, (
+            assert counter_effect(m, witness.x, c) > 0, (
                 f"dichotomy violated for counter {c} in {mec.mid}"
             )
             out[c] = Label.LOWER_QUADRATIC

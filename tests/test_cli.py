@@ -6,22 +6,21 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter as Tally
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import jsonschema
 import pytest
 
 import vass_asym
-from vass_asym import cli, dichotomy
+from oracles import solve_failures
+from strategies import random_model_from_rng
+from vass_asym import check, cli, dichotomy, graph, ratlp
+from vass_asym.check import check_report
 from vass_asym.cli import AttestationError, build_analysis, main
-from vass_asym.dichotomy import (
-    Label,
-    RankingFunction,
-    verify_dichotomy,
-    verify_ranking,
-    verify_system_I_witness,
-)
+from vass_asym.dichotomy import Label, RankingFunction
 from vass_asym.model import Counter, InternalError, model_digest, parse_vass, serialize_vass
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -217,12 +216,19 @@ def test_analyze_output_file(capsys, tmp_path):
 
 
 def test_attestation_failure_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(
-        "vass_asym.cli.verify_system_I_witness", lambda *a, **k: ["injected defect"]
-    )
-    rc, _, err = run(capsys, "analyze", str(MODELS / "random_walk_1d.json"))
-    assert rc == 3
-    assert "attestation failure" in err and "injected defect" in err
+    # analyze re-checks the document it is about to print
+    ser_flow = cli._ser_flow
+
+    def tampered(w):
+        doc = ser_flow(w)
+        doc["flow"]["t_down"] = str(Fraction(doc["flow"]["t_down"]) + 1)
+        return doc
+
+    monkeypatch.setattr(cli, "_ser_flow", tampered)
+    rc, out, err = run(capsys, "analyze", str(MODELS / "random_walk_1d.json"))
+    assert (rc, out) == (3, "")
+    assert err.startswith("attestation failure: ")
+    assert "class M1 flow: flow out of p not proportional on t_down" in err
 
 
 def test_valid_but_not_maximal_solutions_fail_attestation(capsys, monkeypatch):
@@ -244,15 +250,15 @@ def test_valid_but_not_maximal_solutions_fail_attestation(capsys, monkeypatch):
             frozenset(),
             frozenset(),
         )
-        assert verify_system_I_witness(m, mec, witness) == []
-        assert verify_ranking(m, mec, zero) == []
-        assert verify_dichotomy(m, mec, witness, zero)
+        failures = solve_failures(m, mec, witness, zero)
+        assert failures and all(f.startswith("maximality: ") for f in failures)
         patched.append(mec.mid)
         return witness, zero
 
     monkeypatch.setattr(dichotomy, "compute_maximal_solutions", not_maximal)
-    with pytest.raises(AttestationError, match="maximality: counter 1"):
+    with pytest.raises(AttestationError, match="maximality: counter 1") as failed:
         build_analysis(pump, [Counter(1)])
+    assert all(" maximality: " in f for f in str(failed.value).split("; "))
     rc, out, err = run(capsys, "analyze", str(MODELS / "pump_transfer_3d.json"))
     assert (rc, out) == (3, "")
     assert "attestation failure" in err and "maximality" in err
@@ -312,6 +318,236 @@ def test_analyze_under_python_O_prints_the_same_bytes():
     )
     assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
     assert plain.stdout and plain.stdout == optimized.stdout
+
+
+# ---------------------------------------------------------------------------
+# check
+# ---------------------------------------------------------------------------
+
+
+def _analyze_to_file(tmp_path, model, *argv):
+    report = tmp_path / "report.json"
+    assert main(["analyze", str(model), "--json", "-o", str(report), *argv]) == 0
+    return report
+
+
+def _entry(doc, measure, beta):
+    return next(e for e in doc["estimates"][measure] if e["type"] == beta)
+
+
+def _set_reach(doc, pair, key, state, value):
+    entry = next(e for e in doc["reach"] if (e["from"], e["to"]) == pair)
+    entry[key][state] = value
+
+
+def _step(doc, beta, index):
+    return next(p for p in doc["pipelines"] if p["type"] == beta)["steps"][index]
+
+
+def _forge_pumping_flow(doc):
+    # M3's flow is zero; a padded positive set would make L along M3 quadratic
+    _step(doc, ["M3"], 0)["flow"]["positive_transitions"] = ["a_b"]
+    _entry(doc, "L", ["M3"])["label"] = "LowerQuadratic"
+
+
+def _drop_class_transition(doc):
+    # without e_e in M3, T:e_e would be a transition in no class
+    doc["classes"][2]["transitions"].remove("e_e")
+    _entry(doc, "T:e_e", ["M3"]).update(label="UpperTypeLength", bound=1)
+
+
+TAMPERS = {
+    # claim kind: (model, tamper, start of the failure it must cause)
+    "flow entry": (
+        "random_walk_1d.json",
+        lambda d: d["inventory"]["M1"]["witnesses"]["flow"]["flow"].update(t_up="7"),
+        "class M1 flow: flow out of p not proportional",
+    ),
+    "positive set outside the class": (
+        "pump_transfer_3d.json",
+        _forge_pumping_flow,
+        "along M3 at class M3 flow: positive_transitions claims ['a_b'], the witness gives []",
+    ),
+    "class transitions": (
+        "pump_transfer_3d.json",
+        _drop_class_transition,
+        "class M3: transitions [], not the ['e_e'] between its states",
+    ),
+    "ranking entry": (
+        "decreasing_loop.json",
+        lambda d: d["inventory"]["M1"]["witnesses"]["ranking"]["counter_coefficients"].update({"1": "-1"}),
+        "class M1 ranking: y(1) = -1 < 0",
+    ),
+    "maximality": (
+        "random_walk_1d.json",
+        lambda d: d["inventory"]["M1"]["witnesses"].update(
+            ranking={
+                "class": "M1",
+                "counter_coefficients": {"1": "0"},
+                "state_offsets": {"p": "0"},
+                "strict_controlled_transitions": [],
+                "strict_probabilistic_states": [],
+            }
+        ),
+        "class M1 maximality: counter 1: neither y(1) > 0 nor a positive effect",
+    ),
+    "reach value": (
+        "pump_transfer_3d.json",
+        lambda d: _set_reach(d, ("M1", "M3"), "values", "b", "1/3"),
+        "reach M1->M3: chain equation fails at b: 1/3 != 1/2",
+    ),
+    "reach choice": (
+        "pump_transfer_3d.json",
+        lambda d: _set_reach(d, ("M1", "M3"), "choice", "a", "a_b"),
+        "reach M1->M3: a cannot reach the target under the strategy but has value 1/2",
+    ),
+    "type weight": (
+        "pump_transfer_3d.json",
+        lambda d: d["types"][5].update(weight="1/3"),
+        "type M1,M3: reported weight 1/3 != recomputed 1/2",
+    ),
+    "stationary weight": (
+        "zero_cycle_2state.json",
+        lambda d: d["zero_cycle_witness"]["stationary"].update(p="1/3", q="2/3"),
+        "class M1 stationary: balance fails at p: inflow 2/3 != 1/3",
+    ),
+    "pipeline zeroed set": (
+        "pump_transfer_3d.json",
+        lambda d: _step(d, ["M1", "M2"], 1).update(zeroed_counters=[]),
+        "pipeline along M1,M2: class M2 zeroes [], not [2]",
+    ),
+    "label": (
+        "pump_transfer_3d.json",
+        lambda d: _entry(d, "C:3", ["M1", "M3"]).update(label="LowerQuadratic"),
+        "C:3 along M1,M3: label LowerQuadratic, but the report gives TightLinear",
+    ),
+    "label without a pipeline": (
+        "pump_transfer_3d.json",
+        lambda d: d.update(pipelines=[]),
+        "L along M1: label LowerQuadratic, but the report gives no label (the type has no pipeline)",
+    ),
+    "label of a transition in no class": (
+        "pump_transfer_3d.json",
+        lambda d: _entry(d, "T:q_e", ["M1", "M3"]).update(bound=1),
+        "T:q_e along M1,M3: label UpperTypeLength, but the report gives UpperTypeLength with bound 2",
+    ),
+    "label of a class off the type": (
+        "pump_transfer_3d.json",
+        lambda d: _entry(d, "T:c_c", ["M1", "M3"]).update(label="UpperLinear"),
+        "T:c_c along M1,M3: label UpperLinear, but the report gives TightZero",
+    ),
+}
+
+
+def test_check_passes_on_every_corpus_report(capsys, tmp_path):
+    for path in sorted(MODELS.glob("*.json")):
+        report = _analyze_to_file(tmp_path, path)
+        rc, out, err = run(capsys, "check", str(path), str(report))
+        checks = json.loads(report.read_text())["attestation"]["checks"]
+        assert (rc, out, err) == (0, f"{checks} exact re-substitution checks passed\n", "")
+
+
+@pytest.mark.parametrize("kind", list(TAMPERS))
+def test_check_rejects_a_tampered_claim(capsys, tmp_path, kind):
+    name, tamper, failure = TAMPERS[kind]
+    report = _analyze_to_file(tmp_path, MODELS / name)
+    doc = json.loads(report.read_text())
+    tamper(doc)
+    report.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "check", str(MODELS / name), str(report))
+    assert (rc, out) == (3, "")
+    assert err.startswith("attestation failure: ") and err.endswith("\n")
+    failures = err[len("attestation failure: ") : -1].split("; ")
+    assert any(f.startswith(failure) for f in failures), failures
+
+
+def test_check_exits_1_on_a_report_it_cannot_read(capsys, tmp_path):
+    walk = MODELS / "random_walk_1d.json"
+    report = _analyze_to_file(tmp_path, walk)
+    doc = json.loads(report.read_text())
+    # a report of another model, a report missing a key, a malformed number,
+    # a class or counter that does not exist, no JSON
+    assert run(capsys, "check", str(MODELS / "decreasing_loop.json"), str(report))[0] == 1
+    broken = tmp_path / "broken.json"
+    witnesses = doc["inventory"]["M1"]["witnesses"]
+    named_counter = {**witnesses["ranking"], "counter_coefficients": {"one": "1"}}
+    inventory = {"M1": {**doc["inventory"]["M1"], "witnesses": {**witnesses, "ranking": named_counter}}}
+    for text in (
+        json.dumps({k: v for k, v in doc.items() if k != "reach"}),
+        json.dumps({**doc, "types": [{"classes": ["M1"], "weight": "one"}]}),
+        json.dumps({**doc, "types": [{"classes": ["M1", "M9"], "weight": "1"}]}),
+        json.dumps({**doc, "inventory": inventory}),
+        json.dumps([doc]),
+        "{not json",
+    ):
+        broken.write_text(text)
+        rc, out, err = run(capsys, "check", str(walk), str(broken))
+        assert (rc, out) == (1, "") and err.startswith("error: "), err
+
+
+def test_check_exits_3_when_the_checker_fails(capsys, tmp_path, monkeypatch):
+    walk = MODELS / "random_walk_1d.json"
+    report = _analyze_to_file(tmp_path, walk)
+
+    def broken(*args):
+        raise TypeError("a fault of the checker")
+
+    monkeypatch.setattr(check, "solve_failures", broken)
+    rc, out, err = run(capsys, "check", str(walk), str(report))
+    assert (rc, out) == (3, "")
+    assert err == "internal error: the checker failed: TypeError: a fault of the checker\n"
+
+
+def test_seeded_sweep_analyze_then_check(capsys, tmp_path):
+    rng = Random(2024)
+    checked = 0
+    for i in range(18):
+        m = random_model_from_rng(
+            rng, n_states=rng.randint(1, 3), dim=1 + i % 3, max_update=2, strongly_connected=(i % 2 == 0)
+        )
+        path = tmp_path / f"model-{i}.json"
+        path.write_text(json.dumps(serialize_vass(m)))
+        report = tmp_path / f"report-{i}.json"
+        rc, _, err = run(capsys, "analyze", str(path), "--json", "-o", str(report))
+        if rc == 2:  # d >= 2 with mutually reachable classes
+            continue
+        assert rc == 0, err
+        rc, out, err = run(capsys, "check", str(path), str(report))
+        checks = json.loads(report.read_text())["attestation"]["checks"]
+        assert (rc, out, err) == (0, f"{checks} exact re-substitution checks passed\n", "")
+        checked += 1
+    assert checked >= 12
+
+
+def test_check_report_solves_nothing(monkeypatch):
+    models = [parse_vass(path.read_text()) for path in sorted(MODELS.glob("*.json"))]
+    docs = [build_analysis(m) for m in models]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran during a check")
+
+    for fn in (ratlp.solve_feasibility, ratlp.solve_linear_system, graph.max_reach_values):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("vass_asym"):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, refuse)
+    for m, doc in zip(models, docs):
+        assert check_report(m, doc) == doc["attestation"]["checks"]
+
+
+def test_reach_values_solved_once_per_pair(monkeypatch, pump):
+    calls = Tally()
+    solve = graph.max_reach_values
+
+    def counting(m, targets, sinks):
+        calls[(targets, sinks)] += 1
+        return solve(m, targets, sinks)
+
+    monkeypatch.setattr(graph, "max_reach_values", counting)
+    doc = build_analysis(pump)
+    assert len(doc["reach"]) == len(calls) == 3
+    assert set(calls.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +681,15 @@ def test_simulate_witness_strategy(capsys):
                "--n", "2", "--runs", "1", "--strategy", "witness:M7")[0] == 1
 
 
+@pytest.mark.parametrize("n, theta", [("2", "inf"), ("2", "nan"), ("2,3", "1000")])
+def test_simulate_rejects_a_cap_that_cannot_be_computed(capsys, n, theta):
+    rc, out, err = run(
+        capsys, "simulate", str(MODELS / "random_walk_1d.json"), "--n", n, "--runs", "2", "--theta", theta
+    )
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_simulate_rejects_bad_arguments(capsys):
     model = str(MODELS / "random_walk_1d.json")
     assert run(capsys, "simulate", model, "--n", "4,3", "--runs", "5")[0] == 1
@@ -492,6 +737,8 @@ def test_types_subcommand(capsys):
     )
     doc = json.loads(out)
     assert doc["complete"] is False and len(doc["types"]) == 4
+    rc, out, err = run(capsys, "types", str(MODELS / "pump_transfer_3d.json"), "--max-type-len", "0")
+    assert (rc, out, err) == (1, "", "error: max_len must be >= 1\n")
 
 
 def test_energy_subcommand(capsys):
@@ -502,6 +749,12 @@ def test_energy_subcommand(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["status"] == "Unsafe" and doc["strategy"] is None
+
+
+def test_energy_rejects_a_negative_brute_bound(capsys):
+    rc, out, err = run(capsys, "energy", str(MODELS / "increasing_loop.json"), "--brute-bound", "-1")
+    assert (rc, out) == (1, "")
+    assert err == "error: the enumeration bound must be >= 0, got -1\n"
 
 
 # ---------------------------------------------------------------------------

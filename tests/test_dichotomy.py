@@ -7,14 +7,19 @@ row forces z(b) <= z(a) while the expectation row forces z(a) + y2 <= z(b), so
 y2 = 0 and counter 2 is the only pumped one, with no strict rows anywhere.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import MODELS, load_model
-from oracles import augment_step_counter, classify_counters_mec, reference_strict_labels, strict_labels
+from oracles import (
+    augment_step_counter,
+    classify_counters_mec,
+    reference_strict_labels,
+    solve_failures,
+    strict_labels,
+)
 from vass_asym.dichotomy import (
     Estimate,
     InvalidType,
@@ -26,16 +31,12 @@ from vass_asym.dichotomy import (
     build_system_II,
     classify_dag,
     compute_maximal_solutions,
-    counter_effect,
-    expected_rank_delta,
     rank_delta,
     run_dag_pipeline,
-    verify_dichotomy,
-    verify_pipeline,
-    verify_ranking,
-    verify_system_I_witness,
 )
 from vass_asym import dichotomy
+from vass_asym.check import AttestationError, check_report
+from vass_asym.cli import build_analysis
 from vass_asym.graph import enumerate_types, is_dag_like, mec_decomposition
 from vass_asym.model import (
     Counter,
@@ -66,9 +67,7 @@ def test_walk_flow_balances_loops(walk):
     assert ranking.y[1] >= 1
     assert ranking.strict_nondet == frozenset()
     assert ranking.strict_prob == frozenset()
-    assert verify_system_I_witness(walk, mec, witness) == []
-    assert verify_ranking(walk, mec, ranking) == []
-    assert verify_dichotomy(walk, mec, witness, ranking) == []
+    assert solve_failures(walk, mec, witness, ranking) == []
 
 
 def test_walk_counter_tight_linear(walk):
@@ -83,9 +82,7 @@ def test_decreasing_loop_all_strict(dec_loop):
     assert ranking.y[1] >= 1
     assert ranking.strict_nondet == frozenset({"t_dec"})
     assert rank_delta(dec_loop, ranking, dec_loop.transition("t_dec")) < 0
-    assert verify_system_I_witness(dec_loop, mec, witness) == []
-    assert verify_ranking(dec_loop, mec, ranking) == []
-    assert verify_dichotomy(dec_loop, mec, witness, ranking) == []
+    assert solve_failures(dec_loop, mec, witness, ranking) == []
 
 
 def test_pump_m1_forces_y2_zero(pump):
@@ -254,7 +251,7 @@ def _assert_matches_step_counter_encoding(m):
     estimates compared."""
     mecs = mec_decomposition(m)
     compared = 0
-    for ts in enumerate_types(m, max(1, len(mecs)), mecs):
+    for ts in enumerate_types(m, max(1, len(mecs)), mecs)[0]:
         beta = ts.mecs
         direct = classify_dag(m, beta, Termination(), mecs)
         oracle = classify_dag(augment_step_counter(m), beta, Counter(m.dimension + 1))
@@ -316,19 +313,29 @@ def test_classify_dag_rejects_non_dag_like():
         classify_dag(m, ("M1",), Counter(1))
 
 
+def _check_failures(m, doc):
+    with pytest.raises(AttestationError) as failed:
+        check_report(m, doc)
+    return str(failed.value).split("; ")
+
+
 def test_pipeline_bookkeeping_is_verified(pump):
-    by_id = _mecs_by_id(pump)
-    beta = ("M1", "M2")
-    steps = run_dag_pipeline(pump, [by_id[b] for b in beta]).steps
-    assert verify_pipeline(pump, beta, steps) == []
-    assert verify_pipeline(pump, ("M1", "M4"), steps)
-    first, second = steps
-    unpumped = dataclasses.replace(first, newly_pumped=frozenset())
-    assert verify_pipeline(pump, beta, [unpumped, second]) == [
-        "class M1 claims [] newly pumped, its ranking gives [2]"
-    ]
-    unzeroed = dataclasses.replace(second, zeroed=frozenset())
-    assert verify_pipeline(pump, beta, [first, unzeroed]) == ["class M2 zeroes [], not [2]"]
+    doc = build_analysis(pump, [Counter(2)])
+    assert check_report(pump, doc) == doc["attestation"]["checks"]
+    (pipeline,) = [p for p in doc["pipelines"] if p["type"] == ["M1", "M2"]]
+    first, second = pipeline["steps"]
+    pipeline["type"] = ["M1", "M4"]
+    assert "pipeline along M1,M4: pipeline classes ['M1', 'M2'] do not follow the type" in (
+        _check_failures(pump, doc)
+    )
+    pipeline["type"] = ["M1", "M2"]
+    first["newly_pumped"] = []
+    assert "pipeline along M1,M2: class M1 claims [] newly pumped, its ranking gives [2]" in (
+        _check_failures(pump, doc)
+    )
+    first["newly_pumped"] = [2]
+    second["zeroed_counters"] = []
+    assert "pipeline along M1,M2: class M2 zeroes [], not [2]" in _check_failures(pump, doc)
 
 
 def test_pipeline_monotone_prefix(pump):
@@ -354,9 +361,7 @@ def test_determinism(pump):
 def test_dichotomy_holds_on_random_classes(m):
     for mec in mec_decomposition(m):
         witness, ranking = compute_maximal_solutions(m, mec)
-        assert verify_system_I_witness(m, mec, witness) == []
-        assert verify_ranking(m, mec, ranking) == []
-        assert verify_dichotomy(m, mec, witness, ranking) == []
+        assert solve_failures(m, mec, witness, ranking) == []
 
 
 @given(random_models(max_states=4, max_dim=2, max_update=3))

@@ -22,15 +22,15 @@ from vass_asym.graph import (
     _chain_values,
     enumerate_types,
     is_dag_like,
-    max_reach_probability,
     max_reach_values,
     mec_decomposition,
     mec_quotient_edges,
     state_to_mec,
     transition_to_mec,
-    verify_reach_values,
 )
-from vass_asym.model import NONDET, PROB, State, Transition, VassMdp, parse_vass
+from vass_asym.check import AttestationError, check_report
+from vass_asym.cli import build_analysis
+from vass_asym.model import NONDET, PROB, Counter, State, Transition, VassMdp, parse_vass
 from tests.strategies import random_models
 
 
@@ -209,7 +209,7 @@ def test_type_enumeration_budget():
     assert sorted(min(x.states) for x in mecs) == ["a", "b", "c", "s"]
     assert not is_dag_like(m, mecs)
     # a, b and s follow c; c and s follow a or b; nothing follows s
-    lengths = [len(ts.mecs) for ts in enumerate_types(m, 5, mecs)]
+    lengths = [len(ts.mecs) for ts in enumerate_types(m, 5, mecs)[0]]
     assert [lengths.count(k) for k in range(1, 6)] == [4, 7, 10, 14, 20]
     t0 = time.monotonic()
     with pytest.raises(TooManyTypes, match=f"more than {MAX_TYPES} types of length <= 40"):
@@ -234,7 +234,7 @@ def test_not_dag_like_detected():
 
 
 def test_pump_types_and_weights(pump):
-    types = enumerate_types(pump, max_len=4)
+    types, _ = enumerate_types(pump, max_len=4)
     as_map = {ts.mecs: ts.weight for ts in types}
     assert as_map == {
         ("M1",): Fraction(1),
@@ -247,11 +247,11 @@ def test_pump_types_and_weights(pump):
     }
     assert len(types) == 7
     # complete already at max_len = number of classes
-    assert types == enumerate_types(pump, max_len=4 + 3)
+    assert types == enumerate_types(pump, max_len=4 + 3)[0]
 
 
 def test_types_respect_max_len(pump):
-    assert all(len(ts.mecs) == 1 for ts in enumerate_types(pump, max_len=1))
+    assert all(len(ts.mecs) == 1 for ts in enumerate_types(pump, max_len=1)[0])
     with pytest.raises(ValueError):
         enumerate_types(pump, max_len=0)
 
@@ -275,7 +275,7 @@ def test_type_step_must_avoid_third_class():
     mecs = mec_decomposition(m)
     edges = mec_quotient_edges(m, mecs)
     assert edges == {"M1": ["M2"], "M2": ["M3"], "M3": []}
-    got = {ts.mecs for ts in enumerate_types(m, max_len=3)}
+    got = {ts.mecs for ts in enumerate_types(m, max_len=3)[0]}
     assert ("M1", "M3") not in got
     assert ("M1", "M2", "M3") in got
 
@@ -315,8 +315,8 @@ def test_max_reach_matches_strategy_enumeration(m):
     assert attained == values
 
 
-def test_reach_certificate_checks():
-    # p may loop forever or move to the target g
+def test_reach_certificate_checks(pump):
+    # p may loop forever or move to the target g: classes M1 = {g}, M2 = {p}
     m = VassMdp(
         1,
         [State("g", NONDET), State("p", NONDET)],
@@ -326,26 +326,40 @@ def test_reach_certificate_checks():
             Transition("t_pp", "p", (0,), "p", None),
         ],
     )
-    g, none = frozenset({"g"}), frozenset()
-    values, choice = max_reach_values(m, g, none)
+    values, choice = max_reach_values(m, frozenset({"g"}), frozenset())
     assert (values, choice) == ({"g": 1, "p": 1}, {"p": "t_pg"})
-    assert verify_reach_values(m, g, none, values, choice) == []
+    doc = build_analysis(m)
+    assert doc["reach"] == [
+        {"from": "M2", "to": "M1", "values": {"g": "1", "p": "1"}, "choice": {"p": "t_pg"}}
+    ]
+
+    def reach_failures(values, choice):
+        doc["reach"][0].update(values=values, choice=choice)
+        try:
+            check_report(m, doc)
+        except AttestationError as e:
+            prefix = "reach M2->M1: "
+            return [f[len(prefix):] for f in str(e).split("; ") if f.startswith(prefix)]
+        return []
+
+    assert reach_failures({"g": "1", "p": "1"}, {"p": "t_pg"}) == []
     # the looping strategy: value 1 satisfies p's chain equation, but the
     # chain never reaches g from p
-    (bad,) = verify_reach_values(m, g, none, values, {"p": "t_pp"})
+    (bad,) = reach_failures({"g": "1", "p": "1"}, {"p": "t_pp"})
     assert "cannot reach the target" in bad
-    (bad,) = verify_reach_values(m, g, none, {"g": 1, "p": 0}, {"p": "t_pp"})
+    (bad,) = reach_failures({"g": "1"}, {})
     assert "improving deviation at p via t_pg" in bad
-    assert verify_reach_values(m, g, none, {"g": 1, "p": Fraction(1, 2)}, choice) == [
+    assert reach_failures({"g": "1", "p": "1/2"}, {"p": "t_pg"}) == [
         "chain equation fails at p: 1/2 != 1",
         "improving deviation at p via t_pg",
     ]
-    assert verify_reach_values(m, g, frozenset({"p"}), values, {}) == [
-        "sink p has value 1 != 0"
-    ]
-    assert verify_reach_values(m, g, none, {"g": 0, "p": 0}, choice) == [
-        "target g has value 0 != 1"
-    ]
+    assert reach_failures({}, {}) == ["target g has value 0 != 1"]
+    # every third class is a losing sink: pump's M1 -> M3 avoids f of M4
+    doc = build_analysis(pump, [Counter(3)])
+    (entry,) = [e for e in doc["reach"] if (e["from"], e["to"]) == ("M1", "M3")]
+    entry["values"]["f"] = "1"
+    with pytest.raises(AttestationError, match="reach M1->M3: sink f has value 1 != 0"):
+        check_report(pump, doc)
 
 
 def test_pair_probabilities_constant_on_class(pump):
@@ -360,13 +374,29 @@ def test_pair_probabilities_constant_on_class(pump):
 
 
 def test_pair_probability_requires_distinct(pump):
-    mecs = mec_decomposition(pump)
-    with pytest.raises(ValueError):
-        max_reach_probability(pump, mecs[0], mecs[0], mecs=mecs)
+    doc = build_analysis(pump, [Counter(3)])
+    doc["reach"][0]["to"] = doc["reach"][0]["from"]
+    with pytest.raises(ValueError, match="source and target class must differ"):
+        check_report(pump, doc)
+
+
+def _pair_value(m, frm, to):
+    """Maximal probability of reaching class `to` from the least state of
+    class `frm` while every other class is a losing sink."""
+    mecs = mec_decomposition(m)
+    sinks = frozenset(s for mec in mecs if mec.mid not in (frm, to) for s in mec.states)
+    by_id = {mec.mid: mec for mec in mecs}
+    values, _ = max_reach_values(m, frozenset(by_id[to].states), sinks)
+    return values[min(by_id[frm].states)]
 
 
 def test_half_probability_exact(pump):
-    mecs = {mec.mid: mec for mec in mec_decomposition(pump)}
-    assert max_reach_probability(pump, mecs["M1"], mecs["M2"]) == 1
-    assert max_reach_probability(pump, mecs["M1"], mecs["M4"]) == Fraction(1, 2)
-    assert max_reach_probability(pump, mecs["M2"], mecs["M1"]) == 0
+    assert _pair_value(pump, "M1", "M2") == 1
+    assert _pair_value(pump, "M1", "M4") == Fraction(1, 2)
+    assert _pair_value(pump, "M2", "M1") == 0
+    _, reach = enumerate_types(pump, 4)  # each pair's certificate, at M1's least state a
+    assert {pair: values["a"] for pair, (values, _) in reach.items()} == {
+        ("M1", "M2"): 1,
+        ("M1", "M3"): Fraction(1, 2),
+        ("M1", "M4"): Fraction(1, 2),
+    }

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from conftest import load_doc, load_model
 from oracles import (
     classify_bscc,
+    counter_effect,
     flags_tuple,
     inventory_from_bruteforce,
     is_hamiltonian,
@@ -19,7 +20,8 @@ from oracles import (
 )
 from strategies import random_model_from_rng, random_models
 from vass_asym import cli, dichotomy, onedim
-from vass_asym.dichotomy import Label, counter_effect
+from vass_asym.check import AttestationError, check_report
+from vass_asym.dichotomy import Label
 from vass_asym.graph import mec_decomposition, transition_to_mec
 from vass_asym.model import (
     NONDET,
@@ -31,7 +33,6 @@ from vass_asym.model import (
     TransitionCount,
     ValidationError,
     VassMdp,
-    apply_md_strategy,
     measure_key,
 )
 from vass_asym.onedim import (
@@ -50,7 +51,6 @@ from vass_asym.onedim import (
     energy_safe,
     hamiltonian_reduction,
     labels_from_inventory,
-    verify_stationary,
 )
 
 # ---------------------------------------------------------------------------
@@ -86,9 +86,14 @@ def test_bscc_analysis_walk_exact(walk):
     assert a.stationary == {"p": Fraction(1)}
     assert a.drift == 0
     assert a.transitions == {"t_down", "t_up"}
-    chain = apply_md_strategy(walk, {})
-    assert verify_stationary(chain, frozenset({"p"}), {"p": Fraction(1)}) == []
-    assert verify_stationary(chain, frozenset({"p"}), {"p": Fraction(1, 2)}) != []
+    # the walk's report carries no zero-cycle witness; one put in is re-checked
+    doc = cli.build_analysis(walk)
+    assert doc["zero_cycle_witness"] is None
+    doc["zero_cycle_witness"] = {"class": "M1", "strategy": {}, "component": ["p"], "stationary": {"p": "1"}}
+    assert check_report(walk, doc) == doc["attestation"]["checks"] + 1
+    doc["zero_cycle_witness"]["stationary"]["p"] = "1/2"
+    with pytest.raises(AttestationError, match="^class M1 stationary: weights do not sum to 1$"):
+        check_report(walk, doc)
 
 
 def test_bscc_analysis_zero_cycle_stationary(zero_cycle):
@@ -144,7 +149,7 @@ def test_inc_loop_inventory(inc_loop):
     assert inv.any_increasing
     f = inv.flags["M1"]
     assert f.increasing and f.mec_id == "M1"
-    assert counter_effect(inc_loop, f.flow, 1) >= 1
+    assert counter_effect(inc_loop, f.flow.x, 1) >= 1
 
 
 def test_zero_cycle_inventory_and_witness(zero_cycle):
@@ -198,11 +203,16 @@ def test_zero_cycle_witness_reports_the_bottom_component_it_realizes(model):
     assert w.strategy == {"s0": "t000", "s1": "t002"}
     assert w.component_states == frozenset({"s0"}) and w.component_transitions == frozenset({"t000"})
     assert w.stationary == {"s0": Fraction(1)}
-    assert not verify_stationary(apply_md_strategy(m, w.strategy), w.component_states, w.stationary)
     ans = energy_safe(m)
     assert (ans.status, ans.strategy, ans.bscc_states) == ("Safe", w.strategy, frozenset({"s0"}))
-    doc = cli.build_analysis(m, measures=None, max_type_len=4)
+    doc = cli.build_analysis(m, measures=None, max_type_len=4)  # re-checks the witness
     assert doc["estimates"]
+    assert doc["zero_cycle_witness"] == {
+        "class": w.mec_id,
+        "strategy": w.strategy,
+        "component": ["s0"],
+        "stationary": {"s0": "1"},
+    }
 
 
 def test_dimension_guards(pump):
