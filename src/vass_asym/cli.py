@@ -65,6 +65,7 @@ from .model import (
     measure_key,
     model_digest,
     parse_measure,
+    parse_rational,
     parse_vass,
     serialize_vass,
 )
@@ -383,7 +384,10 @@ def _load_strategy(arg: str, m: VassMdp):
         if isinstance(entry, str):
             out[state] = entry
         elif isinstance(entry, dict):
-            out[state] = {tid: Fraction(p) for tid, p in entry.items()}
+            out[state] = {
+                tid: parse_rational(p, f"strategy for {state!r}, transition {tid!r}")
+                for tid, p in entry.items()
+            }
         else:
             raise ValueError(
                 f"strategy for {state!r} must be a transition id or a distribution"
@@ -633,8 +637,9 @@ def _build_parser() -> _Parser:
         default=None,
         help="longest class-visit sequence to enumerate (default: number of classes)",
     )
-    p.add_argument("--json", action="store_true", help="emit the JSON report")
-    p.add_argument("--text", action="store_true", help="emit the text report (default)")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="emit the JSON report")
+    fmt.add_argument("--text", action="store_true", help="emit the text report (default)")
     p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
     p.set_defaults(func=_cmd_analyze)
 
@@ -657,8 +662,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--theta", type=float, default=None, help="cap steps at ceil(4*n**theta)")
     p.add_argument("--max-steps", type=int, default=None, help="fixed step cap (overrides --theta)")
     p.add_argument("--init-state", default=None, help="start state (default: least name)")
-    p.add_argument("--csv", action="store_true", help="emit CSV rows")
-    p.add_argument("--json", action="store_true", help="emit the JSON report")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--csv", action="store_true", help="emit CSV rows")
+    fmt.add_argument("--json", action="store_true", help="emit the JSON report")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_simulate)
 
@@ -700,7 +706,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except _CliError as e:
-        print(str(e), file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

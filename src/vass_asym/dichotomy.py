@@ -18,8 +18,9 @@ rank never increases along controlled transitions and never increases in
 expectation out of probabilistic states. ``y(c) > 0`` caps counter c linearly;
 a strictly decreasing row caps the corresponding transition's use count.
 
-The candidates come in complementary pairs, and exactly one side of each pair
-is achievable (the ranking/flow dichotomy; Tucker's strictly complementary
+`build_systems` returns both systems and their complementary pairs, each a
+(System I row, System II row); exactly one side of each pair can be made
+strict (the ranking/flow dichotomy; Tucker's strictly complementary
 solutions): for every counter, y(c) > 0 or a flow pumps it; for every
 controlled transition, its rank row is strict or a flow uses it; for every
 probabilistic state, its expected rank row is strict or a flow leaves it.
@@ -56,7 +57,14 @@ from .model import (
     measure_key,
     zero_counters,
 )
-from .ratlp import LpProblem, LpSolution, con, scale_to_integers, solve_feasibility
+from .ratlp import (
+    LinearConstraint,
+    LpProblem,
+    LpSolution,
+    con,
+    scale_to_integers,
+    solve_feasibility,
+)
 
 
 class NotDagLike(ValueError):
@@ -123,11 +131,6 @@ class RankingFunction:
     strict_nondet: frozenset[str]   # controlled transitions with rank delta < 0
     strict_prob: frozenset[str]     # probabilistic states with expected delta < 0
 
-    def rank(self, state: str, counters: Sequence[int]) -> Fraction:
-        return self.z[state] + sum(
-            (self.y[c] * v for c, v in zip(sorted(self.y), counters)), Fraction(0)
-        )
-
 
 def _xvar(tid: str) -> str:
     return f"x:{tid}"
@@ -141,23 +144,22 @@ def _zvar(name: str) -> str:
     return f"z:{name}"
 
 
-def build_system_I(m: VassMdp, mec: Mec) -> LpProblem:
-    """Pumping-flow system over the class's internal transitions.
+def _effect_row(m: VassMdp, tids: Sequence[str], c: int) -> LinearConstraint:
+    """A flow's total effect on counter c, at least 0."""
+    coeffs = {_xvar(t): m.transition(t).update[c - 1] for t in tids}
+    return con({k: u for k, u in coeffs.items() if u}, ">=", 0, label=f"counter:{c}")
 
-    Candidates (in order): one per counter (positive total effect), then one
-    per internal transition (positive flow).
-    """
+
+def _use_row(tid: str) -> LinearConstraint:
+    """A flow's use of one transition, at least 0."""
+    return con({_xvar(tid): 1}, ">=", 0, label=f"transition:{tid}")
+
+
+def _flow_system(m: VassMdp, mec: Mec) -> LpProblem:
+    """System (I): pumping flows over the class's internal transitions."""
     tids = sorted(mec.transitions)
-    variables = tuple(_xvar(t) for t in tids)
     constraints = [con({_xvar(t): 1}, ">=", 0, label=f"nonneg:{t}") for t in tids]
-
-    for c in range(1, m.dimension + 1):
-        coeffs = {}
-        for t in tids:
-            u = m.transition(t).update[c - 1]
-            if u:
-                coeffs[_xvar(t)] = coeffs.get(_xvar(t), 0) + u
-        constraints.append(con(coeffs, ">=", 0, label=f"counter:{c}"))
+    constraints += [_effect_row(m, tids, c) for c in range(1, m.dimension + 1)]
 
     for s in sorted(mec.states):
         coeffs: dict[str, Fraction] = {}
@@ -180,18 +182,7 @@ def build_system_I(m: VassMdp, mec: Mec) -> LpProblem:
             coeffs[_xvar(t.tid)] = coeffs.get(_xvar(t.tid), Fraction(0)) + 1
             constraints.append(con(coeffs, "==", 0, label=f"prop:{t.tid}"))
 
-    candidates = []
-    for c in range(1, m.dimension + 1):
-        coeffs = {
-            _xvar(t): m.transition(t).update[c - 1]
-            for t in tids
-            if m.transition(t).update[c - 1]
-        }
-        candidates.append(con(coeffs, ">=", 0, label=f"counter:{c}"))
-    for t in tids:
-        candidates.append(con({_xvar(t): 1}, ">=", 0, label=f"transition:{t}"))
-
-    return LpProblem(variables, tuple(constraints), tuple(candidates))
+    return LpProblem(tuple(_xvar(t) for t in tids), tuple(constraints))
 
 
 def _rank_row(m: VassMdp, t: Transition) -> dict[str, Fraction]:
@@ -206,180 +197,149 @@ def _rank_row(m: VassMdp, t: Transition) -> dict[str, Fraction]:
     return {k: v for k, v in coeffs.items() if v != 0}
 
 
-def build_system_II(m: VassMdp, mec: Mec) -> LpProblem:
-    """Ranking system over the class.
+def _expected_rank_row(m: VassMdp, s: str) -> dict[str, Fraction]:
+    """The expected rank change out of a probabilistic state as an LP row."""
+    coeffs: dict[str, Fraction] = {}
+    for t in m.out(s):
+        for k, v in _rank_row(m, t).items():
+            coeffs[k] = coeffs.get(k, Fraction(0)) + t.prob * v
+    return {k: v for k, v in coeffs.items() if v != 0}
 
-    Candidates (in order): one per counter (y(c) > 0), then one per controlled
-    internal transition (strict rank decrease), then one per probabilistic
-    member state (strict expected decrease).
+
+Pair = tuple[LinearConstraint, LinearConstraint]
+
+
+def build_systems(m: VassMdp, mec: Mec) -> tuple[LpProblem, LpProblem, list[Pair]]:
+    """Systems (I) and (II) of a class and their complementary pairs.
+
+    A pair is a (System I row, System II row) of homogeneous ``>= 0`` rows
+    that hold on every solution of their systems. In order: per counter, the
+    flow's total effect and y(c); per controlled internal transition (tid
+    order), its flow and its rank decrease; per probabilistic member state,
+    the flow on its first out-transition (the others are proportional) and
+    its expected rank decrease.
     """
     tids = sorted(mec.transitions)
     states = sorted(mec.states)
-    variables = tuple(_yvar(c) for c in range(1, m.dimension + 1)) + tuple(
-        _zvar(s) for s in states
-    )
-    constraints = [
-        con({_yvar(c): 1}, ">=", 0, label=f"nonneg:y{c}")
-        for c in range(1, m.dimension + 1)
-    ] + [con({_zvar(s): 1}, ">=", 0, label=f"nonneg:z{s}") for s in states]
-
-    nondet_rows: list[tuple[str, dict[str, Fraction]]] = []
-    prob_rows: list[tuple[str, dict[str, Fraction]]] = []
-    for t in tids:
-        tr = m.transition(t)
-        if m.kind(tr.source) == NONDET:
-            nondet_rows.append((t, _rank_row(m, tr)))
-    for s in states:
-        if m.kind(s) != PROB:
-            continue
-        coeffs: dict[str, Fraction] = {}
-        for t in m.out(s):
-            for k, v in _rank_row(m, t).items():
-                coeffs[k] = coeffs.get(k, Fraction(0)) + t.prob * v
-        prob_rows.append((s, {k: v for k, v in coeffs.items() if v != 0}))
-
-    for t, row in nondet_rows:
-        constraints.append(con(row, "<=", 0, label=f"nondet:{t}"))
-    for s, row in prob_rows:
-        constraints.append(con(row, "<=", 0, label=f"prob:{s}"))
-
-    candidates = [
-        con({_yvar(c): 1}, ">=", 0, label=f"counter:{c}")
-        for c in range(1, m.dimension + 1)
+    counters = range(1, m.dimension + 1)
+    variables = tuple(_yvar(c) for c in counters) + tuple(_zvar(s) for s in states)
+    constraints = [con({_yvar(c): 1}, ">=", 0, label=f"nonneg:y{c}") for c in counters]
+    constraints += [con({_zvar(s): 1}, ">=", 0, label=f"nonneg:z{s}") for s in states]
+    pairs = [
+        (_effect_row(m, tids, c), con({_yvar(c): 1}, ">=", 0, label=f"counter:{c}"))
+        for c in counters
     ]
-    for t, row in nondet_rows:
-        candidates.append(con({k: -v for k, v in row.items()}, ">=", 0, label=f"nondet:{t}"))
-    for s, row in prob_rows:
-        candidates.append(con({k: -v for k, v in row.items()}, ">=", 0, label=f"prob:{s}"))
-
-    return LpProblem(tuple(variables), tuple(constraints), tuple(candidates))
-
-
-def _achieved_labels(problem: LpProblem, solution: LpSolution) -> set[str]:
-    return {problem.candidates[i].label for i in solution.achieved_strict}
-
-
-def _candidate_pairs(m: VassMdp, p1: LpProblem, p2: LpProblem) -> list[tuple[int, int]]:
-    """(System I, System II) candidate indices, one pair per System II
-    candidate and in its order: a counter's effect and its coefficient y(c);
-    a controlled transition's flow and its rank row; the flow out of a
-    probabilistic state (read on its first transition, the others are
-    proportional) and its expected rank row."""
-    index_I = {cand.label: i for i, cand in enumerate(p1.candidates)}
-    pairs = []
-    for j, cand in enumerate(p2.candidates):
-        kind, name = cand.label.split(":", 1)
-        if kind == "counter":
-            partner = cand.label
-        elif kind == "nondet":
-            partner = f"transition:{name}"
-        else:
-            partner = f"transition:{m.out(name)[0].tid}"
-        pairs.append((index_I[partner], j))
-    return pairs
+    decreases = [
+        (_use_row(t), f"nondet:{t}", _rank_row(m, m.transition(t)))
+        for t in tids
+        if m.kind(m.transition(t).source) == NONDET
+    ] + [
+        (_use_row(m.out(s)[0].tid), f"prob:{s}", _expected_rank_row(m, s))
+        for s in states
+        if m.kind(s) == PROB
+    ]
+    for use, label, row in decreases:
+        constraints.append(con(row, "<=", 0, label=label))
+        pairs.append((use, con({k: -v for k, v in row.items()}, ">=", 0, label=label)))
+    return _flow_system(m, mec), LpProblem(variables, tuple(constraints)), pairs
 
 
-def _probe(problem: LpProblem, idx: int) -> Optional[dict[str, Fraction]]:
-    """A solution with candidate `idx` at least 1, or None."""
-    cand = problem.candidates[idx]
+def _probe(problem: LpProblem, row: LinearConstraint) -> Optional[dict[str, Fraction]]:
+    """A solution of the system with `row` at least 1, or None."""
     sol = solve_feasibility(
-        LpProblem(problem.variables, problem.constraints + (cand.with_rhs(1),))
+        LpProblem(problem.variables, problem.constraints + (row.with_rhs(1),))
     )
     return None if sol is None else sol.assignment
 
 
-def _strict(problem: LpProblem, x: dict[str, Fraction]) -> frozenset[int]:
-    return frozenset(i for i, cand in enumerate(problem.candidates) if cand.value(x) > 0)
+def _strict(rows: Sequence[LinearConstraint], x: dict[str, Fraction]) -> set[int]:
+    return {k for k, row in enumerate(rows) if row.value(x) > 0}
 
 
 def _sum_witnesses(
-    problem: LpProblem, witnesses: list[dict[str, Fraction]], strict: set[int]
-) -> LpSolution:
-    """The sum of homogeneous solutions, re-checked: it solves the system,
-    leaves no candidate row negative, and is strict on exactly the candidates
-    some summand is strict on."""
+    problem: LpProblem,
+    rows: Sequence[LinearConstraint],
+    witnesses: list[dict[str, Fraction]],
+    strict: set[int],
+) -> dict[str, Fraction]:
+    """The sum of homogeneous solutions, re-checked and scaled to integers: it
+    solves the system, leaves no row of `rows` negative, and is strict on
+    exactly `strict`, the rows some summand is strict on."""
     total = {v: sum((w[v] for w in witnesses), Fraction(0)) for v in problem.variables}
     for c in problem.constraints:
         if not c.holds(total):
             raise InternalError("sum of homogeneous witnesses left the system")
-    if any(cand.value(total) < 0 for cand in problem.candidates):
-        raise InternalError("sum of homogeneous witnesses has a negative candidate row")
-    achieved = _strict(problem, total)
-    if achieved != strict:
-        raise InternalError("sum is not strict on exactly its summands' candidates")
-    return LpSolution(assignment=total, achieved_strict=achieved)
+    if any(row.value(total) < 0 for row in rows):
+        raise InternalError("sum of homogeneous witnesses has a negative pair row")
+    if _strict(rows, total) != strict:
+        raise InternalError("sum is not strict on exactly its summands' rows")
+    return scale_to_integers(LpSolution(total)).assignment
 
 
 def compute_maximal_solutions(m: VassMdp, mec: Mec) -> tuple[SystemIWitness, RankingFunction]:
     """Integer-scaled maximal solutions of systems (I) and (II) for one class.
 
-    Maximal: strict on every achievable candidate. The candidates come in
-    complementary pairs (`_candidate_pairs`), exactly one side of each
-    achievable. The pairs are walked in order; a pair that an earlier witness
-    of either system is already strict on is skipped, otherwise System (II)
-    is probed with its candidate at >= 1 and, if that is infeasible, System
-    (I) with its own, which must then be feasible. Each system's witnesses
-    are summed (homogeneous systems are closed under addition, and every
-    candidate row is nonnegative on their solutions), so each sum is strict
-    on one side of every pair, the achievable one. After scaling, every
-    nonzero entry is >= 1.
+    Maximal: strict on one side of every complementary pair (`build_systems`),
+    the achievable one. The pairs are walked in order; a pair that an earlier
+    witness of either system is already strict on is skipped, otherwise
+    System (II) is probed with its row at >= 1 and, if that is infeasible,
+    System (I) with its own, which must then be feasible. Each system's
+    witnesses are summed (homogeneous systems are closed under addition, and
+    every pair row is nonnegative on their solutions), so each sum is strict
+    on one side of every pair. After scaling, every nonzero entry is >= 1;
+    the witness sets are read off the sums by substitution.
     """
-    p1, p2 = build_system_I(m, mec), build_system_II(m, mec)
-    pairs = _candidate_pairs(m, p1, p2)
+    p1, p2, pairs = build_systems(m, mec)
+    rows1, rows2 = [r for r, _ in pairs], [r for _, r in pairs]
     flows: list[dict[str, Fraction]] = []
     rankings: list[dict[str, Fraction]] = []
     strict1: set[int] = set()
     strict2: set[int] = set()
-    for i, j in pairs:
-        if i in strict1 or j in strict2:
+    for k, (row1, row2) in enumerate(pairs):
+        if k in strict1 or k in strict2:
             continue
-        y = _probe(p2, j)
+        y = _probe(p2, row2)
         if y is not None:
             rankings.append(y)
-            strict2 |= _strict(p2, y)
+            strict2 |= _strict(rows2, y)
             continue
-        x = _probe(p1, i)
+        x = _probe(p1, row1)
         if x is None:
             raise InternalError(
-                f"dichotomy violated in {mec.mid}: neither {p1.candidates[i].label} "
-                f"of the flow system nor {p2.candidates[j].label} of the ranking "
+                f"dichotomy violated in {mec.mid}: neither {row1.label} "
+                f"of the flow system nor {row2.label} of the ranking "
                 "system can be made strict"
             )
         flows.append(x)
-        strict1 |= _strict(p1, x)
-    s1 = scale_to_integers(_sum_witnesses(p1, flows, strict1))
-    s2 = scale_to_integers(_sum_witnesses(p2, rankings, strict2))
-    for i, j in pairs:
-        if (i in s1.achieved_strict) == (j in s2.achieved_strict):
+        strict1 |= _strict(rows1, x)
+    x = _sum_witnesses(p1, rows1, flows, strict1)
+    y = _sum_witnesses(p2, rows2, rankings, strict2)
+    for row1, row2 in pairs:
+        if (row1.value(x) > 0) == (row2.value(y) > 0):
             raise InternalError(
-                f"pair {p1.candidates[i].label} / {p2.candidates[j].label} in "
-                f"{mec.mid} is not strict on exactly one side"
+                f"pair {row1.label} / {row2.label} in {mec.mid} "
+                "is not strict on exactly one side"
             )
 
-    labels1 = _achieved_labels(p1, s1)
+    def decreases(row: dict[str, Fraction]) -> bool:
+        return sum((v * y[k] for k, v in row.items()), Fraction(0)) < 0
+
+    tids = sorted(mec.transitions)
+    counters = range(1, m.dimension + 1)
     witness = SystemIWitness(
         mec_id=mec.mid,
-        x={t: s1.assignment[_xvar(t)] for t in sorted(mec.transitions)},
-        positive_counters=frozenset(
-            c for c in range(1, m.dimension + 1) if f"counter:{c}" in labels1
-        ),
-        positive_transitions=frozenset(
-            t for t in mec.transitions if f"transition:{t}" in labels1
-        ),
+        x={t: x[_xvar(t)] for t in tids},
+        positive_counters=frozenset(c for c, row in zip(counters, rows1) if row.value(x) > 0),
+        positive_transitions=frozenset(t for t in tids if x[_xvar(t)] > 0),
     )
-
-    labels2 = _achieved_labels(p2, s2)
+    controlled = [m.transition(t) for t in tids if m.kind(m.transition(t).source) == NONDET]
     ranking = RankingFunction(
         mec_id=mec.mid,
-        y={c: s2.assignment[_yvar(c)] for c in range(1, m.dimension + 1)},
-        z={s: s2.assignment[_zvar(s)] for s in sorted(mec.states)},
-        strict_nondet=frozenset(
-            t
-            for t in mec.transitions
-            if m.kind(m.transition(t).source) == NONDET and f"nondet:{t}" in labels2
-        ),
+        y={c: y[_yvar(c)] for c in counters},
+        z={s: y[_zvar(s)] for s in sorted(mec.states)},
+        strict_nondet=frozenset(t.tid for t in controlled if decreases(_rank_row(m, t))),
         strict_prob=frozenset(
-            s for s in mec.states if m.kind(s) == PROB and f"prob:{s}" in labels2
+            s for s in mec.states if m.kind(s) == PROB and decreases(_expected_rank_row(m, s))
         ),
     )
     return witness, ranking
@@ -443,22 +403,19 @@ def _pump_probe(m: VassMdp, mec: Mec, measure: Measure) -> dict[str, Fraction]:
     """A flow of the class with its measure row at least 1: total effect on
     the counter, total flow (termination time) or flow through the transition.
     It exists wherever `_pumps` holds; that is the dichotomy."""
-    p1 = build_system_I(m, mec)
+    tids = sorted(mec.transitions)
     if isinstance(measure, Termination):
-        row = con({_xvar(t): 1 for t in mec.transitions}, ">=", 0, label="steps")
+        row = con({_xvar(t): 1 for t in tids}, ">=", 0, label="steps")
+    elif isinstance(measure, Counter):
+        row = _effect_row(m, tids, measure.index)
     else:
-        label = (
-            f"counter:{measure.index}"
-            if isinstance(measure, Counter)
-            else f"transition:{measure.tid}"
-        )
-        row = next(cand for cand in p1.candidates if cand.label == label)
-    sol = solve_feasibility(LpProblem(p1.variables, p1.constraints + (row.with_rhs(1),)))
-    if sol is None:
+        row = _use_row(measure.tid)
+    x = _probe(_flow_system(m, mec), row)
+    if x is None:
         raise InternalError(
             f"dichotomy violated: {measure_key(measure)} not pumpable in {mec.mid}"
         )
-    return {t: sol.assignment[_xvar(t)] for t in sorted(mec.transitions)}
+    return {t: x[_xvar(t)] for t in tids}
 
 
 def _fluctuation_hint(

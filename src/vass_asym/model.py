@@ -229,12 +229,15 @@ def parse_measure(text: str) -> Measure:
 # --- parsing / serialization ---------------------------------------------------
 
 
-def _parse_rational(raw: object, where: str) -> Fraction:
+def parse_rational(raw: object, where: str) -> Fraction:
     if not isinstance(raw, str) or not _RATIONAL_RE.match(raw):
         raise SchemaError(
             f"{where}: probabilities must be exact rational strings like \"1/2\", got {raw!r}"
         )
-    return Fraction(raw)
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise SchemaError(f"{where}: {raw!r} has a zero denominator") from None
 
 
 def _require_keys(obj: dict, required: set[str], optional: set[str], where: str):
@@ -302,7 +305,7 @@ def parse_vass(source: Union[str, bytes, dict]) -> VassMdp:
                 raise SchemaError(f"{where}.update entries must be integers, got {x!r}")
         prob = None
         if "prob" in raw:
-            prob = _parse_rational(raw["prob"], where)
+            prob = parse_rational(raw["prob"], where)
         elif kinds.get(raw["from"]) == PROB:
             raise SchemaError(f"{where}: transition out of a probabilistic state needs 'prob'")
         transitions.append(

@@ -820,10 +820,11 @@ def hamiltonian_reduction(graph: Mapping, pivot: str) -> VassMdp:
     two-vertex graph).
     """
     try:
-        vertices = list(graph["vertices"])
-        raw_edges = list(graph["edges"])
+        vertices, raw_edges = graph["vertices"], graph["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError("graph must be a mapping with 'vertices' and 'edges'") from exc
+    if not isinstance(vertices, list) or not isinstance(raw_edges, list):
+        raise ValueError("'vertices' and 'edges' must be lists")
     if len(set(vertices)) != len(vertices) or not vertices:
         raise ValueError("vertices must be nonempty and unique")
     if not all(isinstance(v, str) and v for v in vertices):
@@ -833,6 +834,8 @@ def hamiltonian_reduction(graph: Mapping, pivot: str) -> VassMdp:
     known = set(vertices)
     pairs: set[tuple[str, str]] = set()
     for e in raw_edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)):
+            raise ValueError(f"edge {e!r} must be a list of two vertex names")
         u, v = e
         if u not in known or v not in known:
             raise ValueError(f"edge {e!r} mentions an unknown vertex")

@@ -8,16 +8,6 @@ always yields the same witness, byte for byte.
 
 Free variables are handled by the classic split ``v = v_plus - v_minus``; the
 callers' systems carry their own nonnegativity rows where needed.
-
-An `LpProblem` may name candidate rows, homogeneous ``>= 0`` rows a caller
-wants strict. This module only solves single probes: the caller adds one
-candidate at ``>= 1`` to the base rows and calls `solve_feasibility`. The
-maximal solutions of the two dual dichotomy systems are built from such
-probes in `dichotomy.compute_maximal_solutions`, one probe per complementary
-candidate pair rather than one per candidate; `scale_to_integers` then clears
-their denominators. The per-candidate reference, which probes every
-candidate of one system and sums the feasible witnesses, is kept with the
-test oracles.
 """
 
 from __future__ import annotations
@@ -80,21 +70,13 @@ def con(
 
 @dataclass(frozen=True)
 class LpProblem:
-    """A feasibility problem plus candidate rows we would like to make strict.
-
-    Candidates must be homogeneous ``>= 0`` rows; probing asks for ``>= 1``,
-    which is equivalent to ``> 0`` for systems closed under positive scaling.
-    """
-
     variables: tuple[str, ...]
     constraints: tuple[LinearConstraint, ...]
-    candidates: tuple[LinearConstraint, ...] = ()
 
 
 @dataclass
 class LpSolution:
     assignment: dict[str, Fraction]
-    achieved_strict: frozenset[int]
 
 
 def _phase_one(
@@ -207,7 +189,7 @@ def solve_feasibility(problem: LpProblem) -> Optional[LpSolution]:
     for c in problem.constraints:  # exact re-substitution, cheap and load-bearing
         if not c.holds(assignment):
             raise InternalError(f"simplex returned a non-solution for {c.label or c}")
-    return LpSolution(assignment=assignment, achieved_strict=frozenset())
+    return LpSolution(assignment=assignment)
 
 
 def scale_to_integers(solution: LpSolution) -> LpSolution:
@@ -221,7 +203,7 @@ def scale_to_integers(solution: LpSolution) -> LpSolution:
     scaled = {v: val * factor for v, val in solution.assignment.items()}
     if any(v.denominator != 1 for v in scaled.values()):
         raise InternalError("scaling by the lcm of denominators left a fraction")
-    return LpSolution(assignment=scaled, achieved_strict=solution.achieved_strict)
+    return LpSolution(assignment=scaled)
 
 
 def solve_linear_system(

@@ -903,6 +903,10 @@ def estimate_tails(
         raise ValueError("n_list must be strictly increasing and nonempty")
     if theta is not None and not isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
+    if n_list[0] < 0:
+        raise ValueError("start value n must be >= 0")
+    if theta is not None and theta < 0 and n_list[0] == 0:
+        raise ValueError(f"theta {theta} < 0 gives no step cap at n = 0")
     try:  # every cap before the first run
         caps = {
             n: max_steps if max_steps is not None else (

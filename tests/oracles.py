@@ -5,12 +5,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from vass_asym.dichotomy import (
-    Label,
-    build_system_I,
-    build_system_II,
-    compute_maximal_solutions,
-)
+from vass_asym.dichotomy import Label, _use_row, build_systems, compute_maximal_solutions
 from vass_asym import check, cli
 from vass_asym.graph import state_to_mec
 from vass_asym.model import (
@@ -31,7 +26,7 @@ from vass_asym.onedim import (
     bscc_analysis,
     chain_bscc_transitions,
 )
-from vass_asym.ratlp import LpProblem, LpSolution, Relation, solve_feasibility
+from vass_asym.ratlp import LinearConstraint, LpProblem, Relation, solve_feasibility
 
 
 @dataclass(frozen=True)
@@ -84,10 +79,12 @@ class NonHomogeneousSystem(ValueError):
     """Strict-count maximization requires every right-hand side to be zero."""
 
 
-def maximize_strict_count(problem: LpProblem) -> LpSolution:
+def maximize_strict_count(
+    problem: LpProblem, candidates: tuple[LinearConstraint, ...]
+) -> tuple[dict[str, Fraction], frozenset[int]]:
     """Reference strict-count maximization: one solution of the homogeneous
     base system making as many candidate rows simultaneously strict as
-    possible.
+    possible, and the indices of the candidates it makes strict.
 
     Each candidate is probed independently at ``>= 1``; the witnesses are
     summed. Additive closure of the homogeneous system keeps the sum feasible,
@@ -99,13 +96,13 @@ def maximize_strict_count(problem: LpProblem) -> LpSolution:
             raise NonHomogeneousSystem(
                 f"base constraint {c.label or c.coeffs} has rhs {c.rhs} != 0"
             )
-    for c in problem.candidates:
+    for c in candidates:
         if c.relation is not Relation.GEQ or c.rhs != 0:
             raise ValueError("candidates must be homogeneous '>= 0' rows")
 
     achieved: list[int] = []
     witnesses: list[dict[str, Fraction]] = []
-    for idx, cand in enumerate(problem.candidates):
+    for idx, cand in enumerate(candidates):
         probe = LpProblem(
             problem.variables, problem.constraints + (cand.with_rhs(1),)
         )
@@ -123,21 +120,32 @@ def maximize_strict_count(problem: LpProblem) -> LpSolution:
         if not c.holds(total):
             raise InternalError("sum of homogeneous witnesses left the system")
     for idx in achieved:
-        if problem.candidates[idx].value(total) < 1:
+        if candidates[idx].value(total) < 1:
             raise InternalError("sum lost a candidate a probe achieved")
-    for idx, cand in enumerate(problem.candidates):
+    for idx, cand in enumerate(candidates):
         if idx not in achieved and cand.value(total) != 0 and cand.with_rhs(1).holds(total):
             raise InternalError("sum achieved a candidate no probe achieved")
-    return LpSolution(assignment=total, achieved_strict=frozenset(achieved))
+    return total, frozenset(achieved)
+
+
+def candidate_rows(m, mec) -> tuple[tuple, tuple]:
+    """Every row of systems (I) and (II) the dichotomy can make strict: each
+    counter's total effect and every transition's flow; the System II row of
+    each complementary pair."""
+    _, _, pairs = build_systems(m, mec)
+    counters = tuple(r for r, _ in pairs[: m.dimension])
+    flows = tuple(_use_row(t) for t in sorted(mec.transitions))
+    return counters + flows, tuple(r for _, r in pairs)
 
 
 def reference_strict_labels(m, mec) -> tuple[set, set]:
     """Candidate labels of systems (I) and (II) that the per-candidate
     reference makes strict."""
+    p1, p2, _ = build_systems(m, mec)
     out = []
-    for problem in (build_system_I(m, mec), build_system_II(m, mec)):
-        sol = maximize_strict_count(problem)
-        out.append({problem.candidates[i].label for i in sol.achieved_strict})
+    for problem, candidates in zip((p1, p2), candidate_rows(m, mec)):
+        _, achieved = maximize_strict_count(problem, candidates)
+        out.append({candidates[i].label for i in achieved})
     return out[0], out[1]
 
 

@@ -804,6 +804,66 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "simulate", str(MODELS / "random_walk_1d.json"))[0] == 1
 
 
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _zero_denominator_model(tmp_path):
+    doc = json.loads((MODELS / "random_walk_1d.json").read_text())
+    doc["transitions"][0]["prob"] = "1/0"
+    return ["analyze", _write(tmp_path, "model.json", doc)]
+
+
+def _strategy(value):
+    def argv(tmp_path):
+        strat = _write(tmp_path, "strategy.json", {"p": {"t_dec": value}})
+        return ["simulate", str(MODELS / "decreasing_loop.json"), "--n", "3", "--runs", "2",
+                "--strategy", strat]
+    return argv
+
+
+def _graph(vertices, edges):
+    return lambda tmp_path: [
+        "gen-hamiltonian", _write(tmp_path, "graph.json", {"vertices": vertices, "edges": edges}), "a"
+    ]
+
+
+WALK = str(MODELS / "random_walk_1d.json")
+K3_EDGES = [["a", "b"], ["b", "c"], ["a", "c"]]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(_zero_denominator_model, "'1/0' has a zero denominator", id="prob-1/0"),
+        pytest.param(lambda _: ["simulate", WALK, "--n", "0,4", "--runs", "2", "--theta", "-1"],
+                     "no step cap at n = 0", id="theta<0-at-n=0"),
+        pytest.param(lambda _: ["simulate", WALK, "--n=-1,4", "--runs", "2", "--theta", "0.5"],
+                     "n must be >= 0", id="n<0-with-theta"),
+        pytest.param(_strategy(True), "strategy for 'p', transition 't_dec'", id="strategy-true"),
+        pytest.param(_strategy(0.1), "strategy for 'p', transition 't_dec'", id="strategy-float"),
+        pytest.param(_strategy("1/0"), "strategy for 'p', transition 't_dec'", id="strategy-1/0"),
+        pytest.param(_strategy([1]), "strategy for 'p', transition 't_dec'", id="strategy-list"),
+        pytest.param(_graph("abc", K3_EDGES), "must be lists", id="graph-vertex-string"),
+        pytest.param(_graph(["a", "b", "c"], ["ab"] + K3_EDGES[1:]), "two vertex names",
+                     id="graph-edge-string"),
+        pytest.param(_graph(["a", "b", "c"], [[["a"], "b"]] + K3_EDGES[1:]), "two vertex names",
+                     id="graph-edge-nested"),
+        pytest.param(lambda _: ["analyze", WALK, "--json", "--text"], "not allowed with",
+                     id="analyze-json-text"),
+        pytest.param(lambda _: ["simulate", WALK, "--n", "4", "--runs", "2", "--csv", "--json"],
+                     "not allowed with", id="simulate-csv-json"),
+    ],
+)
+def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, argv, named):
+    rc, out, err = run(capsys, *argv(tmp_path))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+    assert "Traceback" not in err
+
+
 def test_importing_the_cli_loads_numpy():
     # the benchmark's calibration loops import numpy inside a SIGPROF handler;
     # that is safe only if numpy is already fully imported when the handler

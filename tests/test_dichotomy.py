@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import MODELS, load_model
 from oracles import (
     augment_step_counter,
+    candidate_rows,
     classify_counters_mec,
     reference_strict_labels,
     solve_failures,
@@ -25,10 +26,8 @@ from vass_asym.dichotomy import (
     InvalidType,
     Label,
     NotDagLike,
-    _candidate_pairs,
     _pump_probe,
-    build_system_I,
-    build_system_II,
+    build_systems,
     classify_dag,
     compute_maximal_solutions,
     rank_delta,
@@ -117,9 +116,18 @@ def test_pump_m2_alone_is_all_linear(pump):
 
 def test_system_builders_shapes(pump):
     mecs = {mec.mid: mec for mec in mec_decomposition(pump)}
-    p1 = build_system_I(pump, mecs["M1"])
+    p1, p2, pairs = build_systems(pump, mecs["M1"])
     assert set(p1.variables) == {"x:a_b", "x:b_a_minus", "x:b_a_plus"}
-    assert [c.label for c in p1.candidates] == [
+    assert set(p2.variables) == {"y:1", "y:2", "y:3", "z:a", "z:b"}
+    assert [(r1.label, r2.label) for r1, r2 in pairs] == [
+        ("counter:1", "counter:1"),
+        ("counter:2", "counter:2"),
+        ("counter:3", "counter:3"),
+        ("transition:a_b", "nondet:a_b"),
+        ("transition:b_a_minus", "prob:b"),
+    ]
+    rows1, rows2 = candidate_rows(pump, mecs["M1"])
+    assert [c.label for c in rows1] == [
         "counter:1",
         "counter:2",
         "counter:3",
@@ -127,15 +135,7 @@ def test_system_builders_shapes(pump):
         "transition:b_a_minus",
         "transition:b_a_plus",
     ]
-    p2 = build_system_II(pump, mecs["M1"])
-    assert set(p2.variables) == {"y:1", "y:2", "y:3", "z:a", "z:b"}
-    assert [c.label for c in p2.candidates] == [
-        "counter:1",
-        "counter:2",
-        "counter:3",
-        "nondet:a_b",
-        "prob:b",
-    ]
+    assert rows2 == tuple(r2 for _, r2 in pairs)
 
 
 def test_zero_dimensional_ranking_system():
@@ -149,7 +149,7 @@ def test_zero_dimensional_ranking_system():
         ],
     )
     mec = _single_mec(m)
-    p2 = build_system_II(m, mec)
+    _, p2, _ = build_systems(m, mec)
     assert set(p2.variables) == {"z:p", "z:q"}
     _, ranking = compute_maximal_solutions(m, mec)
     assert ranking.y == {}
@@ -427,12 +427,11 @@ def _count_probes(monkeypatch, m, mec):
 
 def _assert_probe_budget(monkeypatch, m):
     for mec in mec_decomposition(m):
-        p1, p2 = build_system_I(m, mec), build_system_II(m, mec)
-        pairs = _candidate_pairs(m, p1, p2)
+        _, _, pairs = build_systems(m, mec)
         pair_of = {}
-        for k, (i, j) in enumerate(pairs):
-            pair_of[("I", p1.candidates[i].label)] = k
-            pair_of[("II", p2.candidates[j].label)] = k
+        for k, (row1, row2) in enumerate(pairs):
+            pair_of[("I", row1.label)] = k
+            pair_of[("II", row2.label)] = k
         probes = _count_probes(monkeypatch, m, mec)
         assert len(probes) <= 2 * len(pairs)
         infeasible = [pair_of[(system, label)] for system, label, ok in probes if not ok]
@@ -457,9 +456,7 @@ def test_probe_budget(m):
 def test_pump_m1_probes_fewer_than_per_candidate(monkeypatch, pump):
     m1 = _mecs_by_id(pump)["M1"]
     probes = _count_probes(monkeypatch, pump, m1)
-    per_candidate = len(build_system_I(pump, m1).candidates) + len(
-        build_system_II(pump, m1).candidates
-    )
+    per_candidate = sum(len(rows) for rows in candidate_rows(pump, m1))
     assert len(probes) < per_candidate == 11
 
 

@@ -455,6 +455,15 @@ def test_gadget_validation():
         hamiltonian_reduction(
             {"vertices": ["a", "b", "c"], "edges": [["a", "b"]]}, "a"
         )
+    for bad in (
+        {"vertices": "abc", "edges": K3["edges"]},
+        {"vertices": ["a", "b", "c"], "edges": ["ab", ["b", "c"], ["a", "c"]]},
+        {"vertices": ["a", "b", "c"], "edges": [[["a"], "b"], ["b", "c"], ["a", "c"]]},
+        {"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]},
+        {"vertices": ["a", "b", "c"], "edges": {"a": "b"}},
+    ):
+        with pytest.raises(ValueError):
+            hamiltonian_reduction(bad, "a")
 
 
 # ---------------------------------------------------------------------------

@@ -60,18 +60,18 @@ def test_free_variables_allowed_negative():
 
 def test_strict_count_probing_achievable():
     base = (con({"x": 1}, ">=", 0),)
-    p = LpProblem(("x",), base, (con({"x": 1}, ">=", 0, label="x>0"),))
-    sol = maximize_strict_count(p)
-    assert sol.achieved_strict == frozenset({0})
-    assert sol.assignment["x"] >= 1
+    p = LpProblem(("x",), base)
+    x, achieved = maximize_strict_count(p, (con({"x": 1}, ">=", 0, label="x>0"),))
+    assert achieved == frozenset({0})
+    assert x["x"] >= 1
 
 
 def test_strict_count_probing_unachievable():
     base = (con({"x": 1}, "==", 0),)
-    p = LpProblem(("x",), base, (con({"x": 1}, ">=", 0),))
-    sol = maximize_strict_count(p)
-    assert sol.achieved_strict == frozenset()
-    assert sol.assignment["x"] == 0
+    p = LpProblem(("x",), base)
+    x, achieved = maximize_strict_count(p, (con({"x": 1}, ">=", 0),))
+    assert achieved == frozenset()
+    assert x["x"] == 0
 
 
 def test_strict_count_mixed():
@@ -82,23 +82,25 @@ def test_strict_count_mixed():
         con({"z": 1}, "==", 0),
     )
     cands = (con({"x": 1}, ">=", 0), con({"z": 1}, ">=", 0))
-    sol = maximize_strict_count(LpProblem(("x", "y", "z"), base, cands))
-    assert sol.achieved_strict == frozenset({0})
-    assert sol.assignment["x"] == sol.assignment["y"] >= 1
-    assert sol.assignment["z"] == 0
+    x, achieved = maximize_strict_count(LpProblem(("x", "y", "z"), base), cands)
+    assert achieved == frozenset({0})
+    assert x["x"] == x["y"] >= 1
+    assert x["z"] == 0
 
 
 def test_strict_count_rejects_nonhomogeneous():
-    p = LpProblem(("x",), (con({"x": 1}, ">=", 2),), (con({"x": 1}, ">=", 0),))
+    p = LpProblem(("x",), (con({"x": 1}, ">=", 2),))
     with pytest.raises(NonHomogeneousSystem):
-        maximize_strict_count(p)
+        maximize_strict_count(p, (con({"x": 1}, ">=", 0),))
 
 
 def test_scale_to_integers_preserves_achieved():
-    sol = LpSolution({"a": Fraction(3, 4), "b": Fraction(-1, 6)}, frozenset({1}))
+    sol = LpSolution({"a": Fraction(3, 4), "b": Fraction(-1, 6)})
     scaled = scale_to_integers(sol)
     assert scaled.assignment == {"a": Fraction(9), "b": Fraction(-2)}
-    assert scaled.achieved_strict == frozenset({1})
+    # a positive factor keeps strict every row the solution was strict on
+    row = con({"a": 1, "b": 3}, ">=", 0)
+    assert row.value(sol.assignment) > 0 and row.value(scaled.assignment) > 0
 
 
 def test_determinism_byte_identical():
