@@ -379,6 +379,12 @@ def _load_strategy(arg: str, m: VassMdp):
     doc = json.loads(Path(arg).read_text())
     if not isinstance(doc, dict):
         raise ValueError("strategy file must map state names to choices")
+    unknown = sorted(set(doc) - set(m.state_names()))
+    if unknown:
+        raise ValueError(f"strategy file names unknown states {unknown}")
+    probabilistic = sorted(set(doc) - {s.name for s in m.nondet_states()})
+    if probabilistic:
+        raise ValueError(f"strategy file names probabilistic states {probabilistic}")
     out: dict[str, Union[str, dict[str, Fraction]]] = {}
     for state, entry in doc.items():
         if isinstance(entry, str):

@@ -27,6 +27,9 @@ probabilistic state, its expected rank row is strict or a flow leaves it.
 `compute_maximal_solutions` walks the pairs and probes one side at a time,
 the ranking first, so most probes are feasible; `check.solve_failures`
 checks the result's maximality from the serialized witnesses alone.
+`counter_pair` takes the walk's first step alone: whether the class pumps
+counter 1, which is all a one-counter energy question needs of a class that
+does; the walk can then start from the ranking it found.
 
 The DAG pipeline walks a type (class sequence): counters already pumped to a
 quadratic lower bound have their updates zeroed in later classes — the run can
@@ -276,7 +279,38 @@ def _sum_witnesses(
     return scale_to_integers(LpSolution(total)).assignment
 
 
-def compute_maximal_solutions(m: VassMdp, mec: Mec) -> tuple[SystemIWitness, RankingFunction]:
+def _pair_step(
+    p1: LpProblem, p2: LpProblem, pair: Pair, mid: str
+) -> tuple[bool, dict[str, Fraction]]:
+    """Decide one complementary pair: (True, a System (II) solution with its
+    row at >= 1), else (False, a System (I) solution with its own row at
+    >= 1). The second probe runs only where the first is infeasible, and one
+    of the two must be feasible."""
+    row1, row2 = pair
+    y = _probe(p2, row2)
+    if y is not None:
+        return True, y
+    x = _probe(p1, row1)
+    if x is None:
+        raise InternalError(
+            f"dichotomy violated in {mid}: neither {row1.label} of the flow "
+            f"system nor {row2.label} of the ranking system can be made strict"
+        )
+    return False, x
+
+
+def counter_pair(m: VassMdp, mec: Mec) -> tuple[bool, dict[str, Fraction]]:
+    """The class's first complementary pair (counter 1) decided alone, by the
+    class solve's own first step: (True, a ranking with y(1) >= 1), or
+    (False, a flow whose effect on counter 1 is >= 1; the class pumps it).
+    `compute_maximal_solutions` can start from the ranking."""
+    p1, p2, pairs = build_systems(m, mec)
+    return _pair_step(p1, p2, pairs[0], mec.mid)
+
+
+def compute_maximal_solutions(
+    m: VassMdp, mec: Mec, counter_ranking: Optional[dict[str, Fraction]] = None
+) -> tuple[SystemIWitness, RankingFunction]:
     """Integer-scaled maximal solutions of systems (I) and (II) for one class.
 
     Maximal: strict on one side of every complementary pair (`build_systems`),
@@ -288,6 +322,9 @@ def compute_maximal_solutions(m: VassMdp, mec: Mec) -> tuple[SystemIWitness, Ran
     every pair row is nonnegative on their solutions), so each sum is strict
     on one side of every pair. After scaling, every nonzero entry is >= 1;
     the witness sets are read off the sums by substitution.
+
+    `counter_ranking`, the ranking `counter_pair` found for this class, is
+    taken as the first pair's witness, so that pair is not probed again.
     """
     p1, p2, pairs = build_systems(m, mec)
     rows1, rows2 = [r for r, _ in pairs], [r for _, r in pairs]
@@ -295,23 +332,19 @@ def compute_maximal_solutions(m: VassMdp, mec: Mec) -> tuple[SystemIWitness, Ran
     rankings: list[dict[str, Fraction]] = []
     strict1: set[int] = set()
     strict2: set[int] = set()
-    for k, (row1, row2) in enumerate(pairs):
+    if counter_ranking is not None:
+        rankings.append(counter_ranking)
+        strict2 |= _strict(rows2, counter_ranking)
+    for k, pair in enumerate(pairs):
         if k in strict1 or k in strict2:
             continue
-        y = _probe(p2, row2)
-        if y is not None:
-            rankings.append(y)
-            strict2 |= _strict(rows2, y)
-            continue
-        x = _probe(p1, row1)
-        if x is None:
-            raise InternalError(
-                f"dichotomy violated in {mec.mid}: neither {row1.label} "
-                f"of the flow system nor {row2.label} of the ranking "
-                "system can be made strict"
-            )
-        flows.append(x)
-        strict1 |= _strict(rows1, x)
+        ranked, w = _pair_step(p1, p2, pair, mec.mid)
+        if ranked:
+            rankings.append(w)
+            strict2 |= _strict(rows2, w)
+        else:
+            flows.append(w)
+            strict1 |= _strict(rows1, w)
     x = _sum_witnesses(p1, rows1, flows, strict1)
     y = _sum_witnesses(p2, rows2, rankings, strict2)
     for row1, row2 in pairs:

@@ -46,7 +46,10 @@ class ValidationError(ValueError):
 
 
 class UnknownTransition(KeyError):
-    pass
+    """A transition id the model does not have."""
+
+    def __str__(self) -> str:
+        return f"unknown transition {self.args[0]!r}"
 
 
 class IncompleteStrategy(ValueError):
@@ -222,6 +225,8 @@ def parse_measure(text: str) -> Measure:
             raise ValueError("counter indices are 1-based")
         return Counter(idx)
     if text.startswith("T:"):
+        if text == "T:":
+            raise ValueError("transition measure T: needs a transition id")
         return TransitionCount(text[2:])
     raise ValueError(f"unknown measure {text!r}; expected L, C:<c> or T:<t>")
 

@@ -8,12 +8,14 @@ zero (BoundedZero), or zero drift with some nonzero cycle (UnboundedZero).
 `compute_inventory` decides, per class, whether each behaviour is achievable
 by some strategy, from one pair of maximal System I/II solutions per class,
 and keeps the exact rational witnesses. It is the only place that solves a
-class's systems: `bounded_zero_witness` and `energy_safe` read the
-inventory the caller holds. `labels_from_inventory` is
-the pure case table turning a class-visit sequence plus those flags into
-growth estimates; `brute_force_classify` enumerates every strategy as an
-independent ground truth; `energy_safe` answers whether some recurrent
-behaviour never loses counter value along any cycle; `hamiltonian_reduction`
+whole class: `bounded_zero_witness` reads the inventory the caller holds.
+`labels_from_inventory` is the pure case table turning a class-visit
+sequence plus those flags into growth estimates; `brute_force_classify`
+enumerates every strategy as an independent ground truth. `energy_safe`
+answers whether some recurrent behaviour never loses counter value along
+any cycle: it decides each class's counter pair first (`counter_pair`) and
+builds the inventory only when no class increases, since one increasing
+class sends the question to strategy enumeration. `hamiltonian_reduction`
 encodes undirected-graph Hamiltonicity into exactly that question.
 """
 
@@ -32,6 +34,7 @@ from .dichotomy import (
     RankingFunction,
     SystemIWitness,
     compute_maximal_solutions,
+    counter_pair,
     rank_delta,
 )
 from .graph import (
@@ -396,16 +399,22 @@ def _nonincreasing_flags(
 
 
 def compute_inventory(
-    m: VassMdp, mecs: Optional[Sequence[Mec]] = None
+    m: VassMdp,
+    mecs: Optional[Sequence[Mec]] = None,
+    counter_rankings: Optional[Mapping[str, dict[str, Fraction]]] = None,
 ) -> ClassInventory:
-    """Behaviour flags for every class of a one-counter model."""
+    """Behaviour flags for every class of a one-counter model.
+
+    `counter_rankings` maps class ids to the rankings `counter_pair` found
+    for them; each such class solve starts from its ranking."""
     if m.dimension != 1:
         raise ValueError("behaviour inventories are defined for one-counter models")
     if mecs is None:
         mecs = mec_decomposition(m)
+    rankings = counter_rankings or {}
     flags: dict[str, MecFlags] = {}
     for mec in mecs:
-        witness, ranking = compute_maximal_solutions(m, mec)
+        witness, ranking = compute_maximal_solutions(m, mec, rankings.get(mec.mid))
         if 1 in witness.positive_counters:
             flags[mec.mid] = MecFlags(
                 mec_id=mec.mid,
@@ -753,31 +762,47 @@ def _has_negative_cycle(edges: Sequence[Transition], nodes: Sequence[str]) -> bo
 def energy_safe(m: VassMdp, brute_bound: int = 10**6) -> EnergyAnswer:
     """Decide existence of a non-losing bottom component.
 
-    Without an increasing class the question collapses to the zero-cycle flag
-    (a non-losing component has drift <= 0 and cycles >= 0, hence all cycles
-    exactly zero), answered in polynomial time with a witness. With an
+    Each class's counter pair is decided first, in class order
+    (`counter_pair`: one LP, two where the class pumps the counter). With an
     increasing class the question is genuinely hard and is answered by
-    strategy enumeration up to `brute_bound`, else UnknownNPRegime.
+    strategy enumeration up to `brute_bound`, else UnknownNPRegime; no
+    further class is solved. Without one it collapses to the zero-cycle flag
+    (a non-losing component has drift <= 0 and cycles >= 0, hence all cycles
+    exactly zero), answered in polynomial time with a witness from the
+    inventory, whose class solves start from the rankings already found.
     """
     if m.dimension != 1:
         raise ValueError("energy safety is defined for one-counter models")
     if brute_bound < 0:
         raise ValueError(f"the enumeration bound must be >= 0, got {brute_bound}")
-    inventory = compute_inventory(m)
-    if not inventory.any_increasing:
-        w = bounded_zero_witness(m, inventory)
-        if w is not None:
-            return EnergyAnswer(
-                status="Safe",
-                strategy=w.strategy,
-                bscc_states=w.component_states,
-                note="zero-cycle bottom component: every cycle keeps the counter unchanged",
-            )
+    mecs = mec_decomposition(m)
+    rankings: dict[str, dict[str, Fraction]] = {}
+    for mec in mecs:
+        ranked, solution = counter_pair(m, mec)
+        if not ranked:
+            return _energy_by_enumeration(m, brute_bound)
+        rankings[mec.mid] = solution
+    inventory = compute_inventory(m, mecs, rankings)
+    if inventory.any_increasing:
+        raise InternalError("the inventory found an increasing class its counter pairs did not")
+    w = bounded_zero_witness(m, inventory)
+    if w is not None:
         return EnergyAnswer(
-            status="Unsafe",
-            note="no class admits positive drift or zero cycles: every bottom "
-            "component drifts down or oscillates unboundedly",
+            status="Safe",
+            strategy=w.strategy,
+            bscc_states=w.component_states,
+            note="zero-cycle bottom component: every cycle keeps the counter unchanged",
         )
+    return EnergyAnswer(
+        status="Unsafe",
+        note="no class admits positive drift or zero cycles: every bottom "
+        "component drifts down or oscillates unboundedly",
+    )
+
+
+def _energy_by_enumeration(m: VassMdp, brute_bound: int) -> EnergyAnswer:
+    """Energy safety by enumerating every memoryless deterministic strategy,
+    or UnknownNPRegime where there are more than `brute_bound`."""
     _, _, total = _strategy_space(m)
     if total > brute_bound:
         return EnergyAnswer(

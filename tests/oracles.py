@@ -19,12 +19,15 @@ from vass_asym.model import (
 from vass_asym.onedim import (
     BsccClass,
     ClassInventory,
+    EnergyAnswer,
     MecFlags,
     TooManyStrategies,
     bottom_sccs,
+    bounded_zero_witness,
     brute_force_classify,
     bscc_analysis,
     chain_bscc_transitions,
+    compute_inventory,
 )
 from vass_asym.ratlp import LinearConstraint, LpProblem, Relation, solve_feasibility
 
@@ -226,6 +229,55 @@ def pivot_safe_bruteforce(m, pivot, bound=10**6) -> bool:
             if pivot in b and not _has_negative_cycle(edges, b):
                 return True
     return False
+
+
+def energy_by_inventory(m, brute_bound=10**6) -> EnergyAnswer:
+    """Reference energy decision: every class solved in full first, then the
+    zero-cycle witness without an increasing class, else strategy
+    enumeration in `energy_safe`'s order."""
+    if m.dimension != 1:
+        raise ValueError("energy safety is defined for one-counter models")
+    if brute_bound < 0:
+        raise ValueError(f"the enumeration bound must be >= 0, got {brute_bound}")
+    inventory = compute_inventory(m)
+    if not inventory.any_increasing:
+        w = bounded_zero_witness(m, inventory)
+        if w is not None:
+            return EnergyAnswer(
+                status="Safe",
+                strategy=w.strategy,
+                bscc_states=w.component_states,
+                note="zero-cycle bottom component: every cycle keeps the counter unchanged",
+            )
+        return EnergyAnswer(
+            status="Unsafe",
+            note="no class admits positive drift or zero cycles: every bottom "
+            "component drifts down or oscillates unboundedly",
+        )
+    controlled = [s.name for s in m.nondet_states()]
+    menus = [[t.tid for t in m.out(name)] for name in controlled]
+    total = math.prod(len(menu) for menu in menus)
+    if total > brute_bound:
+        return EnergyAnswer(
+            status="UnknownNPRegime",
+            note=f"{total} strategies exceed the enumeration bound {brute_bound}",
+        )
+    for combo in itertools.product(*menus):
+        choice = dict(zip(controlled, combo))
+        chain = apply_md_strategy(m, choice)
+        for b in bottom_sccs(chain):
+            edges = [t for name in b for t in chain.out(name)]
+            if not _has_negative_cycle(edges, b):
+                return EnergyAnswer(
+                    status="Safe",
+                    strategy=choice,
+                    bscc_states=b,
+                    note="bottom component with no negative cycle",
+                )
+    return EnergyAnswer(
+        status="Unsafe",
+        note="every bottom component of every strategy contains a negative cycle",
+    )
 
 
 def flags_tuple(f):

@@ -41,6 +41,21 @@ def random_models(draw, max_states=4, max_dim=3, max_update=9, min_dim=1):
     return VassMdp(dim, states, transitions)
 
 
+@st.composite
+def two_part_models(draw, max_states=3, max_update=3):
+    """The disjoint union of two random one-counter models: at least two
+    classes, since every model has one. The second part's states are
+    renamed with a `z` prefix and its transitions to `u###`."""
+    a = draw(random_models(max_states=max_states, max_dim=1, max_update=max_update))
+    b = draw(random_models(max_states=max_states, max_dim=1, max_update=max_update))
+    states = list(a.states) + [State(f"z{s.name}", s.kind) for s in b.states]
+    transitions = list(a.transitions) + [
+        Transition(f"u{t.tid[1:]}", f"z{t.source}", t.update, f"z{t.target}", t.prob)
+        for t in b.transitions
+    ]
+    return VassMdp(1, states, transitions)
+
+
 def random_model_from_rng(rng, n_states, dim, max_update, strongly_connected=False):
     """Seeded-random model builder for countable corpus tests.
 

@@ -816,12 +816,15 @@ def _zero_denominator_model(tmp_path):
     return ["analyze", _write(tmp_path, "model.json", doc)]
 
 
-def _strategy(value):
+def _strategy_file(doc, model="decreasing_loop.json"):
     def argv(tmp_path):
-        strat = _write(tmp_path, "strategy.json", {"p": {"t_dec": value}})
-        return ["simulate", str(MODELS / "decreasing_loop.json"), "--n", "3", "--runs", "2",
-                "--strategy", strat]
+        strat = _write(tmp_path, "strategy.json", doc)
+        return ["simulate", str(MODELS / model), "--n", "3", "--runs", "2", "--strategy", strat]
     return argv
+
+
+def _strategy(value):
+    return _strategy_file({"p": {"t_dec": value}})
 
 
 def _graph(vertices, edges):
@@ -846,6 +849,15 @@ K3_EDGES = [["a", "b"], ["b", "c"], ["a", "c"]]
         pytest.param(_strategy(0.1), "strategy for 'p', transition 't_dec'", id="strategy-float"),
         pytest.param(_strategy("1/0"), "strategy for 'p', transition 't_dec'", id="strategy-1/0"),
         pytest.param(_strategy([1]), "strategy for 'p', transition 't_dec'", id="strategy-list"),
+        pytest.param(_strategy_file({"p": {"t_dec": "1"}, "q": "x"}), "unknown states ['q']",
+                     id="strategy-extra-state"),
+        pytest.param(_strategy_file({"zz": "x"}), "unknown states ['zz']", id="strategy-only-unknown"),
+        pytest.param(_strategy_file({"p": "t_up"}, "random_walk_1d.json"),
+                     "probabilistic states ['p']", id="strategy-probabilistic-state"),
+        pytest.param(lambda _: ["analyze", WALK, "--measure", "T:"], "needs a transition id",
+                     id="measure-empty-transition"),
+        pytest.param(lambda _: ["analyze", WALK, "--measure", "T:zz"], "unknown transition 'zz'",
+                     id="measure-unknown-transition"),
         pytest.param(_graph("abc", K3_EDGES), "must be lists", id="graph-vertex-string"),
         pytest.param(_graph(["a", "b", "c"], ["ab"] + K3_EDGES[1:]), "two vertex names",
                      id="graph-edge-string"),

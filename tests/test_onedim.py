@@ -8,17 +8,20 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import load_doc, load_model
+from conftest import MODELS, load_doc, load_model
+import oracles
 from oracles import (
     classify_bscc,
     counter_effect,
+    energy_by_inventory,
     flags_tuple,
     inventory_from_bruteforce,
     is_hamiltonian,
     pivot_safe_bruteforce,
 )
-from strategies import random_model_from_rng, random_models
+from strategies import random_model_from_rng, random_models, two_part_models
 from vass_asym import cli, dichotomy, onedim
 from vass_asym.check import AttestationError, check_report
 from vass_asym.dichotomy import Label
@@ -27,6 +30,7 @@ from vass_asym.model import (
     NONDET,
     PROB,
     Counter,
+    InternalError,
     State,
     Termination,
     Transition,
@@ -373,9 +377,24 @@ def test_energy_unsafe_despite_positive_drift():
     assert ans.status == "Unsafe" and "negative cycle" in ans.note
 
 
+def test_inventory_finding_an_increasing_class_is_internal_error(monkeypatch, inc_loop):
+    # counter pairs that wrongly call every class non-increasing: the
+    # inventory's class solve then probes the counter pair itself and finds
+    # the pumping flow, and the two must agree
+    def zero_ranking(m, mec):
+        _, p2, _ = dichotomy.build_systems(m, mec)
+        return True, dict.fromkeys(p2.variables, Fraction(0))
+
+    monkeypatch.setattr(onedim, "counter_pair", zero_ranking)
+    with pytest.raises(InternalError, match="increasing class its counter pairs did not"):
+        energy_safe(inc_loop)
+
+
 def test_each_class_solved_once_per_operation(monkeypatch):
-    """`analyze` and `energy` read every class's flags and witnesses off one
-    inventory: exactly one pair of maximal solutions per class."""
+    """`analyze` reads every class's flags and witnesses off one inventory:
+    exactly one pair of maximal solutions per class. `energy` solves no
+    class in full once one increases (the increasing loop, the k3 gadget),
+    and each class once otherwise."""
     calls: Tally = Tally()
     solve = dichotomy.compute_maximal_solutions
 
@@ -386,24 +405,94 @@ def test_each_class_solved_once_per_operation(monkeypatch):
     for module in (dichotomy, onedim, cli):
         monkeypatch.setattr(module, "compute_maximal_solutions", counting)
 
-    models = [
-        load_model(name)
-        for name in (
-            "random_walk_1d.json",
-            "decreasing_loop.json",
-            "increasing_loop.json",
-            "zero_cycle_2state.json",
-        )
+    models = [  # (model, whether some class increases)
+        (load_model("random_walk_1d.json"), False),
+        (load_model("decreasing_loop.json"), False),
+        (load_model("increasing_loop.json"), True),
+        (load_model("zero_cycle_2state.json"), False),
+        (hamiltonian_reduction(load_doc("graphs/k3.json"), "a"), True),
     ]
-    models.append(hamiltonian_reduction(load_doc("graphs/k3.json"), "a"))
-    for m in models:
+    for m, increasing in models:
         once = Tally(mec.mid for mec in mec_decomposition(m))
         calls.clear()
         doc = cli.build_analysis(m)
         assert calls == once == Tally(c["id"] for c in doc["classes"])
         calls.clear()
         energy_safe(m)
-        assert calls == once
+        assert calls == (Tally() if increasing else once)
+
+
+def _traced_energy(decide, m):
+    """`decide(m)`, the class of each LP it solves in call order (read off
+    the LP's flow or state-potential variables), and the inventories it
+    built."""
+    owner = {}
+    for mec in mec_decomposition(m):
+        owner.update({f"z:{s}": mec.mid for s in mec.states})
+        owner.update({f"x:{t}": mec.mid for t in mec.transitions})
+    lps, inventories = [], []
+    solve, build = dichotomy.solve_feasibility, onedim.compute_inventory
+
+    def recording(problem):
+        (mid,) = {owner[v] for v in problem.variables if v in owner}
+        lps.append(mid)
+        return solve(problem)
+
+    def keeping(*args, **kwargs):
+        inventories.append(build(*args, **kwargs))
+        return inventories[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dichotomy, "solve_feasibility", recording)
+        for module in (onedim, oracles):
+            mp.setattr(module, "compute_inventory", keeping)
+        answer = decide(m)
+    return answer, lps, inventories
+
+
+def _assert_energy_matches_reference(m):
+    """`energy_safe` gives the full-inventory reference's answer, solving no
+    more LPs: as many without an increasing class (each class solve starts
+    from its counter pair's ranking), else at most two per class up to and
+    including the first increasing one, and none past it."""
+    got, lps, _ = _traced_energy(energy_safe, m)
+    want, ref_lps, (inventory,) = _traced_energy(energy_by_inventory, m)
+    assert (got.status, got.strategy, got.bscc_states, got.note) == (
+        want.status,
+        want.strategy,
+        want.bscc_states,
+        want.note,
+    )
+    assert len(lps) <= len(ref_lps)
+    order = list(inventory.flags)
+    first = next((k for k, mid in enumerate(order) if inventory.flags[mid].increasing), None)
+    if first is None:
+        assert len(lps) == len(ref_lps)
+        return
+    per_class = Tally(lps)
+    assert all(per_class[mid] <= 2 for mid in order[: first + 1]), per_class
+    assert not any(per_class[mid] for mid in order[first + 1 :]), per_class
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["random_walk_1d", "decreasing_loop", "increasing_loop", "zero_cycle_2state"],
+)
+def test_energy_matches_inventory_reference_on_corpus(name):
+    _assert_energy_matches_reference(load_model(f"{name}.json"))
+
+
+@pytest.mark.parametrize("graph", sorted(p.stem for p in (MODELS / "graphs").glob("*.json")))
+def test_energy_matches_inventory_reference_on_gadgets(graph):
+    doc = load_doc(f"graphs/{graph}.json")
+    for pivot in doc["vertices"]:
+        _assert_energy_matches_reference(hamiltonian_reduction(doc, pivot))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_models(max_states=4, max_dim=1, max_update=3), two_part_models()))
+def test_energy_matches_inventory_reference_property(m):
+    _assert_energy_matches_reference(m)
 
 
 # ---------------------------------------------------------------------------
