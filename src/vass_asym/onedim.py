@@ -763,7 +763,8 @@ def energy_safe(m: VassMdp, brute_bound: int = 10**6) -> EnergyAnswer:
     """Decide existence of a non-losing bottom component.
 
     Each class's counter pair is decided first, in class order
-    (`counter_pair`: one LP, two where the class pumps the counter). With an
+    (`counter_pair`: the pumping flow is probed first, so one LP where the
+    class pumps the counter, two where a ranking bounds it). With an
     increasing class the question is genuinely hard and is answered by
     strategy enumeration up to `brute_bound`, else UnknownNPRegime; no
     further class is solved. Without one it collapses to the zero-cycle flag

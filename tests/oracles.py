@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from vass_asym.dichotomy import Label, _use_row, build_systems, compute_maximal_solutions
-from vass_asym import check, cli
+from vass_asym import check, cli, dichotomy
 from vass_asym.graph import state_to_mec
 from vass_asym.model import (
     InternalError,
@@ -76,6 +76,19 @@ def augment_step_counter(m, only=None) -> VassMdp:
         for t in m.transitions
     ]
     return VassMdp(m.dimension + 1, m.states, transitions)
+
+
+def force_probe_order(monkeypatch, flow_first):
+    """Make every pair step of a class solve probe System (I) first
+    (`flow_first`) or System (II) first, whatever the class's dimension.
+    Ranking first for every dimension is the reference order of the
+    differential tests of the probe order."""
+    step = dichotomy._pair_step
+
+    def forced(p1, p2, pair, mid, _flow_first):
+        return step(p1, p2, pair, mid, flow_first)
+
+    monkeypatch.setattr(dichotomy, "_pair_step", forced)
 
 
 class NonHomogeneousSystem(ValueError):

@@ -12,11 +12,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import MODELS, load_model
+from conftest import MODELS, load_doc, load_model
 from oracles import (
     augment_step_counter,
     candidate_rows,
     classify_counters_mec,
+    force_probe_order,
     reference_strict_labels,
     solve_failures,
     strict_labels,
@@ -37,6 +38,7 @@ from vass_asym import dichotomy
 from vass_asym.check import AttestationError, check_report
 from vass_asym.cli import build_analysis
 from vass_asym.graph import enumerate_types, is_dag_like, mec_decomposition
+from vass_asym.onedim import hamiltonian_reduction
 from vass_asym.model import (
     Counter,
     InternalError,
@@ -426,6 +428,11 @@ def _count_probes(monkeypatch, m, mec):
 
 
 def _assert_probe_budget(monkeypatch, m):
+    """At most two probes and at most one infeasible probe per pair. The side
+    probed first is System (I) with one counter and System (II) otherwise;
+    every infeasible probe is a first probe, and every probe of the other
+    system directly follows an infeasible first probe on the same pair."""
+    first, second = ("I", "II") if m.dimension == 1 else ("II", "I")
     for mec in mec_decomposition(m):
         _, _, pairs = build_systems(m, mec)
         pair_of = {}
@@ -436,9 +443,12 @@ def _assert_probe_budget(monkeypatch, m):
         assert len(probes) <= 2 * len(pairs)
         infeasible = [pair_of[(system, label)] for system, label, ok in probes if not ok]
         assert len(infeasible) == len(set(infeasible)), "two infeasible probes on one pair"
-        # a System (I) probe only follows an infeasible System (II) probe
-        assert sum(system == "I" for system, _, _ in probes) == len(infeasible)
-        assert all(system == "II" for system, _, ok in probes if not ok)
+        assert sum(system == second for system, _, _ in probes) == len(infeasible)
+        assert all(system == first for system, _, ok in probes if not ok)
+        for before, (system, label, _) in zip([None] + probes, probes):
+            if system == second:
+                assert before is not None and before[0] == first and not before[2]
+                assert pair_of[before[:2]] == pair_of[(system, label)]
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -460,12 +470,96 @@ def test_pump_m1_probes_fewer_than_per_candidate(monkeypatch, pump):
     assert len(probes) < per_candidate == 11
 
 
-def test_both_sides_of_a_pair_infeasible_is_internal_error(monkeypatch, pump):
+def _assert_both_sides_infeasible_is_internal_error(monkeypatch, m, mec, first):
+    """With counter 1's probes made infeasible, the class solve probes `first`
+    system, then the other, and raises `InternalError` naming both rows."""
     solve = dichotomy.solve_feasibility
+    probes = []
 
     def no_counter_1(problem):
-        return None if problem.constraints[-1].label == "counter:1" else solve(problem)
+        label = problem.constraints[-1].label
+        probes.append(("I" if problem.variables[0].startswith("x:") else "II", label))
+        return None if label == "counter:1" else solve(problem)
 
     monkeypatch.setattr(dichotomy, "solve_feasibility", no_counter_1)
     with pytest.raises(InternalError, match="neither counter:1 of the flow system nor counter:1"):
-        compute_maximal_solutions(pump, _mecs_by_id(pump)["M1"])
+        compute_maximal_solutions(m, mec)
+    second = "II" if first == "I" else "I"
+    assert probes == [(first, "counter:1"), (second, "counter:1")]
+
+
+def test_both_sides_of_a_pair_infeasible_is_internal_error(monkeypatch, pump):
+    _assert_both_sides_infeasible_is_internal_error(
+        monkeypatch, pump, _mecs_by_id(pump)["M1"], first="II"
+    )
+
+
+def test_both_sides_of_a_pair_infeasible_is_internal_error_one_counter(monkeypatch, dec_loop):
+    _assert_both_sides_infeasible_is_internal_error(
+        monkeypatch, dec_loop, _single_mec(dec_loop), first="I"
+    )
+
+
+# --- the probe order decides nothing -----------------------------------------------
+
+
+def _pair_decisions(m, mec, flow_first=None):
+    """The class solve of `mec` and its pair steps in call order: (pair rows'
+    labels, decided by the ranking, witness). With `flow_first` set, every
+    step probes in that order instead of the class's own."""
+    steps = []
+    with pytest.MonkeyPatch.context() as mp:
+        if flow_first is not None:
+            force_probe_order(mp, flow_first)
+        step = dichotomy._pair_step
+
+        def recording(p1, p2, pair, mid, order):
+            ranked, w = step(p1, p2, pair, mid, order)
+            steps.append((pair[0].label, pair[1].label, ranked, w))
+            return ranked, w
+
+        mp.setattr(dichotomy, "_pair_step", recording)
+        witness, ranking = compute_maximal_solutions(m, mec)
+    return repr((witness, ranking)), steps
+
+
+def _assert_probe_order_decides_nothing(m):
+    """Flow first and ranking first (the reference) decide every pair on the
+    same side with the identical witness, and so does the class's own order."""
+    for mec in mec_decomposition(m):
+        reference = _pair_decisions(m, mec, flow_first=False)
+        assert _pair_decisions(m, mec, flow_first=True) == reference, mec.mid
+        assert _pair_decisions(m, mec) == reference, mec.mid
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_probe_order_decides_nothing_on_corpus(name):
+    m = load_model(name)
+    for c in range(m.dimension + 1):
+        for model in _zeroed_variants(m, frozenset(range(1, c + 1))):
+            _assert_probe_order_decides_nothing(model)
+
+
+# the gadgets the analyze-onedim benchmark runs: at most three edges, the
+# least vertex as the pivot
+BENCH_GADGETS = sorted(
+    p.stem
+    for p in (MODELS / "graphs").glob("*.json")
+    if len(load_doc(f"graphs/{p.name}")["edges"]) <= 3
+)
+
+
+@pytest.mark.parametrize("graph", BENCH_GADGETS)
+def test_probe_order_decides_nothing_on_gadgets(graph):
+    doc = load_doc(f"graphs/{graph}.json")
+    m = hamiltonian_reduction(doc, min(doc["vertices"]))
+    for model in _zeroed_variants(m, frozenset({1})):
+        _assert_probe_order_decides_nothing(model)
+
+
+@given(random_models(max_states=3, max_dim=3, max_update=3), st.sets(st.integers(1, 3)))
+@settings(max_examples=60, deadline=None)
+def test_probe_order_decides_nothing(m, zeroed):
+    zeroed = frozenset(c for c in zeroed if c <= m.dimension)
+    for model in _zeroed_variants(m, zeroed):
+        _assert_probe_order_decides_nothing(model)

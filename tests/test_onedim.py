@@ -2,6 +2,7 @@
 energy safety, and the Hamiltonicity gadget — exact expectations on the
 bundled models plus randomized agreement with brute force."""
 
+import json
 import random
 from collections import Counter as Tally
 from fractions import Fraction
@@ -420,6 +421,52 @@ def test_each_class_solved_once_per_operation(monkeypatch):
         calls.clear()
         energy_safe(m)
         assert calls == (Tally() if increasing else once)
+
+
+def test_energy_counter_pair_probes_the_flow_first(monkeypatch, inc_loop, dec_loop):
+    """A one-counter counter pair probes the pumping flow first: the
+    increasing loop is decided by one LP before strategy enumeration, the
+    decreasing loop's ranking takes a second LP after the infeasible flow."""
+    lps = []
+    solve, enumerate_ = dichotomy.solve_feasibility, onedim._energy_by_enumeration
+    at_enumeration = []
+
+    def counting(problem):
+        lps.append(problem.constraints[-1].label)
+        return solve(problem)
+
+    def enumerating(m, brute_bound):
+        at_enumeration.append(len(lps))
+        return enumerate_(m, brute_bound)
+
+    monkeypatch.setattr(dichotomy, "solve_feasibility", counting)
+    monkeypatch.setattr(onedim, "_energy_by_enumeration", enumerating)
+    assert energy_safe(inc_loop).status == "Safe"
+    assert at_enumeration == [1] and lps == ["counter:1"]
+
+    lps.clear()
+    ranked, _ = dichotomy.counter_pair(dec_loop, mec_decomposition(dec_loop)[0])
+    assert ranked and lps == ["counter:1", "counter:1"]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["random_walk_1d", "decreasing_loop", "increasing_loop", "zero_cycle_2state"],
+)
+def test_one_counter_reports_do_not_depend_on_probe_order(name):
+    """`analyze` and `energy` documents are byte-identical with every pair
+    probed ranking first (the reference) and in the class's own order."""
+    m = load_model(f"{name}.json")
+
+    def documents():
+        analysis = json.dumps(cli.build_analysis(m), indent=2)
+        ans = energy_safe(m)
+        return analysis, repr((ans.status, ans.strategy, ans.bscc_states, ans.note))
+
+    with pytest.MonkeyPatch.context() as mp:
+        oracles.force_probe_order(mp, flow_first=False)
+        reference = documents()
+    assert documents() == reference
 
 
 def _traced_energy(decide, m):
