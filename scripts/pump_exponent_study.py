@@ -51,7 +51,7 @@ def main() -> None:
     t0 = time.monotonic()
     for n in ns:
         rep = estimate_tails(
-            m, [n], runs, seed=args.seed, strategy=pumping_strategy, max_steps=8 * n**4
+            m, [n], runs, seed=args.seed, strategy=pumping_strategy(n), max_steps=8 * n**4
         )
         group = rep.group(n, ("M1", "M4"))
         if group is None:

@@ -13,9 +13,14 @@ re-check (`attestation failure:`), or an internal invariant did not hold
 (`InternalError`, or a bare `KeyError`: a lookup no valid input misses;
 unknown transition and vertex names raise `KeyError` subclasses and exit 1).
 
-`analyze` attests its report by running `check.check_report` on the document
-before emitting it; README § analyze and `schemas/analysis_report.schema.json`
-describe the report's fields.
+`analyze` runs `build_analysis`, the one analysis path for every
+dimension. It validates the measures and derives the classes, DAG-likeness,
+the types with their reach certificates and the transition owners once; the
+regime only labels each (measure, type): the behaviour inventory's case
+table with one counter (`onedim`), the type's DAG pipeline with more
+(`dichotomy.classify_dag`). It attests the report by running
+`check.check_report` on the document before emitting it; README § analyze
+and `schemas/analysis_report.schema.json` describe the report's fields.
 """
 
 from __future__ import annotations
@@ -33,10 +38,9 @@ from typing import Optional, Sequence, Union
 from . import __version__
 from .check import AttestationError, ReportError, check_report
 from .dichotomy import (
-    DagPipelineStep,
     Estimate,
-    InvalidType,
     NotDagLike,
+    Pipeline,
     RankingFunction,
     SystemIWitness,
     classify_dag,
@@ -46,10 +50,10 @@ from .graph import (
     Mec,
     Reach,
     TooManyTypes,
-    TypeSeq,
     enumerate_types,
     is_dag_like,
     mec_decomposition,
+    transition_to_mec,
 )
 from .model import (
     Counter,
@@ -75,13 +79,12 @@ from .onedim import (
     TooManyStrategies,
     VertexNotInGraph,
     bounded_zero_witness,
-    classify_onedim,
+    compute_inventory,
     energy_safe,
     hamiltonian_reduction,
+    labels_from_inventory,
 )
 from .sim import TailReport, estimate_tails, multicycle_strategy_from_x
-
-Pipeline = tuple[DagPipelineStep, ...]
 
 INITIAL_CONVENTION = (
     "runs start in the lexicographically least state name unless overridden, "
@@ -230,27 +233,14 @@ def _validate_measures(m: VassMdp, measures: Optional[list[Measure]]) -> None:
             raise UnknownTransition(ms.tid)
 
 
-def _type_pipelines(
-    types: Sequence[TypeSeq], estimates: dict[str, dict[tuple[str, ...], Estimate]]
-) -> dict[tuple[str, ...], Pipeline]:
-    """Each type's pipeline, once and in type order, for the types some
-    estimate was read off a pipeline along (the attestation checks every
-    such estimate's label against it)."""
-    found: dict[tuple[str, ...], Pipeline] = {}
-    for per_type in estimates.values():
-        for beta, est in per_type.items():
-            if est.pipeline is not None:
-                found.setdefault(beta, est.pipeline)
-    return {ts.mecs: found[ts.mecs] for ts in types if ts.mecs in found}
-
-
 def build_analysis(
     m: VassMdp,
     measures: Optional[list[Measure]] = None,
     max_type_len: Optional[int] = None,
 ) -> dict:
-    """Classify, serialize, and attest: the `analyze` subcommand's payload.
-    The attestation is `check_report` run on the document itself."""
+    """Classify, serialize, and attest: the `analyze` subcommand's payload,
+    for every measure by default (see the module docstring). The attestation
+    is `check_report` run on the document itself."""
     _validate_measures(m, measures)
     mecs = mec_decomposition(m)
     dag = is_dag_like(m, mecs)
@@ -258,32 +248,39 @@ def build_analysis(
         raise NotDagLike()
     if max_type_len is None:
         max_type_len = max(1, len(mecs))
+    if measures is None:
+        measures = (
+            [Termination()]
+            + [Counter(c) for c in range(1, m.dimension + 1)]
+            + [TransitionCount(t.tid) for t in m.transitions]
+        )
+    types, reach = enumerate_types(m, max_type_len, mecs)
+    owner = transition_to_mec(mecs)
 
-    pipelines, zero_cycle = None, None
+    estimates: dict[str, dict[tuple[str, ...], Estimate]] = {
+        measure_key(ms): {} for ms in measures
+    }
+    inventory, zero_cycle, pipelines = None, None, None
     if m.dimension == 1:
-        rep = classify_onedim(m, measures, max_type_len)
-        types, reach, inventory = rep.types, rep.reach, rep.inventory
-        estimates = rep.estimates
-        types_complete = rep.types_complete
+        inventory = compute_inventory(m, mecs)
         # the zero-cycle witness matters only where no class admits positive drift
         if not inventory.any_increasing:
             zero_cycle = bounded_zero_witness(m, inventory)
+        for ts in types:
+            for ms in measures:
+                estimates[measure_key(ms)][ts.mecs] = labels_from_inventory(
+                    inventory, ms, ts.mecs, owner
+                )
     else:
-        if measures is None:
-            measures = (
-                [Termination()]
-                + [Counter(c) for c in range(1, m.dimension + 1)]
-                + [TransitionCount(t.tid) for t in m.transitions]
-            )
-        types, reach = enumerate_types(m, max_type_len, mecs)
-        estimates = {}
-        for ms in measures:
-            estimates[measure_key(ms)] = {
-                ts.mecs: classify_dag(m, ts.mecs, ms, mecs) for ts in types
-            }
-        pipelines = _type_pipelines(types, estimates)
-        inventory = None
-        types_complete = max_type_len >= len(mecs)
+        by_id = {mec.mid: mec for mec in mecs}
+        pipelines = {}
+        for ts in types:
+            beta_mecs = [by_id[b] for b in ts.mecs]
+            for ms in measures:
+                est, pipeline = classify_dag(m, beta_mecs, ms, owner)
+                estimates[measure_key(ms)][ts.mecs] = est
+                if pipeline is not None:  # the same walk for every measure
+                    pipelines.setdefault(ts.mecs, pipeline)
 
     doc = {
         "tool": {"name": "vass-asym", "version": __version__},
@@ -296,7 +293,7 @@ def build_analysis(
         "initial_convention": INITIAL_CONVENTION,
         "classes": [_ser_class(mec) for mec in mecs],
         "dag_like": dag,
-        "types_complete": types_complete,
+        "types_complete": dag and max_type_len >= len(mecs),
         "max_type_len": max_type_len,
         "types": [
             {"classes": list(ts.mecs), "weight": _frac(ts.weight)} for ts in types
@@ -729,7 +726,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (
         SchemaError,
         ValidationError,
-        InvalidType,
         UnknownTransition,
         IncompleteStrategy,
         VertexNotInGraph,

@@ -41,6 +41,11 @@ quadratic lower bound have their updates zeroed in later classes — the run can
 afford to pay them — which can promote further counters; promotions are
 monotone and never revert. The termination time and the transition use counts
 are read off the same walk, from the zeroed classes' maximal flows.
+`classify_dag` labels one (measure, type) of a DAG-like model from that walk
+and returns the walk with the label. It checks none of its inputs: the
+analysis entry point (`cli.build_analysis`) derives the classes, the realizable
+types and the transition owners once and validates the measures before
+asking for any label.
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .graph import Mec, is_dag_like, mec_decomposition, mec_quotient_edges, transition_to_mec
+from .graph import Mec
 from .model import (
     NONDET,
     PROB,
@@ -60,7 +65,6 @@ from .model import (
     Termination,
     Transition,
     TransitionCount,
-    UnknownTransition,
     VassMdp,
     measure_key,
     zero_counters,
@@ -78,10 +82,6 @@ from .ratlp import (
 class NotDagLike(ValueError):
     def __init__(self, message: str = "class graph has mutually reachable classes"):
         super().__init__(message)
-
-
-class InvalidType(ValueError):
-    pass
 
 
 class Label(str, Enum):
@@ -114,9 +114,6 @@ class Estimate:
     note: Optional[str] = None
     beyond_quadratic_hint: bool = False
     witnesses: dict = field(default_factory=dict)
-    # the type's DAG pipeline the label was read off (d >= 2); the same for
-    # every measure along the type, so a report emits it once per type
-    pipeline: Optional[tuple[DagPipelineStep, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -416,6 +413,10 @@ class DagPipelineStep:
     zeroed: frozenset[int]           # counters zeroed before this class
 
 
+# a type's pipeline: one step per class, in type order
+Pipeline = tuple[DagPipelineStep, ...]
+
+
 @dataclass
 class DagPipelineState:
     """Walk state: the monotonically growing pumped-counter set plus a record
@@ -526,33 +527,17 @@ def run_dag_pipeline(
     return DagPipelineState(pumped=pumped, steps=steps, hint=hint)
 
 
-def _validate_type(
-    m: VassMdp, beta: Sequence[str], mecs: Sequence[Mec]
-) -> list[Mec]:
-    by_id = {mec.mid: mec for mec in mecs}
-    if not beta:
-        raise InvalidType("a type must contain at least one class")
-    unknown = [b for b in beta if b not in by_id]
-    if unknown:
-        raise InvalidType(f"unknown class ids {unknown}")
-    for a, b in zip(beta, beta[1:]):
-        if a == b:
-            raise InvalidType("types collapse consecutive duplicates")
-    edges = mec_quotient_edges(m, mecs)
-    for a, b in zip(beta, beta[1:]):
-        if b not in edges[a]:
-            raise InvalidType(f"step {a} -> {b} is not realizable")
-    return [by_id[b] for b in beta]
-
-
 def classify_dag(
     m: VassMdp,
-    beta: Sequence[str],
+    beta_mecs: Sequence[Mec],
     measure: Measure,
-    mecs: Optional[Sequence[Mec]] = None,
-) -> Estimate:
+    owner: Mapping[str, str],
+) -> tuple[Estimate, Optional[Pipeline]]:
     """Asymptotic estimate of one measure conditioned on one type, for any
-    dimension, on DAG-like models.
+    dimension, and the type's pipeline it was read off (None where the label
+    needs no pipeline). The caller passes a realizable type of a DAG-like
+    model as its classes, a measure valid for the model, and `owner`, the
+    class of every class transition; none of these is checked here.
 
     All three measures read the same pipeline. Counters get the exact
     tight-linear / lower-quadratic dichotomy. The termination time is
@@ -562,22 +547,9 @@ def classify_dag(
     flow through it; otherwise a strict rank row caps the count linearly but
     promises no uses, hence `UpperLinear`.
     """
-    if mecs is None:
-        mecs = mec_decomposition(m)
-    if not is_dag_like(m, mecs):
-        raise NotDagLike()
-    beta = tuple(beta)
-    beta_mecs = _validate_type(m, beta, mecs)
-
-    if isinstance(measure, Counter):
-        if not (1 <= measure.index <= m.dimension):
-            raise ValueError(f"counter index {measure.index} out of range")
-    elif isinstance(measure, TransitionCount):
-        tid = measure.tid
-        if not m.has_transition(tid):
-            raise UnknownTransition(tid)
-        towner = transition_to_mec(mecs)
-        if tid not in towner:
+    beta = tuple(mec.mid for mec in beta_mecs)
+    if isinstance(measure, TransitionCount):
+        if measure.tid not in owner:
             return Estimate(
                 label=Label.UPPER_TYPE_LENGTH,
                 bound=len(beta),
@@ -588,27 +560,23 @@ def classify_dag(
                     "use count has a geometric tail, so any constant is an "
                     "upper estimate"
                 ),
-            )
-        if towner[tid] not in beta:
+            ), None
+        if owner[measure.tid] not in beta:
             return Estimate(
                 label=Label.TIGHT_ZERO,
                 tag="class-not-in-type",
                 exact=True,
                 note="the transition's class is never visited by this type",
-            )
-    elif not isinstance(measure, Termination):
-        raise TypeError(f"not a measure: {measure!r}")
-
+            ), None
     state = run_dag_pipeline(m, beta_mecs, track_hint_for=measure)
-    return _estimate(state, measure, beta)
+    return _estimate(state, measure, beta), tuple(state.steps)
 
 
 def _estimate(state: DagPipelineState, measure: Measure, beta: Sequence[str]) -> Estimate:
     """The label the type's pipeline gives a measure: `LowerQuadratic` where a
     step pumps it, else `UpperLinear` for a use count and `TightLinear` for a
     counter or the termination time."""
-    pipeline = tuple(state.steps)
-    promoted = next((s for s in pipeline if _pumps(measure, s.witness, s.newly_pumped)), None)
+    promoted = next((s for s in state.steps if _pumps(measure, s.witness, s.newly_pumped)), None)
     if promoted is not None:
         return Estimate(
             label=Label.LOWER_QUADRATIC,
@@ -617,23 +585,16 @@ def _estimate(state: DagPipelineState, measure: Measure, beta: Sequence[str]) ->
             beyond_quadratic_hint=state.hint,
             note=f"pumped in class {promoted.mec_id} along type {','.join(beta)}"
             + ("; fluctuation-limited pump, growth may exceed degree 2" if state.hint else ""),
-            pipeline=pipeline,
         )
     if isinstance(measure, TransitionCount):
         return Estimate(
             label=Label.UPPER_LINEAR,
             tag="rank-coefficient-positive",
             exact=True,
-            pipeline=pipeline,
             note=(
                 "no zeroed flow uses the transition, so a strict rank row caps "
                 "its use count linearly; no lower bound is claimed — the count "
                 "may be zero"
             ),
         )
-    return Estimate(
-        label=Label.TIGHT_LINEAR,
-        tag="rank-coefficient-positive",
-        exact=True,
-        pipeline=pipeline,
-    )
+    return Estimate(label=Label.TIGHT_LINEAR, tag="rank-coefficient-positive", exact=True)

@@ -198,10 +198,8 @@ def _reachable_from(m: VassMdp, starts: set[str]) -> set[str]:
     return seen
 
 
-def is_dag_like(m: VassMdp, mecs: Optional[Sequence[Mec]] = None) -> bool:
+def is_dag_like(m: VassMdp, mecs: Sequence[Mec]) -> bool:
     """No two distinct classes mutually reachable (via arbitrary paths)."""
-    if mecs is None:
-        mecs = mec_decomposition(m)
     reach = {mec.mid: _reachable_from(m, set(mec.states)) for mec in mecs}
     for a in mecs:
         for b in mecs:

@@ -10,13 +10,15 @@ by some strategy, from one pair of maximal System I/II solutions per class,
 and keeps the exact rational witnesses. It is the only place that solves a
 whole class: `bounded_zero_witness` reads the inventory the caller holds.
 `labels_from_inventory` is the pure case table turning a class-visit
-sequence plus those flags into growth estimates; `brute_force_classify`
-enumerates every strategy as an independent ground truth. `energy_safe`
-answers whether some recurrent behaviour never loses counter value along
-any cycle: it decides each class's counter pair first (`counter_pair`) and
-builds the inventory only when no class increases, since one increasing
-class sends the question to strategy enumeration. `hamiltonian_reduction`
-encodes undirected-graph Hamiltonicity into exactly that question.
+sequence plus those flags into growth estimates; the analysis entry point
+(`cli.build_analysis`) derives the classes, types and transition owners and
+asks it for each label. `brute_force_classify` enumerates every strategy as
+an independent ground truth. `energy_safe` answers whether some recurrent
+behaviour never loses counter value along any cycle: it decides each class's
+counter pair first (`counter_pair`) and builds the inventory only when no
+class increases, since one increasing class sends the question to strategy
+enumeration. `hamiltonian_reduction` encodes undirected-graph Hamiltonicity
+into exactly that question.
 """
 
 from __future__ import annotations
@@ -37,16 +39,7 @@ from .dichotomy import (
     counter_pair,
     rank_delta,
 )
-from .graph import (
-    Mec,
-    Reach,
-    TypeSeq,
-    _sccs,
-    enumerate_types,
-    is_dag_like,
-    mec_decomposition,
-    transition_to_mec,
-)
+from .graph import Mec, _sccs, mec_decomposition
 from .model import (
     NONDET,
     PROB,
@@ -59,7 +52,6 @@ from .model import (
     TransitionCount,
     VassMdp,
     apply_md_strategy,
-    measure_key,
 )
 from .ratlp import solve_linear_system
 
@@ -628,56 +620,6 @@ def labels_from_inventory(
         if all_dec
         else "linear upper bound; no tight claim outside the all-decreasing regime",
         witnesses={"transition": tid, "class": owner},
-    )
-
-
-@dataclass
-class OneDimReport:
-    """Full classification of a one-counter model."""
-
-    mecs: list[Mec]
-    types: list[TypeSeq]
-    reach: dict[tuple[str, str], Reach]  # each type's class pairs, solved once
-    inventory: ClassInventory
-    dag_like: bool
-    types_complete: bool
-    estimates: dict[str, dict[tuple[str, ...], Estimate]]
-
-
-def classify_onedim(
-    m: VassMdp,
-    measures: Optional[Sequence[Measure]] = None,
-    max_type_len: Optional[int] = None,
-) -> OneDimReport:
-    """Classify every requested measure along every realizable class-visit
-    sequence of a one-counter model (all measures by default)."""
-    if m.dimension != 1:
-        raise ValueError("this classification is defined for one-counter models")
-    mecs = mec_decomposition(m)
-    dag = is_dag_like(m, mecs)
-    if max_type_len is None:
-        max_type_len = len(mecs)
-    types, reach = enumerate_types(m, max_type_len, mecs)
-    inventory = compute_inventory(m, mecs)
-    owner = transition_to_mec(mecs)
-    if measures is None:
-        measures = [Termination(), Counter(1)] + [
-            TransitionCount(t.tid) for t in m.transitions
-        ]
-    estimates: dict[str, dict[tuple[str, ...], Estimate]] = {}
-    for ms in measures:
-        per_type = {}
-        for ts in types:
-            per_type[ts.mecs] = labels_from_inventory(inventory, ms, ts.mecs, owner)
-        estimates[measure_key(ms)] = per_type
-    return OneDimReport(
-        mecs=list(mecs),
-        types=types,
-        reach=reach,
-        inventory=inventory,
-        dag_like=dag,
-        types_complete=dag and max_type_len >= len(mecs),
-        estimates=estimates,
     )
 
 

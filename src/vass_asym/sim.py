@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import ceil, inf, isfinite
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -889,7 +889,7 @@ def estimate_tails(
     runs: int,
     *,
     seed: int = 0,
-    strategy: Union[None, Strategy, Callable[[int], Strategy]] = None,
+    strategy: Optional[Strategy] = None,
     theta: Optional[float] = None,
     max_steps: Optional[int] = None,
     init_state: Optional[str] = None,
@@ -897,7 +897,7 @@ def estimate_tails(
     """Simulate `runs` trajectories per start value and aggregate by realized
     type. The step cap per start value n is `max_steps` when given, else
     ceil(4 * n**theta) when a growth exponent hint `theta` is given, else
-    10**6. `strategy` may be a single strategy or a per-n factory n->strategy.
+    10**6. Every start value is simulated under the one `strategy`.
     """
     if not n_list or sorted(set(n_list)) != list(n_list):
         raise ValueError("n_list must be strictly increasing and nonempty")
@@ -918,13 +918,12 @@ def estimate_tails(
         raise ValueError(f"step cap 4*n**{theta} is too large to compute") from None
     groups: dict[int, tuple[TailGroup, ...]] = {}
     for n in n_list:
-        strat = strategy(n) if callable(strategy) else strategy
         stats = simulate_many(
             m,
             n,
             runs,
             seed=seed,
-            strategy=strat,
+            strategy=strategy,
             max_steps=caps[n],
             init_state=init_state,
         )
@@ -997,15 +996,3 @@ def multicycle_strategy_from_x(
             continue
         out[s.name] = {tid: v / total for tid, v in flows.items() if v > 0}
     return out
-
-
-def expected_update(
-    m: VassMdp, strategy: Optional[Strategy], state: str
-) -> tuple[Fraction, ...]:
-    """Exact expected counter change of one step from `state` under the
-    branch distribution the simulator resolves there."""
-    rec = _Resolved(m, strategy).resolve(state)
-    return tuple(
-        sum((p * upd[k] for p, upd in zip(rec.probs, rec.updates)), Fraction(0))
-        for k in range(m.dimension)
-    )

@@ -5,9 +5,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from vass_asym.dichotomy import Label, _use_row, build_systems, compute_maximal_solutions
-from vass_asym import check, cli, dichotomy
-from vass_asym.graph import state_to_mec
+from vass_asym.dichotomy import (
+    Label,
+    _use_row,
+    build_systems,
+    classify_dag,
+    compute_maximal_solutions,
+)
+from vass_asym import check, cli, dichotomy, sim
+from vass_asym.graph import mec_decomposition, state_to_mec, transition_to_mec
 from vass_asym.model import (
     InternalError,
     Transition,
@@ -52,6 +58,25 @@ def initial_configuration(m, state, n) -> Configuration:
 def classify_bscc(m, strategy, bscc_states) -> BsccClass:
     """Behaviour class of one bottom component of a strategy chain."""
     return bscc_analysis(m, strategy, bscc_states).cls
+
+
+def classify(m, beta, measure):
+    """`classify_dag` on a type given by class ids: the classes and the
+    transition owners derived here, as `cli.build_analysis` derives them.
+    Returns the estimate and the pipeline it was read off (or None)."""
+    mecs = mec_decomposition(m)
+    by_id = {mec.mid: mec for mec in mecs}
+    return classify_dag(m, [by_id[b] for b in beta], measure, transition_to_mec(mecs))
+
+
+def expected_update(m, strategy, state) -> tuple:
+    """Exact expected counter change of one step from `state` under the
+    branch distribution the simulator resolves there."""
+    rec = sim._Resolved(m, strategy).resolve(state)
+    return tuple(
+        sum((p * upd[k] for p, upd in zip(rec.probs, rec.updates)), Fraction(0))
+        for k in range(m.dimension)
+    )
 
 
 def augment_step_counter(m, only=None) -> VassMdp:

@@ -26,7 +26,7 @@ from vass_asym.cli import build_analysis
 from vass_asym.dichotomy import compute_maximal_solutions
 from vass_asym.graph import enumerate_types, mec_decomposition, transition_to_mec
 from vass_asym.model import parse_measure, parse_vass
-from vass_asym.onedim import classify_onedim, hamiltonian_reduction, labels_from_inventory
+from vass_asym.onedim import hamiltonian_reduction, labels_from_inventory
 from vass_asym.sim import estimate_tails, fit_exponent, simulate_many
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -137,7 +137,7 @@ def test_criterion_5_pump_counter3_per_type_and_exponent(pump):
     sizes = []
     for n in ns:
         rep = estimate_tails(
-            pump, [n], 40, seed=5, strategy=strategy, max_steps=8 * n**4
+            pump, [n], 40, seed=5, strategy=strategy(n), max_steps=8 * n**4
         )
         group = rep.group(n, ("M1", "M4"))
         assert group is not None and group.runs >= 5, f"too few (M1,M4) runs at n={n}"
@@ -186,20 +186,28 @@ def test_criterion_7_detectors_and_labels_match_bruteforce():
             max_update=2,
             strongly_connected=(checked_models % 2 == 0),
         )
-        report = classify_onedim(m)
-        inv = report.inventory  # the flags the labels were read off
-        oracle = inventory_from_bruteforce(m, report.mecs)
-        for mid in sorted(inv.flags):
-            assert flags_tuple(inv.flags[mid]) == flags_tuple(oracle.flags[mid]), (
+        doc = build_analysis(m)
+        mecs = mec_decomposition(m)
+        oracle = inventory_from_bruteforce(m, mecs)
+        for mid, f in doc["inventory"].items():  # the flags the labels were read off
+            got = (
+                f["increasing"],
+                f["bounded_zero"],
+                f["unbounded_zero"],
+                frozenset(f["zero_cycle_transitions"]),
+                frozenset(f["oscillation_transitions"]),
+            )
+            assert got == flags_tuple(oracle.flags[mid]), (
                 f"detector flags differ from brute force on model #{checked_models} {mid}"
             )
-        owner = transition_to_mec(report.mecs)
-        for mkey, per_type in report.estimates.items():
+        owner = transition_to_mec(mecs)
+        for mkey, entries in doc["estimates"].items():
             measure = parse_measure(mkey)
-            for beta, est in per_type.items():
+            for e in entries:
+                beta = tuple(e["type"])
                 expected = labels_from_inventory(oracle, measure, beta, owner)
-                assert (est.label, est.exact, est.tag, est.bound) == (
-                    expected.label,
+                assert (e["label"], e["exact"], e["tag"], e["bound"]) == (
+                    expected.label.value,
                     expected.exact,
                     expected.tag,
                     expected.bound,

@@ -1,6 +1,7 @@
 """CLI tests: subcommands, report schemas, exit codes, attestation wiring."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -268,11 +269,11 @@ def test_valid_but_not_maximal_solutions_fail_attestation(capsys, monkeypatch):
 def test_label_not_read_off_its_pipeline_fails_attestation(monkeypatch):
     real = cli.classify_dag
 
-    def relabeled(m, beta, measure, mecs=None):
-        est = real(m, beta, measure, mecs)
-        if measure == Counter(1) and beta == ("M1",):
-            return dataclasses.replace(est, label=Label.LOWER_QUADRATIC)
-        return est
+    def relabeled(m, beta_mecs, measure, owner):
+        est, pipeline = real(m, beta_mecs, measure, owner)
+        if measure == Counter(1) and [mec.mid for mec in beta_mecs] == ["M1"]:
+            return dataclasses.replace(est, label=Label.LOWER_QUADRATIC), pipeline
+        return est, pipeline
 
     monkeypatch.setattr(cli, "classify_dag", relabeled)
     pump = parse_vass((MODELS / "pump_transfer_3d.json").read_text())
@@ -888,3 +889,69 @@ def test_importing_the_cli_loads_numpy():
     env = dict(os.environ, PYTHONPATH=str(Path(vass_asym.__file__).parent.parent))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert (done.returncode, done.stdout) == (0, "True True\n"), done.stderr
+
+
+STRUCTURE = (
+    "mec_decomposition",
+    "is_dag_like",
+    "enumerate_types",
+    "mec_quotient_edges",
+    "transition_to_mec",
+)
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*.json")), ids=lambda p: p.stem)
+def test_build_analysis_derives_the_class_structure_once(monkeypatch, path):
+    """One analysis derives the analyzed model's classes, DAG-likeness, types,
+    class graph and transition owners once, whatever the dimension. Calls on
+    other models (the sub-models a one-counter class solve decomposes) do
+    not count; `transition_to_mec` counts on the model's own class list."""
+    m = parse_vass(path.read_text())
+    mecs = graph.mec_decomposition(m)
+    calls = Tally()
+
+    def counting(name, fn):
+        def wrapper(first, *args, **kwargs):
+            if first is m or (name == "transition_to_mec" and list(first) == mecs):
+                calls[name] += 1
+            return fn(first, *args, **kwargs)
+
+        return wrapper
+
+    for name in STRUCTURE:
+        original = getattr(graph, name)
+        wrapped = counting(name, original)
+        # every module that imported the function by name calls its own binding
+        for mod in [v for k, v in sys.modules.items() if k.startswith("vass_asym")]:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapped)
+    build_analysis(m)
+    assert calls == Tally(dict.fromkeys(STRUCTURE, 1))
+
+
+CORPUS_SHA256 = {  # stdout of `analyze --json` and, with one counter, `energy --json`
+    ("analyze", "decreasing_loop"): "241489d9e1c772bc090f509ae1fcece8fc4edab82e7dcf77bb69cce4e2650ef6",
+    ("energy", "decreasing_loop"): "da34fee41823a62a2a2cde59808f5c7e4e25c1d8b61522f39ca39008a3713395",
+    ("analyze", "increasing_loop"): "b4cfd47d1064b73d43ab7b50714fc5ba249ef8adcc1d4c1e51275ba92fdf9896",
+    ("energy", "increasing_loop"): "9316a9ab7e8b5bad33f01a713586593590b180b4a23882382a99f25e9daa63ad",
+    ("analyze", "pump_transfer_3d"): "9b6756c9545145d2154d307716096230aac2bc466745cd2bf93ec4eb26dde448",
+    ("analyze", "random_walk_1d"): "21fc36b8b835f84e3de77267d30e53f2de80ece9f47a7c039907aaef871198d4",
+    ("energy", "random_walk_1d"): "da34fee41823a62a2a2cde59808f5c7e4e25c1d8b61522f39ca39008a3713395",
+    ("analyze", "zero_cycle_2state"): "9bfc13430f8fb9b2428c9a1889eeffd7c532cb417961ae6f2e5a45354d0e0bf7",
+    ("energy", "zero_cycle_2state"): "258aa4755a2d6830c35d25509e910edf5a26d0b02de7e600e555c56319ef136b",
+}
+
+
+def test_corpus_reports_are_pinned(capsys):
+    """The corpus reports, byte for byte. A change that moves a witness or a
+    label on purpose updates these digests and says so where it is described."""
+    got = {}
+    for path in sorted(MODELS.glob("*.json")):
+        one_counter = json.loads(path.read_text())["dimension"] == 1
+        kinds = ("analyze", "energy") if one_counter else ("analyze",)
+        for kind in kinds:
+            rc, out, err = run(capsys, kind, str(path), "--json")
+            assert (rc, err) == (0, "")
+            got[(kind, path.stem)] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert got == CORPUS_SHA256

@@ -7,8 +7,6 @@ row forces z(b) <= z(a) while the expectation row forces z(a) + y2 <= z(b), so
 y2 = 0 and counter 2 is the only pumped one, with no strict rows anywhere.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -16,6 +14,7 @@ from conftest import MODELS, load_doc, load_model
 from oracles import (
     augment_step_counter,
     candidate_rows,
+    classify,
     classify_counters_mec,
     force_probe_order,
     reference_strict_labels,
@@ -23,13 +22,9 @@ from oracles import (
     strict_labels,
 )
 from vass_asym.dichotomy import (
-    Estimate,
-    InvalidType,
     Label,
-    NotDagLike,
     _pump_probe,
     build_systems,
-    classify_dag,
     compute_maximal_solutions,
     rank_delta,
     run_dag_pipeline,
@@ -177,53 +172,54 @@ def test_pipeline_promotion_chain(pump):
 
 
 def test_classify_dag_counter_labels(pump):
-    est_12 = classify_dag(pump, ("M1", "M2"), Counter(3))
+    est_12, _ = classify(pump, ("M1", "M2"), Counter(3))
     assert est_12.label is Label.LOWER_QUADRATIC
     assert not est_12.beyond_quadratic_hint
 
-    est_13 = classify_dag(pump, ("M1", "M3"), Counter(3))
+    est_13, _ = classify(pump, ("M1", "M3"), Counter(3))
     assert est_13.label is Label.TIGHT_LINEAR
 
-    est_14 = classify_dag(pump, ("M1", "M4"), Counter(3))
+    est_14, _ = classify(pump, ("M1", "M4"), Counter(3))
     assert est_14.label is Label.LOWER_QUADRATIC
     assert est_14.beyond_quadratic_hint  # fluctuation-limited: drift 0 on counter 2
 
 
 def test_classify_dag_counter1_stays_linear(pump):
     for beta in [("M1",), ("M1", "M2"), ("M1", "M4")]:
-        est = classify_dag(pump, beta, Counter(1))
+        est, _ = classify(pump, beta, Counter(1))
         assert est.label is Label.TIGHT_LINEAR
 
 
 def test_classify_dag_termination(pump):
-    assert classify_dag(pump, ("M1", "M2"), Termination()).label is Label.LOWER_QUADRATIC
-    assert classify_dag(pump, ("M2",), Termination()).label is Label.TIGHT_LINEAR
+    assert classify(pump, ("M1", "M2"), Termination())[0].label is Label.LOWER_QUADRATIC
+    assert classify(pump, ("M2",), Termination())[0].label is Label.TIGHT_LINEAR
 
 
 def test_classify_dag_termination_walk(walk):
-    est = classify_dag(walk, ("M1",), Termination())
+    est, _ = classify(walk, ("M1",), Termination())
     assert est.label is Label.LOWER_QUADRATIC
 
 
 def test_classify_dag_transition_counts(pump):
-    est = classify_dag(pump, ("M1", "M2"), TransitionCount("c_c"))
+    est, pipeline = classify(pump, ("M1", "M2"), TransitionCount("c_c"))
+    assert est.label is Label.LOWER_QUADRATIC
+    assert [step.mec_id for step in pipeline] == ["M1", "M2"]
+
+    est, pipeline = classify(pump, ("M1", "M3"), TransitionCount("c_c"))
+    assert est.label is Label.TIGHT_ZERO and pipeline is None
+
+    est, _ = classify(pump, ("M1", "M3"), TransitionCount("e_e"))
     assert est.label is Label.LOWER_QUADRATIC
 
-    est = classify_dag(pump, ("M1", "M3"), TransitionCount("c_c"))
-    assert est.label is Label.TIGHT_ZERO
-
-    est = classify_dag(pump, ("M1", "M3"), TransitionCount("e_e"))
-    assert est.label is Label.LOWER_QUADRATIC
-
-    est = classify_dag(pump, ("M2",), TransitionCount("c_c"))
+    est, _ = classify(pump, ("M2",), TransitionCount("c_c"))
     assert est.label is Label.UPPER_LINEAR
 
-    est = classify_dag(pump, ("M1", "M2"), TransitionCount("a_q"))
-    assert est.label is Label.UPPER_TYPE_LENGTH
+    est, pipeline = classify(pump, ("M1", "M2"), TransitionCount("a_q"))
+    assert est.label is Label.UPPER_TYPE_LENGTH and pipeline is None
     assert est.bound == 2
 
-    with pytest.raises(UnknownTransition):
-        classify_dag(pump, ("M1",), TransitionCount("ghost"))
+    with pytest.raises(UnknownTransition):  # build_analysis validates the measures
+        build_analysis(pump, [TransitionCount("ghost")])
 
 
 def test_augment_every_transition(walk):
@@ -255,15 +251,15 @@ def _assert_matches_step_counter_encoding(m):
     compared = 0
     for ts in enumerate_types(m, max(1, len(mecs)), mecs)[0]:
         beta = ts.mecs
-        direct = classify_dag(m, beta, Termination(), mecs)
-        oracle = classify_dag(augment_step_counter(m), beta, Counter(m.dimension + 1))
+        direct, _ = classify(m, beta, Termination())
+        oracle, _ = classify(augment_step_counter(m), beta, Counter(m.dimension + 1))
         assert _decision(direct) == _decision(oracle), ("L", beta)
         compared += 1
         for t in m.transitions:
-            direct = classify_dag(m, beta, TransitionCount(t.tid), mecs)
-            if direct.pipeline is None:
+            direct, pipeline = classify(m, beta, TransitionCount(t.tid))
+            if pipeline is None:
                 continue  # transient transition or class off the type: no pipeline
-            oracle = classify_dag(
+            oracle, _ = classify(
                 augment_step_counter(m, only=t.tid), beta, Counter(m.dimension + 1)
             )
             expected = _decision(oracle)
@@ -277,7 +273,7 @@ def _assert_matches_step_counter_encoding(m):
 def test_encoding_coherence_termination_vs_step_counter(pump):
     assert _assert_matches_step_counter_encoding(pump) >= 10
     # the hint is ported too: M4's coin flips lean on the pumped counter 2
-    est = classify_dag(pump, ("M1", "M4"), TransitionCount("f_f_up"))
+    est, _ = classify(pump, ("M1", "M4"), TransitionCount("f_f_up"))
     assert est.label is Label.LOWER_QUADRATIC and est.beyond_quadratic_hint
 
 
@@ -292,27 +288,6 @@ def test_pump_probe_on_unpumpable_counter_is_internal_error(walk):
     # the fair walk's flow balances both loops: no flow pumps its counter
     with pytest.raises(InternalError):
         _pump_probe(walk, _single_mec(walk), Counter(1))
-
-
-def test_classify_dag_rejects_bad_types(pump):
-    with pytest.raises(InvalidType):
-        classify_dag(pump, (), Counter(1))
-    with pytest.raises(InvalidType):
-        classify_dag(pump, ("M9",), Counter(1))
-    with pytest.raises(InvalidType):
-        classify_dag(pump, ("M1", "M1"), Counter(1))
-    with pytest.raises(InvalidType):
-        classify_dag(pump, ("M2", "M1"), Counter(1))  # no path back up
-    with pytest.raises(ValueError):
-        classify_dag(pump, ("M1",), Counter(9))
-
-
-def test_classify_dag_rejects_non_dag_like():
-    from tests.test_graph import _mutually_reachable_classes_model
-
-    m = _mutually_reachable_classes_model()
-    with pytest.raises(NotDagLike):
-        classify_dag(m, ("M1",), Counter(1))
 
 
 def _check_failures(m, doc):

@@ -39,6 +39,7 @@ from vass_asym.model import (
     ValidationError,
     VassMdp,
     measure_key,
+    parse_measure,
 )
 from vass_asym.onedim import (
     BsccClass,
@@ -51,7 +52,6 @@ from vass_asym.onedim import (
     bounded_zero_witness,
     bscc_analysis,
     brute_force_classify,
-    classify_onedim,
     compute_inventory,
     energy_safe,
     hamiltonian_reduction,
@@ -223,7 +223,6 @@ def test_zero_cycle_witness_reports_the_bottom_component_it_realizes(model):
 def test_dimension_guards(pump):
     for fn in (
         compute_inventory,
-        classify_onedim,
         brute_force_classify,
         energy_safe,
     ):
@@ -236,51 +235,62 @@ def test_dimension_guards(pump):
 # ---------------------------------------------------------------------------
 
 
+def _single_class_labels(m):
+    """Every measure's estimate along the model's one type, the single class
+    M1, read off the class's behaviour inventory."""
+    mecs = mec_decomposition(m)
+    assert [mec.mid for mec in mecs] == ["M1"]
+    inventory = compute_inventory(m, mecs)
+    owner = transition_to_mec(mecs)
+    measures = [Termination(), Counter(1)] + [TransitionCount(t.tid) for t in m.transitions]
+    return {
+        measure_key(ms): labels_from_inventory(inventory, ms, ("M1",), owner)
+        for ms in measures
+    }
+
+
 def test_walk_report(walk):
-    r = classify_onedim(walk)
-    assert r.dag_like and r.types_complete
-    assert [t.mecs for t in r.types] == [("M1",)]
-    beta = ("M1",)
-    term = r.estimates["L"][beta]
+    doc = cli.build_analysis(walk)
+    assert doc["dag_like"] and doc["types_complete"]
+    assert [t["classes"] for t in doc["types"]] == [["M1"]]
+    r = _single_class_labels(walk)
+    term = r["L"]
     assert term.label is Label.TIGHT_QUADRATIC and term.exact
     assert term.tag == "zero-oscillation-quadratic"
-    ctr = r.estimates["C:1"][beta]
+    ctr = r["C:1"]
     assert ctr.label is Label.TIGHT_LINEAR and ctr.exact
     for tid in ("t_down", "t_up"):
-        est = r.estimates[f"T:{tid}"][beta]
+        est = r[f"T:{tid}"]
         assert est.label is Label.TIGHT_QUADRATIC and est.exact
         assert est.tag == "zero-oscillation-transition"
 
 
 def test_dec_loop_report(dec_loop):
-    r = classify_onedim(dec_loop)
-    beta = ("M1",)
-    assert r.estimates["L"][beta].label is Label.TIGHT_LINEAR
-    assert r.estimates["L"][beta].exact
-    assert r.estimates["C:1"][beta].label is Label.TIGHT_LINEAR
-    t = r.estimates["T:t_dec"][beta]
+    r = _single_class_labels(dec_loop)
+    assert r["L"].label is Label.TIGHT_LINEAR
+    assert r["L"].exact
+    assert r["C:1"].label is Label.TIGHT_LINEAR
+    t = r["T:t_dec"]
     assert t.label is Label.UPPER_LINEAR and t.exact  # all classes decreasing
 
 
 def test_inc_loop_report(inc_loop):
-    r = classify_onedim(inc_loop)
-    beta = ("M1",)
-    assert r.estimates["L"][beta].label is Label.UNBOUNDED
-    assert r.estimates["C:1"][beta].label is Label.UNBOUNDED
-    assert r.estimates["C:1"][beta].exact
-    t = r.estimates["T:t_inc"][beta]
+    r = _single_class_labels(inc_loop)
+    assert r["L"].label is Label.UNBOUNDED
+    assert r["C:1"].label is Label.UNBOUNDED
+    assert r["C:1"].exact
+    t = r["T:t_inc"]
     assert t.label is Label.UNBOUNDED and t.tag == "pumping-before-or-at-class"
 
 
 def test_zero_cycle_report(zero_cycle):
-    r = classify_onedim(zero_cycle)
-    beta = ("M1",)
-    term = r.estimates["L"][beta]
+    r = _single_class_labels(zero_cycle)
+    term = r["L"]
     assert term.label is Label.UNBOUNDED and term.exact
     assert term.tag == "increasing-or-zero-cycle-class"
-    assert r.estimates["C:1"][beta].label is Label.TIGHT_LINEAR
-    assert r.estimates["C:1"][beta].exact
-    t = r.estimates["T:t_pq"][beta]
+    assert r["C:1"].label is Label.TIGHT_LINEAR
+    assert r["C:1"].exact
+    t = r["T:t_pq"]
     assert t.label is Label.UNBOUNDED and t.tag == "zero-cycle-component-transition"
     assert t.exact
 
@@ -626,17 +636,15 @@ def test_random_corpus_matches_bruteforce():
             assert flags_tuple(inv.flags[mec.mid]) == flags_tuple(
                 oracle.flags[mec.mid]
             ), (i, mec.mid)
-        # labels recomputed from the oracle inventory must agree bit for bit
-        measures = [Termination(), Counter(1)] + [
-            TransitionCount(t.tid) for t in m.transitions
-        ]
-        report = classify_onedim(m, measures=measures)
+        # the report's entries, recomputed from the oracle inventory, must
+        # agree bit for bit
+        doc = cli.build_analysis(m)
         owner = transition_to_mec(mecs)
-        for ms in measures:
-            for ts in report.types:
-                got = report.estimates[measure_key(ms)][ts.mecs]
-                want = labels_from_inventory(oracle, ms, ts.mecs, owner)
-                assert got == want, (i, measure_key(ms), ts.mecs)
+        for mkey, entries in doc["estimates"].items():
+            for e in entries:
+                beta = tuple(e["type"])
+                want = labels_from_inventory(oracle, parse_measure(mkey), beta, owner)
+                assert e == cli._ser_estimate(beta, want), (i, mkey, beta)
         checked += 1
     assert checked == 40
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import expected_update
 from tests.strategies import random_models
 from vass_asym import sim
 from vass_asym.model import IncompleteStrategy, parse_vass
@@ -20,7 +21,6 @@ from vass_asym.sim import (
     ZeroWitness,
     _cumulative_thresholds,
     estimate_tails,
-    expected_update,
     fit_exponent,
     multicycle_strategy_from_x,
     simulate_many,
@@ -779,15 +779,8 @@ def test_estimate_tails_max_steps_overrides_theta(walk):
     assert g.low_sample
 
 
-def test_estimate_tails_strategy_factory(dec_loop):
-    calls = []
-
-    def factory(n):
-        calls.append(n)
-        return {"p": "t_dec"}
-
-    rep = estimate_tails(dec_loop, [2, 5], 4, seed=0, strategy=factory)
-    assert calls == [2, 5]
+def test_estimate_tails_fixed_strategy_medians(dec_loop):
+    rep = estimate_tails(dec_loop, [2, 5], 4, seed=0, strategy={"p": "t_dec"})
     assert rep.group(2, ("M1",)).median_steps == 3.0
     assert rep.group(5, ("M1",)).median_steps == 6.0
     assert rep.group(5, ("M1",)).median_peaks == (5.0,)
