@@ -84,7 +84,7 @@ from .onedim import (
     hamiltonian_reduction,
     labels_from_inventory,
 )
-from .sim import TailReport, estimate_tails, multicycle_strategy_from_x
+from .sim import TailReport, _Resolved, estimate_tails, multicycle_strategy_from_x
 
 INITIAL_CONVENTION = (
     "runs start in the lexicographically least state name unless overridden, "
@@ -233,6 +233,18 @@ def _validate_measures(m: VassMdp, measures: Optional[list[Measure]]) -> None:
             raise UnknownTransition(ms.tid)
 
 
+def _list_types(
+    m: VassMdp, mecs: list[Mec], dag: bool, max_type_len: Optional[int]
+) -> tuple[int, bool, list, dict]:
+    """The types of at most `max_type_len` classes (by default as many as the
+    model has, at least 1) with their reach certificates, the length used,
+    and whether the list is complete: a DAG-like class graph visits each
+    class at most once."""
+    max_len = max(1, len(mecs)) if max_type_len is None else max_type_len
+    types, reach = enumerate_types(m, max_len, mecs)
+    return max_len, dag and max_len >= len(mecs), types, reach
+
+
 def build_analysis(
     m: VassMdp,
     measures: Optional[list[Measure]] = None,
@@ -246,15 +258,13 @@ def build_analysis(
     dag = is_dag_like(m, mecs)
     if m.dimension >= 2 and not dag:  # before paying for the type enumeration
         raise NotDagLike()
-    if max_type_len is None:
-        max_type_len = max(1, len(mecs))
     if measures is None:
         measures = (
             [Termination()]
             + [Counter(c) for c in range(1, m.dimension + 1)]
             + [TransitionCount(t.tid) for t in m.transitions]
         )
-    types, reach = enumerate_types(m, max_type_len, mecs)
+    max_type_len, complete, types, reach = _list_types(m, mecs, dag, max_type_len)
     owner = transition_to_mec(mecs)
 
     estimates: dict[str, dict[tuple[str, ...], Estimate]] = {
@@ -293,7 +303,7 @@ def build_analysis(
         "initial_convention": INITIAL_CONVENTION,
         "classes": [_ser_class(mec) for mec in mecs],
         "dag_like": dag,
-        "types_complete": dag and max_type_len >= len(mecs),
+        "types_complete": complete,
         "max_type_len": max_type_len,
         "types": [
             {"classes": list(ts.mecs), "weight": _frac(ts.weight)} for ts in types
@@ -365,7 +375,9 @@ def _analysis_text(doc: dict) -> str:
 
 def _load_strategy(arg: str, m: VassMdp):
     """--strategy argument: a JSON file path, or witness:<class-id> to derive
-    a randomized strategy from that class's maximal pumping flow."""
+    a randomized strategy from that class's maximal pumping flow. A file's
+    every entry must resolve as the simulator resolves it; a state without
+    an entry fails only when a run reaches it."""
     if arg.startswith("witness:"):
         mid = arg[len("witness:") :]
         for mec in mec_decomposition(m):
@@ -395,6 +407,9 @@ def _load_strategy(arg: str, m: VassMdp):
             raise ValueError(
                 f"strategy for {state!r} must be a transition id or a distribution"
             )
+    resolved = _Resolved(m, out)
+    for state in out:  # the simulator's own check, also where no run goes
+        resolved.resolve(state)
     return out
 
 
@@ -563,12 +578,11 @@ def _cmd_mecs(args) -> int:
 def _cmd_types(args) -> int:
     m = _read_model(args.model)
     mecs = mec_decomposition(m)
-    max_len = args.max_type_len if args.max_type_len is not None else max(1, len(mecs))
-    types, _ = enumerate_types(m, max_len, mecs)
+    max_len, complete, types, _ = _list_types(m, mecs, is_dag_like(m, mecs), args.max_type_len)
     if args.json:
         doc = {
             "max_type_len": max_len,
-            "complete": is_dag_like(m, mecs) and max_len >= len(mecs),
+            "complete": complete,
             "types": [
                 {"classes": list(ts.mecs), "weight": _frac(ts.weight)} for ts in types
             ],

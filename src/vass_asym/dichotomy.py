@@ -36,16 +36,18 @@ takes the walk's first step alone: whether the class pumps counter 1, which
 is all a one-counter energy question needs of a class that does; the walk
 can then start from the ranking it found.
 
-The DAG pipeline walks a type (class sequence): counters already pumped to a
-quadratic lower bound have their updates zeroed in later classes — the run can
-afford to pay them — which can promote further counters; promotions are
-monotone and never revert. The termination time and the transition use counts
-are read off the same walk, from the zeroed classes' maximal flows.
-`classify_dag` labels one (measure, type) of a DAG-like model from that walk
-and returns the walk with the label. It checks none of its inputs: the
-analysis entry point (`cli.build_analysis`) derives the classes, the realizable
-types and the transition owners once and validates the measures before
-asking for any label.
+The DAG pipeline (`run_dag_pipeline`) walks a type (class sequence): counters
+already pumped to a quadratic lower bound have their updates zeroed in later
+classes — the run can afford to pay them — which can promote further counters;
+promotions are monotone and never revert. The walk does not depend on the
+measure: counters, the termination time and the use counts all read it, off
+the zeroed classes' maximal solutions. `classify_dag` labels one (measure,
+type) of a DAG-like model at the measure's first pumping step and returns the
+pipeline with the label. It checks none of its inputs: the analysis entry
+point (`cli.build_analysis`) derives the classes, the realizable types and
+the transition owners once and validates the measures before asking for any
+label. `use_count_outside_type` holds the two use-count rules of every
+dimension; the one-counter case table asks it too.
 """
 
 from __future__ import annotations
@@ -114,6 +116,33 @@ class Estimate:
     note: Optional[str] = None
     beyond_quadratic_hint: bool = False
     witnesses: dict = field(default_factory=dict)
+
+
+def use_count_outside_type(
+    measure: Measure, beta: Sequence[str], owner: Mapping[str, str]
+) -> Optional[Estimate]:
+    """The use-count rules of every regime, or None where they do not apply.
+    A transition in no class is used a number of times with a geometric
+    tail along any type: `UpperTypeLength`, bound |beta|. A transition whose
+    class `beta` never visits is never used: `TightZero`."""
+    if not isinstance(measure, TransitionCount):
+        return None
+    tid = measure.tid
+    cls = owner.get(tid)
+    if cls is None:
+        return Estimate(
+            Label.UPPER_TYPE_LENGTH,
+            "transient-transition-geometric-tail",
+            True,
+            bound=len(beta),
+            note="uses are bounded in expectation independently of the start value; "
+            "tail decays geometrically",
+            witnesses={"transition": tid},
+        )
+    if cls not in beta:
+        witnesses = {"transition": tid, "class": cls}
+        return Estimate(Label.TIGHT_ZERO, "class-not-in-type", True, witnesses=witnesses)
+    return None
 
 
 @dataclass(frozen=True)
@@ -417,18 +446,6 @@ class DagPipelineStep:
 Pipeline = tuple[DagPipelineStep, ...]
 
 
-@dataclass
-class DagPipelineState:
-    """Walk state: the monotonically growing pumped-counter set plus a record
-    of each class's contribution (for reports and re-verification). `hint`:
-    the tracked measure's first pumping class found a fluctuation-limited
-    pump."""
-
-    pumped: frozenset[int]
-    steps: list[DagPipelineStep]
-    hint: bool = False
-
-
 def _newly_pumped(m: VassMdp, ranking: RankingFunction, pumped: frozenset[int]) -> frozenset[int]:
     """The counters not yet pumped whose rank coefficient is zero."""
     return frozenset(
@@ -493,108 +510,65 @@ def _fluctuation_hint(
     return True
 
 
-def run_dag_pipeline(
-    m: VassMdp, beta_mecs: Sequence[Mec], track_hint_for: Optional[Measure] = None
-) -> DagPipelineState:
-    """Walk the type, zeroing already-pumped counters before each class.
-
-    With `track_hint_for`, the first class that pumps that measure after
-    some counter was zeroed probes for a fluctuation-limited pump.
-    """
+def run_dag_pipeline(m: VassMdp, beta_mecs: Sequence[Mec]) -> Pipeline:
+    """Walk the type, zeroing already-pumped counters before each class. The
+    walk is the same for every measure."""
     pumped: frozenset[int] = frozenset()
     steps: list[DagPipelineStep] = []
-    tracking = track_hint_for is not None
-    hint = False
     for mec in beta_mecs:
         zeroed_model = zero_counters(m, pumped) if pumped else m
         witness, ranking = compute_maximal_solutions(zeroed_model, mec)
         newly = _newly_pumped(m, ranking, pumped)
-        if tracking and _pumps(track_hint_for, witness, newly):
-            tracking = False
-            if pumped:
-                pump_x = _pump_probe(zeroed_model, mec, track_hint_for)
-                hint = _fluctuation_hint(m, mec, pump_x, pumped)
-        steps.append(
-            DagPipelineStep(
-                mec_id=mec.mid,
-                newly_pumped=newly,
-                witness=witness,
-                ranking=ranking,
-                zeroed=pumped,
-            )
-        )
+        steps.append(DagPipelineStep(mec.mid, newly, witness, ranking, pumped))
         pumped = pumped | newly
-    return DagPipelineState(pumped=pumped, steps=steps, hint=hint)
+    return tuple(steps)
 
 
 def classify_dag(
-    m: VassMdp,
-    beta_mecs: Sequence[Mec],
-    measure: Measure,
-    owner: Mapping[str, str],
+    m: VassMdp, beta_mecs: Sequence[Mec], measure: Measure, owner: Mapping[str, str]
 ) -> tuple[Estimate, Optional[Pipeline]]:
     """Asymptotic estimate of one measure conditioned on one type, for any
-    dimension, and the type's pipeline it was read off (None where the label
-    needs no pipeline). The caller passes a realizable type of a DAG-like
-    model as its classes, a measure valid for the model, and `owner`, the
-    class of every class transition; none of these is checked here.
+    dimension, and the type's pipeline it was read off (None where a
+    use-count rule of every regime decides the label,
+    `use_count_outside_type`). The caller passes a realizable type of a
+    DAG-like model as its classes, a measure valid for the model, and
+    `owner`, the class of every class transition; none of these is checked
+    here.
 
-    All three measures read the same pipeline. Counters get the exact
-    tight-linear / lower-quadratic dichotomy. The termination time is
-    quadratic as soon as a zeroed class admits a nonzero pumping flow, and
-    linear otherwise: every class transition then has a strict rank row. A
-    single transition's use count is quadratic when its zeroed class admits a
-    flow through it; otherwise a strict rank row caps the count linearly but
-    promises no uses, hence `UpperLinear`.
+    Every measure reads the same pipeline, at its first step that pumps the
+    measure (`_pumps`). There the label is `LowerQuadratic`; where counters
+    were zeroed before that step, a flow of that zeroed class pumping the
+    measure (`_pump_probe`) decides the fluctuation hint. Without such a
+    step, counters and the termination time are `TightLinear` (a positive
+    rank coefficient, or a strict rank row on every class transition), and a
+    use count is `UpperLinear`: a strict rank row caps it linearly but
+    promises no uses.
     """
     beta = tuple(mec.mid for mec in beta_mecs)
-    if isinstance(measure, TransitionCount):
-        if measure.tid not in owner:
-            return Estimate(
-                label=Label.UPPER_TYPE_LENGTH,
-                bound=len(beta),
-                tag="transient-transition-geometric-tail",
-                exact=True,
-                note=(
-                    "the transition lies in no class; along a fixed type its "
-                    "use count has a geometric tail, so any constant is an "
-                    "upper estimate"
-                ),
-            ), None
-        if owner[measure.tid] not in beta:
-            return Estimate(
-                label=Label.TIGHT_ZERO,
-                tag="class-not-in-type",
-                exact=True,
-                note="the transition's class is never visited by this type",
-            ), None
-    state = run_dag_pipeline(m, beta_mecs, track_hint_for=measure)
-    return _estimate(state, measure, beta), tuple(state.steps)
-
-
-def _estimate(state: DagPipelineState, measure: Measure, beta: Sequence[str]) -> Estimate:
-    """The label the type's pipeline gives a measure: `LowerQuadratic` where a
-    step pumps it, else `UpperLinear` for a use count and `TightLinear` for a
-    counter or the termination time."""
-    promoted = next((s for s in state.steps if _pumps(measure, s.witness, s.newly_pumped)), None)
-    if promoted is not None:
-        return Estimate(
-            label=Label.LOWER_QUADRATIC,
-            tag="flow-pumping-quadratic-lower",
-            exact=True,
-            beyond_quadratic_hint=state.hint,
-            note=f"pumped in class {promoted.mec_id} along type {','.join(beta)}"
-            + ("; fluctuation-limited pump, growth may exceed degree 2" if state.hint else ""),
-        )
-    if isinstance(measure, TransitionCount):
-        return Estimate(
-            label=Label.UPPER_LINEAR,
-            tag="rank-coefficient-positive",
-            exact=True,
-            note=(
-                "no zeroed flow uses the transition, so a strict rank row caps "
-                "its use count linearly; no lower bound is claimed — the count "
-                "may be zero"
-            ),
-        )
-    return Estimate(label=Label.TIGHT_LINEAR, tag="rank-coefficient-positive", exact=True)
+    outside = use_count_outside_type(measure, beta, owner)
+    if outside is not None:
+        return outside, None
+    pipeline = run_dag_pipeline(m, beta_mecs)
+    at = next(
+        (k for k, s in enumerate(pipeline) if _pumps(measure, s.witness, s.newly_pumped)), None
+    )
+    if at is None:
+        if isinstance(measure, TransitionCount):
+            note = (
+                "no zeroed flow uses the transition, so a strict rank row caps its use count "
+                "linearly; no lower bound is claimed — the count may be zero"
+            )
+            return Estimate(Label.UPPER_LINEAR, "rank-coefficient-positive", True, note=note), pipeline
+        return Estimate(Label.TIGHT_LINEAR, "rank-coefficient-positive", True), pipeline
+    step, mec = pipeline[at], beta_mecs[at]
+    hint = bool(step.zeroed) and _fluctuation_hint(
+        m, mec, _pump_probe(zero_counters(m, step.zeroed), mec, measure), step.zeroed
+    )
+    return Estimate(
+        label=Label.LOWER_QUADRATIC,
+        tag="flow-pumping-quadratic-lower",
+        exact=True,
+        beyond_quadratic_hint=hint,
+        note=f"pumped in class {step.mec_id} along type {','.join(beta)}"
+        + ("; fluctuation-limited pump, growth may exceed degree 2" if hint else ""),
+    ), pipeline

@@ -10,15 +10,16 @@ by some strategy, from one pair of maximal System I/II solutions per class,
 and keeps the exact rational witnesses. It is the only place that solves a
 whole class: `bounded_zero_witness` reads the inventory the caller holds.
 `labels_from_inventory` is the pure case table turning a class-visit
-sequence plus those flags into growth estimates; the analysis entry point
-(`cli.build_analysis`) derives the classes, types and transition owners and
-asks it for each label. `brute_force_classify` enumerates every strategy as
-an independent ground truth. `energy_safe` answers whether some recurrent
-behaviour never loses counter value along any cycle: it decides each class's
-counter pair first (`counter_pair`) and builds the inventory only when no
-class increases, since one increasing class sends the question to strategy
-enumeration. `hamiltonian_reduction` encodes undirected-graph Hamiltonicity
-into exactly that question.
+sequence plus those flags into growth estimates, each rule stated once (the
+use-count rules of every dimension are `dichotomy.use_count_outside_type`);
+the analysis entry point (`cli.build_analysis`) derives the classes, types
+and transition owners and asks it for each label. `brute_force_classify`
+enumerates every strategy as an independent ground truth. `energy_safe`
+answers whether some recurrent behaviour never loses counter value along any
+cycle: it decides each class's counter pair first (`counter_pair`) and builds
+the inventory only when no class increases, since one increasing class sends
+the question to strategy enumeration. `hamiltonian_reduction` encodes
+undirected-graph Hamiltonicity into exactly that question.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .dichotomy import (
     compute_maximal_solutions,
     counter_pair,
     rank_delta,
+    use_count_outside_type,
 )
 from .graph import Mec, _sccs, mec_decomposition
 from .model import (
@@ -469,6 +471,34 @@ def bounded_zero_witness(
 # ---------------------------------------------------------------------------
 
 
+def _class_fact(label: Label, tag: str, beta: Sequence[str], witnesses: dict) -> Estimate:
+    """A fact about one class of the type: exact on a one-class type, and
+    extended, with a note, to a longer one."""
+    single = len(beta) == 1
+    note = None if single else "single-class statement applied to a longer sequence"
+    return Estimate(label, tag, single, note=note, witnesses=witnesses)
+
+
+def _oscillation(
+    inventory: ClassInventory, tag: str, beta: Sequence[str], witnesses: dict
+) -> Estimate:
+    """Quadratic growth from an oscillating class: tight where no class of the
+    whole model is increasing or keeps zero cycles, a lower bound otherwise."""
+    if not inventory.any_increasing and not inventory.any_bounded_zero:
+        return _class_fact(Label.TIGHT_QUADRATIC, tag, beta, witnesses)
+    note = (
+        "matching quadratic upper bound stated only when no class "
+        "of the whole model is increasing or keeps zero cycles"
+    )
+    return Estimate(Label.LOWER_QUADRATIC, tag, False, note=note, witnesses=witnesses)
+
+
+def _regime(label: Label, tag: str, holds: bool, note: str, witnesses: dict) -> Estimate:
+    """A linear statement, exact where its whole-model regime `holds`;
+    elsewhere `note` says what it assumed."""
+    return Estimate(label, tag, holds, note=None if holds else note, witnesses=witnesses)
+
+
 def labels_from_inventory(
     inventory: ClassInventory,
     measure: Measure,
@@ -489,138 +519,48 @@ def labels_from_inventory(
     if not beta:
         raise ValueError("type must contain at least one class")
     flags = [inventory.flags[mid] for mid in beta]
-    single = len(beta) == 1
-    any_inc_g = inventory.any_increasing
-    clean_zero_regime = not any_inc_g and not inventory.any_bounded_zero
-    all_dec = inventory.all_decreasing
-    long_note = "single-class statement applied to a longer sequence"
 
     if isinstance(measure, Counter):
         if measure.index != 1:
             raise ValueError("one-counter case table: counter index must be 1")
         inc = [f.mec_id for f in flags if f.increasing]
         if inc:
-            return Estimate(
-                label=Label.UNBOUNDED,
-                tag="increasing-class-pumping",
-                exact=single,
-                note=None if single else long_note,
-                witnesses={"class": inc[0]},
-            )
-        return Estimate(
-            label=Label.TIGHT_LINEAR,
-            tag="no-increasing-class-linear",
-            exact=not any_inc_g,
-            note=None
-            if not any_inc_g
-            else "linear statement assumes no class of the whole model is increasing",
+            return _class_fact(Label.UNBOUNDED, "increasing-class-pumping", beta, {"class": inc[0]})
+        note = "linear statement assumes no class of the whole model is increasing"
+        return _regime(
+            Label.TIGHT_LINEAR, "no-increasing-class-linear", not inventory.any_increasing, note, {}
         )
 
     if isinstance(measure, Termination):
         heavy = [f.mec_id for f in flags if f.increasing or f.bounded_zero]
         if heavy:
-            return Estimate(
-                label=Label.UNBOUNDED,
-                tag="increasing-or-zero-cycle-class",
-                exact=single,
-                note=None if single else long_note,
-                witnesses={"class": heavy[0]},
-            )
+            tag = "increasing-or-zero-cycle-class"
+            return _class_fact(Label.UNBOUNDED, tag, beta, {"class": heavy[0]})
         osc = [f.mec_id for f in flags if f.unbounded_zero]
         if osc:
-            if clean_zero_regime:
-                return Estimate(
-                    label=Label.TIGHT_QUADRATIC,
-                    tag="zero-oscillation-quadratic",
-                    exact=single,
-                    note=None if single else long_note,
-                    witnesses={"class": osc[0]},
-                )
-            return Estimate(
-                label=Label.LOWER_QUADRATIC,
-                tag="zero-oscillation-quadratic",
-                exact=False,
-                note="matching quadratic upper bound stated only when no class "
-                "of the whole model is increasing or keeps zero cycles",
-                witnesses={"class": osc[0]},
-            )
-        return Estimate(
-            label=Label.TIGHT_LINEAR,
-            tag="all-classes-decreasing",
-            exact=all_dec,
-            note=None
-            if all_dec
-            else "linear statement assumes every class of the whole model is decreasing",
-        )
+            return _oscillation(inventory, "zero-oscillation-quadratic", beta, {"class": osc[0]})
+        note = "linear statement assumes every class of the whole model is decreasing"
+        return _regime(Label.TIGHT_LINEAR, "all-classes-decreasing", inventory.all_decreasing, note, {})
 
     if not isinstance(measure, TransitionCount):
         raise TypeError(f"not a measure: {measure!r}")
+    outside = use_count_outside_type(measure, beta, transition_owner)
+    if outside is not None:
+        return outside
     tid = measure.tid
-    owner = transition_owner.get(tid)
-    if owner is None:
-        return Estimate(
-            label=Label.UPPER_TYPE_LENGTH,
-            tag="transient-transition-geometric-tail",
-            exact=True,
-            bound=len(beta),
-            note="uses are bounded in expectation independently of the start "
-            "value; tail decays geometrically",
-            witnesses={"transition": tid},
-        )
-    if owner not in beta:
-        return Estimate(
-            label=Label.TIGHT_ZERO,
-            tag="class-not-in-type",
-            exact=True,
-            witnesses={"transition": tid, "class": owner},
-        )
-    pumped_before = any(
-        any(flags[j].increasing for j in range(i + 1))
-        for i, mid in enumerate(beta)
-        if mid == owner
-    )
-    if pumped_before:
-        return Estimate(
-            label=Label.UNBOUNDED,
-            tag="pumping-before-or-at-class",
-            exact=True,
-            witnesses={"transition": tid, "class": owner},
-        )
+    owner = transition_owner[tid]
+    at = {"transition": tid, "class": owner}
+    last_visit = max(i for i, mid in enumerate(beta) if mid == owner)
+    if any(f.increasing for f in flags[: last_visit + 1]):
+        return Estimate(Label.UNBOUNDED, "pumping-before-or-at-class", True, witnesses=at)
     owner_flags = inventory.flags[owner]
     if tid in owner_flags.bz_transitions:
-        return Estimate(
-            label=Label.UNBOUNDED,
-            tag="zero-cycle-component-transition",
-            exact=single,
-            note=None if single else long_note,
-            witnesses={"transition": tid, "class": owner},
-        )
+        return _class_fact(Label.UNBOUNDED, "zero-cycle-component-transition", beta, at)
     if tid in owner_flags.uz_transitions:
-        if clean_zero_regime:
-            return Estimate(
-                label=Label.TIGHT_QUADRATIC,
-                tag="zero-oscillation-transition",
-                exact=single,
-                note=None if single else long_note,
-                witnesses={"transition": tid, "class": owner},
-            )
-        return Estimate(
-            label=Label.LOWER_QUADRATIC,
-            tag="zero-oscillation-transition",
-            exact=False,
-            note="matching quadratic upper bound stated only when no class "
-            "of the whole model is increasing or keeps zero cycles",
-            witnesses={"transition": tid, "class": owner},
-        )
-    return Estimate(
-        label=Label.UPPER_LINEAR,
-        tag="strict-rank-decrease-transition",
-        exact=all_dec,
-        note=None
-        if all_dec
-        else "linear upper bound; no tight claim outside the all-decreasing regime",
-        witnesses={"transition": tid, "class": owner},
-    )
+        return _oscillation(inventory, "zero-oscillation-transition", beta, at)
+    note = "linear upper bound; no tight claim outside the all-decreasing regime"
+    tag = "strict-rank-decrease-transition"
+    return _regime(Label.UPPER_LINEAR, tag, inventory.all_decreasing, note, at)
 
 
 # ---------------------------------------------------------------------------

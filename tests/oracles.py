@@ -17,10 +17,12 @@ from vass_asym.graph import mec_decomposition, state_to_mec, transition_to_mec
 from vass_asym.model import (
     InternalError,
     Transition,
+    TransitionCount,
     UnknownTransition,
     ValidationError,
     VassMdp,
     apply_md_strategy,
+    zero_counters,
 )
 from vass_asym.onedim import (
     BsccClass,
@@ -67,6 +69,34 @@ def classify(m, beta, measure):
     mecs = mec_decomposition(m)
     by_id = {mec.mid: mec for mec in mecs}
     return classify_dag(m, [by_id[b] for b in beta], measure, transition_to_mec(mecs))
+
+
+def reference_classify_dag(m, beta_mecs, measure, owner):
+    """`classify_dag` as one walk that tracks the measure: the first class
+    that pumps it, after some counter was zeroed, probes for a
+    fluctuation-limited pump in the middle of the walk, and the label is read
+    off the finished walk. Returns (label, tag, exact, bound, hint)."""
+    beta = tuple(mec.mid for mec in beta_mecs)
+    if isinstance(measure, TransitionCount) and measure.tid not in owner:
+        return Label.UPPER_TYPE_LENGTH, "transient-transition-geometric-tail", True, len(beta), False
+    if isinstance(measure, TransitionCount) and owner[measure.tid] not in beta:
+        return Label.TIGHT_ZERO, "class-not-in-type", True, None, False
+    pumped, tracking, promoted, hint = frozenset(), True, False, False
+    for mec in beta_mecs:
+        zeroed_model = zero_counters(m, pumped) if pumped else m
+        witness, ranking = compute_maximal_solutions(zeroed_model, mec)
+        newly = dichotomy._newly_pumped(m, ranking, pumped)
+        if tracking and dichotomy._pumps(measure, witness, newly):
+            tracking, promoted = False, True
+            if pumped:
+                pump_x = dichotomy._pump_probe(zeroed_model, mec, measure)
+                hint = dichotomy._fluctuation_hint(m, mec, pump_x, pumped)
+        pumped = pumped | newly
+    if promoted:
+        return Label.LOWER_QUADRATIC, "flow-pumping-quadratic-lower", True, None, hint
+    if isinstance(measure, TransitionCount):
+        return Label.UPPER_LINEAR, "rank-coefficient-positive", True, None, False
+    return Label.TIGHT_LINEAR, "rank-coefficient-positive", True, None, False
 
 
 def expected_update(m, strategy, state) -> tuple:

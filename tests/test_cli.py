@@ -682,6 +682,16 @@ def test_simulate_witness_strategy(capsys):
                "--n", "2", "--runs", "1", "--strategy", "witness:M7")[0] == 1
 
 
+def test_simulate_strategy_file_may_leave_out_unreached_states(capsys, tmp_path):
+    """Every entry is checked on load; a missing one fails only where a run
+    reaches its state."""
+    argv = ["simulate", str(MODELS / "pump_transfer_3d.json"), "--n", "3", "--runs", "2",
+            "--max-steps", "50", "--strategy"]
+    assert run(capsys, *argv, _write(tmp_path, "s.json", {"a": "a_q", "e": "e_e"}))[0] == 0
+    rc, out, err = run(capsys, *argv, _write(tmp_path, "t.json", {"a": "a_c"}))
+    assert (rc, out) == (1, "") and "reached controlled state 'c' with no strategy entry" in err
+
+
 @pytest.mark.parametrize("n, theta", [("2", "inf"), ("2", "nan"), ("2,3", "1000")])
 def test_simulate_rejects_a_cap_that_cannot_be_computed(capsys, n, theta):
     rc, out, err = run(
@@ -740,6 +750,16 @@ def test_types_subcommand(capsys):
     assert doc["complete"] is False and len(doc["types"]) == 4
     rc, out, err = run(capsys, "types", str(MODELS / "pump_transfer_3d.json"), "--max-type-len", "0")
     assert (rc, out, err) == (1, "", "error: max_len must be >= 1\n")
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*.json")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("option", [[], ["--max-type-len", "1"], ["--max-type-len", "2"]])
+def test_types_complete_is_analyze_types_complete(capsys, path, option):
+    rc, out, _ = run(capsys, "types", str(path), "--json", *option)
+    assert rc == 0
+    rc, report, _ = run(capsys, "analyze", str(path), "--json", "--measure", "L", *option)
+    assert rc == 0
+    assert json.loads(out)["complete"] == json.loads(report)["types_complete"]
 
 
 def test_energy_subcommand(capsys):
@@ -828,6 +848,11 @@ def _strategy(value):
     return _strategy_file({"p": {"t_dec": value}})
 
 
+def _pump_strategy(at_c):
+    """Runs leave `a` by `a_q` and never reach `c`, whose entry is `at_c`."""
+    return _strategy_file({"a": "a_q", "e": "e_e", "c": at_c}, "pump_transfer_3d.json")
+
+
 def _graph(vertices, edges):
     return lambda tmp_path: [
         "gen-hamiltonian", _write(tmp_path, "graph.json", {"vertices": vertices, "edges": edges}), "a"
@@ -855,6 +880,10 @@ K3_EDGES = [["a", "b"], ["b", "c"], ["a", "c"]]
         pytest.param(_strategy_file({"zz": "x"}), "unknown states ['zz']", id="strategy-only-unknown"),
         pytest.param(_strategy_file({"p": "t_up"}, "random_walk_1d.json"),
                      "probabilistic states ['p']", id="strategy-probabilistic-state"),
+        pytest.param(_pump_strategy({"a_q": "1/3"}), "strategy at 'c' uses transitions ['a_q']",
+                     id="strategy-unreached-bad-distribution"),
+        pytest.param(_pump_strategy("a_q"), "strategy at 'c' uses transitions ['a_q']",
+                     id="strategy-unreached-bad-choice"),
         pytest.param(lambda _: ["analyze", WALK, "--measure", "T:"], "needs a transition id",
                      id="measure-empty-transition"),
         pytest.param(lambda _: ["analyze", WALK, "--measure", "T:zz"], "unknown transition 'zz'",
@@ -935,7 +964,7 @@ CORPUS_SHA256 = {  # stdout of `analyze --json` and, with one counter, `energy -
     ("energy", "decreasing_loop"): "da34fee41823a62a2a2cde59808f5c7e4e25c1d8b61522f39ca39008a3713395",
     ("analyze", "increasing_loop"): "b4cfd47d1064b73d43ab7b50714fc5ba249ef8adcc1d4c1e51275ba92fdf9896",
     ("energy", "increasing_loop"): "9316a9ab7e8b5bad33f01a713586593590b180b4a23882382a99f25e9daa63ad",
-    ("analyze", "pump_transfer_3d"): "9b6756c9545145d2154d307716096230aac2bc466745cd2bf93ec4eb26dde448",
+    ("analyze", "pump_transfer_3d"): "29d754fed31d2ebd0a7e141e89a87858a85d85209888d9ce85e9427ae7d09541",
     ("analyze", "random_walk_1d"): "21fc36b8b835f84e3de77267d30e53f2de80ece9f47a7c039907aaef871198d4",
     ("energy", "random_walk_1d"): "da34fee41823a62a2a2cde59808f5c7e4e25c1d8b61522f39ca39008a3713395",
     ("analyze", "zero_cycle_2state"): "9bfc13430f8fb9b2428c9a1889eeffd7c532cb417961ae6f2e5a45354d0e0bf7",

@@ -7,6 +7,8 @@ row forces z(b) <= z(a) while the expectation row forces z(a) + y2 <= z(b), so
 y2 = 0 and counter 2 is the only pumped one, with no strict rows anywhere.
 """
 
+from random import Random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from oracles import (
     classify,
     classify_counters_mec,
     force_probe_order,
+    reference_classify_dag,
     reference_strict_labels,
     solve_failures,
     strict_labels,
@@ -28,12 +31,13 @@ from vass_asym.dichotomy import (
     compute_maximal_solutions,
     rank_delta,
     run_dag_pipeline,
+    use_count_outside_type,
 )
 from vass_asym import dichotomy
 from vass_asym.check import AttestationError, check_report
 from vass_asym.cli import build_analysis
-from vass_asym.graph import enumerate_types, is_dag_like, mec_decomposition
-from vass_asym.onedim import hamiltonian_reduction
+from vass_asym.graph import enumerate_types, is_dag_like, mec_decomposition, transition_to_mec
+from vass_asym.onedim import compute_inventory, hamiltonian_reduction, labels_from_inventory
 from vass_asym.model import (
     Counter,
     InternalError,
@@ -45,7 +49,7 @@ from vass_asym.model import (
     VassMdp,
     zero_counters,
 )
-from tests.strategies import random_models
+from tests.strategies import random_model_from_rng, random_models
 
 
 def _single_mec(m):
@@ -160,15 +164,20 @@ def _mecs_by_id(m):
     return {mec.mid: mec for mec in mec_decomposition(m)}
 
 
+def _pumped(pipeline):
+    return frozenset().union(*(step.newly_pumped for step in pipeline))
+
+
 def test_pipeline_promotion_chain(pump):
-    mecs = mec_decomposition(pump)
-    by_id = {mec.mid: mec for mec in mecs}
-    state = run_dag_pipeline(pump, [by_id["M1"], by_id["M2"]], track_hint_for=Counter(3))
-    assert state.steps[0].newly_pumped == frozenset({2})
-    assert state.steps[1].zeroed == frozenset({2})
-    assert state.steps[1].newly_pumped == frozenset({3})
-    assert state.pumped == frozenset({2, 3})
-    assert not state.hint  # budget-limited transfer, drift -1
+    by_id = _mecs_by_id(pump)
+    pipeline = run_dag_pipeline(pump, [by_id["M1"], by_id["M2"]])
+    assert pipeline[0].newly_pumped == frozenset({2})
+    assert pipeline[1].zeroed == frozenset({2})
+    assert pipeline[1].newly_pumped == frozenset({3})
+    assert _pumped(pipeline) == frozenset({2, 3})
+    est, classified = classify(pump, ("M1", "M2"), Counter(3))
+    assert classified == pipeline  # the walk does not depend on the measure
+    assert not est.beyond_quadratic_hint  # budget-limited transfer, drift -1
 
 
 def test_classify_dag_counter_labels(pump):
@@ -319,8 +328,69 @@ def test_pipeline_monotone_prefix(pump):
     by_id = _mecs_by_id(pump)
     full = run_dag_pipeline(pump, [by_id["M1"], by_id["M4"]])
     prefix = run_dag_pipeline(pump, [by_id["M1"]])
-    assert prefix.steps[0].newly_pumped == full.steps[0].newly_pumped
-    assert prefix.pumped <= full.pumped
+    assert prefix == full[:1]
+    assert _pumped(prefix) <= _pumped(full)
+
+
+def test_use_count_rules_agree_across_regimes():
+    """A transition in no class and one whose class the type skips: the
+    one-counter case table and the DAG pipeline return the same estimate."""
+    states = [State("a", "nondet"), State("b", "nondet")]
+    steps = [("la", "a", 1, "a"), ("go", "a", 0, "b"), ("lb", "b", -1, "b")]
+    one = VassMdp(1, states, [Transition(t, s, (u,), d) for t, s, u, d in steps])
+    two = VassMdp(2, states, [Transition(t, s, (u, 0), d) for t, s, u, d in steps])
+    mecs = mec_decomposition(one)
+    owner = transition_to_mec(mecs)
+    inventory = compute_inventory(one, mecs)
+    tags = set()
+    for ts in enumerate_types(one, len(mecs), mecs)[0]:
+        for tid in ("go", "la", "lb"):
+            want = use_count_outside_type(TransitionCount(tid), ts.mecs, owner)
+            if want is None:
+                continue
+            assert labels_from_inventory(inventory, TransitionCount(tid), ts.mecs, owner) == want
+            assert classify(two, ts.mecs, TransitionCount(tid)) == (want, None)
+            tags.add(want.tag)
+    assert tags == {"transient-transition-geometric-tail", "class-not-in-type"}
+
+
+def _every_measure(m):
+    return (
+        [Termination()]
+        + [Counter(c) for c in range(1, m.dimension + 1)]
+        + [TransitionCount(t.tid) for t in m.transitions]
+    )
+
+
+def test_classify_dag_matches_tracking_walk_reference(monkeypatch):
+    """Seeded random DAG-like models: on every measure and type,
+    `classify_dag` gives the label, tag, exactness, bound and hint of the
+    reference walk that tracks the measure as it goes."""
+    rng = Random(1)
+    models = [random_model_from_rng(rng, rng.randint(2, 4), rng.randint(2, 3), 1) for _ in range(10)]
+    calls = []
+    probe = dichotomy._pump_probe
+
+    def counted(*args):
+        calls.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(dichotomy, "_pump_probe", counted)
+    probed = hints = 0
+    for m in models:
+        mecs = mec_decomposition(m)
+        assert is_dag_like(m, mecs)
+        owner, by_id = transition_to_mec(mecs), {mec.mid: mec for mec in mecs}
+        for ts in enumerate_types(m, len(mecs), mecs)[0]:
+            beta_mecs = [by_id[b] for b in ts.mecs]
+            for measure in _every_measure(m):
+                before = len(calls)
+                est, _ = dichotomy.classify_dag(m, beta_mecs, measure, owner)
+                probed += len(calls) > before
+                want = reference_classify_dag(m, beta_mecs, measure, owner)
+                assert (est.label, est.tag, est.exact, est.bound, est.beyond_quadratic_hint) == want
+                hints += est.beyond_quadratic_hint
+    assert hints >= 3 and probed > hints  # both outcomes of the probe are compared
 
 
 def test_determinism(pump):

@@ -16,9 +16,7 @@ from hypothesis import given, settings
 
 from vass_asym.graph import (
     MAX_TYPES,
-    Mec,
     TooManyTypes,
-    TypeSeq,
     _chain_values,
     enumerate_types,
     is_dag_like,
@@ -30,7 +28,7 @@ from vass_asym.graph import (
 )
 from vass_asym.check import AttestationError, check_report
 from vass_asym.cli import build_analysis
-from vass_asym.model import NONDET, PROB, Counter, State, Transition, VassMdp, parse_vass
+from vass_asym.model import NONDET, PROB, Counter, State, Transition, VassMdp
 from tests.strategies import random_models
 
 

@@ -15,10 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import NonHomogeneousSystem, maximize_strict_count
 from vass_asym.ratlp import (
-    LinearConstraint,
     LpProblem,
     LpSolution,
-    Relation,
     con,
     scale_to_integers,
     solve_feasibility,
