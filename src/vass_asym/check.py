@@ -4,10 +4,11 @@
 is missing or mistyped, or it names what does not exist), then re-substitutes
 its claims into the model in exact rational arithmetic, solving nothing:
 each class is an end component whose transitions are exactly the model's
-between its states; each class solve is a valid flow and ranking, with
-exactly the claimed positive and strict sets, and maximal; each class pair's
-reach certificate and each type weight; the zero-cycle stationary
-distribution; each pipeline's bookkeeping; and each d >= 2 label.
+between its states; each solve, listed once per (zeroed counters, class), is
+a valid flow and ranking, with exactly the claimed positive and strict sets,
+and maximal; each class pair's reach certificate and each type weight; the
+zero-cycle stationary distribution; and each d >= 2 label, against the
+type's pipeline the checker reads off the solves itself (`_pipeline`).
 
 Not checked: that the classes are maximal and no end component lies outside
 them, `dag_like`, `types_complete`, that the types listed are all the
@@ -19,10 +20,10 @@ but `model`, so it shares no code with the solvers it checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from functools import cache
 
-from .model import NONDET, PROB, Counter, InternalError, Termination, TransitionCount, VassMdp
-from .model import model_digest, parse_measure
+from .model import NONDET, PROB, RATIONAL, Counter, InternalError, Termination, TransitionCount
+from .model import VassMdp, model_digest, parse_measure
 
 
 class AttestationError(RuntimeError):
@@ -34,11 +35,11 @@ class ReportError(ValueError):
 
 
 def _q(raw) -> Fraction:
-    try:
-        if isinstance(raw, str):
+    if isinstance(raw, str) and RATIONAL.fullmatch(raw):
+        try:
             return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        pass
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+            pass
     raise ReportError(f"{raw!r} is not a rational string")
 
 
@@ -46,36 +47,31 @@ def _q(raw) -> Fraction:
 # (`Fraction`: a rational string); a 1-tuple is null or its entry; a 1-list
 # a list of its entry; a dict keyed by `str` (or `int`: decimal keys) a map
 # to its value; any other dict an object with at least its keys.
-_FLOW = {
-    "class": str,
-    "flow": {str: Fraction},
-    "positive_counters": [int],
-    "positive_transitions": [str],
-}
-_RANKING = {
-    "class": str,
-    "counter_coefficients": {int: Fraction},
-    "state_offsets": {str: Fraction},
-    "strict_controlled_transitions": [str],
-    "strict_probabilistic_states": [str],
-}
-_STEP = {
+_SOLVE = {
     "class": str,
     "zeroed_counters": [int],
-    "newly_pumped": [int],
-    "flow": _FLOW,
-    "ranking": _RANKING,
+    "flow": {
+        "flow": {str: Fraction},
+        "positive_counters": [int],
+        "positive_transitions": [str],
+    },
+    "ranking": {
+        "counter_coefficients": {int: Fraction},
+        "state_offsets": {str: Fraction},
+        "strict_controlled_transitions": [str],
+        "strict_probabilistic_states": [str],
+    },
 }
 _REPORT = {
     "model": {"digest": str},
     "classes": [{"id": str, "states": [str], "transitions": [str]}],
     "types": [{"classes": [str], "weight": Fraction}],
     "reach": [{"from": str, "to": str, "values": {str: Fraction}, "choice": {str: str}}],
-    "inventory": ({str: {"witnesses": {"flow": _FLOW, "ranking": _RANKING}}},),
+    "inventory": ({str: {}},),
     "zero_cycle_witness": (
         {"class": str, "strategy": {str: str}, "component": [str], "stationary": {str: Fraction}},
     ),
-    "pipelines": ([{"type": [str], "steps": [_STEP]}],),
+    "solves": [_SOLVE],
     "estimates": {str: [{"type": [str], "label": str}]},
 }
 
@@ -109,17 +105,19 @@ def _read(x, shape, at: str) -> None:
 
 def _names(m: VassMdp, doc: dict) -> None:
     """Raise `ReportError` where the report repeats a class id or names a
-    class, state or measure that does not exist."""
+    class, state, counter or measure that does not exist."""
     ids = [c["id"] for c in doc["classes"]]
     named = {mid for ts in doc["types"] for mid in ts["classes"]}
     named |= {mid for e in doc["reach"] for mid in (e["from"], e["to"])}
     named |= set(doc["inventory"] or {})
-    named |= {step["class"] for p in doc["pipelines"] or [] for step in p["steps"]}
+    named |= {s["class"] for s in doc["solves"]}
     states = {s for c in doc["classes"] for s in c["states"]}
     if doc["zero_cycle_witness"] is not None:
         named.add(doc["zero_cycle_witness"]["class"])
         states |= set(doc["zero_cycle_witness"]["component"])
+    counters = {c for s in doc["solves"] for c in s["zeroed_counters"]}
     unknown = sorted(named - set(ids)) + sorted(states - set(m.state_names()))
+    unknown += [f"counter {c}" for c in sorted(counters - set(range(1, m.dimension + 1)))]
     if unknown or len(set(ids)) != len(ids):
         raise ReportError(f"the report names {unknown}, which do not exist, or repeats a class id")
     for e in doc["reach"]:
@@ -177,9 +175,9 @@ def solve_failures(
     y = {int(c): _q(v) for c, v in ranking["counter_coefficients"].items()}
     z = {s: _q(v) for s, v in ranking["state_offsets"].items()}
     bad: dict[str, list[str]] = {"flow": [], "ranking": [], "maximality": []}
-    if flow["class"] != mid or not set(x) <= set(tids):
+    if not set(x) <= set(tids):
         bad["flow"].append(f"flow domain mismatch in {mid}")
-    if ranking["class"] != mid or set(y) != set(dims) or set(z) != states:
+    if set(y) != set(dims) or set(z) != states:
         bad["ranking"].append(f"ranking domain mismatch in {mid}")
     if bad["flow"] or bad["ranking"]:
         bad["maximality"].append(f"dichotomy domain mismatch in {mid}")
@@ -318,43 +316,40 @@ def _stationary(m: VassMdp, classes: dict, w: dict) -> list[str]:
     return bad
 
 
-def _bookkeeping(beta: list, steps: list) -> list[str]:
-    """One step per class of the type, in order; each zeroes exactly what
-    earlier steps pumped and newly pumps exactly the other counters its
-    ranking leaves at y(c) = 0."""
-    if [step["class"] for step in steps] != list(beta):
-        return [f"pipeline classes {[step['class'] for step in steps]} do not follow the type"]
-    bad: list[str] = []
-    pumped: set[int] = set()
-    for step in steps:
-        name, zeroed, claimed = step["class"], sorted(step["zeroed_counters"]), step["newly_pumped"]
-        if set(zeroed) != pumped:
-            bad.append(f"class {name} zeroes {zeroed}, not {sorted(pumped)}")
-        y = step["ranking"]["counter_coefficients"]
+def _pipeline(beta: tuple, solves: dict) -> tuple[list, str]:
+    """A type's pipeline read off the solves: each class is solved with what
+    the classes before it pumped zeroed, and newly pumps the other counters
+    its ranking leaves at y(c) = 0. Returns the steps (solve, newly pumped)
+    and, where a step's solve is missing, that step's failure."""
+    steps: list[tuple[dict, set[int]]] = []
+    pumped: frozenset[int] = frozenset()
+    for mid in beta:
+        solve = solves.get((pumped, mid))
+        if solve is None:
+            return [], f"no solve of class {mid} with {sorted(pumped)} zeroed"
+        y = solve["ranking"]["counter_coefficients"]
         newly = {int(c) for c, v in y.items() if int(c) not in pumped and _q(v) == 0}
-        if set(claimed) != newly:
-            bad.append(
-                f"class {name} claims {sorted(claimed)} newly pumped, "
-                f"its ranking gives {sorted(newly)}"
-            )
+        steps.append((solve, newly))
         pumped |= newly
-    return bad
+    return steps, ""
 
 
-def _expected_label(measure, beta: tuple, steps: Optional[list], owner: dict) -> tuple:
-    """The (label, bound) of a d >= 2 estimate. A pipeline step pumps a
-    counter it newly pumps, the termination time where its flow is nonzero,
-    and a use count where its flow uses the transition."""
+def _expected_label(measure, beta: tuple, owner: dict, pipeline) -> tuple:
+    """The (label, bound) of a d >= 2 estimate. Only a label that no
+    use-count rule decides reads the type's pipeline (`pipeline(beta)`): a
+    step pumps a counter it newly pumps, the termination time where its flow
+    is nonzero, and a use count where its flow uses the transition."""
     if isinstance(measure, TransitionCount) and measure.tid not in owner:
         return "UpperTypeLength", len(beta)
     if isinstance(measure, TransitionCount) and owner[measure.tid] not in beta:
         return "TightZero", None
-    if steps is None:
-        return "no label (the type has no pipeline)", None
-    for step in steps:
-        used = step["flow"]["positive_transitions"]
+    steps, missing = pipeline(beta)
+    if missing:
+        return f"no label ({missing})", None
+    for solve, newly in steps:
+        used = solve["flow"]["positive_transitions"]
         if isinstance(measure, Counter):
-            pumps = measure.index in step["newly_pumped"]
+            pumps = measure.index in newly
         else:
             pumps = bool(used) if isinstance(measure, Termination) else measure.tid in used
         if pumps:
@@ -372,10 +367,6 @@ def _check(m: VassMdp, doc: dict) -> tuple[int, list[str]]:
         checks += 1
         failures.extend(f"{where}: {e}" for e in errors)
 
-    def solve(mid: str, flow: dict, ranking: dict, zeroed: frozenset[int], where: str) -> None:
-        for kind, errors in solve_failures(m, classes[mid], flow, ranking, zeroed).items():
-            record(f"{where} {kind}", errors)
-
     covered: set[str] = set()
     for mid, cls in classes.items():
         record(f"class {mid}", _class_failures(m, cls, covered))
@@ -383,9 +374,20 @@ def _check(m: VassMdp, doc: dict) -> tuple[int, list[str]]:
     if failures:  # every other claim is read on the classes
         return checks, failures
 
-    for mid, flags in sorted((doc["inventory"] or {}).items()):
-        witnesses = flags["witnesses"]
-        solve(mid, witnesses["flow"], witnesses["ranking"], frozenset(), f"class {mid}")
+    solves: dict[tuple[frozenset[int], str], dict] = {}
+    for s in doc["solves"]:
+        zeroed, mid = frozenset(s["zeroed_counters"]), s["class"]
+        where = f"class {mid} with {sorted(zeroed)} zeroed"
+        if (zeroed, mid) in solves:
+            record(where, ["solved twice"])
+            continue
+        solves[zeroed, mid] = s
+        bad = solve_failures(m, classes[mid], s["flow"], s["ranking"], zeroed)
+        for kind, errors in bad.items():
+            record(f"{where} {kind}", errors)
+    # each one-counter class is solved once, with no counter zeroed
+    missing = [mid for mid in doc["inventory"] or {} if (frozenset(), mid) not in solves]
+    failures += [f"no solve of class {mid} with [] zeroed" for mid in missing]
     if doc["zero_cycle_witness"] is not None:
         w = doc["zero_cycle_witness"]
         record(f"class {w['class']} stationary", _stationary(m, classes, w))
@@ -405,25 +407,14 @@ def _check(m: VassMdp, doc: dict) -> tuple[int, list[str]]:
             errors.append(f"reported weight {ts['weight']} != recomputed {weight}")
         record(f"type {','.join(ts['classes'])}", errors)
 
-    checked: dict[tuple[frozenset[int], str], tuple[dict, dict]] = {}
-    for p in doc["pipelines"] or []:
-        name = ",".join(p["type"])
-        record(f"pipeline along {name}", _bookkeeping(p["type"], p["steps"]))
-        for step in p["steps"]:
-            key = (frozenset(step["zeroed_counters"]), step["class"])
-            witnesses = (step["flow"], step["ranking"])
-            if checked.get(key) != witnesses:
-                checked[key] = witnesses
-                solve(step["class"], *witnesses, key[0], f"along {name} at class {step['class']}")
-
     if m.dimension >= 2:
         owner = {t: c["id"] for c in doc["classes"] for t in c["transitions"]}
-        pipelines = {tuple(p["type"]): p["steps"] for p in doc["pipelines"] or []}
+        pipeline = cache(lambda beta: _pipeline(beta, solves))
         for mkey, entries in doc["estimates"].items():
             measure = parse_measure(mkey)
             for e in entries:
                 beta = tuple(e["type"])
-                label, bound = _expected_label(measure, beta, pipelines.get(beta), owner)
+                label, bound = _expected_label(measure, beta, owner, pipeline)
                 errors = []
                 if (e["label"], e.get("bound")) != (label, bound):
                     with_bound = "" if bound is None else f" with bound {bound}"

@@ -18,9 +18,11 @@ dimension. It validates the measures and derives the classes, DAG-likeness,
 the types with their reach certificates and the transition owners once; the
 regime only labels each (measure, type): the behaviour inventory's case
 table with one counter (`onedim`), the type's DAG pipeline with more
-(`dichotomy.classify_dag`). It attests the report by running
-`check.check_report` on the document before emitting it; README § analyze
-and `schemas/analysis_report.schema.json` describe the report's fields.
+(`dichotomy.classify_dag`). The report lists each class solve once, taken
+from the inventory or from the types' pipelines (`_ser_solves`). It attests
+the report by running `check.check_report` on the document before emitting
+it; README § analyze and `schemas/analysis_report.schema.json` describe the
+report's fields.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .check import AttestationError, ReportError, check_report
 from .dichotomy import (
     Estimate,
     NotDagLike,
-    Pipeline,
     RankingFunction,
     SystemIWitness,
     classify_dag,
@@ -137,7 +138,6 @@ def _ser_zero_cycle(w: BoundedZeroWitness) -> dict:
 
 def _ser_flow(w: SystemIWitness) -> dict:
     return {
-        "class": w.mec_id,
         "flow": {tid: _frac(v) for tid, v in sorted(w.x.items()) if v != 0},
         "positive_counters": sorted(w.positive_counters),
         "positive_transitions": sorted(w.positive_transitions),
@@ -146,7 +146,6 @@ def _ser_flow(w: SystemIWitness) -> dict:
 
 def _ser_ranking(r: RankingFunction) -> dict:
     return {
-        "class": r.mec_id,
         "counter_coefficients": {str(c): _frac(v) for c, v in sorted(r.y.items())},
         "state_offsets": {s: _frac(v) for s, v in sorted(r.z.items())},
         "strict_controlled_transitions": sorted(r.strict_nondet),
@@ -154,24 +153,19 @@ def _ser_ranking(r: RankingFunction) -> dict:
     }
 
 
-def _ser_pipelines(pipelines: Optional[dict[tuple[str, ...], Pipeline]]) -> Optional[list]:
-    if pipelines is None:
-        return None
+def _ser_solves(mecs: list[Mec], solves: dict[tuple[str, tuple[int, ...]], tuple]) -> list:
+    """Each (class, zeroed counters) solve once, by class order, then zeroed set."""
+    order = {mec.mid: k for k, mec in enumerate(mecs)}
     return [
         {
-            "type": list(beta),
-            "steps": [
-                {
-                    "class": step.mec_id,
-                    "zeroed_counters": sorted(step.zeroed),
-                    "newly_pumped": sorted(step.newly_pumped),
-                    "flow": _ser_flow(step.witness),
-                    "ranking": _ser_ranking(step.ranking),
-                }
-                for step in steps
-            ],
+            "class": mid,
+            "zeroed_counters": list(zeroed),
+            "flow": _ser_flow(witness),
+            "ranking": _ser_ranking(ranking),
         }
-        for beta, steps in pipelines.items()
+        for (mid, zeroed), (witness, ranking) in sorted(
+            solves.items(), key=lambda item: (order[item[0][0]], item[0][1])
+        )
     ]
 
 
@@ -195,10 +189,6 @@ def _ser_inventory(inv: Optional[ClassInventory]) -> Optional[dict]:
     for mid in sorted(inv.flags):
         f = inv.flags[mid]
         witnesses: dict = {}
-        if f.flow is not None:
-            witnesses["flow"] = _ser_flow(f.flow)
-        if f.ranking is not None:
-            witnesses["ranking"] = _ser_ranking(f.ranking)
         if f.kept_states is not None:
             witnesses["zero_cycle_kept_states"] = sorted(f.kept_states)
         if f.kept_transitions is not None:
@@ -270,9 +260,11 @@ def build_analysis(
     estimates: dict[str, dict[tuple[str, ...], Estimate]] = {
         measure_key(ms): {} for ms in measures
     }
-    inventory, zero_cycle, pipelines = None, None, None
+    inventory, zero_cycle = None, None
+    solves: dict[tuple[str, tuple[int, ...]], tuple[SystemIWitness, RankingFunction]] = {}
     if m.dimension == 1:
         inventory = compute_inventory(m, mecs)
+        solves = {(mid, ()): (f.flow, f.ranking) for mid, f in inventory.flags.items()}
         # the zero-cycle witness matters only where no class admits positive drift
         if not inventory.any_increasing:
             zero_cycle = bounded_zero_witness(m, inventory)
@@ -283,14 +275,14 @@ def build_analysis(
                 )
     else:
         by_id = {mec.mid: mec for mec in mecs}
-        pipelines = {}
         for ts in types:
             beta_mecs = [by_id[b] for b in ts.mecs]
             for ms in measures:
                 est, pipeline = classify_dag(m, beta_mecs, ms, owner)
                 estimates[measure_key(ms)][ts.mecs] = est
-                if pipeline is not None:  # the same walk for every measure
-                    pipelines.setdefault(ts.mecs, pipeline)
+                for step in pipeline or ():  # the same walk for every measure
+                    key = (step.mec_id, tuple(sorted(step.zeroed)))
+                    solves.setdefault(key, (step.witness, step.ranking))
 
     doc = {
         "tool": {"name": "vass-asym", "version": __version__},
@@ -311,7 +303,7 @@ def build_analysis(
         "reach": _ser_reach(reach),
         "inventory": _ser_inventory(inventory),
         "zero_cycle_witness": None if zero_cycle is None else _ser_zero_cycle(zero_cycle),
-        "pipelines": _ser_pipelines(pipelines),
+        "solves": _ser_solves(mecs, solves),
         "estimates": {
             mkey: [_ser_estimate(beta, est) for beta, est in per_type.items()]
             for mkey, per_type in estimates.items()

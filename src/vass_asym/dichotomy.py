@@ -43,10 +43,13 @@ promotions are monotone and never revert. The walk does not depend on the
 measure: counters, the termination time and the use counts all read it, off
 the zeroed classes' maximal solutions. `classify_dag` labels one (measure,
 type) of a DAG-like model at the measure's first pumping step and returns the
-pipeline with the label. It checks none of its inputs: the analysis entry
-point (`cli.build_analysis`) derives the classes, the realizable types and
-the transition owners once and validates the measures before asking for any
-label. `use_count_outside_type` holds the two use-count rules of every
+pipeline with the label. A report lists each step's solve once per (zeroed
+counters, class), under `solves`, and carries no pipeline: the checker reads
+each type's pipeline off those solves by the same zeroing rule
+(`check._pipeline`). `classify_dag` checks none of its inputs: the analysis
+entry point (`cli.build_analysis`) derives the classes, the realizable types
+and the transition owners once and validates the measures before asking for
+any label. `use_count_outside_type` holds the two use-count rules of every
 dimension; the one-counter case table asks it too.
 """
 

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Optional, Union
 NONDET = "nondet"
 PROB = "prob"
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the schemas' rational grammar, matched in full
 
 
 class SchemaError(ValueError):
@@ -235,7 +235,7 @@ def parse_measure(text: str) -> Measure:
 
 
 def parse_rational(raw: object, where: str) -> Fraction:
-    if not isinstance(raw, str) or not _RATIONAL_RE.match(raw):
+    if not isinstance(raw, str) or not RATIONAL.fullmatch(raw):
         raise SchemaError(
             f"{where}: probabilities must be exact rational strings like \"1/2\", got {raw!r}"
         )

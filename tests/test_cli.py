@@ -18,7 +18,7 @@ import pytest
 import vass_asym
 from oracles import solve_failures
 from strategies import random_model_from_rng
-from vass_asym import check, cli, dichotomy, graph, ratlp
+from vass_asym import check, cli, dichotomy, graph, onedim, ratlp
 from vass_asym.check import check_report
 from vass_asym.cli import AttestationError, build_analysis, main
 from vass_asym.dichotomy import Label, RankingFunction
@@ -102,7 +102,8 @@ def test_analyze_walk_json_report(capsys, walk):
     assert by_measure["L"][("M1",)]["exact"] is True
     assert by_measure["C:1"][("M1",)]["label"] == "TightLinear"
     assert by_measure["T:t_down"][("M1",)]["label"] == "TightQuadratic"
-    assert doc["pipelines"] is None  # one-counter labels read the inventory
+    # one-counter labels read the inventory: each class solved once, nothing zeroed
+    assert [(s["class"], s["zeroed_counters"]) for s in doc["solves"]] == [("M1", [])]
     assert doc["attestation"]["exact_arithmetic"] is True
     assert doc["attestation"]["checks"] >= 3
 
@@ -135,11 +136,11 @@ def test_analyze_pump_selected_measure(capsys):
     assert ests[("M1", "M4")]["beyond_quadratic_hint"]
     assert doc["inventory"] is None  # behaviour inventories are one-counter only
     assert all(e["witnesses"] == {} for e in doc["estimates"]["C:3"])
-    pipelines = {tuple(p["type"]): p["steps"] for p in doc["pipelines"]}
-    assert list(pipelines) == [tuple(t["classes"]) for t in doc["types"]]
-    steps = pipelines[("M1", "M2")]
-    assert [s["class"] for s in steps] == ["M1", "M2"]
-    assert steps[1]["zeroed_counters"] == steps[0]["newly_pumped"]
+    # the types' pipelines make 7 distinct solves: counter 2, pumped in M1, is
+    # zeroed in every class after it
+    assert [(s["class"], s["zeroed_counters"]) for s in doc["solves"]] == [
+        ("M1", []), ("M2", []), ("M2", [2]), ("M3", []), ("M3", [2]), ("M4", []), ("M4", [2])
+    ]
 
 
 def test_analyze_rejects_bad_measures(capsys, tmp_path):
@@ -160,7 +161,7 @@ def test_analyze_non_dag_multicounter_is_out_of_scope(capsys, non_dag_2d):
 
 
 def test_analyze_non_dag_multicounter_exits_before_enumerating_types(capsys, tmp_path):
-    from tests.test_graph import _three_mutually_reachable_classes_model
+    from test_graph import _three_mutually_reachable_classes_model
 
     path = tmp_path / "three_classes_2d.json"
     path.write_text(json.dumps(serialize_vass(_three_mutually_reachable_classes_model())))
@@ -174,7 +175,7 @@ def test_analyze_non_dag_multicounter_exits_before_enumerating_types(capsys, tmp
 
 @pytest.mark.parametrize("command", ["analyze", "types"])
 def test_type_enumeration_budget_exits_2(capsys, tmp_path, command):
-    from tests.test_graph import _two_classes_around_a_hub_model
+    from test_graph import _two_classes_around_a_hub_model
 
     path = tmp_path / "hub_1d.json"
     path.write_text(json.dumps(serialize_vass(_two_classes_around_a_hub_model())))
@@ -229,7 +230,7 @@ def test_attestation_failure_exits_3(capsys, monkeypatch):
     rc, out, err = run(capsys, "analyze", str(MODELS / "random_walk_1d.json"))
     assert (rc, out) == (3, "")
     assert err.startswith("attestation failure: ")
-    assert "class M1 flow: flow out of p not proportional on t_down" in err
+    assert "class M1 with [] zeroed flow: flow out of p not proportional on t_down" in err
 
 
 def test_valid_but_not_maximal_solutions_fail_attestation(capsys, monkeypatch):
@@ -341,13 +342,13 @@ def _set_reach(doc, pair, key, state, value):
     entry[key][state] = value
 
 
-def _step(doc, beta, index):
-    return next(p for p in doc["pipelines"] if p["type"] == beta)["steps"][index]
+def _solve(doc, mid, zeroed=()):
+    return next(s for s in doc["solves"] if s["class"] == mid and s["zeroed_counters"] == list(zeroed))
 
 
 def _forge_pumping_flow(doc):
     # M3's flow is zero; a padded positive set would make L along M3 quadratic
-    _step(doc, ["M3"], 0)["flow"]["positive_transitions"] = ["a_b"]
+    _solve(doc, "M3")["flow"]["positive_transitions"] = ["a_b"]
     _entry(doc, "L", ["M3"])["label"] = "LowerQuadratic"
 
 
@@ -361,13 +362,13 @@ TAMPERS = {
     # claim kind: (model, tamper, start of the failure it must cause)
     "flow entry": (
         "random_walk_1d.json",
-        lambda d: d["inventory"]["M1"]["witnesses"]["flow"]["flow"].update(t_up="7"),
-        "class M1 flow: flow out of p not proportional",
+        lambda d: _solve(d, "M1")["flow"]["flow"].update(t_up="7"),
+        "class M1 with [] zeroed flow: flow out of p not proportional",
     ),
     "positive set outside the class": (
         "pump_transfer_3d.json",
         _forge_pumping_flow,
-        "along M3 at class M3 flow: positive_transitions claims ['a_b'], the witness gives []",
+        "class M3 with [] zeroed flow: positive_transitions claims ['a_b'], the witness gives []",
     ),
     "class transitions": (
         "pump_transfer_3d.json",
@@ -376,21 +377,20 @@ TAMPERS = {
     ),
     "ranking entry": (
         "decreasing_loop.json",
-        lambda d: d["inventory"]["M1"]["witnesses"]["ranking"]["counter_coefficients"].update({"1": "-1"}),
-        "class M1 ranking: y(1) = -1 < 0",
+        lambda d: _solve(d, "M1")["ranking"]["counter_coefficients"].update({"1": "-1"}),
+        "class M1 with [] zeroed ranking: y(1) = -1 < 0",
     ),
     "maximality": (
         "random_walk_1d.json",
-        lambda d: d["inventory"]["M1"]["witnesses"].update(
+        lambda d: _solve(d, "M1").update(
             ranking={
-                "class": "M1",
                 "counter_coefficients": {"1": "0"},
                 "state_offsets": {"p": "0"},
                 "strict_controlled_transitions": [],
                 "strict_probabilistic_states": [],
             }
         ),
-        "class M1 maximality: counter 1: neither y(1) > 0 nor a positive effect",
+        "class M1 with [] zeroed maximality: counter 1: neither y(1) > 0 nor a positive effect",
     ),
     "reach value": (
         "pump_transfer_3d.json",
@@ -412,10 +412,21 @@ TAMPERS = {
         lambda d: d["zero_cycle_witness"]["stationary"].update(p="1/3", q="2/3"),
         "class M1 stationary: balance fails at p: inflow 2/3 != 1/3",
     ),
-    "pipeline zeroed set": (
+    "solve missing": (
         "pump_transfer_3d.json",
-        lambda d: _step(d, ["M1", "M2"], 1).update(zeroed_counters=[]),
-        "pipeline along M1,M2: class M2 zeroes [], not [2]",
+        lambda d: d["solves"].remove(_solve(d, "M2", [2])),
+        "C:3 along M1,M2: label LowerQuadratic, but the report gives no label "
+        "(no solve of class M2 with [2] zeroed)",
+    ),
+    "solve repeated": (
+        "pump_transfer_3d.json",
+        lambda d: d["solves"].append(_solve(d, "M2", [2])),
+        "class M2 with [2] zeroed: solved twice",
+    ),
+    "one-counter solve missing": (
+        "decreasing_loop.json",
+        lambda d: d.update(solves=[]),
+        "no solve of class M1 with [] zeroed",
     ),
     "label": (
         "pump_transfer_3d.json",
@@ -424,8 +435,9 @@ TAMPERS = {
     ),
     "label without a pipeline": (
         "pump_transfer_3d.json",
-        lambda d: d.update(pipelines=[]),
-        "L along M1: label LowerQuadratic, but the report gives no label (the type has no pipeline)",
+        lambda d: d.update(solves=[]),
+        "L along M1: label LowerQuadratic, but the report gives no label "
+        "(no solve of class M1 with [] zeroed)",
     ),
     "label of a transition in no class": (
         "pump_transfer_3d.json",
@@ -466,18 +478,22 @@ def test_check_exits_1_on_a_report_it_cannot_read(capsys, tmp_path):
     walk = MODELS / "random_walk_1d.json"
     report = _analyze_to_file(tmp_path, walk)
     doc = json.loads(report.read_text())
-    # a report of another model, a report missing a key, a malformed number,
-    # a class or counter that does not exist, no JSON
+    # a report of another model, a report missing a key, a number outside the
+    # rational grammar (even one Python reads as the right value), a class or
+    # counter that does not exist, no JSON
     assert run(capsys, "check", str(MODELS / "decreasing_loop.json"), str(report))[0] == 1
     broken = tmp_path / "broken.json"
-    witnesses = doc["inventory"]["M1"]["witnesses"]
-    named_counter = {**witnesses["ranking"], "counter_coefficients": {"one": "1"}}
-    inventory = {"M1": {**doc["inventory"]["M1"], "witnesses": {**witnesses, "ranking": named_counter}}}
+    (solve,) = doc["solves"]
+    named_counter = {**solve, "ranking": {**solve["ranking"], "counter_coefficients": {"one": "1"}}}
     for text in (
         json.dumps({k: v for k, v in doc.items() if k != "reach"}),
-        json.dumps({**doc, "types": [{"classes": ["M1"], "weight": "one"}]}),
+        *(
+            json.dumps({**doc, "types": [{"classes": ["M1"], "weight": weight}]})
+            for weight in ("one", "0.5", "1e3", "1e0", "+1", " 1", "1_0", "1/2\n", "١")
+        ),
         json.dumps({**doc, "types": [{"classes": ["M1", "M9"], "weight": "1"}]}),
-        json.dumps({**doc, "inventory": inventory}),
+        json.dumps({**doc, "solves": [named_counter]}),
+        json.dumps({**doc, "solves": [{**solve, "zeroed_counters": [2]}]}),
         json.dumps([doc]),
         "{not json",
     ):
@@ -535,6 +551,91 @@ def test_check_report_solves_nothing(monkeypatch):
                         monkeypatch.setattr(module, attr, refuse)
     for m, doc in zip(models, docs):
         assert check_report(m, doc) == doc["attestation"]["checks"]
+
+
+def test_analysis_without_a_class_solve_attests(capsys, tmp_path):
+    # every estimate is decided by a use-count rule, so no type is walked
+    pump = MODELS / "pump_transfer_3d.json"
+    report = _analyze_to_file(tmp_path, pump, "--measure", "T:q_e")
+    doc = json.loads(report.read_text())
+    jsonschema.validate(doc, schema("analysis_report"))
+    assert doc["solves"] == []
+    assert {e["label"] for e in doc["estimates"]["T:q_e"]} == {"UpperTypeLength"}  # in no class
+    assert doc["attestation"]["checks"] == 4 + 3 + 7 + 7  # classes, reach pairs, types, labels
+    rc, out, err = run(capsys, "check", str(pump), str(report))
+    assert (rc, out, err) == (0, "21 exact re-substitution checks passed\n", "")
+
+
+def _sweep_models(count):
+    rng = Random(1789)
+    return [
+        random_model_from_rng(
+            rng, n_states=rng.randint(1, 3), dim=1 + i % 3, max_update=2, strongly_connected=(i % 2 == 0)
+        )
+        for i in range(count)
+    ]
+
+
+def test_solves_lists_each_class_solve_once(monkeypatch):
+    """`solves` has one entry per distinct (class, zeroed counters) solve the
+    analysis made, by class order, then zeroed set."""
+    made = []
+    walk, solve_class = dichotomy.run_dag_pipeline, onedim.compute_maximal_solutions
+
+    def walking(m, beta_mecs):
+        pipeline = walk(m, beta_mecs)
+        made.extend((step.mec_id, sorted(step.zeroed)) for step in pipeline)
+        return pipeline
+
+    def solving(m, mec, *args):
+        made.append((mec.mid, []))
+        return solve_class(m, mec, *args)
+
+    monkeypatch.setattr(dichotomy, "run_dag_pipeline", walking)
+    monkeypatch.setattr(onedim, "compute_maximal_solutions", solving)
+    corpus = [(path.stem, parse_vass(path.read_text())) for path in sorted(MODELS.glob("*.json"))]
+    analyzed = 0
+    for name, m in corpus + [(f"sweep {i}", m) for i, m in enumerate(_sweep_models(16))]:
+        made.clear()
+        try:
+            doc = build_analysis(m)
+        except dichotomy.NotDagLike:
+            continue
+        order = [c["id"] for c in doc["classes"]]
+        distinct = sorted({(mid, tuple(z)) for mid, z in made}, key=lambda k: (order.index(k[0]), k[1]))
+        assert [(s["class"], tuple(s["zeroed_counters"])) for s in doc["solves"]] == distinct
+        if name == "pump_transfer_3d":
+            assert len(distinct) == 7 and len(made) > 7
+        analyzed += 1
+    assert analyzed >= 15
+
+
+def _unrequired(shape, node, sch, at):
+    """The keys the checker reads (`check._REPORT`'s shapes) that the schema
+    node does not require."""
+    while "$ref" in node:
+        node = sch["$defs"][node["$ref"].rsplit("/", 1)[1]]
+    if isinstance(shape, tuple):  # null or the entry
+        (node,) = [n for n in node["oneOf"] if n.get("type") != "null"]
+        return _unrequired(shape[0], node, sch, at)
+    if isinstance(shape, list):
+        return _unrequired(shape[0], node["items"], sch, f"{at}[]")
+    if not isinstance(shape, dict):
+        return []
+    if str in shape or int in shape:  # a map
+        return _unrequired(next(iter(shape.values())), node["additionalProperties"], sch, f"{at}.*")
+    missing = [f"{at}.{key}" for key in shape if key not in node.get("required", [])]
+    for key, item in shape.items():
+        missing += _unrequired(item, node["properties"][key], sch, f"{at}.{key}")
+    return missing
+
+
+def test_the_checker_reads_only_what_the_schema_requires():
+    # every object the checker reads, down to a solve's flow and ranking,
+    # has the keys it reads among the schema's required ones
+    sch = schema("analysis_report")
+    assert _unrequired(check._REPORT, sch, sch, "report") == []
+    assert set(check._SOLVE) == set(sch["properties"]["solves"]["items"]["required"])
 
 
 def test_reach_values_solved_once_per_pair(monkeypatch, pump):
@@ -831,10 +932,12 @@ def _write(tmp_path, name, doc):
     return str(path)
 
 
-def _zero_denominator_model(tmp_path):
-    doc = json.loads((MODELS / "random_walk_1d.json").read_text())
-    doc["transitions"][0]["prob"] = "1/0"
-    return ["analyze", _write(tmp_path, "model.json", doc)]
+def _walk_with_prob(prob):
+    def argv(tmp_path):
+        doc = json.loads((MODELS / "random_walk_1d.json").read_text())
+        doc["transitions"][0]["prob"] = prob
+        return ["analyze", _write(tmp_path, "model.json", doc)]
+    return argv
 
 
 def _strategy_file(doc, model="decreasing_loop.json"):
@@ -866,7 +969,8 @@ K3_EDGES = [["a", "b"], ["b", "c"], ["a", "c"]]
 @pytest.mark.parametrize(
     "argv, named",
     [
-        pytest.param(_zero_denominator_model, "'1/0' has a zero denominator", id="prob-1/0"),
+        pytest.param(_walk_with_prob("1/0"), "'1/0' has a zero denominator", id="prob-1/0"),
+        pytest.param(_walk_with_prob("1/2\n"), "got '1/2\\n'", id="prob-trailing-newline"),
         pytest.param(lambda _: ["simulate", WALK, "--n", "0,4", "--runs", "2", "--theta", "-1"],
                      "no step cap at n = 0", id="theta<0-at-n=0"),
         pytest.param(lambda _: ["simulate", WALK, "--n=-1,4", "--runs", "2", "--theta", "0.5"],
@@ -960,14 +1064,14 @@ def test_build_analysis_derives_the_class_structure_once(monkeypatch, path):
 
 
 CORPUS_SHA256 = {  # stdout of `analyze --json` and, with one counter, `energy --json`
-    ("analyze", "decreasing_loop"): "241489d9e1c772bc090f509ae1fcece8fc4edab82e7dcf77bb69cce4e2650ef6",
+    ("analyze", "decreasing_loop"): "1384564b0e37a21aa75f132aa10feee2f8b9adfaab4c62268de5b239d12623d9",
     ("energy", "decreasing_loop"): "da34fee41823a62a2a2cde59808f5c7e4e25c1d8b61522f39ca39008a3713395",
-    ("analyze", "increasing_loop"): "b4cfd47d1064b73d43ab7b50714fc5ba249ef8adcc1d4c1e51275ba92fdf9896",
+    ("analyze", "increasing_loop"): "e3456cf8ab679097587b6dfaeea3b2a025826542dc3594c75d6798e1918ad9e0",
     ("energy", "increasing_loop"): "9316a9ab7e8b5bad33f01a713586593590b180b4a23882382a99f25e9daa63ad",
-    ("analyze", "pump_transfer_3d"): "29d754fed31d2ebd0a7e141e89a87858a85d85209888d9ce85e9427ae7d09541",
-    ("analyze", "random_walk_1d"): "21fc36b8b835f84e3de77267d30e53f2de80ece9f47a7c039907aaef871198d4",
+    ("analyze", "pump_transfer_3d"): "8e8938bf49e3e953da31083025e952aaf66b5713fdb693a650053bf56ab4ba14",
+    ("analyze", "random_walk_1d"): "649962b9bb9a53246da498bdc107b23708542de756c02758e903f14e35661c6a",
     ("energy", "random_walk_1d"): "da34fee41823a62a2a2cde59808f5c7e4e25c1d8b61522f39ca39008a3713395",
-    ("analyze", "zero_cycle_2state"): "9bfc13430f8fb9b2428c9a1889eeffd7c532cb417961ae6f2e5a45354d0e0bf7",
+    ("analyze", "zero_cycle_2state"): "67950cdd73824d021e08d0e54ca0f5f031560c50d7921d598db0a6dca4ed256a",
     ("energy", "zero_cycle_2state"): "258aa4755a2d6830c35d25509e910edf5a26d0b02de7e600e555c56319ef136b",
 }
 

@@ -49,7 +49,7 @@ from vass_asym.model import (
     VassMdp,
     zero_counters,
 )
-from tests.strategies import random_model_from_rng, random_models
+from strategies import random_model_from_rng, random_models
 
 
 def _single_mec(m):
@@ -306,22 +306,18 @@ def _check_failures(m, doc):
 
 
 def test_pipeline_bookkeeping_is_verified(pump):
+    # the checker reads each type's pipeline off the solves itself: M2 after
+    # M1 must be solved with counter 2, which M1 pumps, zeroed
     doc = build_analysis(pump, [Counter(2)])
     assert check_report(pump, doc) == doc["attestation"]["checks"]
-    (pipeline,) = [p for p in doc["pipelines"] if p["type"] == ["M1", "M2"]]
-    first, second = pipeline["steps"]
-    pipeline["type"] = ["M1", "M4"]
-    assert "pipeline along M1,M4: pipeline classes ['M1', 'M2'] do not follow the type" in (
-        _check_failures(pump, doc)
-    )
-    pipeline["type"] = ["M1", "M2"]
-    first["newly_pumped"] = []
-    assert "pipeline along M1,M2: class M1 claims [] newly pumped, its ranking gives [2]" in (
-        _check_failures(pump, doc)
-    )
-    first["newly_pumped"] = [2]
-    second["zeroed_counters"] = []
-    assert "pipeline along M1,M2: class M2 zeroes [], not [2]" in _check_failures(pump, doc)
+    (m2,) = [s for s in doc["solves"] if (s["class"], s["zeroed_counters"]) == ("M2", [2])]
+    m2["zeroed_counters"] = []
+    failures = _check_failures(pump, doc)
+    assert "class M2 with [] zeroed: solved twice" in failures
+    assert (
+        "C:2 along M1,M2: label LowerQuadratic, but the report gives no label "
+        "(no solve of class M2 with [2] zeroed)"
+    ) in failures
 
 
 def test_pipeline_monotone_prefix(pump):

@@ -29,7 +29,7 @@ from vass_asym.graph import (
 from vass_asym.check import AttestationError, check_report
 from vass_asym.cli import build_analysis
 from vass_asym.model import NONDET, PROB, Counter, State, Transition, VassMdp
-from tests.strategies import random_models
+from strategies import random_models
 
 
 def _strongly_connected(states, edges):

@@ -21,8 +21,8 @@ from vass_asym.model import (
     serialize_vass,
     zero_counters,
 )
-from tests.conftest import load_doc
-from tests.strategies import random_models
+from conftest import load_doc
+from strategies import random_models
 
 
 def test_parse_walk(walk):

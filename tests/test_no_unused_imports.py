@@ -1,7 +1,12 @@
 """Every module of the package, the tests and the scripts uses each name it
 imports: an import nothing reads is dead code that hides what a module
 depends on. Names re-exported through `__all__` count as used; `__future__`
-imports are directives, not names."""
+imports are directives, not names.
+
+Test modules import their helpers under one name each: pytest puts `tests/`
+on the import path and loads every test module by its bare name, so an
+import through the `tests` package would load a second copy of the helper
+(and define its hypothesis composites twice)."""
 
 import ast
 from pathlib import Path
@@ -40,3 +45,18 @@ def test_no_unused_imports():
         for line, name in _unused(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == [], f"imported but never used: {found}"
+
+
+def test_tests_import_helpers_by_their_bare_name():
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {module}"
+        for path in sorted((ROOT / "tests").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for module in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if module.split(".")[0] == "tests"
+    ]
+    assert found == [], f"imported through the tests package: {found}"

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import expected_update
-from tests.strategies import random_models
+from strategies import random_models
 from vass_asym import sim
 from vass_asym.model import IncompleteStrategy, parse_vass
 from vass_asym.sim import (
