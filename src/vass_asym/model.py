@@ -243,6 +243,8 @@ def parse_rational(raw: object, where: str) -> Fraction:
         return Fraction(raw)
     except ZeroDivisionError:
         raise SchemaError(f"{where}: {raw!r} has a zero denominator") from None
+    except ValueError:  # past Python's limit on the digits of an int string
+        raise SchemaError(f"{where}: a rational of {len(raw)} characters has too many digits") from None
 
 
 def _require_keys(obj: dict, required: set[str], optional: set[str], where: str):

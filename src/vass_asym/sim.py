@@ -1,15 +1,28 @@
 """Monte Carlo validation: exact-threshold sampling of trajectories.
 
 Randomness discipline: every run owns an independent Philox stream keyed by
-(seed, n * 2**32 + run), and every executed step consumes exactly one raw
-64-bit word from that stream — including probability-1 branches. Branches are
-picked by comparing the word against cumulative thresholds floor(cum * 2**64),
-so each branch's sampling probability is off by less than 2**-64 from its
-exact rational probability. Because consumption is one word per step in
-stream order, the three execution paths below produce byte-identical
-trajectories, and a run's trajectory does not depend on which other runs
-execute or on which path steps it.
+(seed, n * 2**32 + run), and each step owns the next raw 64-bit word of that
+stream, probability-1 branches included. Branches are picked by comparing
+the word against cumulative thresholds floor(cum * 2**64), so each branch's
+sampling probability is off by less than 2**-64 from its exact rational
+probability. A word that no branch reads is not drawn: a run in a
+deterministic region (below) reads none for the rest of its steps. Because
+step k always owns word k, the four execution paths below produce
+byte-identical trajectories, and a run's trajectory does not depend on which
+other runs execute or on which path steps it.
 
+* The closed form (`_closed_form`) finishes a run whose state lies in a
+  deterministic region: following each state's one resolved branch from it
+  reaches only states that resolve to one branch (`_Resolved.region`), so
+  the run walks a tail and then a cycle for good. It steps to the cycle's
+  entry and through one pass as the scalar path does, then skips whole
+  passes at once: per counter the pass's sum and its lowest and highest
+  prefix sums give the last pass that keeps the counter >= 0 and the peak
+  over the skipped passes. The rest, less than one pass, is stepped again.
+  Counters stay Python ints, and no word is drawn. A batch that starts in a
+  region is one run computed once; the kernel and `_run` hand a run over
+  when it enters one. A state that fails to resolve ends the region test,
+  so the other paths raise when, and only when, a run reaches it.
 * The lockstep kernel (`_lockstep`) steps the runs of a `simulate_many` batch
   together, at most MAX_IN_FLIGHT at a time. Each wave takes one word from
   every active run's stream and maps (state, word) to a branch key through
@@ -17,24 +30,25 @@ execute or on which path steps it.
   next states and updates. Once per block of RUN_BUFFER waves the counter
   updates are cumulatively summed, and each run's first terminal crossing,
   peaks, per-transition counts and realized-type entries are read off. It
-  runs a batch when the start state is not a block-path state, every state
-  reachable from it resolves under the strategy, and
-  n + cap * max|update| < 2**53, so that no counter can leave exact int64
-  range within the cap.
-* The block path applies while a run sits in a state whose every resolved
-  branch (at most 256) is a self-loop, the absorbing tail phase of typical
-  models; a run never leaves such a state. One stepper (`_Stepper`) per
-  such state holds up to ROWS runs and steps them in rounds. Each round
-  takes a block of at most BLOCK words from each run's stream and compares
-  it, as it is drawn, into that run's row of a (ROWS, BLOCK) byte buffer:
-  a word picks a branch past i iff it is >= th[i], the kernel's rule. The
-  stepper packs each row into group codes, one byte per g steps (g = 8
-  with two branches: one bit a step; fewer steps of more bits with more
-  branches), and each numpy call then serves every row. Per code, tables
-  of the state record give each varying counter's group sum and lowest and
-  highest prefix sums: a cumulative sum over the groups gives the counter
-  at each group's end, the lowest prefix finds the first group that goes
-  negative and the highest one the peak. Branch counts come from per-code
+  runs a batch when the start state is neither in a deterministic region
+  nor a block-path state, every state reachable from it resolves under the
+  strategy, and n + cap * max|update| < 2**53, so that no counter can leave
+  exact int64 range within the cap. A run leaves the kernel where it
+  enters a region or a block-path state.
+* The block path applies while a run sits in a state whose two or more
+  resolved branches (at most 256) are all self-loops, the absorbing tail
+  phase of typical models; a run never leaves such a state. One stepper
+  (`_Stepper`) per such state holds up to ROWS runs and steps them in
+  rounds. Each round takes a block of at most BLOCK words from each run's
+  stream and compares it, as it is drawn, into that run's row of a (ROWS,
+  BLOCK) byte buffer: a word picks a branch past i iff it is >= th[i], the
+  kernel's rule. The stepper packs each row into group codes, one byte per
+  g steps (g = 8 with two branches: one bit a step; fewer steps of more
+  bits with more branches), and each numpy call then serves every row. Per
+  code, tables of the state record give each varying counter's group sum
+  and lowest and highest prefix sums: a cumulative sum over the groups
+  gives the counter at each group's end, the lowest prefix finds the first
+  group that goes negative and the highest one the peak. Branch counts come from per-code
   counts of the steps past each threshold or, with two branches, from a
   varying counter's change. A counter whose update is the same on every
   branch is resolved in closed form. Only the group that holds the
@@ -50,10 +64,11 @@ execute or on which path steps it.
   overflow; a run whose counters reach 2**53 finishes on the scalar path.
 * The scalar path (`_run`) steps one run at a time in arbitrary-precision
   integers and resolves states as runs enter them. It is the draw-for-draw
-  reference (`_vectorized=False`), it runs `simulate_one` up to the block
-  path, and it runs every batch the kernel does not take, one run after the
-  other on one reused Philox generator, reset to each run's key; there an
-  incomplete strategy raises only when a run reaches the state it misses.
+  reference (`_vectorized=False`), it runs `simulate_one` up to the closed
+  form or the block path, and it runs every batch the kernel does not take,
+  one run after the other on one reused Philox generator, reset to each
+  run's key; there an incomplete strategy raises only when a run reaches
+  the state it misses.
 """
 
 from __future__ import annotations
@@ -61,7 +76,7 @@ from __future__ import annotations
 import statistics
 from bisect import bisect_right
 from collections import Counter as TallyCounter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
 from math import ceil, inf, isfinite
@@ -204,7 +219,6 @@ class _StateRec:
         "updates",
         "probs",
         "thresholds",
-        "all_self",
         "fast_ok",
         "block_thresholds",
         "varying",
@@ -222,11 +236,12 @@ class _StateRec:
         self.updates = [b[2] for b in branches]
         self.probs = [b[3] for b in branches]
         self.thresholds = _cumulative_thresholds(self.probs)
-        self.all_self = all(t == name for t in self.targets)
+        # a single-branch self-loop is a deterministic region, which the
+        # closed form finishes
         self.fast_ok = (
-            self.all_self
+            all(t == name for t in self.targets)
             and len(self.updates[0]) > 0
-            and len(self.tids) <= 256
+            and 2 <= len(self.tids) <= 256
             and all(abs(u) <= FAST_UPDATE_LIMIT for upd in self.updates for u in upd)
         )
         # the block path's tables: thresholds as uint64 scalars, then per
@@ -235,12 +250,6 @@ class _StateRec:
         self.block_thresholds = tuple(np.uint64(th) for th in self.thresholds)
         self.varying: list[tuple[int, np.ndarray]] = []
         self.constant: list[tuple[int, int]] = []
-        if self.fast_ok:
-            for k, col in enumerate(zip(*self.updates)):
-                if len(set(col)) == 1:
-                    self.constant.append((k, col[0]))
-                else:
-                    self.varying.append((k, np.array(col, dtype=np.int64)))
         # a group is `group` consecutive branch indices of `bits` bits each,
         # packed into one byte code, first step highest; `code_branches`
         # lists them per code. Per code, `tables` holds per varying counter
@@ -248,11 +257,16 @@ class _StateRec:
         # the sum, and `passes` per threshold the group's steps that pick a
         # branch past it. With two branches a varying counter's change tells
         # how often each was taken, and `passes` stays empty.
-        self.bits, self.group = 8, 1
+        self.bits = self.group = 0
         self.code_branches: list[tuple[int, ...]] = []
         self.passes: list[np.ndarray] = []
         self.tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        if self.fast_ok and self.thresholds:
+        if self.fast_ok:
+            for k, col in enumerate(zip(*self.updates)):
+                if len(set(col)) == 1:
+                    self.constant.append((k, col[0]))
+                else:
+                    self.varying.append((k, np.array(col, dtype=np.int64)))
             self.bits = next(b for b in (1, 2, 4, 8) if len(self.tids) <= 1 << b)
             self.group = 8 // self.bits
             branch = np.minimum(_group_branches(self.bits), len(self.tids) - 1)  # codes no block makes
@@ -267,6 +281,19 @@ class _StateRec:
     def pick(self, u: int) -> int:
         return bisect_right(self.thresholds, u)
 
+
+@dataclass(frozen=True)
+class _Cycle:
+    """The cycle a deterministic region ends in, from its entry state: the
+    transitions of one pass and, per counter, the pass's sum and its lowest
+    and highest prefix sums."""
+
+    tids: tuple[str, ...]
+    sums: tuple[int, ...]
+    low: tuple[int, ...]
+    high: tuple[int, ...]
+
+
 class _Resolved:
     """Model plus strategy, resolved lazily into per-state branch tables."""
 
@@ -276,6 +303,50 @@ class _Resolved:
         self.strategy = dict(strategy) if strategy else {}
         self.owner = state_to_mec(mec_decomposition(m))
         self._recs: dict[str, _StateRec] = {}
+        self._regions: dict[str, Optional[tuple[int, _Cycle]]] = {}
+
+    def try_resolve(self, name: str) -> Optional[_StateRec]:
+        """`resolve(name)`, or None where the strategy entry makes it raise;
+        a run raises then when and only when it reaches `name`."""
+        try:
+            return self.resolve(name)
+        except (ArithmeticError, AttributeError, TypeError, ValueError):
+            return None
+
+    def region(self, name: str) -> Optional[tuple[int, _Cycle]]:
+        """Whether `name` lies in a deterministic region: every state its
+        one-branch successors reach resolves to one branch. If so, the
+        steps from `name` to the entry of the cycle the walk ends in, and
+        that cycle from its entry; else None. Each state of the walk is
+        memoized with it, so a state is tested once."""
+        path: dict[str, int] = {}  # states not yet memoized, in walk order
+        state = name
+        while state not in self._regions:
+            if state in path:  # the walk closed a cycle; `state` enters it
+                loop = list(path)[path[state] :]
+                prefix = [[0] * self.dimension]
+                for s in loop:
+                    prefix.append([p + u for p, u in zip(prefix[-1], self.resolve(s).updates[0])])
+                cycle = _Cycle(
+                    tuple(self.resolve(s).tids[0] for s in loop),
+                    tuple(prefix[-1]),
+                    tuple(map(min, zip(*prefix[1:]))),
+                    tuple(map(max, zip(*prefix[1:]))),
+                )
+                for j, s in enumerate(loop):
+                    self._regions[s] = (-j % len(loop), cycle)
+                    del path[s]
+                break
+            rec = self.try_resolve(state)
+            if rec is None or len(rec.tids) != 1:
+                self._regions[state] = None
+                break
+            path[state] = len(path)
+            state = rec.targets[0]
+        found = self._regions[state]
+        for i, s in enumerate(reversed(path), 1):
+            self._regions[s] = None if found is None else (found[0] + i, found[1])
+        return self._regions[name]
 
     def resolve(self, name: str) -> _StateRec:
         rec = self._recs.get(name)
@@ -348,8 +419,9 @@ def _run(
     cap: int,
     vectorized: bool,
 ) -> TrajectoryStats:
-    """Finish `walk` on the scalar path, or hand it to a stepper where the
-    block path applies."""
+    """Finish `walk` on the scalar path, or hand it on where the closed form
+    or the block path applies. The scalar path leaves `walk` where the run
+    ended."""
     state, cur, peak, counts, rtype, steps = (
         walk.state,
         walk.cur,
@@ -358,12 +430,15 @@ def _run(
         walk.rtype,
         walk.steps,
     )
+    terminated = False
     while steps < cap:
         rec = res.resolve(state)
-        if vectorized and rec.fast_ok:
+        if vectorized and (rec.fast_ok or res.region(state) is not None):
+            walk.state, walk.cur, walk.steps = state, cur, steps
+            if not rec.fast_ok:
+                return _closed_form(res, walk, cap)
             stepper = _Stepper(res, rec, cap)
-            handed = _Walk(state, cur, peak, counts, rtype, steps)
-            ((_, stats, _),) = [*stepper.add(0, handed, stream), *stepper.drain()]
+            ((_, stats, _),) = [*stepper.add(0, walk, stream), *stepper.drain()]
             return stats
 
         i = rec.pick(stream.one())
@@ -371,7 +446,8 @@ def _run(
         steps += 1
         cur = [c + u for c, u in zip(cur, rec.updates[i])]
         if any(c < 0 for c in cur):
-            return _stats(_Walk(state, cur, peak, counts, rtype, steps), True)
+            terminated = True
+            break
         for k, c in enumerate(cur):
             if c > peak[k]:
                 peak[k] = c
@@ -379,7 +455,44 @@ def _run(
         mid = res.owner.get(state)
         if mid is not None and (not rtype or rtype[-1] != mid):
             rtype.append(mid)
-    return _stats(_Walk(state, cur, peak, counts, rtype, steps), False)
+    walk.state, walk.cur, walk.steps = state, cur, steps
+    return _stats(walk, terminated)
+
+
+class _NoWords:
+    """The stream of a run in a deterministic region. Each state there picks
+    its one branch whatever the word, and no later step reads the stream, so
+    no word is drawn."""
+
+    @staticmethod
+    def one() -> int:
+        return 0
+
+
+def _closed_form(res: _Resolved, walk: _Walk, cap: int) -> TrajectoryStats:
+    """Finish a run whose state lies in a deterministic region, drawing no
+    word: step to the cycle's entry and through one pass as `_run` does,
+    skip whole passes by the cycle's sums and prefix extremes, and step
+    through the rest, less than one pass."""
+    tail, cycle = res.region(walk.state)
+    length = len(cycle.tids)
+    stats = _run(res, walk, _NoWords(), min(cap, walk.steps + tail + length), False)
+    if stats.terminated:
+        return stats
+    # the first pass kept every counter >= 0, so only a counter the cycle
+    # lowers can end the run: pass i is whole while cur + i * sum + low >= 0
+    passes = (cap - walk.steps) // length
+    for v, s, low in zip(walk.cur, cycle.sums, cycle.low):
+        if s < 0:
+            passes = min(passes, (v + low) // -s + 1)
+    if passes > 0:
+        for k, (s, high) in enumerate(zip(cycle.sums, cycle.high)):
+            walk.peak[k] = max(walk.peak[k], walk.cur[k] + (passes - 1) * max(s, 0) + high)
+            walk.cur[k] += passes * s
+        for tid in cycle.tids:
+            walk.counts[tid] += passes
+        walk.steps += passes * length
+    return _run(res, walk, _NoWords(), cap, False)
 
 
 # a run the stepper has finished: its key, its statistics and its stream
@@ -404,7 +517,7 @@ class _Stepper:
         self.cur = np.empty((ROWS, d), dtype=np.int64)
         self.peak = np.empty((ROWS, d), dtype=np.int64)
         self.passed = np.empty((ROWS, 1 + len(rec.passes)), dtype=np.int64)
-        groups = BLOCK // rec.group if nth else 0
+        groups = BLOCK // rec.group
         # a row's group codes; each round first compares the row's words
         # into the same memory, as a branch mask (two branches) or a branch
         # index of one byte per word
@@ -479,8 +592,6 @@ class _Stepper:
             n = len(us)
             lens.append(n)
             walk.steps += n
-            if not ths:
-                continue
             # a byte per word: the branch index, or with two branches
             # whether the word picks the second
             np.greater_equal(us, ths[0], out=self.flags[i, :n])
@@ -497,25 +608,24 @@ class _Stepper:
             if c < 0:
                 full = [min(f, v // -c // g) for f, v in zip(full, cur[:, k].tolist())]
         q = np.array(full)
-        if rec.thresholds:
-            codes = self._codes(r)
-            ends = self.ends[:r]
-            for (k, _), (total, low, _), sums in zip(rec.varying, rec.tables, self.sums):
-                sums = sums[:r]
-                total.take(codes, out=sums, mode="clip")
-                np.cumsum(sums, axis=1, dtype=np.int64, out=sums)
-                low.take(codes, out=ends, mode="clip")
-                ends += sums  # the lowest value inside each group, less cur
-                # the first group that goes below zero; a short block's
-                # zeroed groups come after its whole ones, which q stops at
-                for i in np.flatnonzero(ends.min(axis=1) + cur[:, k] < 0):
-                    q[i] = min(q[i], np.argmax(ends[i] < -int(cur[i, k])))
-            for (k, _), (_, _, high), sums in zip(rec.varying, rec.tables, self.sums):
-                top = self._over_groups(high, sums[:r], q)
-                np.maximum(peak[:, k], cur[:, k] + top, out=peak[:, k])
-                cur[:, k] += np.where(q > 0, sums[:r][np.arange(r), q - 1], 0)
-            for j, table in enumerate(rec.passes, 1):
-                passed[:, j] += self._over_groups(table, None, q)
+        codes = self._codes(r)
+        ends = self.ends[:r]
+        for (k, _), (total, low, _), sums in zip(rec.varying, rec.tables, self.sums):
+            sums = sums[:r]
+            total.take(codes, out=sums, mode="clip")
+            np.cumsum(sums, axis=1, dtype=np.int64, out=sums)
+            low.take(codes, out=ends, mode="clip")
+            ends += sums  # the lowest value inside each group, less cur
+            # the first group that goes below zero; a short block's
+            # zeroed groups come after its whole ones, which q stops at
+            for i in np.flatnonzero(ends.min(axis=1) + cur[:, k] < 0):
+                q[i] = min(q[i], np.argmax(ends[i] < -int(cur[i, k])))
+        for (k, _), (_, _, high), sums in zip(rec.varying, rec.tables, self.sums):
+            top = self._over_groups(high, sums[:r], q)
+            np.maximum(peak[:, k], cur[:, k] + top, out=peak[:, k])
+            cur[:, k] += np.where(q > 0, sums[:r][np.arange(r), q - 1], 0)
+        for j, table in enumerate(rec.passes, 1):
+            passed[:, j] += self._over_groups(table, None, q)
         passed[:, 0] += q * g
         for k, c in rec.constant:
             cur[:, k] += c * g * q
@@ -527,8 +637,7 @@ class _Stepper:
         for i in np.flatnonzero(q * g < lens):
             s, end = int(q[i]) * g, lens[i]
             vals, tops, tally = cur[i].tolist(), peak[i].tolist(), passed[i].tolist()
-            branches = rec.code_branches[codes[i, q[i]]] if rec.thresholds else (0,) * g
-            for b in branches[: end - s]:
+            for b in rec.code_branches[codes[i, q[i]]][: end - s]:
                 vals = [v + u for v, u in zip(vals, rec.updates[b])]
                 for j in range(min(b, len(tally) - 1) + 1):
                     tally[j] += 1
@@ -591,7 +700,8 @@ class _Tables:
         self.thresholds = [np.full(size, MASK64, dtype=np.uint64) for _ in range(width - 1)]
         self.nxt = np.empty(size, dtype=np.int64)  # key of the target state
         self.updates = np.empty((size, res.dimension), dtype=np.int64)
-        self.fast = np.empty(size, dtype=bool)  # the target is a block-path state
+        # the target is a block-path state or lies in a deterministic region
+        self.hand = np.empty(size, dtype=bool)
         self.enters = np.empty(size, dtype=bool)  # the target may extend the realized type
         self.tids: list[str] = []
         self.mids: list[Optional[str]] = []
@@ -605,7 +715,7 @@ class _Tables:
                 key = i * width + k
                 self.nxt[key] = index[target] * width
                 self.updates[key] = rec.updates[b]
-                self.fast[key] = recs[target].fast_ok
+                self.hand[key] = recs[target].fast_ok or res.region(target) is not None
                 self.enters[key] = mid is not None and mid != res.owner.get(name)
                 self.tids.append(rec.tids[b])
                 self.mids.append(mid)
@@ -628,13 +738,11 @@ def _lockstep_tables(res: _Resolved, start: str, n: int, cap: int) -> Optional[_
         name = todo.pop()
         if name in recs:
             continue
-        try:
-            recs[name] = res.resolve(name)
-        except (ArithmeticError, AttributeError, TypeError, ValueError):
-            # whatever a strategy entry makes resolve() raise, the scalar path
-            # raises too, when and only when a run reaches that state
+        rec = res.try_resolve(name)
+        if rec is None:
             return None
-        todo.extend(recs[name].targets)
+        recs[name] = rec
+        todo.extend(rec.targets)
     bound = max((abs(u) for rec in recs.values() for upd in rec.updates for u in upd), default=0)
     if n + cap * bound >= FAST_COUNTER_LIMIT:
         return None
@@ -695,14 +803,15 @@ def _lockstep(
             sk = t.nxt[keys[j]]
 
         # where each row leaves the block: the step that terminates it, enters
-        # a block-path state or reaches the cap, whichever comes first
+        # a block-path state or a deterministic region, or reaches the cap,
+        # whichever comes first
         pos = t.updates[keys]
         np.cumsum(pos, axis=0, out=pos)
         pos += cur
         neg = (pos < 0).any(axis=2)
         term_at = np.where(neg.any(axis=0), neg.argmax(axis=0), width)
-        fast = t.fast[keys]
-        hand_at = np.where(fast.any(axis=0), fast.argmax(axis=0), width)
+        hand = t.hand[keys]
+        hand_at = np.where(hand.any(axis=0), hand.argmax(axis=0), width)
         stop = np.minimum(np.minimum(term_at, hand_at), cap - 1 - steps)
         taken = np.minimum(stop + 1, width)
         terminated = (term_at < width) & (term_at == stop)
@@ -737,15 +846,18 @@ def _lockstep(
             )
             if terminated[i] or walk.steps == cap:
                 out[run_ids[i]] = _stats(walk, bool(terminated[i]))
-                spare.append(gens[i])
+            elif res.region(walk.state) is not None:
+                out[run_ids[i]] = _closed_form(res, walk, cap)
+            else:
+                # the run entered a block-path state: its stepper finishes the
+                # run, first on the words drawn here and not used
+                stepper = steppers.get(walk.state)
+                if stepper is None:
+                    stepper = steppers[walk.state] = _Stepper(res, res.resolve(walk.state), cap)
+                stream = _DrawStream(gens[i], words[last + 1 :, i].copy())
+                _finish(stepper.add(run_ids[i], walk, stream), out, spare)
                 continue
-            # the run entered a block-path state: its stepper finishes the
-            # run, first on the words drawn here and not used
-            stepper = steppers.get(walk.state)
-            if stepper is None:
-                stepper = steppers[walk.state] = _Stepper(res, res.resolve(walk.state), cap)
-            stream = _DrawStream(gens[i], words[last + 1 :, i].copy())
-            _finish(stepper.add(run_ids[i], walk, stream), out, spare)
+            spare.append(gens[i])
         keep = np.flatnonzero(~leaving)
         run_ids = [run_ids[i] for i in keep]
         gens = [gens[i] for i in keep]
@@ -827,6 +939,10 @@ def simulate_many(
         raise ValueError("max_steps must be >= 1")
     start = _init_state(m, init_state)
     res = _Resolved(m, strategy)
+    if _vectorized and res.region(start) is not None:
+        # every run is the same run, and draws no word
+        run = _closed_form(res, _start(res, n, start), max_steps)
+        return [replace(run, transition_counts=dict(run.transition_counts)) for _ in range(runs)]
     tables = _lockstep_tables(res, start, n, max_steps) if _vectorized else None
     if tables is not None:
         rec = res.resolve(start)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -663,6 +664,39 @@ def test_model_schema_matches_corpus():
         jsonschema.validate(json.loads(path.read_text()), sch)
 
 
+def _patterns(node):
+    """Every regular expression in a schema: `pattern` values and
+    `patternProperties` keys."""
+    if isinstance(node, list):
+        return [p for item in node for p in _patterns(item)]
+    if not isinstance(node, dict):
+        return []
+    found = [node["pattern"]] if isinstance(node.get("pattern"), str) else []
+    found += list(node.get("patternProperties", {}))
+    return found + [p for value in node.values() for p in _patterns(value)]
+
+
+def test_schema_patterns_reject_a_trailing_newline():
+    # Python's `$` also matches before a final newline, ECMA 262's does not;
+    # an end-of-input lookahead means the same in both
+    patterns = [p for name in ("model", "analysis_report", "sim_report") for p in _patterns(schema(name))]
+    assert len(patterns) == 8
+    assert [p for p in patterns if p.endswith("$")] == []
+    for pattern in patterns:
+        sample = next(s for s in ("1/2", "0" * 64, "M1", "12") if re.search(pattern, s))
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(sample + "\n", {"type": "string", "pattern": pattern})
+    doc = json.loads((MODELS / "random_walk_1d.json").read_text())
+    doc["transitions"][0]["prob"] = "1/2\n"
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema("model"))
+    for name in ("analysis_report", "sim_report"):
+        digest = schema(name)["properties"]["model"]["properties"]["digest"]
+        jsonschema.validate("0" * 64, digest)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate("0" * 64 + "\n", digest)
+
+
 def test_model_schema_rejects_malformed():
     sch = schema("model")
     good = json.loads((MODELS / "random_walk_1d.json").read_text())
@@ -971,6 +1005,8 @@ K3_EDGES = [["a", "b"], ["b", "c"], ["a", "c"]]
     [
         pytest.param(_walk_with_prob("1/0"), "'1/0' has a zero denominator", id="prob-1/0"),
         pytest.param(_walk_with_prob("1/2\n"), "got '1/2\\n'", id="prob-trailing-newline"),
+        pytest.param(_walk_with_prob("1" * 5000), "transitions[0]: a rational of 5000 characters",
+                     id="prob-5000-digits"),
         pytest.param(lambda _: ["simulate", WALK, "--n", "0,4", "--runs", "2", "--theta", "-1"],
                      "no step cap at n = 0", id="theta<0-at-n=0"),
         pytest.param(lambda _: ["simulate", WALK, "--n=-1,4", "--runs", "2", "--theta", "0.5"],

@@ -1,6 +1,7 @@
 """Simulator tests: deterministic trajectories, path equivalence, statistics."""
 
 import json
+import time
 import tracemalloc
 from collections import Counter as TallyCounter
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import load_doc
 from oracles import expected_update
 from strategies import random_models
 from vass_asym import sim
@@ -28,6 +30,30 @@ from vass_asym.sim import (
 )
 
 F = Fraction
+ALTERNATE = {"p": "t_pq", "q": "t_qp"}  # the zero cycle's one strategy
+
+
+def vass(kinds, transitions, dimension=1):
+    """A model of the states `kinds` (name -> kind) and the transitions
+    (id, from, to, update, prob or None)."""
+    return parse_vass(
+        {
+            "dimension": dimension,
+            "states": [{"name": name, "kind": kind} for name, kind in kinds.items()],
+            "transitions": [
+                {"id": tid, "from": a, "to": b, "update": list(u), **({} if p is None else {"prob": str(p)})}
+                for tid, a, b, u, p in transitions
+            ],
+        }
+    )
+
+
+def coin_zero_cycle():
+    """zero_cycle_2state with a coin at q: back to p, or stay at q."""
+    return vass(
+        {"p": "prob", "q": "prob"},
+        [("t_pq", "p", "q", [1], 1), ("t_qp", "q", "p", [-1], F(1, 2)), ("t_qq", "q", "q", [0], F(1, 2))],
+    )
 
 
 def two_loop_choice():
@@ -133,14 +159,15 @@ def test_fast_and_slow_paths_identical_on_pump(pump):
         assert fast == slow
 
 
-def test_fast_path_spans_multiple_blocks(inc_loop):
-    # 10000 steps > one 4096 block: block chaining must stay consistent
-    fast = simulate_one(inc_loop, 0, strategy={"p": "t_inc"}, max_steps=10000)
-    slow = simulate_one(
-        inc_loop, 0, strategy={"p": "t_inc"}, max_steps=10000, _vectorized=False
-    )
-    assert fast == slow
-    assert fast.steps == 10000 and fast.max_counter == (10000,)
+def test_fast_path_spans_multiple_blocks(inc_loop, closed_forms):
+    # 10000 steps > one 4096 block: block chaining must stay consistent. Two
+    # +1 self-loops take the block path; inc_loop's one takes the closed form
+    for m, strategy in ((self_loop([(1,), (1,)]), None), (inc_loop, {"p": "t_inc"})):
+        fast = simulate_one(m, 0, strategy=strategy, max_steps=10000)
+        slow = simulate_one(m, 0, strategy=strategy, max_steps=10000, _vectorized=False)
+        assert fast == slow
+        assert fast.steps == 10000 and fast.max_counter == (10000,)
+    assert closed_forms == ["p"]
 
 
 def test_simulate_many_matches_simulate_one(walk):
@@ -183,6 +210,21 @@ def kernel_batches(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(sim, "_lockstep", counting)
+    return calls
+
+
+@pytest.fixture
+def closed_forms(monkeypatch):
+    """The states in which the closed form takes runs over, one per call (a
+    deterministic batch makes one call)."""
+    calls = []
+    inner = sim._closed_form
+
+    def counting(res, walk, cap):
+        calls.append(walk.state)
+        return inner(res, walk, cap)
+
+    monkeypatch.setattr(sim, "_closed_form", counting)
     return calls
 
 
@@ -238,53 +280,51 @@ def test_kernel_tables_pick_as_scalar_path():
             assert tables.tids[key[0]] == rec.tids[rec.pick(u)]
 
 
-def test_kernel_matches_reference_on_zero_cycle(zero_cycle, kernel_batches):
-    batch = assert_matches_reference(
-        zero_cycle, 2, 5, seed=4, strategy={"p": "t_pq", "q": "t_qp"}, max_steps=301
-    )
-    assert kernel_batches
-    # every run reaches the cap in the same wave
+def test_kernel_matches_reference_on_zero_cycle(zero_cycle, kernel_batches, closed_forms):
+    # the alternating strategy makes the zero cycle a deterministic region
+    batch = assert_matches_reference(zero_cycle, 2, 5, seed=4, strategy=ALTERNATE, max_steps=301)
+    assert (kernel_batches, closed_forms) == ([], ["p"])
+    assert {(st.terminated, st.steps) for st in batch} == {(False, 301)}
+    # with a coin at q the kernel steps it; every run reaches the cap in the
+    # same wave
+    batch = assert_matches_reference(coin_zero_cycle(), 2, 5, seed=4, max_steps=301)
+    assert len(kernel_batches) == 1
     assert {(st.terminated, st.steps) for st in batch} == {(False, 301)}
 
 
-def test_kernel_block_boundary_and_runs_ending_together(kernel_batches):
+def test_kernel_block_boundary_and_runs_ending_together(kernel_batches, closed_forms):
     # a transient chain of RUN_BUFFER +1 steps enters the class {x, y} on the
     # last wave of the first kernel block, at the only peak of the run; the
-    # class then counts down to termination in the same wave for every run
+    # class then counts down to termination in the same wave for every run.
+    # A second branch at y, a self-loop no draw here takes, keeps the chain
+    # on the kernel; without it the chain is a deterministic region
     chain = [f"s{i:02d}" for i in range(sim.RUN_BUFFER)]
     names = chain + ["x", "y"]
-    transitions = [
-        {"id": f"t_{a}", "from": a, "to": b, "update": [1], "prob": "1"}
-        for a, b in zip(names, names[1:])
-    ] + [{"id": "t_yx", "from": "y", "to": "x", "update": [0], "prob": "1"}]
-    transitions[-2]["update"] = [-1]  # x -> y
-    m = parse_vass(
-        json.dumps(
-            {
-                "dimension": 1,
-                "states": [{"name": s, "kind": "prob"} for s in names],
-                "transitions": transitions,
-            }
-        )
-    )
-    batch = assert_matches_reference(m, 0, 3, seed=1, max_steps=1000)
-    assert kernel_batches
+    transitions = [(f"t_{a}", a, b, [1], 1) for a, b in zip(names, names[1:])]
+    transitions[-1] = ("t_x", "x", "y", [-1], 1)
     counts = {f"t_{a}": 1 for a in chain} | {"t_x": 65, "t_yx": 64}
     expected = TrajectoryStats(True, sim.RUN_BUFFER + 129, (sim.RUN_BUFFER,), counts, ("M1",))
-    assert all(stats == expected for stats in batch)
+    for at_y in ([("t_yx", "y", "x", [0], 1 - RARE), ("t_yy", "y", "y", [0], RARE)], [("t_yx", "y", "x", [0], 1)]):
+        m = vass(dict.fromkeys(names, "prob"), transitions + at_y)
+        batch = assert_matches_reference(m, 0, 3, seed=1, max_steps=1000)
+        assert all(stats == expected for stats in batch)
+    assert len(kernel_batches) == 1 and closed_forms == ["s00"]
 
 
-def test_kernel_edge_cases(pump, walk, zero_cycle, kernel_batches):
-    alternate = {"p": "t_pq", "q": "t_qp"}
-    assert_matches_reference(zero_cycle, 0, 4, strategy=alternate, max_steps=1)
+def test_kernel_edge_cases(pump, walk, zero_cycle, kernel_batches, closed_forms):
+    assert_matches_reference(coin_zero_cycle(), 0, 4, max_steps=1)
     assert_matches_reference(pump, 0, 6, strategy=pump_leave(2), max_steps=50)
     assert_matches_reference(pump, 5, 6, strategy=pump_leave(2), max_steps=1)
     assert len(kernel_batches) == 3
-    # a start state whose branches are all self-loops goes straight to the
-    # block path
+    # a start state whose two or more branches are all self-loops goes
+    # straight to the block path, one in a deterministic region to the
+    # closed form
+    closed_forms.clear()
     assert_matches_reference(walk, 4, 6, seed=3, max_steps=400)
+    assert_matches_reference(pump, 4, 6, init_state="f", max_steps=9)
+    assert_matches_reference(zero_cycle, 0, 4, strategy=ALTERNATE, max_steps=1)
     assert_matches_reference(pump, 4, 6, strategy={"c": "c_c"}, init_state="c", max_steps=9)
-    assert len(kernel_batches) == 3
+    assert len(kernel_batches) == 3 and closed_forms == ["p", "c"]
 
 
 def test_kernel_incomplete_strategy_raises_as_reference(pump, kernel_batches):
@@ -457,14 +497,21 @@ def test_block_path_caps_around_block_size(walk, cap):
     assert sum(past.transition_counts.values()) == cap
 
 
-def test_block_path_single_branch():
+def test_block_path_single_branch(closed_forms):
+    # a single-branch self-loop is a deterministic region, which the closed
+    # form finishes; the block path takes its twin of two equal branches
     cap = 2 * sim.BLOCK + 1
-    up = self_loop([(2, 0)])
-    (st,) = assert_matches_reference(up, 3, 1, max_steps=cap)
+    up, down = (2, 0), (1, -1)
+    (st,) = assert_matches_reference(self_loop([up]), 3, 1, max_steps=cap)
     assert st == TrajectoryStats(False, cap, (3 + 2 * cap, 3), {"t0": cap}, ("M1",))
-    down = self_loop([(1, -1)])
-    (st,) = assert_matches_reference(down, 5, 1, max_steps=cap)
+    (st,) = assert_matches_reference(self_loop([down]), 5, 1, max_steps=cap)
     assert st == TrajectoryStats(True, 6, (10, 5), {"t0": 6}, ("M1",))
+    assert closed_forms == ["s", "s"]
+    (st,) = assert_matches_reference(self_loop([up, up]), 3, 1, max_steps=cap)
+    assert (st.terminated, st.steps, st.max_counter) == (False, cap, (3 + 2 * cap, 3))
+    (st,) = assert_matches_reference(self_loop([down, down]), 5, 1, max_steps=cap)
+    assert (st.terminated, st.steps, st.max_counter) == (True, 6, (10, 5))
+    assert closed_forms == ["s", "s"]
 
 
 def test_block_path_from_zero(walk):
@@ -656,9 +703,14 @@ def test_block_path_matches_reference_on_random_self_loops(m, n, cap, runs, seed
     assert_matches_reference(m, n, runs, seed=seed, max_steps=cap)
 
 
-def test_kernel_handoff_fills_two_steppers(pump, kernel_batches, monkeypatch):
-    # under the criterion-5 strategy runs leave the pump for e (one branch)
-    # or f (two branches); more than ROWS wait on each stepper at a time
+def test_kernel_handoff_fills_two_steppers(pump, kernel_batches, closed_forms, monkeypatch):
+    # under the criterion-5 strategy runs leave the pump for e (one branch:
+    # the closed form) or f (two branches: the block path). A twin of e's
+    # self-loop gives e two branches, and then more than ROWS wait on each
+    # stepper at a time
+    doc = load_doc("pump_transfer_3d.json")
+    doc["transitions"].append({"id": "e_e_twin", "from": "e", "update": [0, -1, 0], "to": "e"})
+    twin = parse_vass(doc)
     rounds = TallyCounter()  # (state, rows) per round
     inner = sim._Stepper._round
 
@@ -667,16 +719,181 @@ def test_kernel_handoff_fills_two_steppers(pump, kernel_batches, monkeypatch):
         return inner(self)
 
     monkeypatch.setattr(sim._Stepper, "_round", recording)
-    batch = simulate_many(pump, 3, 150, seed=4, strategy=pump_leave(3), max_steps=8 * 3**4)
-    assert len(kernel_batches) == 1
+    strategy = pump_leave(3) | {"e": {"e_e": F(1, 2), "e_e_twin": F(1, 2)}}
+    kw = dict(seed=4, max_steps=8 * 3**4)
+    batch = assert_matches_reference(twin, 3, 150, strategy=strategy, **kw)
+    assert len(kernel_batches) == 1 and not closed_forms
     for state in "ef":
         assert rounds[state, sim.ROWS] >= 2, rounds
         assert any(rows < sim.ROWS for s, rows in rounds if s == state)  # the drain
     assert {st.realized_type for st in batch} >= {("M1", "M3"), ("M1", "M4")}
-    monkeypatch.undo()
-    for r, st in enumerate(batch):
-        ref = simulate_one(pump, 3, run=r, seed=4, strategy=pump_leave(3), max_steps=8 * 3**4, _vectorized=False)
-        assert st == ref, r
+    rounds.clear()
+    batch = assert_matches_reference(pump, 3, 150, strategy=pump_leave(3), **kw)
+    assert {s for s, _ in rounds} == {"f"}
+    e_class = sim._Resolved(pump, None).owner["e"]
+    assert closed_forms == ["e"] * sum(st.realized_type[-1] == e_class for st in batch)
+
+
+# ---------------------------------------------------------------------------
+# closed form on deterministic regions against the scalar reference
+# ---------------------------------------------------------------------------
+
+
+def steer(updates, sign):
+    """`updates` moved one unit at a time, within -3..3, until their sum has
+    the sign `sign`."""
+    updates = list(updates)
+    while True:
+        total = sum(updates)
+        move = (sign > 0 and total <= 0) or (sign == 0 and total < 0)
+        move -= (sign < 0 and total >= 0) or (sign == 0 and total > 0)
+        if not move:
+            return updates
+        updates[updates.index(min(updates) if move > 0 else max(updates))] += move
+
+
+@st.composite
+def deterministic_regions(draw):
+    """A model with a deterministic region: a tail of single-branch states,
+    then a cycle whose drift per counter is negative, zero or positive.
+    Controlled states carry a self-loop the strategy does not take, so a
+    controlled tail state is a class of its own. A coin state r may lead
+    into the tail; the run starts at r or anywhere in the region."""
+    d = draw(st.integers(1, 3))
+    tail, length = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    names = [f"s{i}" for i in range(tail + length)]
+    pass_updates = st.lists(st.integers(-3, 3), min_size=length, max_size=length)
+    cycle = [steer(draw(pass_updates), draw(st.sampled_from([-1, 0, 1]))) for _ in range(d)]
+    updates = [[draw(st.integers(-3, 3)) for _ in range(d)] for _ in range(tail)] + [list(u) for u in zip(*cycle)]
+    kinds, transitions, strategy = {}, [], {}
+    for i, (name, update) in enumerate(zip(names, updates)):
+        target = names[i + 1] if i + 1 < len(names) else names[tail]
+        if draw(st.booleans()):
+            kinds[name] = "nondet"
+            strategy[name] = f"t_{name}"
+            transitions += [(f"t_{name}", name, target, update, None), (f"idle_{name}", name, name, [0] * d, None)]
+        else:
+            kinds[name] = "prob"
+            transitions.append((f"t_{name}", name, target, update, 1))
+    starts = names
+    if draw(st.booleans()):
+        kinds["r"] = "prob"
+        transitions += [("t_rr", "r", "r", [0] * d, F(1, 2)), ("t_rs", "r", names[0], [-1] * d, F(1, 2))]
+        starts = ["r", *names]
+    return vass(kinds, transitions, d), strategy, draw(st.sampled_from(starts))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    deterministic_regions(),
+    st.one_of(st.integers(0, 12), st.just(2**60)),
+    st.one_of(st.just(1), st.integers(1, 600)),
+    st.sampled_from([None, -1, 0, 1]),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+def test_closed_form_matches_reference_on_deterministic_regions(case, n, cap, near_end, runs, seed):
+    # with `near_end`, the cap lands next to run 0's terminal step, or on it;
+    # else mostly mid-cycle. At n = 2**60 the kernel declines the batch and
+    # `_run` hands a run entering the region over
+    m, strategy, init = case
+    kw = dict(seed=seed, strategy=strategy, init_state=init)
+    ref = simulate_one(m, n, max_steps=cap, _vectorized=False, **kw)
+    if near_end is not None and ref.terminated:
+        cap = max(1, ref.steps + near_end)
+    batch = assert_matches_reference(m, n, runs, max_steps=cap, **kw)
+    for r, stats in enumerate(batch):
+        assert stats == simulate_one(m, n, run=r, max_steps=cap, **kw), r
+
+
+def test_closed_form_is_exact_past_float_range(zero_cycle, dec_loop):
+    # one pass of x, y moves the counters by (+1, -1); within a pass they
+    # first move by (+3, -1)
+    cycle = vass({"x": "prob", "y": "prob"}, [("t_x", "x", "y", [3, -1], 1), ("t_y", "y", "x", [-2, 0], 1)], 2)
+    n, cap = 2**62, 10**12
+    started = time.perf_counter()
+    results = [
+        simulate_many(zero_cycle, n, 2, strategy=ALTERNATE, max_steps=cap)[1],
+        simulate_one(dec_loop, n, strategy={"p": "t_dec"}, max_steps=cap),
+        simulate_one(dec_loop, 10**11, strategy={"p": "t_dec"}, max_steps=cap),
+        simulate_one(cycle, n, max_steps=cap),
+        simulate_one(cycle, 10**11, max_steps=cap),
+    ]
+    assert time.perf_counter() - started < 0.5
+    half, m = cap // 2, 10**11
+    assert results == [
+        TrajectoryStats(False, cap, (n + 1,), {"t_pq": half, "t_qp": half}, ("M1",)),
+        TrajectoryStats(False, cap, (n,), {"t_dec": cap}, ("M1",)),
+        TrajectoryStats(True, m + 1, (m,), {"t_dec": m + 1}, ("M1",)),
+        TrajectoryStats(False, cap, (n + half + 2, n), {"t_x": half, "t_y": half}, ("M1",)),
+        # counter 1 goes negative on the first step of pass m + 1
+        TrajectoryStats(True, 2 * m + 1, (2 * m + 2, m), {"t_x": m + 1, "t_y": m}, ("M1",)),
+    ]
+
+
+def test_deterministic_batch_draws_no_word(zero_cycle, pump, monkeypatch, closed_forms):
+    def no_word(*args):
+        raise AssertionError("a deterministic batch built a word stream")
+
+    monkeypatch.setattr(sim, "_philox", no_word)
+    monkeypatch.setattr(sim, "_restart", no_word)
+    batch = simulate_many(zero_cycle, 3, 4, strategy=ALTERNATE, max_steps=1001)
+    assert batch == [TrajectoryStats(False, 1001, (4,), {"t_pq": 501, "t_qp": 500}, ("M1",))] * 4
+    batch[0].transition_counts["t_pq"] += 1  # each run owns its counts
+    assert [st.transition_counts["t_pq"] for st in batch] == [502, 501, 501, 501]
+    (st,) = simulate_many(pump, 4, 1, strategy={"c": "c_c"}, init_state="c", max_steps=10)
+    assert st == TrajectoryStats(True, 5, (4, 4, 8), {"c_c": 5}, ("M2",))
+    assert closed_forms == ["p", "c"]
+
+
+def test_region_test_leaves_unresolved_states_to_the_run():
+    # p steps down into q, which the strategy leaves out: from 0 the run
+    # terminates on p's step and never needs q's entry; from 1 it reaches q
+    m = vass({"p": "nondet", "q": "nondet"}, [("t_pq", "p", "q", [-1], None), ("t_qp", "q", "p", [1], None)])
+    strategy = {"p": "t_pq"}
+    batch = assert_matches_reference(m, 0, 3, strategy=strategy, max_steps=50)
+    assert batch[0] == TrajectoryStats(True, 1, (0,), {"t_pq": 1}, ("M1",))
+    message = "run reached controlled state 'q' with no strategy entry"
+    for vectorized in (True, False):
+        with pytest.raises(IncompleteStrategy, match=message):
+            simulate_one(m, 1, strategy=strategy, max_steps=50, _vectorized=vectorized)
+        with pytest.raises(IncompleteStrategy, match=message):
+            simulate_many(m, 1, 3, strategy=strategy, max_steps=50, _vectorized=vectorized)
+
+
+def test_region_test_resolves_each_state_once(monkeypatch):
+    # 200 single-branch states in a chain back to a coin at r, where no
+    # state lies in a region, and in a ring the coin leads into, where every
+    # state does. A run on the chain asks the test at every state, and the
+    # kernel's tables ask it at every state of the ring; the first walk
+    # answers for every state on it
+    names = [f"s{i:03d}" for i in range(200)]
+    coin = [("t_rr", "r", "r", [1], F(1, 2)), ("t_rs", "r", "s000", [-1], F(1, 2))]
+    kinds = dict.fromkeys([*names, "r"], "prob")
+    chain = vass(kinds, [(f"t_{a}", a, b, [1], 1) for a, b in zip(names, [*names[1:], "r"])] + coin)
+    # the ring's updates alternate +1, -1
+    ring_steps = enumerate(zip(names, [*names[1:], "s000"]))
+    ring = vass(kinds, [(f"t_{a}", a, b, [1 - i % 2 * 2], 1) for i, (a, b) in ring_steps] + coin)
+    tested = TallyCounter()
+    inner = sim._Resolved.try_resolve
+
+    def counting(self, name):
+        tested[name] += 1
+        return inner(self, name)
+
+    monkeypatch.setattr(sim._Resolved, "try_resolve", counting)
+    kw = dict(init_state="s000", max_steps=1000)
+    assert simulate_one(chain, 0, **kw) == simulate_one(chain, 0, _vectorized=False, **kw)
+    assert set(tested) == {*names, "r"} and max(tested.values()) == 1
+    tested.clear()
+    res = sim._Resolved(ring, None)
+    regions = [res.region(name) for name in names]
+    assert tested == TallyCounter(names)
+    cycle = regions[0][1]
+    assert regions == [((200 - j) % 200, cycle) for j in range(200)]
+    assert (cycle.sums, cycle.low, cycle.high) == ((0,), (0,), (1,))
+    assert res.region("r") is None
+    assert_matches_reference(ring, 5, 4, init_state="r", max_steps=1000)
 
 
 # ---------------------------------------------------------------------------
