@@ -1,15 +1,21 @@
 """Monte Carlo validation: exact-threshold sampling of trajectories.
 
-Randomness discipline: every run owns an independent Philox stream keyed by
-(seed, n * 2**32 + run), and each step owns the next raw 64-bit word of that
-stream, probability-1 branches included. Branches are picked by comparing
-the word against cumulative thresholds floor(cum * 2**64), so each branch's
-sampling probability is off by less than 2**-64 from its exact rational
-probability. A word that no branch reads is not drawn: a run in a
-deterministic region (below) reads none for the rest of its steps. Because
-step k always owns word k, the four execution paths below produce
-byte-identical trajectories, and a run's trajectory does not depend on which
-other runs execute or on which path steps it.
+Randomness discipline: every run owns an independent Philox stream, of key
+(seed, (n mod 2**32) * 2**32 + run) from counter (0, 0, 0, n >> 32), and
+each step owns the next raw 64-bit word of that stream, probability-1
+branches included. Seeds lie in 0..2**64-1, runs in 0..2**32-1 and the
+start values of runs that draw below 2**96, so no two runs share a stream.
+Philox is counter-based: a stream is a function of its key and counter
+alone, so a batch builds one generator per row it steps runs in and re-keys
+it in place for each run (`_Streams`), drawing the words a fresh generator
+would. Branches are picked by comparing the word against cumulative
+thresholds floor(cum * 2**64), so each branch's sampling probability is off
+by less than 2**-64 from its exact rational probability. A word that no
+branch reads is not drawn: a run in a deterministic region (below) reads
+none for the rest of its steps. Because step k always owns word k, the four
+execution paths below produce byte-identical trajectories, and a run's
+trajectory does not depend on which other runs execute or on which path
+steps it.
 
 * The closed form (`_closed_form`) finishes a run whose state lies in a
   deterministic region: following each state's one resolved branch from it
@@ -34,7 +40,12 @@ other runs execute or on which path steps it.
   nor a block-path state, every state reachable from it resolves under the
   strategy, and n + cap * max|update| < 2**53, so that no counter can leave
   exact int64 range within the cap. A run leaves the kernel where it
-  enters a region or a block-path state.
+  enters a region or a block-path state. The runs in flight hold rows of
+  arrays made once per batch: a run that leaves gives its row to the last
+  one, an admitted run takes the next free row, and each row draws the
+  words of RUN_DRAWS blocks in one call (words past a run's end go
+  unused). The statistics of the runs that leave in a block are read out
+  of the arrays in one call.
 * The block path applies while a run sits in a state whose two or more
   resolved branches (at most 256) are all self-loops, the absorbing tail
   phase of typical models; a run never leaves such a state. One stepper
@@ -48,15 +59,19 @@ other runs execute or on which path steps it.
   code, tables of the state record give each varying counter's group sum
   and lowest and highest prefix sums: a cumulative sum over the groups
   gives the counter at each group's end, the lowest prefix finds the first
-  group that goes negative and the highest one the peak. Branch counts come from per-code
-  counts of the steps past each threshold or, with two branches, from a
-  varying counter's change. A counter whose update is the same on every
-  branch is resolved in closed form. Only the group that holds the
-  terminal step, the cap or a short block's end is then read step by step.
-  The buffers are made once per stepper and refilled in place, so a round
-  allocates no array of a block of words. A run that enters such a state
-  leaves the kernel and waits on the state's stepper, which runs whenever
-  ROWS runs wait; every stepper drains when the kernel is done. The run's
+  group that goes negative and the highest one the peak. Branch counts
+  come from per-code counts of the steps past each threshold or, with two
+  branches, from a varying counter's change. A counter whose update is the
+  same on every branch is resolved in closed form. The group that holds
+  the terminal step, the cap or a short block's end is read off per-code
+  tables of the group's steps, not stepped: per counter, the least start
+  value that stays >= 0 through each step gives the first step that goes
+  negative by bisection, and the running highest prefix sums, the prefix
+  sums and the counts past each threshold give the peak, the counters and
+  the branch counts up to it. The buffers are made once per stepper and
+  refilled in place, so a round allocates no array of a block of words. A run that enters such a state leaves the kernel and
+  waits on the state's stepper, which runs whenever ROWS runs wait; every
+  stepper drains when the kernel is done. The run's
   first block is the words the kernel drew for it and did not use, then
   whole blocks follow. A batch that starts in such a state runs on its
   stepper alone, and `_run` hands a single run to one. Counters must stay
@@ -66,9 +81,9 @@ other runs execute or on which path steps it.
   integers and resolves states as runs enter them. It is the draw-for-draw
   reference (`_vectorized=False`), it runs `simulate_one` up to the closed
   form or the block path, and it runs every batch the kernel does not take,
-  one run after the other on one reused Philox generator, reset to each
-  run's key; there an incomplete strategy raises only when a run reaches
-  the state it misses.
+  one run after the other on one generator, re-keyed for each run; there
+  an incomplete strategy raises only when a run reaches the state it
+  misses. `simulate_one` builds a generator only for a run that draws.
 """
 
 from __future__ import annotations
@@ -92,7 +107,8 @@ BLOCK = 4096
 FAST_COUNTER_LIMIT = 1 << 53
 FAST_UPDATE_LIMIT = 1 << 20
 MAX_IN_FLIGHT = 64  # runs the lockstep kernel steps together
-RUN_BUFFER = 64  # waves per kernel block: words drawn per run in flight at a time
+RUN_BUFFER = 64  # waves per kernel block
+RUN_DRAWS = 4  # kernel blocks of words a run in flight draws at a time
 ROWS = 16  # runs a block-path stepper steps together
 
 _NO_WORDS = np.empty(0, dtype=np.uint64)
@@ -141,28 +157,68 @@ def _cumulative_thresholds(probs: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _key(seed: int, n: int, run: int) -> np.ndarray:
-    return np.array([seed & MASK64, ((n << 32) + run) & MASK64], dtype=np.uint64)
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
 
 
-def _philox(seed: int, n: int, run: int) -> np.random.Philox:
-    """The bit generator of run `run` at start value `n`."""
-    return np.random.Philox(key=_key(seed, n, run))
+@cache
+def _unseeded():
+    """The seed sequence of the generators `_Streams` re-keys before they
+    draw: the key it gives is never used, so it gives zeros and spends no OS
+    entropy or hashing on it. It is made on first use, so that importing
+    this module leaves `numpy.random` unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Unseeded(ISeedSequence):
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return np.zeros(n_words, dtype=dtype)
+
+    return Unseeded()
 
 
-def _restart(bg: np.random.Philox, seed: int, n: int, run: int) -> np.random.Philox:
-    """`bg` set to the start of the stream `_philox(seed, n, run)` draws,
-    without building a new generator (which draws OS entropy for a seed
-    sequence the key makes unused)."""
-    bg.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _key(seed, n, run)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return bg
+def _generator() -> np.random.Philox:
+    """A generator for `_Streams` to re-key: the one place one is built."""
+    return np.random.Philox(_unseeded())
+
+
+class _Streams:
+    """The Philox streams of the runs of one batch at seed `seed` and start
+    value `n`.
+
+    Run `run` draws the stream of key (seed, (n mod 2**32) * 2**32 + run)
+    from counter (0, 0, 0, n >> 32), so the stream is a function of (seed,
+    n, run) and no other triple shares it. A generator is re-keyed in place
+    from one template state, and a run that has finished hands it back for
+    the next run, so a batch builds no more generators than it has runs in
+    flight at a time.
+    """
+
+    def __init__(self, seed: int, n: int):
+        if n >> 96:
+            raise ValueError("start value n must be below 2**96 for a run that draws words")
+        self._low = (n & 0xFFFFFFFF) << 32
+        self._key = np.array([seed, 0], dtype=np.uint64)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, 0, 0, n >> 32], dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._spare: list[np.random.Philox] = []
+
+    def open(self, run: int) -> np.random.Philox:
+        """A generator at the start of run `run`'s stream."""
+        bg = self._spare.pop() if self._spare else _generator()
+        self._key[1] = self._low + run
+        bg.state = self._state
+        return bg
+
+    def close(self, bg: np.random.Philox) -> None:
+        """Take back the generator of a run that has finished."""
+        self._spare.append(bg)
 
 
 class _DrawStream:
@@ -225,9 +281,9 @@ class _StateRec:
         "constant",
         "bits",
         "group",
-        "code_branches",
         "passes",
         "tables",
+        "group_steps",
     )
 
     def __init__(self, name: str, branches: list[tuple[str, str, tuple[int, ...], Fraction]]):
@@ -251,16 +307,21 @@ class _StateRec:
         self.varying: list[tuple[int, np.ndarray]] = []
         self.constant: list[tuple[int, int]] = []
         # a group is `group` consecutive branch indices of `bits` bits each,
-        # packed into one byte code, first step highest; `code_branches`
-        # lists them per code. Per code, `tables` holds per varying counter
-        # the group's sum and its lowest and highest prefix sums, both less
-        # the sum, and `passes` per threshold the group's steps that pick a
-        # branch past it. With two branches a varying counter's change tells
-        # how often each was taken, and `passes` stays empty.
+        # packed into one byte code, first step highest. Per code, `tables`
+        # holds per varying counter the group's sum and its lowest and
+        # highest prefix sums, both less the sum, and `passes` per threshold
+        # the group's steps that pick a branch past it. With two branches a
+        # varying counter's change tells how often each was taken, and
+        # `passes` stays empty. `group_steps` holds per code, after each
+        # step of the group, a row per counter of the least start value that
+        # stays >= 0 so far (minus the lowest prefix sum), then of the
+        # highest prefix sum, then of the prefix sum, and a row per threshold
+        # with `passes` of the steps so far that pick a branch past it; its
+        # values are within 8 * 2**20, so 32 bits hold them.
         self.bits = self.group = 0
-        self.code_branches: list[tuple[int, ...]] = []
         self.passes: list[np.ndarray] = []
         self.tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.group_steps = np.empty(0, dtype=np.int32)
         if self.fast_ok:
             for k, col in enumerate(zip(*self.updates)):
                 if len(set(col)) == 1:
@@ -270,13 +331,17 @@ class _StateRec:
             self.bits = next(b for b in (1, 2, 4, 8) if len(self.tids) <= 1 << b)
             self.group = 8 // self.bits
             branch = np.minimum(_group_branches(self.bits), len(self.tids) - 1)  # codes no block makes
-            self.code_branches = [tuple(row) for row in branch.tolist()]
+            past = []  # per threshold with `passes`, per code and step
             if len(self.tids) > 2 or not self.varying:
-                self.passes = [(branch > j).sum(axis=1, dtype=np.int64) for j in range(len(self.thresholds))]
-            for _, col in self.varying:
-                prefix = np.cumsum(col[branch], axis=1, dtype=np.int64)
-                total = prefix[:, -1].copy()
-                self.tables.append((total, prefix.min(axis=1) - total, prefix.max(axis=1) - total))
+                past = [np.cumsum(branch > j, axis=1) for j in range(len(self.thresholds))]
+                self.passes = [steps[:, -1].copy() for steps in past]
+            # per code, counter and step, the prefix sum
+            sums = np.cumsum(np.array(self.updates, dtype=np.int64)[branch], axis=1).transpose(0, 2, 1)
+            for k, _ in self.varying:
+                total = sums[:, k, -1].copy()
+                self.tables.append((total, sums[:, k].min(axis=1) - total, sums[:, k].max(axis=1) - total))
+            need, high = -np.minimum.accumulate(sums, axis=2), np.maximum.accumulate(sums, axis=2)
+            self.group_steps = np.concatenate([need, high, sums, *(p[:, None] for p in past)], axis=1, dtype=np.int32)
 
     def pick(self, u: int) -> int:
         return bisect_right(self.thresholds, u)
@@ -632,21 +697,26 @@ class _Stepper:
             if c > 0:
                 np.maximum(peak[:, k], cur[:, k], out=peak[:, k])
 
-        # the steps past the tables, at most one group a row, one at a time
+        # the group past the tables, at most one a row: its steps up to the
+        # terminal step, the cap or a short block's end, read off the
+        # record's per-step tables of the group's code
         leaving = {}  # row -> whether its last step terminates the run
+        d = cur.shape[1]
         for i in np.flatnonzero(q * g < lens):
             s, end = int(q[i]) * g, lens[i]
+            steps = rec.group_steps[codes[i, q[i]]].tolist()
+            need, high, sums, passes = steps[:d], steps[d : 2 * d], steps[2 * d : 3 * d], steps[3 * d :]
             vals, tops, tally = cur[i].tolist(), peak[i].tolist(), passed[i].tolist()
-            for b in rec.code_branches[codes[i, q[i]]][: end - s]:
-                vals = [v + u for v, u in zip(vals, rec.updates[b])]
-                for j in range(min(b, len(tally) - 1) + 1):
-                    tally[j] += 1
-                s += 1
-                if min(vals) < 0:  # the words past the terminal step go unused
-                    rows[i][1].steps -= end - s
-                    leaving[i] = True
-                    break
-                tops = [max(t, v) for t, v in zip(tops, vals)]
+            left = min(end - s, g)
+            safe = min(left, *map(bisect_right, need, vals))  # steps before a counter goes negative
+            taken, live = min(safe + 1, left), min(safe, left)
+            if live:
+                tops = [max(t, v + h[live - 1]) for t, v, h in zip(tops, vals, high)]
+            vals = [v + c[taken - 1] for v, c in zip(vals, sums)]
+            tally = [tally[0] + taken, *(t + c[taken - 1] for t, c in zip(tally[1:], passes))]
+            if safe < left:  # the words past the terminal step go unused
+                rows[i][1].steps -= end - s - taken
+                leaving[i] = True
             cur[i], peak[i], passed[i] = vals, tops, tally
         for i, (_, walk, _) in enumerate(rows):
             if walk.steps == cap:
@@ -719,6 +789,10 @@ class _Tables:
                 self.enters[key] = mid is not None and mid != res.owner.get(name)
                 self.tids.append(rec.tids[b])
                 self.mids.append(mid)
+        # a transition's keys are consecutive (pads repeat a state's last
+        # branch): the first key of each, and its id
+        self.tid_starts = [key for key, tid in enumerate(self.tids) if key == 0 or tid != self.tids[key - 1]]
+        self.tid_names = [self.tids[key] for key in self.tid_starts]
 
     def branch(self, sk: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Branch keys that draws `u` select in the states with keys `sk`."""
@@ -763,44 +837,54 @@ def _lockstep(
     width = RUN_BUFFER
     wave = np.arange(width)[:, None]  # a block's wave index, against (wave, row) arrays
     start_mid = res.owner.get(start)
+    streams = _Streams(seed, n)
     out: list[Optional[TrajectoryStats]] = [None] * runs
-    # rows in flight: Python lists and numpy arrays in the same row order
-    run_ids: list[int] = []
-    gens: list[np.random.Philox] = []
-    spare: list[np.random.Philox] = []  # generators of runs that have left
-    rtypes: list[list[str]] = []
-    sk = np.empty(0, dtype=np.int64)  # key of each row's state
-    cur = np.empty((0, d), dtype=np.int64)
-    peak = np.empty((0, d), dtype=np.int64)
-    steps = np.empty(0, dtype=np.int64)
-    counts = np.empty((0, t.size), dtype=np.int64)  # per row and branch key
+    # the runs in flight sit in rows 0..rows-1 of slot lists and arrays made
+    # once; a run that leaves gives its row to the last one in flight, and a
+    # run admitted takes the next free row
+    slots = min(MAX_IN_FLIGHT, runs)
+    run_ids = [0] * slots
+    gens: list[Optional[np.random.Philox]] = [None] * slots
+    rtypes: list[list[str]] = [[] for _ in range(slots)]
+    sk_all = np.empty(slots, dtype=np.int64)  # key of each row's state
+    cur_all = np.empty((slots, d), dtype=np.int64)
+    peak_all = np.empty((slots, d), dtype=np.int64)
+    steps_all = np.empty(slots, dtype=np.int64)
+    counts_all = np.empty((slots, t.size), dtype=np.int64)  # per row and branch key
+    # each row's words of RUN_DRAWS blocks, drawn in one call; every row
+    # takes the words of block `phase` next, a run admitted later draws
+    # only the blocks from there
+    draws = np.empty((slots, RUN_DRAWS * width), dtype=np.uint64)
+    phase = 0
     steppers: dict[str, _Stepper] = {}  # by block-path state
-    admitted = 0
-    while admitted < runs or run_ids:
-        new = min(MAX_IN_FLIGHT - len(run_ids), runs - admitted)
-        if new:
-            fresh = range(admitted, admitted + new)
-            admitted += new
-            run_ids.extend(fresh)
-            gens.extend(
-                _restart(spare.pop(), seed, n, r) if spare else _philox(seed, n, r) for r in fresh
-            )
-            rtypes.extend([] if start_mid is None else [start_mid] for _ in fresh)
-            sk = np.concatenate([sk, np.full(new, t.index[start] * t.width)])
-            cur = np.concatenate([cur, np.full((new, d), n, dtype=np.int64)])
-            peak = np.concatenate([peak, np.full((new, d), n, dtype=np.int64)])
-            steps = np.concatenate([steps, np.zeros(new, dtype=np.int64)])
-            counts = np.concatenate([counts, np.zeros((new, t.size), dtype=np.int64)])
-        rows = len(run_ids)
+    rows = admitted = 0
+    while admitted < runs or rows:
+        if phase == 0:
+            for i in range(rows):
+                draws[i] = gens[i].random_raw(RUN_DRAWS * width)
+        new = min(slots - rows, runs - admitted)
+        for i, r in zip(range(rows, rows + new), range(admitted, admitted + new)):
+            run_ids[i], gens[i] = r, streams.open(r)
+            draws[i, phase * width :] = gens[i].random_raw((RUN_DRAWS - phase) * width)
+            rtypes[i] = [] if start_mid is None else [start_mid]
+        fresh = slice(rows, rows + new)
+        sk_all[fresh] = t.index[start] * t.width
+        cur_all[fresh] = peak_all[fresh] = n
+        steps_all[fresh] = counts_all[fresh] = 0
+        admitted += new
+        rows += new
+        cur, peak, steps, counts = cur_all[:rows], peak_all[:rows], steps_all[:rows], counts_all[:rows]
 
         # the waves: branch keys in order, one word per run and wave
-        words = np.empty((width, rows), dtype=np.uint64)
-        for i, g in enumerate(gens):
-            words[:, i] = g.random_raw(width)
+        first = phase * width
+        phase = (phase + 1) % RUN_DRAWS
+        words = draws[:rows, first : first + width].T
         keys = np.empty((width, rows), dtype=np.int64)
+        sk = sk_all[:rows]
         for j in range(width):
             keys[j] = t.branch(sk, words[j])
             sk = t.nxt[keys[j]]
+        sk_all[:rows] = sk
 
         # where each row leaves the block: the step that terminates it, enters
         # a block-path state or a deterministic region, or reaches the cap,
@@ -817,7 +901,7 @@ def _lockstep(
         terminated = (term_at < width) & (term_at == stop)
         live = wave < taken - terminated  # configurations reached, terminal one excluded
 
-        cur = pos[taken - 1, np.arange(rows)]
+        cur[:] = pos[taken - 1, np.arange(rows)]
         steps += taken
         flat = (keys + np.arange(rows) * t.size)[wave < taken]
         counts += np.bincount(flat, minlength=rows * t.size).reshape(rows, t.size)
@@ -831,40 +915,40 @@ def _lockstep(
         leaving = stop < width
         if not leaving.any():
             continue
-        for i in np.flatnonzero(leaving):
-            tally: TallyCounter = TallyCounter()
-            for key in np.flatnonzero(counts[i]):
-                tally[t.tids[key]] += int(counts[i, key])
-            last = int(stop[i])
-            walk = _Walk(
-                t.names[t.nxt[keys[last, i]] // t.width],
-                [int(v) for v in cur[i]],
-                [int(v) for v in peak[i]],
-                tally,
-                rtype=rtypes[i],
-                steps=int(steps[i]),
-            )
-            if terminated[i] or walk.steps == cap:
-                out[run_ids[i]] = _stats(walk, bool(terminated[i]))
-            elif res.region(walk.state) is not None:
-                out[run_ids[i]] = _closed_form(res, walk, cap)
-            else:
-                # the run entered a block-path state: its stepper finishes the
-                # run, first on the words drawn here and not used
-                stepper = steppers.get(walk.state)
-                if stepper is None:
-                    stepper = steppers[walk.state] = _Stepper(res, res.resolve(walk.state), cap)
-                stream = _DrawStream(gens[i], words[last + 1 :, i].copy())
-                _finish(stepper.add(run_ids[i], walk, stream), out, spare)
+        # the leaving rows' statistics, read out in one call
+        gone = np.flatnonzero(leaving)
+        last = stop[gone]
+        states = t.nxt[keys[last, gone]] // t.width
+        tally = np.add.reduceat(counts[gone], t.tid_starts, axis=1)
+        fields = np.column_stack([states, terminated[gone], steps[gone], cur[gone], peak[gone], tally])
+        for i, at, (state, ended, walked, *values) in zip(gone.tolist(), last.tolist(), fields.tolist()):
+            used = {tid: c for tid, c in zip(t.tid_names, values[2 * d :]) if c}
+            if ended or walked == cap:
+                peaks = tuple(values[d : 2 * d])
+                out[run_ids[i]] = TrajectoryStats(bool(ended), walked, peaks, used, tuple(rtypes[i]))
+                streams.close(gens[i])
                 continue
-            spare.append(gens[i])
-        keep = np.flatnonzero(~leaving)
-        run_ids = [run_ids[i] for i in keep]
-        gens = [gens[i] for i in keep]
-        rtypes = [rtypes[i] for i in keep]
-        sk, cur, peak, steps, counts = sk[keep], cur[keep], peak[keep], steps[keep], counts[keep]
+            walk = _Walk(t.names[state], values[:d], values[d : 2 * d], TallyCounter(used), rtypes[i], walked)
+            if res.region(walk.state) is not None:
+                out[run_ids[i]] = _closed_form(res, walk, cap)
+                streams.close(gens[i])
+                continue
+            # the run entered a block-path state: its stepper finishes the
+            # run, first on the words drawn here and not used
+            stepper = steppers.get(walk.state)
+            if stepper is None:
+                stepper = steppers[walk.state] = _Stepper(res, res.resolve(walk.state), cap)
+            stream = _DrawStream(gens[i], draws[i, first + at + 1 :].copy())
+            _finish(stepper.add(run_ids[i], walk, stream), out, streams)
+        rows -= len(gone)
+        holes = gone[gone < rows]
+        movers = rows + np.flatnonzero(~leaving[rows:])
+        for a in (sk_all, cur_all, peak_all, steps_all, counts_all, draws):
+            a[holes] = a[movers]
+        for h, m in zip(holes.tolist(), movers.tolist()):
+            run_ids[h], gens[h], rtypes[h] = run_ids[m], gens[m], rtypes[m]
     for stepper in steppers.values():
-        _finish(stepper.drain(), out, spare)
+        _finish(stepper.drain(), out, streams)
     return out
 
 
@@ -873,20 +957,19 @@ def _step_batch(
 ) -> list[TrajectoryStats]:
     """Run a batch whose start state is a block-path state on one stepper."""
     stepper = _Stepper(res, rec, cap)
+    streams = _Streams(seed, n)
     out: list[Optional[TrajectoryStats]] = [None] * runs
-    spare: list[np.random.Philox] = []  # generators of runs that have finished
     for r in range(runs):
-        bg = _restart(spare.pop(), seed, n, r) if spare else _philox(seed, n, r)
-        _finish(stepper.add(r, _start(res, n, start), _DrawStream(bg)), out, spare)
-    _finish(stepper.drain(), out, spare)
+        _finish(stepper.add(r, _start(res, n, start), _DrawStream(streams.open(r))), out, streams)
+    _finish(stepper.drain(), out, streams)
     return out
 
 
-def _finish(done: list[_Done], out: list, spare: list[np.random.Philox]) -> None:
-    """Record the runs a stepper finished and keep their generators."""
+def _finish(done: list[_Done], out: list, streams: _Streams) -> None:
+    """Record the runs a stepper finished and take back their generators."""
     for key, stats, stream in done:
         out[key] = stats
-        spare.append(stream.bg)
+        streams.close(stream.bg)
 
 
 def _init_state(m: VassMdp, init_state: Optional[str]) -> str:
@@ -913,9 +996,14 @@ def simulate_one(
         raise ValueError("start value n must be >= 0")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if not 0 <= run < 1 << 32:
+        raise ValueError(f"run must be in 0..2**32-1, got {run}")
+    _check_seed(seed)
     res = _Resolved(m, strategy)
     walk = _start(res, n, _init_state(m, init_state))
-    return _run(res, walk, _DrawStream(_philox(seed, n, run)), max_steps, _vectorized)
+    if _vectorized and res.region(walk.state) is not None:
+        return _closed_form(res, walk, max_steps)  # the run draws no word
+    return _run(res, walk, _DrawStream(_Streams(seed, n).open(run)), max_steps, _vectorized)
 
 
 def simulate_many(
@@ -933,10 +1021,11 @@ def simulate_many(
     `simulate_one(..., run=r)` whichever path the batch takes."""
     if n < 0:
         raise ValueError("start value n must be >= 0")
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    if not 1 <= runs <= 1 << 32:
+        raise ValueError(f"runs must be in 1..2**32, got {runs}")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    _check_seed(seed)
     start = _init_state(m, init_state)
     res = _Resolved(m, strategy)
     if _vectorized and res.region(start) is not None:
@@ -949,11 +1038,14 @@ def simulate_many(
         if rec.fast_ok:
             return _step_batch(res, rec, n, runs, seed, max_steps, start)
         return _lockstep(res, tables, n, runs, seed, max_steps, start)
-    bg = _philox(seed, n, 0)
-    return [
-        _run(res, _start(res, n, start), _DrawStream(_restart(bg, seed, n, r)), max_steps, _vectorized)
-        for r in range(runs)
-    ]
+    # one run after the other, on one re-keyed generator
+    streams = _Streams(seed, n)
+    out = []
+    for r in range(runs):
+        bg = streams.open(r)
+        out.append(_run(res, _start(res, n, start), _DrawStream(bg), max_steps, _vectorized))
+        streams.close(bg)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1021,6 +1113,7 @@ def estimate_tails(
         raise ValueError(f"theta must be finite, got {theta}")
     if n_list[0] < 0:
         raise ValueError("start value n must be >= 0")
+    _check_seed(seed)
     if theta is not None and theta < 0 and n_list[0] == 0:
         raise ValueError(f"theta {theta} < 0 gives no step cap at n = 0")
     try:  # every cap before the first run

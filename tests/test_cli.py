@@ -844,6 +844,16 @@ def test_simulate_rejects_bad_arguments(capsys):
                "--init-state", "zz")[0] == 1
     for runs in ("0", "-3"):
         assert run(capsys, "simulate", model, "--n", "4", "--runs", runs)[0] == 1
+    # seeds past the 64-bit key word would alias others' streams
+    for seed in ("-1", str(2**64)):
+        assert run(capsys, "simulate", model, "--n", "4", "--runs", "5", f"--seed={seed}")[0] == 1
+    rc, out, _ = run(capsys, "simulate", model, "--n", "4", "--runs", "5", f"--seed={2**64 - 1}", "--json")
+    assert rc == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("sim_report"))
+    for seed in (-1, 2**64):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc | {"seed": seed}, schema("sim_report"))
     # uncovered controlled state entered -> validation error, not a crash
     assert run(capsys, "simulate", str(MODELS / "decreasing_loop.json"),
                "--n", "3", "--runs", "2")[0] == 1
@@ -1011,6 +1021,10 @@ K3_EDGES = [["a", "b"], ["b", "c"], ["a", "c"]]
                      "no step cap at n = 0", id="theta<0-at-n=0"),
         pytest.param(lambda _: ["simulate", WALK, "--n=-1,4", "--runs", "2", "--theta", "0.5"],
                      "n must be >= 0", id="n<0-with-theta"),
+        pytest.param(lambda _: ["simulate", WALK, "--n", "4", "--runs", "2", "--seed=-1"],
+                     "seed must be in 0..2**64-1", id="seed<0"),
+        pytest.param(lambda _: ["simulate", WALK, "--n", "4", "--runs", "2", "--seed", str(2**64)],
+                     "seed must be in 0..2**64-1", id="seed>=2**64"),
         pytest.param(_strategy(True), "strategy for 'p', transition 't_dec'", id="strategy-true"),
         pytest.param(_strategy(0.1), "strategy for 'p', transition 't_dec'", id="strategy-float"),
         pytest.param(_strategy("1/0"), "strategy for 'p', transition 't_dec'", id="strategy-1/0"),
@@ -1058,6 +1072,15 @@ def test_importing_the_cli_loads_numpy():
     env = dict(os.environ, PYTHONPATH=str(Path(vass_asym.__file__).parent.parent))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert (done.returncode, done.stdout) == (0, "True True\n"), done.stderr
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # only a simulation that draws needs a generator; loading numpy.random
+    # on import would add its load time to every command's start-up
+    code = "import sys, vass_asym.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(vass_asym.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 STRUCTURE = (

@@ -250,25 +250,24 @@ def test_kernel_matches_reference_on_pump(pump, kernel_batches):
     assert len(kernel_batches) == 4
 
 
-def test_kernel_tables_pick_as_scalar_path():
-    # width 3: q's and r's key rows are padded
-    m = parse_vass(
-        json.dumps(
-            {
-                "dimension": 1,
-                "states": [{"name": s, "kind": "prob"} for s in "pqr"],
-                "transitions": [
-                    {"id": "pp", "from": "p", "to": "p", "update": [0], "prob": "1/3"},
-                    {"id": "pq", "from": "p", "to": "q", "update": [0], "prob": "1/3"},
-                    {"id": "pr", "from": "p", "to": "r", "update": [0], "prob": "1/3"},
-                    {"id": "qp", "from": "q", "to": "p", "update": [0], "prob": "1/2"},
-                    {"id": "qq", "from": "q", "to": "q", "update": [0], "prob": "1/2"},
-                    {"id": "rp", "from": "r", "to": "p", "update": [0], "prob": "1"},
-                ],
-            }
-        )
+def padded_coins():
+    """Coins at p (three branches), q (two) and r (one): with width 3, q's
+    and r's key rows are padded."""
+    return vass(
+        dict.fromkeys("pqr", "prob"),
+        [
+            ("pp", "p", "p", [0], F(1, 3)),
+            ("pq", "p", "q", [0], F(1, 3)),
+            ("pr", "p", "r", [0], F(1, 3)),
+            ("qp", "q", "p", [0], F(1, 2)),
+            ("qq", "q", "q", [0], F(1, 2)),
+            ("rp", "r", "p", [0], 1),
+        ],
     )
-    res = sim._Resolved(m, None)
+
+
+def test_kernel_tables_pick_as_scalar_path():
+    res = sim._Resolved(padded_coins(), None)
     tables = sim._lockstep_tables(res, "p", 0, 100)
     assert tables.width == 3
     for name, i in tables.index.items():
@@ -278,6 +277,21 @@ def test_kernel_tables_pick_as_scalar_path():
         for u in words:
             key = tables.branch(np.array([i * tables.width]), np.array([u], dtype=np.uint64))
             assert tables.tids[key[0]] == rec.tids[rec.pick(u)]
+
+
+def test_kernel_counts_pad_keys_under_their_transition(monkeypatch, kernel_batches):
+    # every word is 2**64 - 1, the one draw that takes a pad key: p picks
+    # pr, and r's one branch rp sits on r's last pad key
+    class Top:
+        @staticmethod
+        def random_raw(k):
+            return np.full(k, sim.MASK64, dtype=np.uint64)
+
+    monkeypatch.setattr(sim, "_generator", Top)
+    cap = 2 * sim.RUN_BUFFER + 1
+    batch = assert_matches_reference(padded_coins(), 0, 3, max_steps=cap)
+    assert batch[0].transition_counts == {"pr": cap // 2 + 1, "rp": cap // 2}
+    assert len(kernel_batches) == 1
 
 
 def test_kernel_matches_reference_on_zero_cycle(zero_cycle, kernel_batches, closed_forms):
@@ -735,6 +749,152 @@ def test_kernel_handoff_fills_two_steppers(pump, kernel_batches, closed_forms, m
 
 
 # ---------------------------------------------------------------------------
+# run start and finish: re-keyed generators, kernel rows, terminal groups
+# ---------------------------------------------------------------------------
+
+
+def test_rekeyed_generator_draws_as_a_fresh_one():
+    # a generator reused for run after run, re-keyed in place, draws what a
+    # fresh one keyed to the run draws, also after leaving words of its
+    # last block of four unread
+    streams = sim._Streams(7, 3)
+    first = streams.open(0)
+    first.random_raw(3)
+    streams.close(first)
+    for run in (5, 0, 2**32 - 1):
+        bg = streams.open(run)
+        assert bg is first
+        fresh = np.random.Philox(key=np.array([7, (3 << 32) + run], dtype=np.uint64))
+        assert np.array_equal(bg.random_raw(9), fresh.random_raw(9))
+        streams.close(bg)
+
+
+def test_streams_of_start_values_past_2_32_are_their_own(walk, dec_loop):
+    # n and n + 2**32 once shared a key; the high part of n now starts the
+    # counter's top word, so a start value below 2**32 keeps its stream
+    low = sim._Streams(7, 3).open(0).random_raw(8)
+    high = sim._Streams(7, 3 + 2**32).open(0).random_raw(8)
+    assert not np.array_equal(low, high)
+    assert np.array_equal(low, np.random.Philox(key=np.array([7, 3 << 32], dtype=np.uint64)).random_raw(8))
+    # the counter word holds n >> 32 below 2**64; a run in a deterministic
+    # region draws no word and takes any n
+    with pytest.raises(ValueError, match=r"below 2\*\*96"):
+        simulate_one(walk, 2**96, max_steps=5)
+    assert simulate_one(dec_loop, 2**100, strategy={"p": "t_dec"}, max_steps=5).steps == 5
+
+
+def test_seeds_and_runs_outside_the_key_are_rejected(walk):
+    # key word 0 is the seed and run fills the low half of key word 1, so
+    # a value outside them would alias another one's stream
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must be in 0..2\*\*64-1"):
+            simulate_one(walk, 3, seed=seed)
+        with pytest.raises(ValueError, match=r"seed must be in 0..2\*\*64-1"):
+            simulate_many(walk, 3, 2, seed=seed)
+        with pytest.raises(ValueError, match=r"seed must be in 0..2\*\*64-1"):
+            estimate_tails(walk, [3], 2, seed=seed)
+    for run in (-1, 2**32):
+        with pytest.raises(ValueError, match=r"run must be in 0..2\*\*32-1"):
+            simulate_one(walk, 3, run=run)
+    top = simulate_one(walk, 3, seed=2**64 - 1, run=2**32 - 1, max_steps=100)
+    assert top == simulate_one(walk, 3, seed=2**64 - 1, run=2**32 - 1, max_steps=100, _vectorized=False)
+
+
+def test_deterministic_run_builds_no_generator(zero_cycle, pump, walk, monkeypatch):
+    def no_generator():
+        raise AssertionError("a run built a generator")
+
+    monkeypatch.setattr(sim, "_generator", no_generator)
+    st = simulate_one(zero_cycle, 3, strategy=ALTERNATE, max_steps=1001)
+    assert st == TrajectoryStats(False, 1001, (4,), {"t_pq": 501, "t_qp": 500}, ("M1",))
+    st = simulate_one(pump, 4, strategy={"c": "c_c"}, init_state="c", max_steps=10)
+    assert st == TrajectoryStats(True, 5, (4, 4, 8), {"c_c": 5}, ("M2",))
+    with pytest.raises(AssertionError, match="built a generator"):
+        simulate_one(walk, 3, max_steps=10)
+
+
+def test_batches_build_a_generator_per_row_not_per_run(pump, walk, monkeypatch):
+    # the kernel's rows and each stepper's rows hold one generator each, and
+    # a run that finishes hands its generator to the next one
+    built = []
+    inner = sim._generator
+
+    def counting():
+        built.append(1)
+        return inner()
+
+    monkeypatch.setattr(sim, "_generator", counting)
+    doc = load_doc("pump_transfer_3d.json")
+    doc["transitions"].append({"id": "e_e_twin", "from": "e", "update": [0, -1, 0], "to": "e"})
+    strategy = pump_leave(3) | {"e": {"e_e": F(1, 2), "e_e_twin": F(1, 2)}}
+    simulate_many(parse_vass(doc), 3, 300, strategy=strategy, seed=4, max_steps=8 * 3**4)
+    assert 0 < len(built) <= sim.MAX_IN_FLIGHT + 2 * sim.ROWS
+    for batch, most in (
+        (lambda: simulate_many(walk, 5, 3 * sim.ROWS + 1, seed=2, max_steps=300), sim.ROWS),
+        (lambda: simulate_many(pump, 2**62, 5, strategy={"a": "a_b"}, max_steps=20), 1),  # the scalar loop
+        (lambda: simulate_one(walk, 5, max_steps=300), 1),
+    ):
+        built.clear()
+        batch()
+        assert 0 < len(built) <= most
+
+
+def test_kernel_rows_refill_past_the_slots(pump, kernel_batches, closed_forms):
+    # MAX_IN_FLIGHT + 1 runs, so a run is admitted where one left, at caps
+    # next to the edges of a block and of a draw of RUN_DRAWS blocks; runs
+    # leave for e (the closed form) and f (the block path) with the rest of
+    # their draw
+    edges = (sim.RUN_BUFFER, sim.RUN_DRAWS * sim.RUN_BUFFER, 2 * sim.RUN_DRAWS * sim.RUN_BUFFER)
+    for cap in sorted({c + e for c in edges for e in (-1, 0, 1)}):
+        assert_matches_reference(pump, 4, sim.MAX_IN_FLIGHT + 1, seed=cap, strategy=pump_leave(4), max_steps=cap)
+    assert len(kernel_batches) == 9 and closed_forms
+    # every run in flight reaches the cap in the same wave; the last runs alone
+    batch = assert_matches_reference(coin_zero_cycle(), 2, sim.MAX_IN_FLIGHT + 1, seed=5, max_steps=2 * sim.RUN_BUFFER)
+    assert {(st.terminated, st.steps) for st in batch} == {(False, 2 * sim.RUN_BUFFER)}
+
+
+# two, three and five branches, with varying and constant counters
+BRANCHES = [
+    [(-1, 1), (1, -1)],
+    [(-1, 1), (2, 1)],
+    [(-1, 2), (0, -1), (2, 0)],
+    [(-1, 1), (0, 1), (1, 1), (2, 1), (3, 1)],
+    [(-1, -1), (0, -1), (1, -1), (2, -1), (3, -1)],
+]
+
+
+@pytest.mark.parametrize("updates", BRANCHES)
+def test_block_path_terminal_step_at_each_group_position(updates):
+    # branch 0 lowers counter 0 by one, so a row whose words all pick it
+    # terminates on step n + 1: at each position of its first groups, and
+    # next to the end of a short first block, in its last, partial group.
+    # Rows outnumber ROWS, so they share rounds with rows that go on
+    m = self_loop(updates)
+    g = sim._Resolved(m, None).resolve("s").group
+    down = constant_words(0, sim.BLOCK)
+    rows = [(down, (n, 10**6)) for n in range(3 * g)]
+    for size in (g - 1, 3 * g + 2):
+        rows += [(down[:size], (n, 10**6)) for n in (size - 2, size - 1, size) if n >= 0]
+    random = np.random.Philox(key=9).random_raw(sim.BLOCK)
+    rows += [(random[: 5 * g + 3], (2, 3)), (random, (40, 40))]
+    done = step_rows(stepper_of(m, 4 * sim.BLOCK), rows)
+    assert [(st.terminated, st.steps) for st, _ in done[: 3 * g]] == [(True, n + 1) for n in range(3 * g)]
+
+
+@pytest.mark.parametrize("updates", BRANCHES)
+def test_block_path_batches_past_the_rows(updates):
+    # ROWS + 1 runs, with caps next to a group's and a block's edges
+    m = self_loop(updates)
+    for cap in (7, 9, sim.BLOCK - 1, sim.BLOCK + 1):
+        assert_matches_reference(m, 4, sim.ROWS + 1, seed=cap, max_steps=cap)
+    # a counter every branch lowers ends every run on the same step and round
+    if updates[0][1] == -1:
+        n = sim.BLOCK + 5
+        batch = assert_matches_reference(m, n, sim.ROWS + 1, seed=3, max_steps=3 * sim.BLOCK)
+        assert {(st.terminated, st.steps) for st in batch} == {(True, n + 1)}
+
+
+# ---------------------------------------------------------------------------
 # closed form on deterministic regions against the scalar reference
 # ---------------------------------------------------------------------------
 
@@ -835,8 +995,8 @@ def test_deterministic_batch_draws_no_word(zero_cycle, pump, monkeypatch, closed
     def no_word(*args):
         raise AssertionError("a deterministic batch built a word stream")
 
-    monkeypatch.setattr(sim, "_philox", no_word)
-    monkeypatch.setattr(sim, "_restart", no_word)
+    monkeypatch.setattr(sim, "_Streams", no_word)
+    monkeypatch.setattr(sim, "_generator", no_word)
     batch = simulate_many(zero_cycle, 3, 4, strategy=ALTERNATE, max_steps=1001)
     assert batch == [TrajectoryStats(False, 1001, (4,), {"t_pq": 501, "t_qp": 500}, ("M1",))] * 4
     batch[0].transition_counts["t_pq"] += 1  # each run owns its counts
