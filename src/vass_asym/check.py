@@ -7,8 +7,11 @@ each class is an end component whose transitions are exactly the model's
 between its states; each solve, listed once per (zeroed counters, class), is
 a valid flow and ranking, with exactly the claimed positive and strict sets,
 and maximal; each class pair's reach certificate and each type weight; the
-zero-cycle stationary distribution; and each d >= 2 label, against the
-type's pipeline the checker reads off the solves itself (`_pipeline`).
+zero-cycle stationary distribution; that each measure has one estimate
+along each listed type and none along another; and each d >= 2 label and
+fluctuation hint, against the type's pipeline the checker reads off the
+solves itself (`_pipeline`): the hint off the flow of the step that first
+pumps the measure, and no d = 1 estimate carries one.
 
 Not checked: that the classes are maximal and no end component lies outside
 them, `dag_like`, `types_complete`, that the types listed are all the
@@ -72,7 +75,7 @@ _REPORT = {
         {"class": str, "strategy": {str: str}, "component": [str], "stationary": {str: Fraction}},
     ),
     "solves": [_SOLVE],
-    "estimates": {str: [{"type": [str], "label": str}]},
+    "estimates": {str: [{"type": [str], "label": str, "beyond_quadratic_hint": bool}]},
 }
 
 
@@ -111,6 +114,7 @@ def _names(m: VassMdp, doc: dict) -> None:
     named |= {mid for e in doc["reach"] for mid in (e["from"], e["to"])}
     named |= set(doc["inventory"] or {})
     named |= {s["class"] for s in doc["solves"]}
+    named |= {mid for es in doc["estimates"].values() for e in es for mid in e["type"]}
     states = {s for c in doc["classes"] for s in c["states"]}
     if doc["zero_cycle_witness"] is not None:
         named.add(doc["zero_cycle_witness"]["class"])
@@ -334,18 +338,32 @@ def _pipeline(beta: tuple, solves: dict) -> tuple[list, str]:
     return steps, ""
 
 
-def _expected_label(measure, beta: tuple, owner: dict, pipeline) -> tuple:
-    """The (label, bound) of a d >= 2 estimate. Only a label that no
+def _hint(m: VassMdp, used: list[str], zeroed: list[int]) -> bool:
+    """The fluctuation hint of a pumping step whose flow uses `used`: it moves
+    a counter zeroed before the step, and no controlled transition or
+    probabilistic state it uses drains one in expectation."""
+    taken = [m.transition(t) for t in used if m.has_transition(t)]
+    touched = [c for c in zeroed if any(t.update[c - 1] for t in taken)]
+    moves = [m.out(t.source) if m.kind(t.source) == PROB else [t] for t in taken]
+    return bool(touched) and all(
+        sum((o.prob or 1) * o.update[c - 1] for o in move) >= 0 for move in moves for c in touched
+    )
+
+
+def _expected_label(m: VassMdp, measure, beta: tuple, owner: dict, pipeline) -> tuple:
+    """The (label, bound, hint) of a d >= 2 estimate. Only a label that no
     use-count rule decides reads the type's pipeline (`pipeline(beta)`): a
     step pumps a counter it newly pumps, the termination time where its flow
-    is nonzero, and a use count where its flow uses the transition."""
+    is nonzero, and a use count where its flow uses the transition. The
+    first step that pumps the measure gives `LowerQuadratic`, and its flow's
+    support and zeroed counters the hint (`_hint`); no other label has one."""
     if isinstance(measure, TransitionCount) and measure.tid not in owner:
-        return "UpperTypeLength", len(beta)
+        return "UpperTypeLength", len(beta), False
     if isinstance(measure, TransitionCount) and owner[measure.tid] not in beta:
-        return "TightZero", None
+        return "TightZero", None, False
     steps, missing = pipeline(beta)
     if missing:
-        return f"no label ({missing})", None
+        return f"no label ({missing})", None, False
     for solve, newly in steps:
         used = solve["flow"]["positive_transitions"]
         if isinstance(measure, Counter):
@@ -353,8 +371,8 @@ def _expected_label(measure, beta: tuple, owner: dict, pipeline) -> tuple:
         else:
             pumps = bool(used) if isinstance(measure, Termination) else measure.tid in used
         if pumps:
-            return "LowerQuadratic", None
-    return ("UpperLinear" if isinstance(measure, TransitionCount) else "TightLinear"), None
+            return "LowerQuadratic", None, _hint(m, used, solve["zeroed_counters"])
+    return ("UpperLinear" if isinstance(measure, TransitionCount) else "TightLinear"), None, False
 
 
 def _check(m: VassMdp, doc: dict) -> tuple[int, list[str]]:
@@ -407,19 +425,32 @@ def _check(m: VassMdp, doc: dict) -> tuple[int, list[str]]:
             errors.append(f"reported weight {ts['weight']} != recomputed {weight}")
         record(f"type {','.join(ts['classes'])}", errors)
 
-    if m.dimension >= 2:
-        owner = {t: c["id"] for c in doc["classes"] for t in c["transitions"]}
-        pipeline = cache(lambda beta: _pipeline(beta, solves))
-        for mkey, entries in doc["estimates"].items():
-            measure = parse_measure(mkey)
-            for e in entries:
-                beta = tuple(e["type"])
-                label, bound = _expected_label(measure, beta, owner, pipeline)
-                errors = []
-                if (e["label"], e.get("bound")) != (label, bound):
-                    with_bound = "" if bound is None else f" with bound {bound}"
-                    errors.append(f"label {e['label']}, but the report gives {label}{with_bound}")
-                record(f"{mkey} along {','.join(beta)}", errors)
+    listed = {tuple(ts["classes"]) for ts in doc["types"]}
+    owner = {t: c["id"] for c in doc["classes"] for t in c["transitions"]}
+    pipeline = cache(lambda beta: _pipeline(beta, solves))
+    for mkey, entries in doc["estimates"].items():
+        measure = parse_measure(mkey)
+        along = [tuple(e["type"]) for e in entries]  # each listed type once, no other
+        failures += [
+            f"{mkey} along {','.join(b)}: {along.count(b)} estimates, {int(b in listed)} expected"
+            for b in sorted(set(along) | listed)
+            if along.count(b) != (b in listed)
+        ]
+        for e in entries:
+            beta, hint = tuple(e["type"]), e["beyond_quadratic_hint"]
+            where = f"{mkey} along {','.join(beta)}"
+            if m.dimension == 1:  # a one-counter estimate carries no hint
+                failures += [f"{where}: beyond_quadratic_hint true, but d = 1"] if hint else []
+                continue
+            label, bound, want = _expected_label(m, measure, beta, owner, pipeline)
+            errors = []
+            if (e["label"], e.get("bound")) != (label, bound):
+                with_bound = "" if bound is None else f" with bound {bound}"
+                errors.append(f"label {e['label']}, but the report gives {label}{with_bound}")
+            if hint != want:
+                got, gives = str(hint).lower(), str(want).lower()
+                errors.append(f"beyond_quadratic_hint {got}, but the report gives {gives}")
+            record(where, errors)
     return checks, failures
 
 

@@ -450,6 +450,36 @@ TAMPERS = {
         lambda d: _entry(d, "T:c_c", ["M1", "M3"]).update(label="UpperLinear"),
         "T:c_c along M1,M3: label UpperLinear, but the report gives TightZero",
     ),
+    "hint of a budget-limited pump": (
+        "pump_transfer_3d.json",
+        lambda d: _entry(d, "C:3", ["M1", "M2"]).update(beyond_quadratic_hint=True),
+        "C:3 along M1,M2: beyond_quadratic_hint true, but the report gives false",
+    ),
+    "hint of a fluctuation-limited pump": (
+        "pump_transfer_3d.json",
+        lambda d: _entry(d, "C:3", ["M1", "M4"]).update(beyond_quadratic_hint=False),
+        "C:3 along M1,M4: beyond_quadratic_hint false, but the report gives true",
+    ),
+    "hint of a one-counter estimate": (
+        "random_walk_1d.json",
+        lambda d: _entry(d, "L", ["M1"]).update(beyond_quadratic_hint=True),
+        "L along M1: beyond_quadratic_hint true, but d = 1",
+    ),
+    "estimate dropped": (
+        "pump_transfer_3d.json",
+        lambda d: d["estimates"]["L"].pop(),
+        "L along M1,M4: 0 estimates, 1 expected",
+    ),
+    "estimate along an unlisted type": (
+        "pump_transfer_3d.json",
+        lambda d: d["estimates"]["L"].append({**_entry(d, "L", ["M2"]), "type": ["M2", "M2"]}),
+        "L along M2,M2: 1 estimates, 0 expected",
+    ),
+    "estimate repeated": (
+        "pump_transfer_3d.json",
+        lambda d: d["estimates"]["L"].append(_entry(d, "L", ["M1"])),
+        "L along M1: 2 estimates, 1 expected",
+    ),
 }
 
 
@@ -481,7 +511,8 @@ def test_check_exits_1_on_a_report_it_cannot_read(capsys, tmp_path):
     doc = json.loads(report.read_text())
     # a report of another model, a report missing a key, a number outside the
     # rational grammar (even one Python reads as the right value), a class or
-    # counter that does not exist, no JSON
+    # counter that does not exist (named by a type, an estimate or a solve),
+    # no JSON
     assert run(capsys, "check", str(MODELS / "decreasing_loop.json"), str(report))[0] == 1
     broken = tmp_path / "broken.json"
     (solve,) = doc["solves"]
@@ -493,6 +524,7 @@ def test_check_exits_1_on_a_report_it_cannot_read(capsys, tmp_path):
             for weight in ("one", "0.5", "1e3", "1e0", "+1", " 1", "1_0", "1/2\n", "١")
         ),
         json.dumps({**doc, "types": [{"classes": ["M1", "M9"], "weight": "1"}]}),
+        json.dumps({**doc, "estimates": {"L": [{**doc["estimates"]["L"][0], "type": ["M9"]}]}}),
         json.dumps({**doc, "solves": [named_counter]}),
         json.dumps({**doc, "solves": [{**solve, "zeroed_counters": [2]}]}),
         json.dumps([doc]),

@@ -7,11 +7,13 @@ row forces z(b) <= z(a) while the expectation row forces z(a) + y2 <= z(b), so
 y2 = 0 and counter 2 is the only pumped one, with no strict rows anywhere.
 """
 
+import sys
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from conftest import MODELS, load_doc, load_model
 from oracles import (
     augment_step_counter,
@@ -19,6 +21,7 @@ from oracles import (
     classify,
     classify_counters_mec,
     force_probe_order,
+    pump_probe,
     reference_classify_dag,
     reference_strict_labels,
     solve_failures,
@@ -26,14 +29,13 @@ from oracles import (
 )
 from vass_asym.dichotomy import (
     Label,
-    _pump_probe,
     build_systems,
     compute_maximal_solutions,
     rank_delta,
     run_dag_pipeline,
     use_count_outside_type,
 )
-from vass_asym import dichotomy
+from vass_asym import dichotomy, ratlp
 from vass_asym.check import AttestationError, check_report
 from vass_asym.cli import build_analysis
 from vass_asym.graph import enumerate_types, is_dag_like, mec_decomposition, transition_to_mec
@@ -47,6 +49,7 @@ from vass_asym.model import (
     TransitionCount,
     UnknownTransition,
     VassMdp,
+    measure_key,
     zero_counters,
 )
 from strategies import random_model_from_rng, random_models
@@ -296,7 +299,7 @@ def test_encoding_coherence_random_dag_models(m):
 def test_pump_probe_on_unpumpable_counter_is_internal_error(walk):
     # the fair walk's flow balances both loops: no flow pumps its counter
     with pytest.raises(InternalError):
-        _pump_probe(walk, _single_mec(walk), Counter(1))
+        pump_probe(walk, _single_mec(walk), Counter(1))
 
 
 def _check_failures(m, doc):
@@ -359,34 +362,69 @@ def _every_measure(m):
 
 
 def test_classify_dag_matches_tracking_walk_reference(monkeypatch):
-    """Seeded random DAG-like models: on every measure and type,
-    `classify_dag` gives the label, tag, exactness, bound and hint of the
-    reference walk that tracks the measure as it goes."""
+    """The pump and seeded random DAG-like models: on every measure and type,
+    `classify_dag` gives the label, tag, exactness and bound of the
+    reference walk that tracks the measure as it goes, and the hint of its
+    per-measure probe flow (`oracles.probe_hint`) but where listed."""
     rng = Random(1)
-    models = [random_model_from_rng(rng, rng.randint(2, 4), rng.randint(2, 3), 1) for _ in range(10)]
+    models = [load_model("pump_transfer_3d.json")] + [
+        random_model_from_rng(rng, rng.randint(2, 4), rng.randint(2, 3), 1) for _ in range(10)
+    ]
     calls = []
-    probe = dichotomy._pump_probe
+    probe = oracles.pump_probe
 
     def counted(*args):
         calls.append(args)
         return probe(*args)
 
-    monkeypatch.setattr(dichotomy, "_pump_probe", counted)
+    monkeypatch.setattr(oracles, "pump_probe", counted)
     probed = hints = 0
-    for m in models:
+    moved = []
+    for k, m in enumerate(models):
         mecs = mec_decomposition(m)
         assert is_dag_like(m, mecs)
         owner, by_id = transition_to_mec(mecs), {mec.mid: mec for mec in mecs}
         for ts in enumerate_types(m, len(mecs), mecs)[0]:
             beta_mecs = [by_id[b] for b in ts.mecs]
             for measure in _every_measure(m):
-                before = len(calls)
                 est, _ = dichotomy.classify_dag(m, beta_mecs, measure, owner)
-                probed += len(calls) > before
+                before = len(calls)
                 want = reference_classify_dag(m, beta_mecs, measure, owner)
-                assert (est.label, est.tag, est.exact, est.bound, est.beyond_quadratic_hint) == want
+                probed += len(calls) > before
+                assert (est.label, est.tag, est.exact, est.bound) == want[:4]
+                if est.beyond_quadratic_hint != want[4]:
+                    moved.append((k, ",".join(ts.mecs), measure_key(measure), want[4]))
                 hints += est.beyond_quadratic_hint
-    assert hints >= 3 and probed > hints  # both outcomes of the probe are compared
+    # Model 3 (the third draw): class M1 pumps t001 along M2,M1 with counters
+    # 1 and 2 zeroed. The probe's flow cycles s0 -t001-> s3 -> s0, with drift
+    # +3/7 on counter 1. The maximal flow's support also leaves s1, whose
+    # only transition t002 drains counter 1, so the support rule gives no
+    # hint.
+    assert moved == [(3, "M2,M1", f"T:{t}", True) for t in ("t001", "t005", "t006")]
+    assert hints >= 3 and probed > hints  # both outcomes of the hint are compared
+
+
+def test_every_lp_of_an_analysis_is_a_pair_probe(monkeypatch, pump):
+    """The hint is read off the class solves, so `build_analysis` solves no
+    LP outside a class solve's pair step (`_pair_step`)."""
+    callers = []
+    solve = ratlp.solve_feasibility
+
+    def recording(problem):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return solve(problem)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vass_asym") and getattr(module, "solve_feasibility", None) is solve:
+            monkeypatch.setattr(module, "solve_feasibility", recording)
+    rng = Random(5)
+    draws = [random_model_from_rng(rng, rng.randint(2, 4), rng.randint(2, 3), 2) for _ in range(6)]
+    hints = 0
+    for m in [pump] + draws:
+        doc = build_analysis(m)
+        hints += sum(e["beyond_quadratic_hint"] for es in doc["estimates"].values() for e in es)
+    assert len(callers) > 100 and set(callers) == {"_pair_step"}
+    assert hints >= 3  # the pump's hints along M1,M4, which a probe LP decided before
 
 
 def test_determinism(pump):
