@@ -8,16 +8,19 @@ between its states; each solve, listed once per (zeroed counters, class), is
 a valid flow and ranking, with exactly the claimed positive and strict sets,
 and maximal; each class pair's reach certificate and each type weight; the
 zero-cycle stationary distribution; that each measure has one estimate
-along each listed type and none along another; and each d >= 2 label and
-fluctuation hint, against the type's pipeline the checker reads off the
-solves itself (`_pipeline`): the hint off the flow of the step that first
-pumps the measure, and no d = 1 estimate carries one.
+along each listed type and none along another; each d >= 2 label, against
+the type's pipeline the checker reads off the solves itself (`_pipeline`);
+and each fluctuation hint: where counters were zeroed before the step that
+first pumps the measure, off the estimate's `pump_flow`, which must be a
+flow of that zeroed class pumping the measure, and false everywhere else,
+d = 1 included.
 
 Not checked: that the classes are maximal and no end component lies outside
 them, `dag_like`, `types_complete`, that the types listed are all the
 realizable ones, the d = 1 inventory flags and labels, and the estimates'
-tags, notes and witness payloads. The module imports nothing of the package
-but `model`, so it shares no code with the solvers it checks.
+tags, notes and witness payloads other than `pump_flow`. The module imports
+nothing of the package but `model`, so it shares no code with the solvers
+it checks.
 """
 
 from __future__ import annotations
@@ -189,8 +192,8 @@ def solve_failures(
 
     tr = {t: m.transition(t) for t in tids}
     u = {t: [0 if c in zeroed else v for c, v in zip(dims, tr[t].update)] for t in tids}
+    bad["flow"], effect = _flow_failures(m, cls, x, zeroed)
     x = {t: x.get(t, Fraction(0)) for t in tids}
-    effect = {c: sum(x[t] * u[t][c - 1] for t in tids) for c in dims}
     delta = {
         t: z[tr[t].target] - z[tr[t].source] + sum(v * y[c] for c, v in zip(dims, u[t]))
         for t in tids
@@ -200,16 +203,6 @@ def solve_failures(
     expected = {s: sum(t.prob * delta[t.tid] for t in m.out(s)) for s in probabilistic}
 
     f = bad["flow"]
-    f += [f"x({t}) = {v} < 0" for t, v in x.items() if v < 0]
-    f += [f"counter {c} effect {effect[c]} < 0" for c in dims if effect[c] < 0]
-    for s in sorted(states):
-        inflow = sum(x[t] for t in tids if tr[t].target == s)
-        outflow = sum(x[t] for t in tids if tr[t].source == s)
-        if inflow != outflow:
-            f.append(f"flow not conserved at {s}: in {inflow} != out {outflow}")
-        if m.kind(s) == PROB:
-            uneven = [t.tid for t in m.out(s) if x[t.tid] != t.prob * outflow]
-            f += [f"flow out of {s} not proportional on {t}" for t in uneven]
     f += _claim(flow, "positive_counters", {c for c in dims if effect[c] > 0})
     f += _claim(flow, "positive_transitions", {t for t in tids if x[t] > 0})
 
@@ -237,6 +230,34 @@ def solve_failures(
                 "nor a positive flow"
             )
     return bad
+
+
+def _flow_failures(
+    m: VassMdp, cls: dict, x: dict[str, Fraction], zeroed: frozenset[int]
+) -> tuple[list[str], dict[int, Fraction]]:
+    """Where `x`, a flow on the transitions of the report class `cls` (0 where
+    missing), fails System (I) on the model with the `zeroed` counters'
+    updates replaced by 0: a negative entry or counter effect, or a state
+    where the flow is not conserved or not split by the probabilities.
+    Returns the failures and the flow's effect on each counter."""
+    states, tids = sorted(cls["states"]), sorted(cls["transitions"])
+    tr = {t: m.transition(t) for t in tids}
+    x = {t: x.get(t, Fraction(0)) for t in tids}
+    effect = {
+        c: sum((x[t] * tr[t].update[c - 1] for t in tids if c not in zeroed), Fraction(0))
+        for c in range(1, m.dimension + 1)
+    }
+    f = [f"x({t}) = {v} < 0" for t, v in x.items() if v < 0]
+    f += [f"counter {c} effect {v} < 0" for c, v in effect.items() if v < 0]
+    for s in states:
+        inflow = sum(x[t] for t in tids if tr[t].target == s)
+        outflow = sum(x[t] for t in tids if tr[t].source == s)
+        if inflow != outflow:
+            f.append(f"flow not conserved at {s}: in {inflow} != out {outflow}")
+        if m.kind(s) == PROB:
+            uneven = [t.tid for t in m.out(s) if x[t.tid] != t.prob * outflow]
+            f += [f"flow out of {s} not proportional on {t}" for t in uneven]
+    return f, effect
 
 
 def _claim(witness: dict, key: str, found: set) -> list[str]:
@@ -338,32 +359,51 @@ def _pipeline(beta: tuple, solves: dict) -> tuple[list, str]:
     return steps, ""
 
 
-def _hint(m: VassMdp, used: list[str], zeroed: list[int]) -> bool:
-    """The fluctuation hint of a pumping step whose flow uses `used`: it moves
-    a counter zeroed before the step, and no controlled transition or
-    probabilistic state it uses drains one in expectation."""
-    taken = [m.transition(t) for t in used if m.has_transition(t)]
-    touched = [c for c in zeroed if any(t.update[c - 1] for t in taken)]
-    moves = [m.out(t.source) if m.kind(t.source) == PROB else [t] for t in taken]
-    return bool(touched) and all(
-        sum((o.prob or 1) * o.update[c - 1] for o in move) >= 0 for move in moves for c in touched
-    )
+def _pump_flow(estimate: dict):
+    """An estimate's `pump_flow` witness, or None."""
+    w = estimate.get("witnesses")
+    return w.get("pump_flow") if isinstance(w, dict) else None
+
+
+def _pump_hint(m: VassMdp, cls: dict, measure, flow, zeroed: frozenset[int]) -> tuple[bool, list]:
+    """The fluctuation hint an estimate's pump flow gives, and the flow's
+    failures: it must be a flow of the pumping class `cls`, solved with the
+    `zeroed` counters' updates replaced by 0, that pumps the measure (a
+    positive effect on the counter, a nonzero flow for the termination
+    time, flow through the transition for its use count). The hint holds
+    where the flow moves a zeroed counter and its drift, under the model's
+    own updates, is negative on none of them."""
+    if flow is None:
+        return False, ["no pump_flow, though counters were zeroed before the pumping class"]
+    x = {t: _q(v) for t, v in flow.items()}
+    if not set(x) <= set(cls["transitions"]):
+        return False, [f"pump_flow names a transition outside class {cls['id']}"]
+    bad, effect = _flow_failures(m, cls, x, zeroed)
+    if isinstance(measure, Counter):
+        pumps = effect[measure.index] > 0
+    else:
+        pumps = any(x.values()) if isinstance(measure, Termination) else x.get(measure.tid, 0) > 0
+    bad = [f"pump_flow: {e}" for e in bad] + ([] if pumps else ["pump_flow does not pump it"])
+    used = [m.transition(t) for t, v in x.items() if v > 0]
+    touched = [c for c in zeroed if any(t.update[c - 1] for t in used)]
+    drift = {c: sum(v * m.transition(t).update[c - 1] for t, v in x.items()) for c in touched}
+    return bool(touched) and min(drift.values()) >= 0, bad
 
 
 def _expected_label(m: VassMdp, measure, beta: tuple, owner: dict, pipeline) -> tuple:
-    """The (label, bound, hint) of a d >= 2 estimate. Only a label that no
-    use-count rule decides reads the type's pipeline (`pipeline(beta)`): a
-    step pumps a counter it newly pumps, the termination time where its flow
-    is nonzero, and a use count where its flow uses the transition. The
-    first step that pumps the measure gives `LowerQuadratic`, and its flow's
-    support and zeroed counters the hint (`_hint`); no other label has one."""
+    """The (label, bound, pumping solve) of a d >= 2 estimate. Only a label
+    that no use-count rule decides reads the type's pipeline
+    (`pipeline(beta)`): a step pumps a counter it newly pumps, the
+    termination time where its flow is nonzero, and a use count where its
+    flow uses the transition. The first step that pumps the measure gives
+    `LowerQuadratic` and its solve; every other label comes with None."""
     if isinstance(measure, TransitionCount) and measure.tid not in owner:
-        return "UpperTypeLength", len(beta), False
+        return "UpperTypeLength", len(beta), None
     if isinstance(measure, TransitionCount) and owner[measure.tid] not in beta:
-        return "TightZero", None, False
+        return "TightZero", None, None
     steps, missing = pipeline(beta)
     if missing:
-        return f"no label ({missing})", None, False
+        return f"no label ({missing})", None, None
     for solve, newly in steps:
         used = solve["flow"]["positive_transitions"]
         if isinstance(measure, Counter):
@@ -371,8 +411,8 @@ def _expected_label(m: VassMdp, measure, beta: tuple, owner: dict, pipeline) -> 
         else:
             pumps = bool(used) if isinstance(measure, Termination) else measure.tid in used
         if pumps:
-            return "LowerQuadratic", None, _hint(m, used, solve["zeroed_counters"])
-    return ("UpperLinear" if isinstance(measure, TransitionCount) else "TightLinear"), None, False
+            return "LowerQuadratic", None, solve
+    return ("UpperLinear" if isinstance(measure, TransitionCount) else "TightLinear"), None, None
 
 
 def _check(m: VassMdp, doc: dict) -> tuple[int, list[str]]:
@@ -442,11 +482,15 @@ def _check(m: VassMdp, doc: dict) -> tuple[int, list[str]]:
             if m.dimension == 1:  # a one-counter estimate carries no hint
                 failures += [f"{where}: beyond_quadratic_hint true, but d = 1"] if hint else []
                 continue
-            label, bound, want = _expected_label(m, measure, beta, owner, pipeline)
-            errors = []
+            label, bound, solve = _expected_label(m, measure, beta, owner, pipeline)
+            errors, want = [], False
             if (e["label"], e.get("bound")) != (label, bound):
                 with_bound = "" if bound is None else f" with bound {bound}"
                 errors.append(f"label {e['label']}, but the report gives {label}{with_bound}")
+            if solve is not None and solve["zeroed_counters"]:  # a pump flow decides the hint
+                zeroed = frozenset(solve["zeroed_counters"])
+                want, bad = _pump_hint(m, classes[solve["class"]], measure, _pump_flow(e), zeroed)
+                errors += bad
             if hint != want:
                 got, gives = str(hint).lower(), str(want).lower()
                 errors.append(f"beyond_quadratic_hint {got}, but the report gives {gives}")
@@ -464,6 +508,11 @@ def check_report(m: VassMdp, doc: dict) -> int:
     if doc["model"]["digest"] != model_digest(m):
         raise ReportError("the report was made for another model (its digest differs)")
     _names(m, doc)
+    for mkey, entries in doc["estimates"].items():  # the one optional field read
+        for i, e in enumerate(entries):
+            if _pump_flow(e) is not None:
+                at = f"report.estimates.{mkey}[{i}].witnesses.pump_flow"
+                _read(_pump_flow(e), {str: Fraction}, at)
     try:
         checks, failures = _check(m, doc)
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as e:

@@ -42,18 +42,19 @@ classes — the run can afford to pay them — which can promote further counter
 promotions are monotone and never revert. The walk does not depend on the
 measure: counters, the termination time and the use counts all read it, off
 the zeroed classes' maximal solutions. `classify_dag` labels one (measure,
-type) of a DAG-like model at the measure's first pumping step, reads the
-fluctuation hint off that step's maximal flow, and returns the pipeline with
-the label; every LP of an analysis is a pair probe of a class solve
-(`_pair_step`). A report lists each step's solve once per (zeroed counters,
-class), under `solves`, and carries no pipeline: the checker reads each
-type's pipeline, labels and hints off those solves by the same rules
-(`check._pipeline`, `check._expected_label`). `classify_dag` checks none of
-its inputs: the analysis entry point (`cli.build_analysis`) derives the
-classes, the realizable types and the transition owners once and validates
-the measures before asking for any label. `use_count_outside_type` holds the
-two use-count rules of every dimension; the one-counter case table asks it
-too.
+type) of a DAG-like model at the measure's first pumping step and returns the
+pipeline with the label. Where counters were zeroed before that step, one
+more flow LP of the zeroed class, with the measure's row at least 1
+(`_pump_probe`), decides the fluctuation hint, and the estimate carries that
+flow as its `pump_flow` witness. A report lists each step's solve once per
+(zeroed counters, class), under `solves`, and carries no pipeline: the
+checker reads each type's pipeline off those solves by the same zeroing rule
+(`check._pipeline`), and each hint off its estimate's pump flow, which it
+re-substitutes. `classify_dag` checks none of its inputs: the analysis
+entry point (`cli.build_analysis`) derives the classes, the realizable types
+and the transition owners once and validates the measures before asking for
+any label. `use_count_outside_type` holds the two use-count rules of every
+dimension; the one-counter case table asks it too.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from .model import (
     Transition,
     TransitionCount,
     VassMdp,
+    measure_key,
     zero_counters,
 )
 from .ratlp import (
@@ -283,6 +285,14 @@ def build_systems(m: VassMdp, mec: Mec) -> tuple[LpProblem, LpProblem, list[Pair
     return _flow_system(m, mec), LpProblem(variables, tuple(constraints)), pairs
 
 
+def _probe(problem: LpProblem, row: LinearConstraint) -> Optional[dict[str, Fraction]]:
+    """A solution of the system with `row` at least 1, or None."""
+    sol = solve_feasibility(
+        LpProblem(problem.variables, problem.constraints + (row.with_rhs(1),))
+    )
+    return None if sol is None else sol.assignment
+
+
 def _strict(rows: Sequence[LinearConstraint], x: dict[str, Fraction]) -> set[int]:
     return {k for k, row in enumerate(rows) if row.value(x) > 0}
 
@@ -319,11 +329,9 @@ def _pair_step(
     row1, row2 = pair
     probes = [(False, p1, row1), (True, p2, row2)]
     for ranked, problem, row in probes if flow_first else probes[::-1]:
-        sol = solve_feasibility(
-            LpProblem(problem.variables, problem.constraints + (row.with_rhs(1),))
-        )
-        if sol is not None:
-            return ranked, sol.assignment
+        w = _probe(problem, row)
+        if w is not None:
+            return ranked, w
     raise InternalError(
         f"dichotomy violated in {mid}: neither {row1.label} of the flow "
         f"system nor {row2.label} of the ranking system can be made strict"
@@ -466,19 +474,47 @@ def _pumps(measure: Measure, witness: SystemIWitness, newly: frozenset[int]) -> 
     return measure.tid in witness.positive_transitions
 
 
-def _fluctuation_hint(m: VassMdp, used: frozenset[str], zeroed: frozenset[int]) -> bool:
-    """True when the pumping step's flow, with support `used`, moves a
-    `zeroed` counter (pumped by an earlier class) and no controlled
-    transition or probabilistic state it uses drains one in expectation: the
-    pump leans on an already-pumped counter without spending it, so growth
-    may exceed the quadratic lower bound (fluctuations limit the pump, not a
-    budget). Every maximal flow of the zeroed class has this support."""
-    taken = [m.transition(t) for t in used]
-    touched = [c for c in zeroed if any(t.update[c - 1] for t in taken)]
-    moves = [m.out(t.source) if m.kind(t.source) == PROB else [t] for t in taken]
-    return bool(touched) and all(
-        sum((o.prob or 1) * o.update[c - 1] for o in move) >= 0 for move in moves for c in touched
-    )
+def _pump_probe(m: VassMdp, mec: Mec, measure: Measure) -> dict[str, Fraction]:
+    """A flow of the class with its measure row at least 1: total effect on
+    the counter, total flow (termination time) or flow through the transition.
+    It exists wherever `_pumps` holds; that is the dichotomy. Scaled to
+    integers."""
+    tids = sorted(mec.transitions)
+    if isinstance(measure, Termination):
+        row = con({_xvar(t): 1 for t in tids}, ">=", 0, label="steps")
+    elif isinstance(measure, Counter):
+        row = _effect_row(m, tids, measure.index)
+    else:
+        row = _use_row(measure.tid)
+    x = _probe(_flow_system(m, mec), row)
+    if x is None:
+        raise InternalError(
+            f"dichotomy violated: {measure_key(measure)} not pumpable in {mec.mid}"
+        )
+    x = scale_to_integers(LpSolution(x)).assignment
+    return {t: x[_xvar(t)] for t in tids}
+
+
+def _fluctuation_hint(m: VassMdp, pump_x: dict[str, Fraction], pumped: frozenset[int]) -> bool:
+    """True when the pump leans on an already-pumped counter without spending
+    it in expectation — the signature of growth beyond the generic quadratic
+    lower bound (the pump is limited by fluctuations, not by budget)."""
+    support = [t for t, v in pump_x.items() if v > 0]
+    touched = {
+        c
+        for c in pumped
+        if any(m.transition(t).update[c - 1] != 0 for t in support)
+    }
+    if not touched:
+        return False
+    for c in touched:
+        drift = sum(
+            (pump_x[t] * m.transition(t).update[c - 1] for t in support),
+            Fraction(0),
+        )
+        if drift < 0:
+            return False
+    return True
 
 
 def run_dag_pipeline(m: VassMdp, beta_mecs: Sequence[Mec]) -> Pipeline:
@@ -507,13 +543,14 @@ def classify_dag(
     here.
 
     Every measure reads the same pipeline, at its first step that pumps the
-    measure (`_pumps`). There the label is `LowerQuadratic`, and the support
-    of that step's maximal flow, which is every transition any flow of the
-    zeroed class uses (strict complementarity), decides the fluctuation hint
-    (`_fluctuation_hint`) without another LP. Without such a step, counters
-    and the termination time are `TightLinear` (a positive rank coefficient,
-    or a strict rank row on every class transition), and a use count is
-    `UpperLinear`: a strict rank row caps it linearly but promises no uses.
+    measure (`_pumps`). There the label is `LowerQuadratic`; where counters
+    were zeroed before that step, a flow of that zeroed class pumping the
+    measure (`_pump_probe`) decides the fluctuation hint and is the
+    estimate's `pump_flow` witness. Without such a
+    step, counters and the termination time are `TightLinear` (a positive
+    rank coefficient, or a strict rank row on every class transition), and a
+    use count is `UpperLinear`: a strict rank row caps it linearly but
+    promises no uses.
     """
     beta = tuple(mec.mid for mec in beta_mecs)
     outside = use_count_outside_type(measure, beta, owner)
@@ -531,13 +568,17 @@ def classify_dag(
             )
             return Estimate(Label.UPPER_LINEAR, "rank-coefficient-positive", True, note=note), pipeline
         return Estimate(Label.TIGHT_LINEAR, "rank-coefficient-positive", True), pipeline
-    step = pipeline[at]
-    hint = _fluctuation_hint(m, step.witness.positive_transitions, step.zeroed)
+    step, hint, witnesses = pipeline[at], False, {}
+    if step.zeroed:
+        pump_x = _pump_probe(zero_counters(m, step.zeroed), beta_mecs[at], measure)
+        hint = _fluctuation_hint(m, pump_x, step.zeroed)
+        witnesses = {"pump_flow": {t: str(v) for t, v in pump_x.items() if v}}
     return Estimate(
         label=Label.LOWER_QUADRATIC,
         tag="flow-pumping-quadratic-lower",
         exact=True,
         beyond_quadratic_hint=hint,
+        witnesses=witnesses,
         note=f"pumped in class {step.mec_id} along type {','.join(beta)}"
         + ("; fluctuation-limited pump, growth may exceed degree 2" if hint else ""),
     ), pipeline

@@ -7,10 +7,7 @@ from fractions import Fraction
 
 from vass_asym.dichotomy import (
     Label,
-    _effect_row,
-    _flow_system,
     _use_row,
-    _xvar,
     build_systems,
     classify_dag,
     compute_maximal_solutions,
@@ -19,14 +16,12 @@ from vass_asym import check, cli, dichotomy, sim
 from vass_asym.graph import mec_decomposition, state_to_mec, transition_to_mec
 from vass_asym.model import (
     InternalError,
-    Termination,
     Transition,
     TransitionCount,
     UnknownTransition,
     ValidationError,
     VassMdp,
     apply_md_strategy,
-    measure_key,
     zero_counters,
 )
 from vass_asym.onedim import (
@@ -42,7 +37,7 @@ from vass_asym.onedim import (
     chain_bscc_transitions,
     compute_inventory,
 )
-from vass_asym.ratlp import LinearConstraint, LpProblem, Relation, con, solve_feasibility
+from vass_asym.ratlp import LinearConstraint, LpProblem, Relation, solve_feasibility
 
 
 @dataclass(frozen=True)
@@ -76,45 +71,11 @@ def classify(m, beta, measure):
     return classify_dag(m, [by_id[b] for b in beta], measure, transition_to_mec(mecs))
 
 
-def pump_probe(m, mec, measure) -> dict:
-    """A flow of the class with its measure row at least 1: total effect on
-    the counter, total flow (termination time) or flow through the
-    transition. It exists wherever the class pumps the measure; that is the
-    dichotomy. The reference for the fluctuation hint, which `classify_dag`
-    reads off the pumping step's maximal flow instead."""
-    tids = sorted(mec.transitions)
-    if isinstance(measure, Termination):
-        row = con({_xvar(t): 1 for t in tids}, ">=", 0, label="steps")
-    elif isinstance(measure, TransitionCount):
-        row = _use_row(measure.tid)
-    else:
-        row = _effect_row(m, tids, measure.index)
-    problem = _flow_system(m, mec)
-    sol = solve_feasibility(LpProblem(problem.variables, problem.constraints + (row.with_rhs(1),)))
-    if sol is None:
-        raise InternalError(f"dichotomy violated: {measure_key(measure)} not pumpable in {mec.mid}")
-    return {t: sol.assignment[_xvar(t)] for t in tids}
-
-
-def probe_hint(m, pump_x, zeroed) -> bool:
-    """The fluctuation hint read off one pumping flow `pump_x`: it moves some
-    zeroed counter and its total drift on none of them is negative. The
-    reference rule; `classify_dag` reads the hint off the support of the
-    pumping step's maximal flow instead (`dichotomy._fluctuation_hint`)."""
-    support = [t for t, v in pump_x.items() if v > 0]
-    touched = [c for c in zeroed if any(m.transition(t).update[c - 1] for t in support)]
-    return bool(touched) and all(
-        sum(pump_x[t] * m.transition(t).update[c - 1] for t in support) >= 0 for c in touched
-    )
-
-
 def reference_classify_dag(m, beta_mecs, measure, owner):
     """`classify_dag` as one walk that tracks the measure: the first class
-    that pumps it, after some counter was zeroed, probes for a flow of that
-    zeroed class pumping the measure (`pump_probe`) and reads the
-    fluctuation hint off that flow (`probe_hint`), in the middle of the
-    walk; the label is read off the finished walk. Returns (label, tag,
-    exact, bound, hint)."""
+    that pumps it, after some counter was zeroed, probes for a
+    fluctuation-limited pump in the middle of the walk, and the label is read
+    off the finished walk. Returns (label, tag, exact, bound, hint)."""
     beta = tuple(mec.mid for mec in beta_mecs)
     if isinstance(measure, TransitionCount) and measure.tid not in owner:
         return Label.UPPER_TYPE_LENGTH, "transient-transition-geometric-tail", True, len(beta), False
@@ -128,8 +89,8 @@ def reference_classify_dag(m, beta_mecs, measure, owner):
         if tracking and dichotomy._pumps(measure, witness, newly):
             tracking, promoted = False, True
             if pumped:
-                pump_x = pump_probe(zeroed_model, mec, measure)
-                hint = probe_hint(m, pump_x, pumped)
+                pump_x = dichotomy._pump_probe(zeroed_model, mec, measure)
+                hint = dichotomy._fluctuation_hint(m, pump_x, pumped)
         pumped = pumped | newly
     if promoted:
         return Label.LOWER_QUADRATIC, "flow-pumping-quadratic-lower", True, None, hint

@@ -136,7 +136,10 @@ def test_analyze_pump_selected_measure(capsys):
     assert ests[("M1", "M4")]["label"] == "LowerQuadratic"
     assert ests[("M1", "M4")]["beyond_quadratic_hint"]
     assert doc["inventory"] is None  # behaviour inventories are one-counter only
-    assert all(e["witnesses"] == {} for e in doc["estimates"]["C:3"])
+    # the hint's pump flow, where counter 2 was zeroed before the pumping class
+    assert ests[("M1", "M2")]["witnesses"] == {"pump_flow": {"c_c": "1"}}
+    assert ests[("M1", "M4")]["witnesses"] == {"pump_flow": {"f_f_down": "1", "f_f_up": "1"}}
+    assert all(ests[(mid,)]["witnesses"] == {} for mid in ("M1", "M2", "M3", "M4"))
     # the types' pipelines make 7 distinct solves: counter 2, pumped in M1, is
     # zeroed in every class after it
     assert [(s["class"], s["zeroed_counters"]) for s in doc["solves"]] == [
@@ -465,6 +468,21 @@ TAMPERS = {
         lambda d: _entry(d, "L", ["M1"]).update(beyond_quadratic_hint=True),
         "L along M1: beyond_quadratic_hint true, but d = 1",
     ),
+    "pump flow off the class system": (
+        "pump_transfer_3d.json",
+        lambda d: _entry(d, "C:3", ["M1", "M4"])["witnesses"]["pump_flow"].update(f_f_up="2"),
+        "C:3 along M1,M4: pump_flow: flow out of f not proportional on f_f_down",
+    ),
+    "pump flow that does not pump": (
+        "pump_transfer_3d.json",
+        lambda d: _entry(d, "C:3", ["M1", "M2"])["witnesses"].update(pump_flow={}),
+        "C:3 along M1,M2: pump_flow does not pump it",
+    ),
+    "pump flow dropped": (
+        "pump_transfer_3d.json",
+        lambda d: _entry(d, "T:f_f_up", ["M1", "M4"]).update(witnesses={}),
+        "T:f_f_up along M1,M4: no pump_flow, though counters were zeroed",
+    ),
     "estimate dropped": (
         "pump_transfer_3d.json",
         lambda d: d["estimates"]["L"].pop(),
@@ -512,11 +530,12 @@ def test_check_exits_1_on_a_report_it_cannot_read(capsys, tmp_path):
     # a report of another model, a report missing a key, a number outside the
     # rational grammar (even one Python reads as the right value), a class or
     # counter that does not exist (named by a type, an estimate or a solve),
-    # no JSON
+    # a pump flow that is not a map of rationals, no JSON
     assert run(capsys, "check", str(MODELS / "decreasing_loop.json"), str(report))[0] == 1
     broken = tmp_path / "broken.json"
     (solve,) = doc["solves"]
     named_counter = {**solve, "ranking": {**solve["ranking"], "counter_coefficients": {"one": "1"}}}
+    estimate = doc["estimates"]["L"][0]
     for text in (
         json.dumps({k: v for k, v in doc.items() if k != "reach"}),
         *(
@@ -525,6 +544,10 @@ def test_check_exits_1_on_a_report_it_cannot_read(capsys, tmp_path):
         ),
         json.dumps({**doc, "types": [{"classes": ["M1", "M9"], "weight": "1"}]}),
         json.dumps({**doc, "estimates": {"L": [{**doc["estimates"]["L"][0], "type": ["M9"]}]}}),
+        *(
+            json.dumps({**doc, "estimates": {"L": [{**estimate, "witnesses": {"pump_flow": flow}}]}})
+            for flow in ([], {"t_up": "x"})
+        ),
         json.dumps({**doc, "solves": [named_counter]}),
         json.dumps({**doc, "solves": [{**solve, "zeroed_counters": [2]}]}),
         json.dumps([doc]),
@@ -1159,7 +1182,7 @@ CORPUS_SHA256 = {  # stdout of `analyze --json` and, with one counter, `energy -
     ("energy", "decreasing_loop"): "da34fee41823a62a2a2cde59808f5c7e4e25c1d8b61522f39ca39008a3713395",
     ("analyze", "increasing_loop"): "e3456cf8ab679097587b6dfaeea3b2a025826542dc3594c75d6798e1918ad9e0",
     ("energy", "increasing_loop"): "9316a9ab7e8b5bad33f01a713586593590b180b4a23882382a99f25e9daa63ad",
-    ("analyze", "pump_transfer_3d"): "8e8938bf49e3e953da31083025e952aaf66b5713fdb693a650053bf56ab4ba14",
+    ("analyze", "pump_transfer_3d"): "b9627c1290924a7a5e19ebc6ae61112f7e5ab99f47b55ac62328384d69de6a88",
     ("analyze", "random_walk_1d"): "649962b9bb9a53246da498bdc107b23708542de756c02758e903f14e35661c6a",
     ("energy", "random_walk_1d"): "da34fee41823a62a2a2cde59808f5c7e4e25c1d8b61522f39ca39008a3713395",
     ("analyze", "zero_cycle_2state"): "67950cdd73824d021e08d0e54ca0f5f031560c50d7921d598db0a6dca4ed256a",

@@ -13,7 +13,6 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import oracles
 from conftest import MODELS, load_doc, load_model
 from oracles import (
     augment_step_counter,
@@ -21,7 +20,6 @@ from oracles import (
     classify,
     classify_counters_mec,
     force_probe_order,
-    pump_probe,
     reference_classify_dag,
     reference_strict_labels,
     solve_failures,
@@ -29,6 +27,7 @@ from oracles import (
 )
 from vass_asym.dichotomy import (
     Label,
+    _pump_probe,
     build_systems,
     compute_maximal_solutions,
     rank_delta,
@@ -49,7 +48,6 @@ from vass_asym.model import (
     TransitionCount,
     UnknownTransition,
     VassMdp,
-    measure_key,
     zero_counters,
 )
 from strategies import random_model_from_rng, random_models
@@ -299,13 +297,29 @@ def test_encoding_coherence_random_dag_models(m):
 def test_pump_probe_on_unpumpable_counter_is_internal_error(walk):
     # the fair walk's flow balances both loops: no flow pumps its counter
     with pytest.raises(InternalError):
-        pump_probe(walk, _single_mec(walk), Counter(1))
+        _pump_probe(walk, _single_mec(walk), Counter(1))
 
 
 def _check_failures(m, doc):
     with pytest.raises(AttestationError) as failed:
         check_report(m, doc)
     return str(failed.value).split("; ")
+
+
+def test_hint_needs_the_pump_flow_to_move_a_zeroed_counter():
+    # M2's loop pumps counter 2 after M1's pumped counter 1, which it leaves
+    # alone: a pump flow without a hint, which the checker re-derives
+    states = [State("a", "nondet"), State("b", "nondet")]
+    steps = [("a_a", "a", (1, 0), "a"), ("a_b", "a", (0, 0), "b"), ("b_b", "b", (0, 1), "b")]
+    m = VassMdp(2, states, [Transition(t, s, u, d) for t, s, u, d in steps])
+    doc = build_analysis(m, [Counter(2)])
+    e = next(e for e in doc["estimates"]["C:2"] if len(e["type"]) == 2)
+    assert e["label"] == "LowerQuadratic" and not e["beyond_quadratic_hint"]
+    assert e["witnesses"] == {"pump_flow": {"b_b": "1"}}
+    e["beyond_quadratic_hint"] = True
+    along = ",".join(e["type"])
+    want = f"C:2 along {along}: beyond_quadratic_hint true, but the report gives false"
+    assert want in _check_failures(m, doc)
 
 
 def test_pipeline_bookkeeping_is_verified(pump):
@@ -362,56 +376,45 @@ def _every_measure(m):
 
 
 def test_classify_dag_matches_tracking_walk_reference(monkeypatch):
-    """The pump and seeded random DAG-like models: on every measure and type,
-    `classify_dag` gives the label, tag, exactness and bound of the
-    reference walk that tracks the measure as it goes, and the hint of its
-    per-measure probe flow (`oracles.probe_hint`) but where listed."""
+    """Seeded random DAG-like models: on every measure and type,
+    `classify_dag` gives the label, tag, exactness, bound and hint of the
+    reference walk that tracks the measure as it goes."""
     rng = Random(1)
-    models = [load_model("pump_transfer_3d.json")] + [
-        random_model_from_rng(rng, rng.randint(2, 4), rng.randint(2, 3), 1) for _ in range(10)
-    ]
+    models = [random_model_from_rng(rng, rng.randint(2, 4), rng.randint(2, 3), 1) for _ in range(10)]
     calls = []
-    probe = oracles.pump_probe
+    probe = dichotomy._pump_probe
 
     def counted(*args):
         calls.append(args)
         return probe(*args)
 
-    monkeypatch.setattr(oracles, "pump_probe", counted)
+    monkeypatch.setattr(dichotomy, "_pump_probe", counted)
     probed = hints = 0
-    moved = []
-    for k, m in enumerate(models):
+    for m in models:
         mecs = mec_decomposition(m)
         assert is_dag_like(m, mecs)
         owner, by_id = transition_to_mec(mecs), {mec.mid: mec for mec in mecs}
         for ts in enumerate_types(m, len(mecs), mecs)[0]:
             beta_mecs = [by_id[b] for b in ts.mecs]
             for measure in _every_measure(m):
-                est, _ = dichotomy.classify_dag(m, beta_mecs, measure, owner)
                 before = len(calls)
-                want = reference_classify_dag(m, beta_mecs, measure, owner)
+                est, _ = dichotomy.classify_dag(m, beta_mecs, measure, owner)
                 probed += len(calls) > before
-                assert (est.label, est.tag, est.exact, est.bound) == want[:4]
-                if est.beyond_quadratic_hint != want[4]:
-                    moved.append((k, ",".join(ts.mecs), measure_key(measure), want[4]))
+                want = reference_classify_dag(m, beta_mecs, measure, owner)
+                assert (est.label, est.tag, est.exact, est.bound, est.beyond_quadratic_hint) == want
                 hints += est.beyond_quadratic_hint
-    # Model 3 (the third draw): class M1 pumps t001 along M2,M1 with counters
-    # 1 and 2 zeroed. The probe's flow cycles s0 -t001-> s3 -> s0, with drift
-    # +3/7 on counter 1. The maximal flow's support also leaves s1, whose
-    # only transition t002 drains counter 1, so the support rule gives no
-    # hint.
-    assert moved == [(3, "M2,M1", f"T:{t}", True) for t in ("t001", "t005", "t006")]
-    assert hints >= 3 and probed > hints  # both outcomes of the hint are compared
+    assert hints >= 3 and probed > hints  # both outcomes of the probe are compared
 
 
-def test_every_lp_of_an_analysis_is_a_pair_probe(monkeypatch, pump):
-    """The hint is read off the class solves, so `build_analysis` solves no
-    LP outside a class solve's pair step (`_pair_step`)."""
+def test_every_lp_outside_a_class_solve_is_a_reported_pump_flow(monkeypatch, pump):
+    """`build_analysis` solves an LP outside a class solve's pair steps
+    (`_pair_step`) only to find a hint's pump flow (`_pump_probe`), and the
+    estimate it was solved for carries that flow."""
     callers = []
     solve = ratlp.solve_feasibility
 
     def recording(problem):
-        callers.append(sys._getframe(1).f_code.co_name)
+        callers.append(sys._getframe(2).f_code.co_name)  # the caller of `_probe`
         return solve(problem)
 
     for name, module in list(sys.modules.items()):
@@ -419,12 +422,12 @@ def test_every_lp_of_an_analysis_is_a_pair_probe(monkeypatch, pump):
             monkeypatch.setattr(module, "solve_feasibility", recording)
     rng = Random(5)
     draws = [random_model_from_rng(rng, rng.randint(2, 4), rng.randint(2, 3), 2) for _ in range(6)]
-    hints = 0
+    flows = 0
     for m in [pump] + draws:
         doc = build_analysis(m)
-        hints += sum(e["beyond_quadratic_hint"] for es in doc["estimates"].values() for e in es)
-    assert len(callers) > 100 and set(callers) == {"_pair_step"}
-    assert hints >= 3  # the pump's hints along M1,M4, which a probe LP decided before
+        flows += sum("pump_flow" in e["witnesses"] for es in doc["estimates"].values() for e in es)
+    assert len(callers) > 100 and set(callers) == {"_pair_step", "_pump_probe"}
+    assert callers.count("_pump_probe") == flows >= 6  # the pump's 6, and the draws'
 
 
 def test_determinism(pump):
