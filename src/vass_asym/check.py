@@ -11,20 +11,19 @@ zero-cycle stationary distribution; that each measure has one estimate
 along each listed type and none along another; each d >= 2 label, against
 the type's pipeline the checker reads off the solves itself (`_pipeline`);
 and each fluctuation hint: where counters were zeroed before the step that
-first pumps the measure, off the estimate's `pump_flow`, which must be a
-flow of that zeroed class pumping the measure, and false everywhere else,
-d = 1 included.
+first pumps the measure, off that class's solve with nothing zeroed (a
+missing one fails), and false everywhere else, d = 1 included.
 
 Not checked: that the classes are maximal and no end component lies outside
 them, `dag_like`, `types_complete`, that the types listed are all the
 realizable ones, the d = 1 inventory flags and labels, and the estimates'
-tags, notes and witness payloads other than `pump_flow`. The module imports
-nothing of the package but `model`, so it shares no code with the solvers
-it checks.
+tags, notes and witnesses. The module imports nothing of the package but
+`model`, so it shares no code with the solvers it checks.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -49,10 +48,13 @@ def _q(raw) -> Fraction:
     raise ReportError(f"{raw!r} is not a rational string")
 
 
+_COUNTER_KEY = re.compile(r"[1-9][0-9]*")  # the schema's counter keys, ASCII only
+
 # The fields the checker reads. A type is a JSON value of that type
 # (`Fraction`: a rational string); a 1-tuple is null or its entry; a 1-list
-# a list of its entry; a dict keyed by `str` (or `int`: decimal keys) a map
-# to its value; any other dict an object with at least its keys.
+# a list of its entry (of `int`: counters, none repeated); a dict keyed by
+# `str` (or `int`: counter keys, `_COUNTER_KEY`) a map to its value; any other
+# dict an object with at least its keys.
 _SOLVE = {
     "class": str,
     "zeroed_counters": [int],
@@ -91,10 +93,12 @@ def _read(x, shape, at: str) -> None:
         _read(x, list, at)
         for i, item in enumerate(x):
             _read(item, shape[0], f"{at}[{i}]")
+        if shape == [int] and len(set(x)) != len(x):
+            raise ReportError(f"{at} repeats a counter")
     elif isinstance(shape, dict) and (str in shape or int in shape):
         _read(x, dict, at)
         for key, item in x.items():
-            if int in shape and not key.isdecimal():
+            if int in shape and not _COUNTER_KEY.fullmatch(key):
                 raise ReportError(f"{at}: key {key!r} is not a counter index")
             _read(item, next(iter(shape.values())), f"{at}.{key}")
     elif isinstance(shape, dict):
@@ -192,8 +196,8 @@ def solve_failures(
 
     tr = {t: m.transition(t) for t in tids}
     u = {t: [0 if c in zeroed else v for c, v in zip(dims, tr[t].update)] for t in tids}
-    bad["flow"], effect = _flow_failures(m, cls, x, zeroed)
     x = {t: x.get(t, Fraction(0)) for t in tids}
+    effect = {c: sum(x[t] * u[t][c - 1] for t in tids) for c in dims}
     delta = {
         t: z[tr[t].target] - z[tr[t].source] + sum(v * y[c] for c, v in zip(dims, u[t]))
         for t in tids
@@ -203,6 +207,16 @@ def solve_failures(
     expected = {s: sum(t.prob * delta[t.tid] for t in m.out(s)) for s in probabilistic}
 
     f = bad["flow"]
+    f += [f"x({t}) = {v} < 0" for t, v in x.items() if v < 0]
+    f += [f"counter {c} effect {effect[c]} < 0" for c in dims if effect[c] < 0]
+    for s in sorted(states):
+        inflow = sum(x[t] for t in tids if tr[t].target == s)
+        outflow = sum(x[t] for t in tids if tr[t].source == s)
+        if inflow != outflow:
+            f.append(f"flow not conserved at {s}: in {inflow} != out {outflow}")
+        if m.kind(s) == PROB:
+            uneven = [t.tid for t in m.out(s) if x[t.tid] != t.prob * outflow]
+            f += [f"flow out of {s} not proportional on {t}" for t in uneven]
     f += _claim(flow, "positive_counters", {c for c in dims if effect[c] > 0})
     f += _claim(flow, "positive_transitions", {t for t in tids if x[t] > 0})
 
@@ -230,34 +244,6 @@ def solve_failures(
                 "nor a positive flow"
             )
     return bad
-
-
-def _flow_failures(
-    m: VassMdp, cls: dict, x: dict[str, Fraction], zeroed: frozenset[int]
-) -> tuple[list[str], dict[int, Fraction]]:
-    """Where `x`, a flow on the transitions of the report class `cls` (0 where
-    missing), fails System (I) on the model with the `zeroed` counters'
-    updates replaced by 0: a negative entry or counter effect, or a state
-    where the flow is not conserved or not split by the probabilities.
-    Returns the failures and the flow's effect on each counter."""
-    states, tids = sorted(cls["states"]), sorted(cls["transitions"])
-    tr = {t: m.transition(t) for t in tids}
-    x = {t: x.get(t, Fraction(0)) for t in tids}
-    effect = {
-        c: sum((x[t] * tr[t].update[c - 1] for t in tids if c not in zeroed), Fraction(0))
-        for c in range(1, m.dimension + 1)
-    }
-    f = [f"x({t}) = {v} < 0" for t, v in x.items() if v < 0]
-    f += [f"counter {c} effect {v} < 0" for c, v in effect.items() if v < 0]
-    for s in states:
-        inflow = sum(x[t] for t in tids if tr[t].target == s)
-        outflow = sum(x[t] for t in tids if tr[t].source == s)
-        if inflow != outflow:
-            f.append(f"flow not conserved at {s}: in {inflow} != out {outflow}")
-        if m.kind(s) == PROB:
-            uneven = [t.tid for t in m.out(s) if x[t.tid] != t.prob * outflow]
-            f += [f"flow out of {s} not proportional on {t}" for t in uneven]
-    return f, effect
 
 
 def _claim(witness: dict, key: str, found: set) -> list[str]:
@@ -359,38 +345,31 @@ def _pipeline(beta: tuple, solves: dict) -> tuple[list, str]:
     return steps, ""
 
 
-def _pump_flow(estimate: dict):
-    """An estimate's `pump_flow` witness, or None."""
-    w = estimate.get("witnesses")
-    return w.get("pump_flow") if isinstance(w, dict) else None
-
-
-def _pump_hint(m: VassMdp, cls: dict, measure, flow, zeroed: frozenset[int]) -> tuple[bool, list]:
-    """The fluctuation hint an estimate's pump flow gives, and the flow's
-    failures: it must be a flow of the pumping class `cls`, solved with the
-    `zeroed` counters' updates replaced by 0, that pumps the measure (a
-    positive effect on the counter, a nonzero flow for the termination
-    time, flow through the transition for its use count). The hint holds
-    where the flow moves a zeroed counter and its drift, under the model's
-    own updates, is negative on none of them."""
-    if flow is None:
-        return False, ["no pump_flow, though counters were zeroed before the pumping class"]
-    x = {t: _q(v) for t, v in flow.items()}
-    if not set(x) <= set(cls["transitions"]):
-        return False, [f"pump_flow names a transition outside class {cls['id']}"]
-    bad, effect = _flow_failures(m, cls, x, zeroed)
+def _pumps(measure, solve: dict, counters) -> bool:
+    """Does `solve` pump the measure: a counter among `counters`, the
+    termination time where its flow is nonzero, a use count where its flow
+    uses the transition."""
+    used = solve["flow"]["positive_transitions"]
     if isinstance(measure, Counter):
-        pumps = effect[measure.index] > 0
-    else:
-        pumps = any(x.values()) if isinstance(measure, Termination) else x.get(measure.tid, 0) > 0
-    bad = [f"pump_flow: {e}" for e in bad] + ([] if pumps else ["pump_flow does not pump it"])
-    used = [m.transition(t) for t, v in x.items() if v > 0]
-    touched = [c for c in zeroed if any(t.update[c - 1] for t in used)]
-    drift = {c: sum(v * m.transition(t).update[c - 1] for t, v in x.items()) for c in touched}
-    return bool(touched) and min(drift.values()) >= 0, bad
+        return measure.index in counters
+    return bool(used) if isinstance(measure, Termination) else measure.tid in used
 
 
-def _expected_label(m: VassMdp, measure, beta: tuple, owner: dict, pipeline) -> tuple:
+def _hint(m: VassMdp, measure, solve: dict, solves: dict) -> bool | None:
+    """The fluctuation hint of a measure that `solve`, made with counters
+    zeroed, first pumps, or None where its class's solve with nothing zeroed
+    is missing: that solve pumps the measure, and a transition its flow uses
+    moves a zeroed counter."""
+    unzeroed = solves.get((frozenset(), solve["class"]))
+    if unzeroed is None:
+        return None
+    flow, zeroed = unzeroed["flow"], solve["zeroed_counters"]
+    used = [t for t in m.transitions if t.tid in flow["positive_transitions"]]
+    moved = any(t.update[c - 1] for t in used for c in zeroed)
+    return moved and _pumps(measure, unzeroed, flow["positive_counters"])
+
+
+def _expected_label(measure, beta: tuple, owner: dict, pipeline) -> tuple:
     """The (label, bound, pumping solve) of a d >= 2 estimate. Only a label
     that no use-count rule decides reads the type's pipeline
     (`pipeline(beta)`): a step pumps a counter it newly pumps, the
@@ -405,12 +384,7 @@ def _expected_label(m: VassMdp, measure, beta: tuple, owner: dict, pipeline) -> 
     if missing:
         return f"no label ({missing})", None, None
     for solve, newly in steps:
-        used = solve["flow"]["positive_transitions"]
-        if isinstance(measure, Counter):
-            pumps = measure.index in newly
-        else:
-            pumps = bool(used) if isinstance(measure, Termination) else measure.tid in used
-        if pumps:
+        if _pumps(measure, solve, newly):
             return "LowerQuadratic", None, solve
     return ("UpperLinear" if isinstance(measure, TransitionCount) else "TightLinear"), None, None
 
@@ -482,16 +456,16 @@ def _check(m: VassMdp, doc: dict) -> tuple[int, list[str]]:
             if m.dimension == 1:  # a one-counter estimate carries no hint
                 failures += [f"{where}: beyond_quadratic_hint true, but d = 1"] if hint else []
                 continue
-            label, bound, solve = _expected_label(m, measure, beta, owner, pipeline)
+            label, bound, solve = _expected_label(measure, beta, owner, pipeline)
             errors, want = [], False
             if (e["label"], e.get("bound")) != (label, bound):
                 with_bound = "" if bound is None else f" with bound {bound}"
                 errors.append(f"label {e['label']}, but the report gives {label}{with_bound}")
-            if solve is not None and solve["zeroed_counters"]:  # a pump flow decides the hint
-                zeroed = frozenset(solve["zeroed_counters"])
-                want, bad = _pump_hint(m, classes[solve["class"]], measure, _pump_flow(e), zeroed)
-                errors += bad
-            if hint != want:
+            if solve is not None and solve["zeroed_counters"]:  # the unzeroed solve decides
+                want = _hint(m, measure, solve, solves)
+                if want is None:
+                    errors.append(f"no solve of class {solve['class']} with [] zeroed for the hint")
+            if want is not None and hint != want:
                 got, gives = str(hint).lower(), str(want).lower()
                 errors.append(f"beyond_quadratic_hint {got}, but the report gives {gives}")
             record(where, errors)
@@ -508,11 +482,6 @@ def check_report(m: VassMdp, doc: dict) -> int:
     if doc["model"]["digest"] != model_digest(m):
         raise ReportError("the report was made for another model (its digest differs)")
     _names(m, doc)
-    for mkey, entries in doc["estimates"].items():  # the one optional field read
-        for i, e in enumerate(entries):
-            if _pump_flow(e) is not None:
-                at = f"report.estimates.{mkey}[{i}].witnesses.pump_flow"
-                _read(_pump_flow(e), {str: Fraction}, at)
     try:
         checks, failures = _check(m, doc)
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as e:

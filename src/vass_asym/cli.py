@@ -278,7 +278,8 @@ def build_analysis(
         for ts in types:
             beta_mecs = [by_id[b] for b in ts.mecs]
             for ms in measures:
-                est, pipeline = classify_dag(m, beta_mecs, ms, owner)
+                # a hint reads its class's unzeroed solve, listed by the one-class types
+                est, pipeline = classify_dag(m, beta_mecs, ms, owner, solves)
                 estimates[measure_key(ms)][ts.mecs] = est
                 for step in pipeline or ():  # the same walk for every measure
                     key = (step.mec_id, tuple(sorted(step.zeroed)))

@@ -43,14 +43,14 @@ promotions are monotone and never revert. The walk does not depend on the
 measure: counters, the termination time and the use counts all read it, off
 the zeroed classes' maximal solutions. `classify_dag` labels one (measure,
 type) of a DAG-like model at the measure's first pumping step and returns the
-pipeline with the label. Where counters were zeroed before that step, one
-more flow LP of the zeroed class, with the measure's row at least 1
-(`_pump_probe`), decides the fluctuation hint, and the estimate carries that
-flow as its `pump_flow` witness. A report lists each step's solve once per
-(zeroed counters, class), under `solves`, and carries no pipeline: the
-checker reads each type's pipeline off those solves by the same zeroing rule
-(`check._pipeline`), and each hint off its estimate's pump flow, which it
-re-substitutes. `classify_dag` checks none of its inputs: the analysis
+pipeline with the label. Where counters were zeroed before that step, the
+fluctuation hint is read off that class's solve with nothing zeroed, which
+the caller has already made (every class is a one-class type, and those are
+walked first), so the hint costs no LP. A report lists each step's solve
+once per (zeroed counters, class), under `solves`, and carries no pipeline:
+the checker reads each type's pipeline off those solves by the same zeroing
+rule (`check._pipeline`), and each hint off the same unzeroed solve.
+`classify_dag` checks none of its inputs: the analysis
 entry point (`cli.build_analysis`) derives the classes, the realizable types
 and the transition owners once and validates the measures before asking for
 any label. `use_count_outside_type` holds the two use-count rules of every
@@ -75,7 +75,6 @@ from .model import (
     Transition,
     TransitionCount,
     VassMdp,
-    measure_key,
     zero_counters,
 )
 from .ratlp import (
@@ -451,6 +450,8 @@ class DagPipelineStep:
 
 # a type's pipeline: one step per class, in type order
 Pipeline = tuple[DagPipelineStep, ...]
+# class solves by (class, sorted zeroed counters), as a report lists them
+Solves = Mapping[tuple[str, tuple[int, ...]], tuple[SystemIWitness, RankingFunction]]
 
 
 def _newly_pumped(m: VassMdp, ranking: RankingFunction, pumped: frozenset[int]) -> frozenset[int]:
@@ -474,47 +475,20 @@ def _pumps(measure: Measure, witness: SystemIWitness, newly: frozenset[int]) -> 
     return measure.tid in witness.positive_transitions
 
 
-def _pump_probe(m: VassMdp, mec: Mec, measure: Measure) -> dict[str, Fraction]:
-    """A flow of the class with its measure row at least 1: total effect on
-    the counter, total flow (termination time) or flow through the transition.
-    It exists wherever `_pumps` holds; that is the dichotomy. Scaled to
-    integers."""
-    tids = sorted(mec.transitions)
-    if isinstance(measure, Termination):
-        row = con({_xvar(t): 1 for t in tids}, ">=", 0, label="steps")
-    elif isinstance(measure, Counter):
-        row = _effect_row(m, tids, measure.index)
-    else:
-        row = _use_row(measure.tid)
-    x = _probe(_flow_system(m, mec), row)
-    if x is None:
-        raise InternalError(
-            f"dichotomy violated: {measure_key(measure)} not pumpable in {mec.mid}"
-        )
-    x = scale_to_integers(LpSolution(x)).assignment
-    return {t: x[_xvar(t)] for t in tids}
-
-
-def _fluctuation_hint(m: VassMdp, pump_x: dict[str, Fraction], pumped: frozenset[int]) -> bool:
-    """True when the pump leans on an already-pumped counter without spending
-    it in expectation — the signature of growth beyond the generic quadratic
-    lower bound (the pump is limited by fluctuations, not by budget)."""
-    support = [t for t, v in pump_x.items() if v > 0]
-    touched = {
-        c
-        for c in pumped
-        if any(m.transition(t).update[c - 1] != 0 for t in support)
-    }
-    if not touched:
-        return False
-    for c in touched:
-        drift = sum(
-            (pump_x[t] * m.transition(t).update[c - 1] for t in support),
-            Fraction(0),
-        )
-        if drift < 0:
-            return False
-    return True
+def _fluctuation_limited(
+    m: VassMdp, measure: Measure, unzeroed: SystemIWitness, zeroed: frozenset[int]
+) -> bool:
+    """The fluctuation hint of a measure first pumped in a class solved with
+    the `zeroed` counters zeroed, read off the class's maximal flow with
+    nothing zeroed (`unzeroed`): that flow pumps the measure, and a transition
+    it uses moves a zeroed counter. Every flow of the unzeroed class leaves
+    every counter's effect nonnegative, so some flow pumps the measure and
+    moves a counter an earlier class pumped without spending any counter:
+    the pump may be limited by fluctuations, not by budget, and growth may
+    exceed degree 2."""
+    return _pumps(measure, unzeroed, unzeroed.positive_counters) and any(
+        m.transition(t).update[c - 1] for t in unzeroed.positive_transitions for c in zeroed
+    )
 
 
 def run_dag_pipeline(m: VassMdp, beta_mecs: Sequence[Mec]) -> Pipeline:
@@ -532,25 +506,29 @@ def run_dag_pipeline(m: VassMdp, beta_mecs: Sequence[Mec]) -> Pipeline:
 
 
 def classify_dag(
-    m: VassMdp, beta_mecs: Sequence[Mec], measure: Measure, owner: Mapping[str, str]
+    m: VassMdp,
+    beta_mecs: Sequence[Mec],
+    measure: Measure,
+    owner: Mapping[str, str],
+    solves: Solves,
 ) -> tuple[Estimate, Optional[Pipeline]]:
     """Asymptotic estimate of one measure conditioned on one type, for any
     dimension, and the type's pipeline it was read off (None where a
     use-count rule of every regime decides the label,
     `use_count_outside_type`). The caller passes a realizable type of a
-    DAG-like model as its classes, a measure valid for the model, and
-    `owner`, the class of every class transition; none of these is checked
-    here.
+    DAG-like model as its classes, a measure valid for the model, `owner`,
+    the class of every class transition, and `solves`, the class solves
+    made so far by (class, zeroed counters); none of these is checked here.
 
     Every measure reads the same pipeline, at its first step that pumps the
     measure (`_pumps`). There the label is `LowerQuadratic`; where counters
-    were zeroed before that step, a flow of that zeroed class pumping the
-    measure (`_pump_probe`) decides the fluctuation hint and is the
-    estimate's `pump_flow` witness. Without such a
-    step, counters and the termination time are `TightLinear` (a positive
-    rank coefficient, or a strict rank row on every class transition), and a
-    use count is `UpperLinear`: a strict rank row caps it linearly but
-    promises no uses.
+    were zeroed before that step, the class's solve with nothing zeroed,
+    its `solves` entry, decides the fluctuation hint
+    (`_fluctuation_limited`), and a missing entry is an `InternalError`.
+    Without such a step, counters and the termination time are
+    `TightLinear` (a positive rank coefficient, or a strict rank row on
+    every class transition), and a use count is `UpperLinear`: a strict
+    rank row caps it linearly but promises no uses.
     """
     beta = tuple(mec.mid for mec in beta_mecs)
     outside = use_count_outside_type(measure, beta, owner)
@@ -568,17 +546,17 @@ def classify_dag(
             )
             return Estimate(Label.UPPER_LINEAR, "rank-coefficient-positive", True, note=note), pipeline
         return Estimate(Label.TIGHT_LINEAR, "rank-coefficient-positive", True), pipeline
-    step, hint, witnesses = pipeline[at], False, {}
+    step, hint = pipeline[at], False
     if step.zeroed:
-        pump_x = _pump_probe(zero_counters(m, step.zeroed), beta_mecs[at], measure)
-        hint = _fluctuation_hint(m, pump_x, step.zeroed)
-        witnesses = {"pump_flow": {t: str(v) for t, v in pump_x.items() if v}}
+        unzeroed = solves.get((step.mec_id, ()))
+        if unzeroed is None:
+            raise InternalError(f"no solve of class {step.mec_id} with nothing zeroed")
+        hint = _fluctuation_limited(m, measure, unzeroed[0], step.zeroed)
     return Estimate(
         label=Label.LOWER_QUADRATIC,
         tag="flow-pumping-quadratic-lower",
         exact=True,
         beyond_quadratic_hint=hint,
-        witnesses=witnesses,
         note=f"pumped in class {step.mec_id} along type {','.join(beta)}"
         + ("; fluctuation-limited pump, growth may exceed degree 2" if hint else ""),
     ), pipeline

@@ -8,6 +8,7 @@ from fractions import Fraction
 from vass_asym.dichotomy import (
     Label,
     _use_row,
+    _xvar,
     build_systems,
     classify_dag,
     compute_maximal_solutions,
@@ -15,7 +16,9 @@ from vass_asym.dichotomy import (
 from vass_asym import check, cli, dichotomy, sim
 from vass_asym.graph import mec_decomposition, state_to_mec, transition_to_mec
 from vass_asym.model import (
+    Counter,
     InternalError,
+    Termination,
     Transition,
     TransitionCount,
     UnknownTransition,
@@ -37,7 +40,7 @@ from vass_asym.onedim import (
     chain_bscc_transitions,
     compute_inventory,
 )
-from vass_asym.ratlp import LinearConstraint, LpProblem, Relation, solve_feasibility
+from vass_asym.ratlp import LinearConstraint, LpProblem, Relation, con, solve_feasibility
 
 
 @dataclass(frozen=True)
@@ -64,18 +67,44 @@ def classify_bscc(m, strategy, bscc_states) -> BsccClass:
 
 def classify(m, beta, measure):
     """`classify_dag` on a type given by class ids: the classes and the
-    transition owners derived here, as `cli.build_analysis` derives them.
-    Returns the estimate and the pipeline it was read off (or None)."""
+    transition owners derived here, as `cli.build_analysis` derives them,
+    and each class of the type solved with nothing zeroed, as the one-class
+    types list them. Returns the estimate and the pipeline it was read off
+    (or None)."""
     mecs = mec_decomposition(m)
     by_id = {mec.mid: mec for mec in mecs}
-    return classify_dag(m, [by_id[b] for b in beta], measure, transition_to_mec(mecs))
+    solves = {(b, ()): compute_maximal_solutions(m, by_id[b]) for b in beta}
+    return classify_dag(m, [by_id[b] for b in beta], measure, transition_to_mec(mecs), solves)
+
+
+def reference_fluctuation_hint(m, mec, measure, zeroed) -> bool:
+    """The fluctuation hint by its definition: for some transition of the
+    class that moves a `zeroed` counter, the class's flow system on the
+    model with nothing zeroed has a solution with the measure's row and that
+    transition's flow both at least 1. One LP per such transition."""
+    flows, _, _ = build_systems(m, mec)
+    tids = sorted(mec.transitions)
+    if isinstance(measure, Counter):
+        coeffs = {_xvar(t): m.transition(t).update[measure.index - 1] for t in tids}
+    elif isinstance(measure, Termination):
+        coeffs = {_xvar(t): 1 for t in tids}
+    else:
+        coeffs = {_xvar(measure.tid): 1}
+    measure_row = con(coeffs, ">=", 1, label="measure")
+    for t in tids:
+        if any(m.transition(t).update[c - 1] for c in zeroed):
+            rows = (measure_row, _use_row(t).with_rhs(1))
+            if solve_feasibility(LpProblem(flows.variables, flows.constraints + rows)) is not None:
+                return True
+    return False
 
 
 def reference_classify_dag(m, beta_mecs, measure, owner):
     """`classify_dag` as one walk that tracks the measure: the first class
-    that pumps it, after some counter was zeroed, probes for a
-    fluctuation-limited pump in the middle of the walk, and the label is read
-    off the finished walk. Returns (label, tag, exact, bound, hint)."""
+    that pumps it, after some counter was zeroed, decides the fluctuation
+    hint in the middle of the walk (`reference_fluctuation_hint`), and the
+    label is read off the finished walk. Returns (label, tag, exact, bound,
+    hint)."""
     beta = tuple(mec.mid for mec in beta_mecs)
     if isinstance(measure, TransitionCount) and measure.tid not in owner:
         return Label.UPPER_TYPE_LENGTH, "transient-transition-geometric-tail", True, len(beta), False
@@ -89,8 +118,7 @@ def reference_classify_dag(m, beta_mecs, measure, owner):
         if tracking and dichotomy._pumps(measure, witness, newly):
             tracking, promoted = False, True
             if pumped:
-                pump_x = dichotomy._pump_probe(zeroed_model, mec, measure)
-                hint = dichotomy._fluctuation_hint(m, pump_x, pumped)
+                hint = reference_fluctuation_hint(m, mec, measure, pumped)
         pumped = pumped | newly
     if promoted:
         return Label.LOWER_QUADRATIC, "flow-pumping-quadratic-lower", True, None, hint

@@ -17,6 +17,7 @@ import jsonschema
 import pytest
 
 import vass_asym
+from conftest import HINT_DRAW
 from oracles import solve_failures
 from strategies import random_model_from_rng
 from vass_asym import check, cli, dichotomy, graph, onedim, ratlp
@@ -136,10 +137,8 @@ def test_analyze_pump_selected_measure(capsys):
     assert ests[("M1", "M4")]["label"] == "LowerQuadratic"
     assert ests[("M1", "M4")]["beyond_quadratic_hint"]
     assert doc["inventory"] is None  # behaviour inventories are one-counter only
-    # the hint's pump flow, where counter 2 was zeroed before the pumping class
-    assert ests[("M1", "M2")]["witnesses"] == {"pump_flow": {"c_c": "1"}}
-    assert ests[("M1", "M4")]["witnesses"] == {"pump_flow": {"f_f_down": "1", "f_f_up": "1"}}
-    assert all(ests[(mid,)]["witnesses"] == {} for mid in ("M1", "M2", "M3", "M4"))
+    # the hints are read off the listed solves, so no estimate carries a witness
+    assert all(e["witnesses"] == {} for e in ests.values())
     # the types' pipelines make 7 distinct solves: counter 2, pumped in M1, is
     # zeroed in every class after it
     assert [(s["class"], s["zeroed_counters"]) for s in doc["solves"]] == [
@@ -274,8 +273,8 @@ def test_valid_but_not_maximal_solutions_fail_attestation(capsys, monkeypatch):
 def test_label_not_read_off_its_pipeline_fails_attestation(monkeypatch):
     real = cli.classify_dag
 
-    def relabeled(m, beta_mecs, measure, owner):
-        est, pipeline = real(m, beta_mecs, measure, owner)
+    def relabeled(m, beta_mecs, measure, owner, solves):
+        est, pipeline = real(m, beta_mecs, measure, owner, solves)
         if measure == Counter(1) and [mec.mid for mec in beta_mecs] == ["M1"]:
             return dataclasses.replace(est, label=Label.LOWER_QUADRATIC), pipeline
         return est, pipeline
@@ -363,7 +362,7 @@ def _drop_class_transition(doc):
 
 
 TAMPERS = {
-    # claim kind: (model, tamper, start of the failure it must cause)
+    # claim kind: (corpus model or model document, tamper, start of the failure it must cause)
     "flow entry": (
         "random_walk_1d.json",
         lambda d: _solve(d, "M1")["flow"]["flow"].update(t_up="7"),
@@ -468,20 +467,15 @@ TAMPERS = {
         lambda d: _entry(d, "L", ["M1"]).update(beyond_quadratic_hint=True),
         "L along M1: beyond_quadratic_hint true, but d = 1",
     ),
-    "pump flow off the class system": (
-        "pump_transfer_3d.json",
-        lambda d: _entry(d, "C:3", ["M1", "M4"])["witnesses"]["pump_flow"].update(f_f_up="2"),
-        "C:3 along M1,M4: pump_flow: flow out of f not proportional on f_f_down",
+    "hint of a pump whose unzeroed flow uses a drain": (
+        HINT_DRAW,
+        lambda d: _entry(d, "T:t000", ["M2", "M1"]).update(beyond_quadratic_hint=False),
+        "T:t000 along M2,M1: beyond_quadratic_hint false, but the report gives true",
     ),
-    "pump flow that does not pump": (
+    "hint without its unzeroed solve": (
         "pump_transfer_3d.json",
-        lambda d: _entry(d, "C:3", ["M1", "M2"])["witnesses"].update(pump_flow={}),
-        "C:3 along M1,M2: pump_flow does not pump it",
-    ),
-    "pump flow dropped": (
-        "pump_transfer_3d.json",
-        lambda d: _entry(d, "T:f_f_up", ["M1", "M4"]).update(witnesses={}),
-        "T:f_f_up along M1,M4: no pump_flow, though counters were zeroed",
+        lambda d: d["solves"].remove(_solve(d, "M4")),
+        "C:3 along M1,M4: no solve of class M4 with [] zeroed for the hint",
     ),
     "estimate dropped": (
         "pump_transfer_3d.json",
@@ -511,12 +505,15 @@ def test_check_passes_on_every_corpus_report(capsys, tmp_path):
 
 @pytest.mark.parametrize("kind", list(TAMPERS))
 def test_check_rejects_a_tampered_claim(capsys, tmp_path, kind):
-    name, tamper, failure = TAMPERS[kind]
-    report = _analyze_to_file(tmp_path, MODELS / name)
+    model, tamper, failure = TAMPERS[kind]
+    path = MODELS / model if isinstance(model, str) else tmp_path / "model.json"
+    if isinstance(model, dict):
+        path.write_text(json.dumps(model))
+    report = _analyze_to_file(tmp_path, path)
     doc = json.loads(report.read_text())
     tamper(doc)
     report.write_text(json.dumps(doc))
-    rc, out, err = run(capsys, "check", str(MODELS / name), str(report))
+    rc, out, err = run(capsys, "check", str(path), str(report))
     assert (rc, out) == (3, "")
     assert err.startswith("attestation failure: ") and err.endswith("\n")
     failures = err[len("attestation failure: ") : -1].split("; ")
@@ -524,38 +521,49 @@ def test_check_rejects_a_tampered_claim(capsys, tmp_path, kind):
 
 
 def test_check_exits_1_on_a_report_it_cannot_read(capsys, tmp_path):
-    walk = MODELS / "random_walk_1d.json"
+    walk, pump = MODELS / "random_walk_1d.json", MODELS / "pump_transfer_3d.json"
+    pump_doc = json.loads(_analyze_to_file(tmp_path, pump).read_text())
     report = _analyze_to_file(tmp_path, walk)
     doc = json.loads(report.read_text())
     # a report of another model, a report missing a key, a number outside the
     # rational grammar (even one Python reads as the right value), a class or
     # counter that does not exist (named by a type, an estimate or a solve),
-    # a pump flow that is not a map of rationals, no JSON
+    # a counter key outside the schema's ASCII grammar (even one Python reads
+    # as 1), a repeated counter, no JSON
     assert run(capsys, "check", str(MODELS / "decreasing_loop.json"), str(report))[0] == 1
     broken = tmp_path / "broken.json"
     (solve,) = doc["solves"]
     named_counter = {**solve, "ranking": {**solve["ranking"], "counter_coefficients": {"one": "1"}}}
-    estimate = doc["estimates"]["L"][0]
-    for text in (
-        json.dumps({k: v for k, v in doc.items() if k != "reach"}),
+
+    def pump_solve(k, solve):  # the pump's report with its k-th solve replaced
+        solves = [*pump_doc["solves"]]
+        solves[k] = solve
+        return pump, json.dumps({**pump_doc, "solves": solves})
+
+    first, k = pump_doc["solves"][0], pump_doc["solves"].index(_solve(pump_doc, "M2", [2]))
+    for model, text in (
+        (walk, json.dumps({k: v for k, v in doc.items() if k != "reach"})),
         *(
-            json.dumps({**doc, "types": [{"classes": ["M1"], "weight": weight}]})
+            (walk, json.dumps({**doc, "types": [{"classes": ["M1"], "weight": weight}]}))
             for weight in ("one", "0.5", "1e3", "1e0", "+1", " 1", "1_0", "1/2\n", "١")
         ),
-        json.dumps({**doc, "types": [{"classes": ["M1", "M9"], "weight": "1"}]}),
-        json.dumps({**doc, "estimates": {"L": [{**doc["estimates"]["L"][0], "type": ["M9"]}]}}),
+        (walk, json.dumps({**doc, "types": [{"classes": ["M1", "M9"], "weight": "1"}]})),
+        (walk, json.dumps({**doc, "estimates": {"L": [{**doc["estimates"]["L"][0], "type": ["M9"]}]}})),
+        (walk, json.dumps({**doc, "solves": [named_counter]})),
+        (walk, json.dumps({**doc, "solves": [{**solve, "zeroed_counters": [2]}]})),
         *(
-            json.dumps({**doc, "estimates": {"L": [{**estimate, "witnesses": {"pump_flow": flow}}]}})
-            for flow in ([], {"t_up": "x"})
+            pump_solve(0, {**first, "ranking": {**first["ranking"], "counter_coefficients": {
+                (key if c == "1" else c): v for c, v in first["ranking"]["counter_coefficients"].items()
+            }}})
+            for key in ("01", "١")
         ),
-        json.dumps({**doc, "solves": [named_counter]}),
-        json.dumps({**doc, "solves": [{**solve, "zeroed_counters": [2]}]}),
-        json.dumps([doc]),
-        "{not json",
+        pump_solve(k, {**pump_doc["solves"][k], "zeroed_counters": [2, 2]}),
+        (walk, json.dumps([doc])),
+        (walk, "{not json"),
     ):
         broken.write_text(text)
-        rc, out, err = run(capsys, "check", str(walk), str(broken))
-        assert (rc, out) == (1, "") and err.startswith("error: "), err
+        rc, out, err = run(capsys, "check", str(model), str(broken))
+        assert (rc, out) == (1, "") and err.startswith("error: "), (text, err)
 
 
 def test_check_exits_3_when_the_checker_fails(capsys, tmp_path, monkeypatch):
@@ -620,6 +628,19 @@ def test_analysis_without_a_class_solve_attests(capsys, tmp_path):
     assert doc["attestation"]["checks"] == 4 + 3 + 7 + 7  # classes, reach pairs, types, labels
     rc, out, err = run(capsys, "check", str(pump), str(report))
     assert (rc, out, err) == (0, "21 exact re-substitution checks passed\n", "")
+
+
+def test_restricted_measure_keeps_its_hint(capsys, tmp_path):
+    # T:f_f_up is pumped in M4 after M1 pumped counter 2; its hint reads M4's
+    # solve with nothing zeroed, which the one-class type M4 lists
+    pump = MODELS / "pump_transfer_3d.json"
+    report = _analyze_to_file(tmp_path, pump, "--measure", "T:f_f_up")
+    doc = json.loads(report.read_text())
+    assert _entry(doc, "T:f_f_up", ["M1", "M4"])["beyond_quadratic_hint"]
+    solved = [(s["class"], s["zeroed_counters"]) for s in doc["solves"]]
+    assert solved == [("M1", []), ("M4", []), ("M4", [2])]
+    rc, out, err = run(capsys, "check", str(pump), str(report))
+    assert (rc, out, err) == (0, f"{doc['attestation']['checks']} exact re-substitution checks passed\n", "")
 
 
 def _sweep_models(count):
@@ -1182,7 +1203,7 @@ CORPUS_SHA256 = {  # stdout of `analyze --json` and, with one counter, `energy -
     ("energy", "decreasing_loop"): "da34fee41823a62a2a2cde59808f5c7e4e25c1d8b61522f39ca39008a3713395",
     ("analyze", "increasing_loop"): "e3456cf8ab679097587b6dfaeea3b2a025826542dc3594c75d6798e1918ad9e0",
     ("energy", "increasing_loop"): "9316a9ab7e8b5bad33f01a713586593590b180b4a23882382a99f25e9daa63ad",
-    ("analyze", "pump_transfer_3d"): "b9627c1290924a7a5e19ebc6ae61112f7e5ab99f47b55ac62328384d69de6a88",
+    ("analyze", "pump_transfer_3d"): "8e8938bf49e3e953da31083025e952aaf66b5713fdb693a650053bf56ab4ba14",
     ("analyze", "random_walk_1d"): "649962b9bb9a53246da498bdc107b23708542de756c02758e903f14e35661c6a",
     ("energy", "random_walk_1d"): "da34fee41823a62a2a2cde59808f5c7e4e25c1d8b61522f39ca39008a3713395",
     ("analyze", "zero_cycle_2state"): "67950cdd73824d021e08d0e54ca0f5f031560c50d7921d598db0a6dca4ed256a",

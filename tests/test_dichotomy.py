@@ -8,11 +8,13 @@ y2 = 0 and counter 2 is the only pumped one, with no strict rows anywhere.
 """
 
 import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from conftest import MODELS, load_doc, load_model
 from oracles import (
     augment_step_counter,
@@ -27,8 +29,8 @@ from oracles import (
 )
 from vass_asym.dichotomy import (
     Label,
-    _pump_probe,
     build_systems,
+    classify_dag,
     compute_maximal_solutions,
     rank_delta,
     run_dag_pipeline,
@@ -48,6 +50,7 @@ from vass_asym.model import (
     TransitionCount,
     UnknownTransition,
     VassMdp,
+    parse_measure,
     zero_counters,
 )
 from strategies import random_model_from_rng, random_models
@@ -294,10 +297,13 @@ def test_encoding_coherence_random_dag_models(m):
     _assert_matches_step_counter_encoding(m)
 
 
-def test_pump_probe_on_unpumpable_counter_is_internal_error(walk):
-    # the fair walk's flow balances both loops: no flow pumps its counter
-    with pytest.raises(InternalError):
-        _pump_probe(walk, _single_mec(walk), Counter(1))
+def test_hint_without_its_unzeroed_solve_is_internal_error(pump):
+    # C:3 is pumped in M4 after M1 pumped counter 2: its hint reads M4's
+    # solve with nothing zeroed, which the caller has not made here
+    mecs = mec_decomposition(pump)
+    by_id = {mec.mid: mec for mec in mecs}
+    with pytest.raises(InternalError, match="no solve of class M4 with nothing zeroed"):
+        classify_dag(pump, [by_id["M1"], by_id["M4"]], Counter(3), transition_to_mec(mecs), {})
 
 
 def _check_failures(m, doc):
@@ -307,15 +313,21 @@ def _check_failures(m, doc):
 
 
 def test_hint_needs_the_pump_flow_to_move_a_zeroed_counter():
-    # M2's loop pumps counter 2 after M1's pumped counter 1, which it leaves
-    # alone: a pump flow without a hint, which the checker re-derives
+    # M2's loop b_b pumps counter 2 after M1's pumped counter 1, which it
+    # leaves alone; the drain b_d moves counter 1, but no flow of M2 with
+    # nothing zeroed uses it: no hint, and the checker re-derives that
     states = [State("a", "nondet"), State("b", "nondet")]
-    steps = [("a_a", "a", (1, 0), "a"), ("a_b", "a", (0, 0), "b"), ("b_b", "b", (0, 1), "b")]
+    steps = [
+        ("a_a", "a", (1, 0), "a"),
+        ("a_b", "a", (0, 0), "b"),
+        ("b_b", "b", (0, 1), "b"),
+        ("b_d", "b", (-1, 0), "b"),
+    ]
     m = VassMdp(2, states, [Transition(t, s, u, d) for t, s, u, d in steps])
     doc = build_analysis(m, [Counter(2)])
     e = next(e for e in doc["estimates"]["C:2"] if len(e["type"]) == 2)
     assert e["label"] == "LowerQuadratic" and not e["beyond_quadratic_hint"]
-    assert e["witnesses"] == {"pump_flow": {"b_b": "1"}}
+    assert e["witnesses"] == {}
     e["beyond_quadratic_hint"] = True
     along = ",".join(e["type"])
     want = f"C:2 along {along}: beyond_quadratic_hint true, but the report gives false"
@@ -367,49 +379,62 @@ def test_use_count_rules_agree_across_regimes():
     assert tags == {"transient-transition-geometric-tail", "class-not-in-type"}
 
 
-def _every_measure(m):
-    return (
-        [Termination()]
-        + [Counter(c) for c in range(1, m.dimension + 1)]
-        + [TransitionCount(t.tid) for t in m.transitions]
-    )
+def _fair_coin_after_a_pump():
+    """M1 = {a} pumps counter 1. M2's fair coin at b moves counter 1 with no
+    drift, and its loop c_t pumps counter 2 only once counter 1 is zeroed:
+    M2's flows with nothing zeroed use the coin, but neither c_t nor
+    counter 2, so C:2 and T:c_t along M1,M2 carry no hint, while the coin's
+    use counts do."""
+    states = [State("a", "nondet"), State("b", "prob"), State("c", "nondet")]
+    half = Fraction(1, 2)
+    return VassMdp(2, states, [
+        Transition("a_a", "a", (1, 0), "a"),
+        Transition("a_b", "a", (0, 0), "b"),
+        Transition("b_up", "b", (1, 0), "c", half),
+        Transition("b_dn", "b", (-1, 0), "c", half),
+        Transition("c_b", "c", (0, 0), "b"),
+        Transition("c_t", "c", (-1, 1), "c"),
+    ])
 
 
-def test_classify_dag_matches_tracking_walk_reference(monkeypatch):
-    """Seeded random DAG-like models: on every measure and type,
-    `classify_dag` gives the label, tag, exactness, bound and hint of the
-    reference walk that tracks the measure as it goes."""
+def test_classify_dag_matches_tracking_walk_reference(monkeypatch, pump, hint_draw):
+    """Seeded random DAG-like models, the pump and a pinned draw: on every
+    measure and type, the report gives the label, tag, exactness, bound and
+    hint of the reference walk that tracks the measure as it goes. The walk
+    decides each hint by the rule's definition, with LPs
+    (`reference_fluctuation_hint`), where the analyzer reads it off the
+    class's listed solve with nothing zeroed."""
     rng = Random(1)
     models = [random_model_from_rng(rng, rng.randint(2, 4), rng.randint(2, 3), 1) for _ in range(10)]
-    calls = []
-    probe = dichotomy._pump_probe
+    zeroed_steps = []
+    reference = oracles.reference_fluctuation_hint
 
     def counted(*args):
-        calls.append(args)
-        return probe(*args)
+        zeroed_steps.append(args)
+        return reference(*args)
 
-    monkeypatch.setattr(dichotomy, "_pump_probe", counted)
-    probed = hints = 0
-    for m in models:
+    monkeypatch.setattr(oracles, "reference_fluctuation_hint", counted)
+    hints = 0
+    for m in models + [pump, hint_draw, _fair_coin_after_a_pump()]:
         mecs = mec_decomposition(m)
-        assert is_dag_like(m, mecs)
         owner, by_id = transition_to_mec(mecs), {mec.mid: mec for mec in mecs}
-        for ts in enumerate_types(m, len(mecs), mecs)[0]:
-            beta_mecs = [by_id[b] for b in ts.mecs]
-            for measure in _every_measure(m):
-                before = len(calls)
-                est, _ = dichotomy.classify_dag(m, beta_mecs, measure, owner)
-                probed += len(calls) > before
-                want = reference_classify_dag(m, beta_mecs, measure, owner)
-                assert (est.label, est.tag, est.exact, est.bound, est.beyond_quadratic_hint) == want
-                hints += est.beyond_quadratic_hint
-    assert hints >= 3 and probed > hints  # both outcomes of the probe are compared
+        doc = build_analysis(m)
+        for mkey, entries in doc["estimates"].items():
+            for e in entries:
+                want = reference_classify_dag(m, [by_id[b] for b in e["type"]], parse_measure(mkey), owner)
+                got = (e["label"], e["tag"], e["exact"], e["bound"], e["beyond_quadratic_hint"])
+                assert got == want, (mkey, e["type"])
+                hints += e["beyond_quadratic_hint"]
+    assert hints >= 3 and len(zeroed_steps) > hints  # both outcomes of the rule are compared
+    # the pinned draw: M1's unzeroed flow uses the drain loop t000 and spends
+    # no counter, though a flow of the zeroed class may use t000 alone
+    pinned = build_analysis(hint_draw)["estimates"]["T:t000"]
+    assert next(e for e in pinned if e["type"] == ["M2", "M1"])["beyond_quadratic_hint"]
 
 
-def test_every_lp_outside_a_class_solve_is_a_reported_pump_flow(monkeypatch, pump):
-    """`build_analysis` solves an LP outside a class solve's pair steps
-    (`_pair_step`) only to find a hint's pump flow (`_pump_probe`), and the
-    estimate it was solved for carries that flow."""
+def test_every_lp_of_the_analysis_is_a_class_solve_pair_step(monkeypatch, pump):
+    """`build_analysis` solves LPs only in a class solve's pair steps
+    (`_pair_step`): the hints are read off the solves, and cost none."""
     callers = []
     solve = ratlp.solve_feasibility
 
@@ -422,12 +447,12 @@ def test_every_lp_outside_a_class_solve_is_a_reported_pump_flow(monkeypatch, pum
             monkeypatch.setattr(module, "solve_feasibility", recording)
     rng = Random(5)
     draws = [random_model_from_rng(rng, rng.randint(2, 4), rng.randint(2, 3), 2) for _ in range(6)]
-    flows = 0
+    hints = 0
     for m in [pump] + draws:
         doc = build_analysis(m)
-        flows += sum("pump_flow" in e["witnesses"] for es in doc["estimates"].values() for e in es)
-    assert len(callers) > 100 and set(callers) == {"_pair_step", "_pump_probe"}
-    assert callers.count("_pump_probe") == flows >= 6  # the pump's 6, and the draws'
+        hints += sum(e["beyond_quadratic_hint"] for es in doc["estimates"].values() for e in es)
+    assert len(callers) > 100 and set(callers) == {"_pair_step"}
+    assert hints >= 3  # the pump's 3 along M1,M4
 
 
 def test_determinism(pump):
