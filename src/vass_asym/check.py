@@ -115,7 +115,7 @@ def _read(x, shape, at: str) -> None:
 
 def _names(m: VassMdp, doc: dict) -> None:
     """Raise `ReportError` where the report repeats a class id or names a
-    class, state, counter or measure that does not exist."""
+    class, state, counter, transition or measure that does not exist."""
     ids = [c["id"] for c in doc["classes"]]
     named = {mid for ts in doc["types"] for mid in ts["classes"]}
     named |= {mid for e in doc["reach"] for mid in (e["from"], e["to"])}
@@ -123,11 +123,23 @@ def _names(m: VassMdp, doc: dict) -> None:
     named |= {s["class"] for s in doc["solves"]}
     named |= {mid for es in doc["estimates"].values() for e in es for mid in e["type"]}
     states = {s for c in doc["classes"] for s in c["states"]}
-    if doc["zero_cycle_witness"] is not None:
-        named.add(doc["zero_cycle_witness"]["class"])
-        states |= set(doc["zero_cycle_witness"]["component"])
-    counters = {c for s in doc["solves"] for c in s["zeroed_counters"]}
+    tids = {t for c in doc["classes"] for t in c["transitions"]}
+    for e in doc["reach"]:
+        states |= {*e["values"], *e["choice"]}
+        tids |= set(e["choice"].values())
+    witness = doc["zero_cycle_witness"]
+    if witness is not None:
+        named.add(witness["class"])
+        states |= {*witness["component"], *witness["strategy"], *witness["stationary"]}
+        tids |= set(witness["strategy"].values())
+    counters: set[int] = set()
+    for solve in doc["solves"]:
+        flow, ranking = solve["flow"], solve["ranking"]
+        counters |= {*solve["zeroed_counters"], *flow["positive_counters"], *map(int, ranking["counter_coefficients"])}
+        states |= {*ranking["state_offsets"], *ranking["strict_probabilistic_states"]}
+        tids |= {*flow["flow"], *flow["positive_transitions"], *ranking["strict_controlled_transitions"]}
     unknown = sorted(named - set(ids)) + sorted(states - set(m.state_names()))
+    unknown += sorted(tids - {t.tid for t in m.transitions})
     unknown += [f"counter {c}" for c in sorted(counters - set(range(1, m.dimension + 1)))]
     if unknown or len(set(ids)) != len(ids):
         raise ReportError(f"the report names {unknown}, which do not exist, or repeats a class id")

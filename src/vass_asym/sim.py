@@ -24,8 +24,9 @@ steps it.
   entry and through one pass as the scalar path does, then skips whole
   passes at once: per counter the pass's sum and its lowest and highest
   prefix sums give the last pass that keeps the counter >= 0 and the peak
-  over the skipped passes. The rest, less than one pass, is stepped again.
-  Counters stay Python ints, and no word is drawn. A batch that starts in a
+  over the skipped passes. The rest, less than one pass, is stepped too,
+  and the run's statistics are built once. Counters stay Python ints, and
+  no word is drawn. A batch that starts in a
   region is one run computed once; the kernel and `_run` hand a run over
   when it enters one. A state that fails to resolve ends the region test,
   so the other paths raise when, and only when, a run reaches it.
@@ -49,34 +50,41 @@ steps it.
 * The block path applies while a run sits in a state whose two or more
   resolved branches (at most 256) are all self-loops, the absorbing tail
   phase of typical models; a run never leaves such a state. One stepper
-  (`_Stepper`) per such state holds up to ROWS runs and steps them in
-  rounds. Each round takes a block of at most BLOCK words from each run's
-  stream and compares it, as it is drawn, into that run's row of a (ROWS,
-  BLOCK) byte buffer: a word picks a branch past i iff it is >= th[i], the
-  kernel's rule. The stepper packs each row into group codes, one byte per
-  g steps (g = 8 with two branches: one bit a step; fewer steps of more
-  bits with more branches), and each numpy call then serves every row. Per
-  code, tables of the state record give each varying counter's group sum
-  and lowest and highest prefix sums: a cumulative sum over the groups
-  gives the counter at each group's end, the lowest prefix finds the first
-  group that goes negative and the highest one the peak. Branch counts
-  come from per-code counts of the steps past each threshold or, with two
-  branches, from a varying counter's change. A counter whose update is the
-  same on every branch is resolved in closed form. The group that holds
-  the terminal step, the cap or a short block's end is read off per-code
-  tables of the group's steps, not stepped: per counter, the least start
-  value that stays >= 0 through each step gives the first step that goes
-  negative by bisection, and the running highest prefix sums, the prefix
-  sums and the counts past each threshold give the peak, the counters and
-  the branch counts up to it. The buffers are made once per stepper and
-  refilled in place, so a round allocates no array of a block of words. A run that enters such a state leaves the kernel and
-  waits on the state's stepper, which runs whenever ROWS runs wait; every
-  stepper drains when the kernel is done. The run's
-  first block is the words the kernel drew for it and did not use, then
-  whole blocks follow. A batch that starts in such a state runs on its
-  stepper alone, and `_run` hands a single run to one. Counters must stay
-  below 2**53 and updates within 2**20, so int64 arithmetic cannot
-  overflow; a run whose counters reach 2**53 finishes on the scalar path.
+  (`_Stepper`) per such state steps its runs in rounds. A run holds one row
+  of the stepper's arrays from admission to its statistics: its counters,
+  peaks, steps and branch tallies in one int64 row, its key, generator and
+  leftover words in lists. The buffers are sized to min(ROWS, runs) rows,
+  so `_run`'s hand-off of a single run allocates one. Each round draws a
+  block of at most BLOCK words from each row's stream and compares it, as
+  it is drawn, into the row's bytes of a byte buffer: a word picks a branch
+  past i iff it is >= th[i], the kernel's rule. This draw-and-compare loop
+  is the round's only Python per row. The bytes are packed into group
+  codes, one byte per g steps (g = 8 with two branches: one bit a step;
+  fewer steps of more bits with more branches), and each numpy call then
+  serves every row. Per code, tables of the state record give each varying
+  counter's group sum and lowest and highest prefix sums: a cumulative sum
+  over the groups gives the counter at each group's end, the lowest prefix
+  finds the first group that goes negative and the highest one the peak.
+  Branch counts come from per-code counts of the steps past each threshold
+  or, with two branches, from a varying counter's change. A counter whose
+  update is the same on every branch is resolved in closed form. The group
+  that holds the terminal step, the cap or a short block's end is read off
+  per-code tables of the group's steps, not stepped, for all those rows at
+  once: per counter, the least start value that stays >= 0 through each
+  step gives the first step that goes negative, and the running highest
+  prefix sums, the prefix sums and the counts past each threshold give the
+  peak, the counters and the branch counts up to it. The rows that finish
+  in a round are read out together, with one gather of their rows, and the
+  rows left are compacted once. The buffers are made once per stepper and
+  refilled in place, so a round allocates no array of a block of words.
+  A batch that starts in such a state runs on its stepper alone, which
+  admits runs into every free row before each round. A run that enters
+  such a state from the kernel takes a row of the state's stepper, which
+  steps whenever every row is taken; every stepper drains when the kernel
+  is done. The run's first block is the words the kernel drew for it and
+  did not use, then whole blocks follow. Counters must stay below 2**53 and
+  updates within 2**20, so int64 arithmetic cannot overflow; a run `_run`
+  hands over whose counters reach 2**53 finishes on the scalar path.
 * The scalar path (`_run`) steps one run at a time in arbitrary-precision
   integers and resolves states as runs enter them. It is the draw-for-draw
   reference (`_vectorized=False`), it runs `simulate_one` up to the closed
@@ -109,7 +117,7 @@ FAST_UPDATE_LIMIT = 1 << 20
 MAX_IN_FLIGHT = 64  # runs the lockstep kernel steps together
 RUN_BUFFER = 64  # waves per kernel block
 RUN_DRAWS = 4  # kernel blocks of words a run in flight draws at a time
-ROWS = 16  # runs a block-path stepper steps together
+ROWS = 32  # runs a block-path stepper steps together
 
 _NO_WORDS = np.empty(0, dtype=np.uint64)
 
@@ -222,31 +230,18 @@ class _Streams:
 
 
 class _DrawStream:
-    """Sequential raw 64-bit words of one run's Philox stream, block-buffered.
-
-    Words are consumed strictly in stream order no matter how calls mix
-    scalar and block takes, which is what makes the execution paths
-    byte-identical. `buf` holds words already drawn from `bg` and not yet
-    consumed; they come first. A buffer is dropped once consumed, so a
-    stream that waits between blocks holds no block of words.
-    """
+    """The raw 64-bit words of one run's Philox stream, in order, for the
+    scalar path: first `buf`, words already drawn from `bg` and not yet
+    used, then fresh ones drawn BLOCK at a time."""
 
     def __init__(self, bg: np.random.Philox, buf: Optional[np.ndarray] = None):
         self.bg = bg
         self._buf = _NO_WORDS if buf is None else buf
         self._pos = 0
 
-    def take(self, k: int) -> np.ndarray:
-        """The next at most `k` words: the buffered ones if any are left (a
-        short block), else the first `k` of `max(k, BLOCK)` fresh ones."""
-        if self._pos >= len(self._buf):
-            self._buf = self.bg.random_raw(max(k, BLOCK))
-            self._pos = 0
-        out = self._buf[self._pos : self._pos + k]
-        self._pos += len(out)
-        if self._pos == len(self._buf):
-            self._buf, self._pos = _NO_WORDS, 0
-        return out
+    def unread(self) -> np.ndarray:
+        """The words drawn and not yet used."""
+        return self._buf[self._pos :]
 
     def one(self) -> int:
         if self._pos >= len(self._buf):
@@ -300,10 +295,11 @@ class _StateRec:
             and 2 <= len(self.tids) <= 256
             and all(abs(u) <= FAST_UPDATE_LIMIT for upd in self.updates for u in upd)
         )
-        # the block path's tables: thresholds as uint64 scalars, then per
+        # the block path's tables: thresholds as 0-d uint64 arrays (numpy
+        # compares words against one faster than against a scalar), then per
         # counter either a column of per-branch updates (varying) or the one
         # update every branch makes (constant)
-        self.block_thresholds = tuple(np.uint64(th) for th in self.thresholds)
+        self.block_thresholds = tuple(np.array(th, dtype=np.uint64) for th in self.thresholds)
         self.varying: list[tuple[int, np.ndarray]] = []
         self.constant: list[tuple[int, int]] = []
         # a group is `group` consecutive branch indices of `bits` bits each,
@@ -312,12 +308,12 @@ class _StateRec:
         # highest prefix sums, both less the sum, and `passes` per threshold
         # the group's steps that pick a branch past it. With two branches a
         # varying counter's change tells how often each was taken, and
-        # `passes` stays empty. `group_steps` holds per code, after each
-        # step of the group, a row per counter of the least start value that
-        # stays >= 0 so far (minus the lowest prefix sum), then of the
-        # highest prefix sum, then of the prefix sum, and a row per threshold
-        # with `passes` of the steps so far that pick a branch past it; its
-        # values are within 8 * 2**20, so 32 bits hold them.
+        # `passes` stays empty. `group_steps` holds per code and step of the
+        # group, after that step, per counter the least start value that
+        # stays >= 0 so far (minus the lowest prefix sum), then per counter
+        # the highest prefix sum, then per counter the prefix sum, and per
+        # threshold with `passes` the steps so far that pick a branch past
+        # it; its values are within 8 * 2**20, so 32 bits hold them.
         self.bits = self.group = 0
         self.passes: list[np.ndarray] = []
         self.tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -341,7 +337,8 @@ class _StateRec:
                 total = sums[:, k, -1].copy()
                 self.tables.append((total, sums[:, k].min(axis=1) - total, sums[:, k].max(axis=1) - total))
             need, high = -np.minimum.accumulate(sums, axis=2), np.maximum.accumulate(sums, axis=2)
-            self.group_steps = np.concatenate([need, high, sums, *(p[:, None] for p in past)], axis=1, dtype=np.int32)
+            steps = np.concatenate([need, high, sums, *(p[:, None] for p in past)], axis=1, dtype=np.int32)
+            self.group_steps = np.ascontiguousarray(steps.transpose(0, 2, 1))
 
     def pick(self, u: int) -> int:
         return bisect_right(self.thresholds, u)
@@ -477,16 +474,13 @@ def _stats(walk: _Walk, terminated: bool) -> TrajectoryStats:
     )
 
 
-def _run(
-    res: _Resolved,
-    walk: _Walk,
-    stream: _DrawStream,
-    cap: int,
-    vectorized: bool,
-) -> TrajectoryStats:
-    """Finish `walk` on the scalar path, or hand it on where the closed form
-    or the block path applies. The scalar path leaves `walk` where the run
-    ended."""
+def _advance(
+    res: _Resolved, walk: _Walk, stream: Union[_DrawStream, _NoWords], cap: int, vectorized: bool
+) -> Optional[bool]:
+    """Step `walk` on the scalar path until the run terminates or has taken
+    `cap` steps, and say whether it terminated; with `vectorized`, stop
+    instead (None) at a state where the closed form or the block path
+    applies. `walk` is left where the run stopped."""
     state, cur, peak, counts, rtype, steps = (
         walk.state,
         walk.cur,
@@ -495,23 +489,18 @@ def _run(
         walk.rtype,
         walk.steps,
     )
-    terminated = False
+    ended: Optional[bool] = False
     while steps < cap:
         rec = res.resolve(state)
         if vectorized and (rec.fast_ok or res.region(state) is not None):
-            walk.state, walk.cur, walk.steps = state, cur, steps
-            if not rec.fast_ok:
-                return _closed_form(res, walk, cap)
-            stepper = _Stepper(res, rec, cap)
-            ((_, stats, _),) = [*stepper.add(0, walk, stream), *stepper.drain()]
-            return stats
-
+            ended = None
+            break
         i = rec.pick(stream.one())
         counts[rec.tids[i]] += 1
         steps += 1
         cur = [c + u for c, u in zip(cur, rec.updates[i])]
         if any(c < 0 for c in cur):
-            terminated = True
+            ended = True
             break
         for k, c in enumerate(cur):
             if c > peak[k]:
@@ -521,7 +510,26 @@ def _run(
         if mid is not None and (not rtype or rtype[-1] != mid):
             rtype.append(mid)
     walk.state, walk.cur, walk.steps = state, cur, steps
-    return _stats(walk, terminated)
+    return ended
+
+
+def _run(
+    res: _Resolved,
+    walk: _Walk,
+    stream: _DrawStream,
+    cap: int,
+    vectorized: bool,
+) -> TrajectoryStats:
+    """Finish `walk` on the scalar path, or hand it on where the closed form
+    or the block path applies; `walk` is left where the run ended."""
+    ended = _advance(res, walk, stream, cap, vectorized)
+    if ended is not None:
+        return _stats(walk, ended)
+    rec = res.resolve(walk.state)
+    if not rec.fast_ok:
+        return _closed_form(res, walk, cap)
+    ((_, stats, _),) = _Stepper(res, rec, cap, 1).add(0, walk, stream)
+    return stats
 
 
 class _NoWords:
@@ -536,216 +544,289 @@ class _NoWords:
 
 def _closed_form(res: _Resolved, walk: _Walk, cap: int) -> TrajectoryStats:
     """Finish a run whose state lies in a deterministic region, drawing no
-    word: step to the cycle's entry and through one pass as `_run` does,
-    skip whole passes by the cycle's sums and prefix extremes, and step
-    through the rest, less than one pass."""
+    word: step to the cycle's entry and through one pass, skip whole passes
+    by the cycle's sums and prefix extremes, and step through the rest, less
+    than one pass."""
     tail, cycle = res.region(walk.state)
     length = len(cycle.tids)
-    stats = _run(res, walk, _NoWords(), min(cap, walk.steps + tail + length), False)
-    if stats.terminated:
-        return stats
-    # the first pass kept every counter >= 0, so only a counter the cycle
-    # lowers can end the run: pass i is whole while cur + i * sum + low >= 0
-    passes = (cap - walk.steps) // length
-    for v, s, low in zip(walk.cur, cycle.sums, cycle.low):
-        if s < 0:
-            passes = min(passes, (v + low) // -s + 1)
-    if passes > 0:
-        for k, (s, high) in enumerate(zip(cycle.sums, cycle.high)):
-            walk.peak[k] = max(walk.peak[k], walk.cur[k] + (passes - 1) * max(s, 0) + high)
-            walk.cur[k] += passes * s
-        for tid in cycle.tids:
-            walk.counts[tid] += passes
-        walk.steps += passes * length
-    return _run(res, walk, _NoWords(), cap, False)
+    ended = _advance(res, walk, _NoWords(), min(cap, walk.steps + tail + length), False)
+    if not ended:
+        # the first pass kept every counter >= 0, so only a counter the
+        # cycle lowers can end the run: pass i is whole while cur + i * sum
+        # + low >= 0
+        passes = (cap - walk.steps) // length
+        for v, s, low in zip(walk.cur, cycle.sums, cycle.low):
+            if s < 0:
+                passes = min(passes, (v + low) // -s + 1)
+        if passes > 0:
+            for k, (s, high) in enumerate(zip(cycle.sums, cycle.high)):
+                walk.peak[k] = max(walk.peak[k], walk.cur[k] + (passes - 1) * max(s, 0) + high)
+                walk.cur[k] += passes * s
+            for tid in cycle.tids:
+                walk.counts[tid] += passes
+            walk.steps += passes * length
+        ended = _advance(res, walk, _NoWords(), cap, False)
+    return _stats(walk, ended)
 
 
-# a run the stepper has finished: its key, its statistics and its stream
-_Done = tuple[int, TrajectoryStats, _DrawStream]
+# a run the stepper has finished: its key, its statistics and its generator
+_Done = tuple[int, TrajectoryStats, "np.random.Philox"]
+
+# A group's eight bytes of 0 or 1, read as one little-endian word and
+# multiplied by GATHER, land in the product's top byte, first step highest.
+GATHER = np.uint64(0x8040201008040201)
 
 
 class _Stepper:
-    """Steps up to ROWS runs that sit in one block-path state, one block of
-    each run's words per round; see the module docstring.
+    """Steps the runs that sit in one block-path state, up to `size` at a
+    time, one block of each run's words per round; see the module docstring.
 
-    Row i of the arrays belongs to `rows[i]`, a run's key, walk and stream;
-    the walk's counters and peaks live in `cur` and `peak`, and in `passed`
-    the steps it took here and, per threshold with `rec.passes`, those that
-    picked a branch past it, until the run leaves. Every buffer is made
-    once and refilled in place by each round.
+    A run holds one row from admission to its statistics: a row of `rows`,
+    whose columns hold its counters, its peaks, its counters at admission,
+    its steps, then the steps it took here and, per threshold with
+    `rec.passes`, those that picked a branch past it; and an entry of each
+    list: its key, the transition counts and realized type it came with and,
+    for a run `_run` handed over, its walk (`runs`); its generator (`gens`);
+    and the words drawn for it and not used yet (`left`). Every buffer is
+    made once and refilled in place by each round.
     """
 
-    def __init__(self, res: _Resolved, rec: _StateRec, cap: int):
-        self.res, self.rec, self.cap = res, rec, cap
+    def __init__(self, res: _Resolved, rec: _StateRec, cap: int, size: int = ROWS):
+        self.res, self.rec, self.cap, self.size = res, rec, cap, size
+        self.end = min(cap, 1 << 62)  # the cap as an int64; no run steps 2**62 times
         d, nth = res.dimension, len(rec.thresholds)
-        self.rows: list[tuple[int, _Walk, _DrawStream]] = []
-        self.cur = np.empty((ROWS, d), dtype=np.int64)
-        self.peak = np.empty((ROWS, d), dtype=np.int64)
-        self.passed = np.empty((ROWS, 1 + len(rec.passes)), dtype=np.int64)
+        self.count = 0  # rows 0..count-1 are taken
+        self.held = 0  # rows whose walk `_run` handed over
+        self.rows = np.empty((size, 3 * d + 2 + len(rec.passes)), dtype=np.int64)
+        self.runs: list[tuple[int, Optional[Mapping[str, int]], tuple[str, ...], Optional[_Walk]]] = []
+        self.gens: list[np.random.Philox] = []
+        self.left: list[Optional[np.ndarray]] = []
         groups = BLOCK // rec.group
         # a row's group codes; each round first compares the row's words
         # into the same memory, as a branch mask (two branches) or a branch
         # index of one byte per word
-        self.codes = np.empty((ROWS, groups), dtype=np.intp)
+        self.codes = np.empty((size, groups), dtype=np.intp)
         self.words = self.codes.view(np.uint8)[:, :BLOCK]
         self.flags = self.words.view(bool)
         self.scratch = np.empty(BLOCK if nth > 1 else 0, dtype=bool)
-        self.packed = np.empty((ROWS, groups if nth > 1 else 0), dtype=np.uint8)
-        # per varying counter, the counter after each group, less cur; and
-        # per group a table's value at its code, plus those sums
-        self.sums = np.empty((len(rec.varying), ROWS, groups), dtype=np.int64)
-        self.ends = np.empty((ROWS, groups), dtype=np.int64)
+        self.packed = np.empty((size, groups if nth > 1 else 0), dtype=np.uint8)
+        # per varying counter, the counter after each group, less cur: every
+        # other word of a buffer, since numpy sums an axis of contiguous
+        # words up several times slower than a strided one; and per group a
+        # table's value at its code, plus those sums, with one spare word
+        # past the rows for the last bound of a `reduceat`
+        self.sums = np.empty((len(rec.varying), size, groups, 2), dtype=np.int64)[..., 0]
+        self.ends = np.empty(size * groups + 1, dtype=np.int64)
+
+    def start(self, keys: range, n: int, rtype: tuple[str, ...], gens: list[np.random.Philox]) -> None:
+        """Admit the fresh runs `keys` of a batch at start value `n`, on the
+        generators `gens`, into the next free rows."""
+        a, b, d = self.count, self.count + len(keys), self.res.dimension
+        self.rows[a:b, : 3 * d] = n
+        self.rows[a:b, 3 * d :] = 0
+        self.runs += [(key, None, rtype, None) for key in keys]
+        self.gens += gens
+        self.left += [None] * len(keys)
+        self.count = b
+
+    def enter(
+        self,
+        key: int,
+        cur: list[int],
+        peak: list[int],
+        steps: int,
+        counts: Mapping[str, int],
+        rtype: Sequence[str],
+        bg: np.random.Philox,
+        left: np.ndarray,
+        walk: Optional[_Walk] = None,
+    ) -> None:
+        """Admit a run that arrives part-way, with the words drawn for it and
+        not used (`left`), into the next free row."""
+        self.rows[self.count] = [*cur, *peak, *cur, steps] + [0] * (1 + len(self.rec.passes))
+        self.runs.append((key, counts, tuple(rtype), walk))
+        self.gens.append(bg)
+        self.left.append(left if len(left) else None)
+        self.held += walk is not None
+        self.count += 1
 
     def add(self, key: int, walk: _Walk, stream: _DrawStream) -> list[_Done]:
-        """Take the run `key` on; step whenever every row is taken, and
-        return the runs that finish meanwhile."""
+        """Take over the run `key` that `walk` and `stream` hold, as `_run`
+        hands one over; step whenever every row is taken, and return the runs
+        that finish meanwhile. The walk follows the run's steps, and is left
+        where the run ended."""
         if max(walk.peak) >= FAST_COUNTER_LIMIT:  # beyond exact int64 range
-            return [(key, _run(self.res, walk, stream, self.cap, False), stream)]
-        i = len(self.rows)
-        self.rows.append((key, walk, stream))
-        self.cur[i], self.peak[i], self.passed[i] = walk.cur, walk.peak, 0
+            return [(key, _run(self.res, walk, stream, self.cap, False), stream.bg)]
+        self.enter(key, walk.cur, walk.peak, walk.steps, walk.counts, walk.rtype, stream.bg, stream.unread(), walk)
+        return self.step_while(self.size)
+
+    def step_while(self, least: int) -> list[_Done]:
+        """Step while at least `least` rows are taken; return the runs that
+        finish meanwhile."""
         done: list[_Done] = []
-        while len(self.rows) == ROWS:
+        while self.count >= least:
             done += self._round()
         return done
 
     def drain(self) -> list[_Done]:
         """Step until every run has finished; return them."""
-        done: list[_Done] = []
-        while self.rows:
-            done += self._round()
-        return done
+        return self.step_while(1)
+
+    def _draw(self, r: int) -> np.ndarray:
+        """Draw each row's next block of words and compare it, as it is
+        drawn, into the row's bytes of `words`: the branch index, or with two
+        branches whether the word picks the second. Returns the blocks'
+        lengths: BLOCK words, fewer at the cap or where a run's words left
+        from the kernel run out."""
+        lens = np.minimum(self.end - self.rows[:r, 3 * self.res.dimension], BLOCK)
+        ths, words = self.rec.block_thresholds, self.words
+        for i, k in enumerate(lens.tolist()):
+            us = self.left[i]
+            if us is None:
+                us = self.gens[i].random_raw(k)
+            else:  # first the words the kernel drew for the run, as one block
+                self.left[i] = us[k:] if len(us) > k else None
+                us = us[:k]
+                k = lens[i] = len(us)
+            np.greater_equal(us, ths[0], out=self.flags[i, :k])
+            for th in ths[1:]:
+                mask = np.greater_equal(us, th, out=self.scratch[:k])
+                np.add(words[i, :k], mask.view(np.uint8), out=words[i, :k])
+            if k < BLOCK:
+                words[i, k:] = 0  # a short block's last group reads no stale byte
+        return lens
 
     def _codes(self, r: int) -> np.ndarray:
-        """Each row's group codes, from the bytes a round wrote per word."""
+        """Each row's group codes, from the bytes `_draw` wrote per word."""
         rec, codes = self.rec, self.codes[:r]
         if rec.bits == 1:
-            packed = np.packbits(self.words[:r], axis=1)
+            packed = codes.view(np.uint64)
+            np.multiply(codes.view("<u8"), GATHER, out=packed)
+            np.right_shift(packed, 56, out=packed)
         else:
             words, packed, g = self.words[:r], self.packed[:r], rec.group
             np.copyto(packed, words[:, ::g])
             for s in range(1, g):
                 np.left_shift(packed, rec.bits, out=packed)
                 np.bitwise_or(packed, words[:, s::g], out=packed)
-        np.copyto(codes, packed)
+            np.copyto(codes, packed)
         return codes
-
-    def _over_groups(self, table: np.ndarray, sums: Optional[np.ndarray], q: np.ndarray) -> np.ndarray:
-        """Per row, the sum of `table` at the codes of the row's first q
-        groups; with `sums` given, the most of `table` plus `sums` there (0
-        over no group)."""
-        ends = self.ends[: len(q)]
-        table.take(self.codes[: len(q)], out=ends, mode="clip")
-        if sums is None:
-            out = ends.sum(axis=1)
-        else:
-            ends += sums
-            out = ends.max(axis=1)
-        for i in np.flatnonzero(q < ends.shape[1]):
-            head = ends[i, : q[i]]
-            out[i] = head.sum() if sums is None else head.max(initial=0)
-        return out
 
     def _round(self) -> list[_Done]:
         """Step every row one block and return the runs that finish."""
-        rec, rows, cap = self.rec, self.rows, self.cap
-        r, g = len(rows), rec.group
-        ths, words = rec.block_thresholds, self.words
-        lens = []
-        for i, (_, walk, stream) in enumerate(rows):
-            us = stream.take(min(BLOCK, cap - walk.steps))
-            n = len(us)
-            lens.append(n)
-            walk.steps += n
-            # a byte per word: the branch index, or with two branches
-            # whether the word picks the second
-            np.greater_equal(us, ths[0], out=self.flags[i, :n])
-            for th in ths[1:]:
-                mask = np.greater_equal(us, th, out=self.scratch[:n])
-                np.add(words[i, :n], mask.view(np.uint8), out=words[i, :n])
-            if n < BLOCK:
-                words[i, n:] = 0  # a short block's last group reads no stale byte
-        cur, peak, passed = self.cur[:r], self.peak[:r], self.passed[:r]
+        rec, r, g, d = self.rec, self.count, self.rec.group, self.res.dimension
+        groups = BLOCK // g
+        lens = self._draw(r)
+        codes = self._codes(r)
+        rows = self.rows[:r]
+        cur, peak, steps, passed = rows[:, :d], rows[:, d : 2 * d], rows[:, 3 * d], rows[:, 3 * d + 1 :]
+        ends = self.ends[: r * groups].reshape(r, groups)
         # q: the whole groups each row takes off the tables, which stop
         # before the group that holds a terminal step
-        full = [n // g for n in lens]
+        q = lens // g
         for k, c in rec.constant:
             if c < 0:
-                full = [min(f, v // -c // g) for f, v in zip(full, cur[:, k].tolist())]
-        q = np.array(full)
-        codes = self._codes(r)
-        ends = self.ends[:r]
+                np.minimum(q, cur[:, k] // -c // g, out=q)
         for (k, _), (total, low, _), sums in zip(rec.varying, rec.tables, self.sums):
             sums = sums[:r]
-            total.take(codes, out=sums, mode="clip")
-            np.cumsum(sums, axis=1, dtype=np.int64, out=sums)
+            total.take(codes, out=ends, mode="clip")
+            np.cumsum(ends, axis=1, out=sums)
             low.take(codes, out=ends, mode="clip")
             ends += sums  # the lowest value inside each group, less cur
-            # the first group that goes below zero; a short block's
-            # zeroed groups come after its whole ones, which q stops at
-            for i in np.flatnonzero(ends.min(axis=1) + cur[:, k] < 0):
-                q[i] = min(q[i], np.argmax(ends[i] < -int(cur[i, k])))
+            # the first group that goes below zero; a short block's zeroed
+            # groups come after its whole ones, which q stops at
+            neg = np.flatnonzero(ends.min(axis=1) < -cur[:, k])
+            if len(neg):
+                first = (ends[neg] < -cur[neg, k, None]).argmax(axis=1)
+                q[neg] = np.minimum(q[neg], first)
+        # per row, the most or the sum of `ends` over its first q groups (0
+        # over none): a reduction over the segments from each row's start
+        # to its q-th group and on to the next row's start
+        at, whole = np.arange(r), q > 0
+        bounds = np.repeat(at * groups, 2)
+        bounds[1::2] += q
+
+        def over_whole(ufunc: np.ufunc) -> np.ndarray:
+            return np.where(whole, ufunc.reduceat(self.ends, bounds)[::2], 0)
+
         for (k, _), (_, _, high), sums in zip(rec.varying, rec.tables, self.sums):
-            top = self._over_groups(high, sums[:r], q)
-            np.maximum(peak[:, k], cur[:, k] + top, out=peak[:, k])
-            cur[:, k] += np.where(q > 0, sums[:r][np.arange(r), q - 1], 0)
+            sums = sums[:r]
+            high.take(codes, out=ends, mode="clip")
+            ends += sums  # the highest value inside each group, less cur
+            np.maximum(peak[:, k], cur[:, k] + over_whole(np.maximum), out=peak[:, k])
+            cur[:, k] += np.where(whole, sums[at, q - 1], 0)
         for j, table in enumerate(rec.passes, 1):
-            passed[:, j] += self._over_groups(table, None, q)
-        passed[:, 0] += q * g
+            table.take(codes, out=ends, mode="clip")
+            passed[:, j] += over_whole(np.add)
+        advance = q * g
+        passed[:, 0] += advance
         for k, c in rec.constant:
-            cur[:, k] += c * g * q
+            cur[:, k] += c * advance
             if c > 0:
                 np.maximum(peak[:, k], cur[:, k], out=peak[:, k])
 
         # the group past the tables, at most one a row: its steps up to the
         # terminal step, the cap or a short block's end, read off the
         # record's per-step tables of the group's code
-        leaving = {}  # row -> whether its last step terminates the run
-        d = cur.shape[1]
-        for i in np.flatnonzero(q * g < lens):
-            s, end = int(q[i]) * g, lens[i]
-            steps = rec.group_steps[codes[i, q[i]]].tolist()
-            need, high, sums, passes = steps[:d], steps[d : 2 * d], steps[2 * d : 3 * d], steps[3 * d :]
-            vals, tops, tally = cur[i].tolist(), peak[i].tolist(), passed[i].tolist()
-            left = min(end - s, g)
-            safe = min(left, *map(bisect_right, need, vals))  # steps before a counter goes negative
-            taken, live = min(safe + 1, left), min(safe, left)
-            if live:
-                tops = [max(t, v + h[live - 1]) for t, v, h in zip(tops, vals, high)]
-            vals = [v + c[taken - 1] for v, c in zip(vals, sums)]
-            tally = [tally[0] + taken, *(t + c[taken - 1] for t, c in zip(tally[1:], passes))]
-            if safe < left:  # the words past the terminal step go unused
-                rows[i][1].steps -= end - s - taken
-                leaving[i] = True
-            cur[i], peak[i], passed[i] = vals, tops, tally
-        for i, (_, walk, _) in enumerate(rows):
-            if walk.steps == cap:
-                leaving.setdefault(i, False)
-        for i in np.flatnonzero(cur.max(axis=1) >= FAST_COUNTER_LIMIT):
-            leaving.setdefault(int(i), None)  # leaves for the scalar path
-        if not leaving:
+        ended = np.zeros(r, dtype=bool)
+        part = np.flatnonzero(advance < lens)
+        if len(part):
+            vals, left = cur[part], np.minimum(lens[part] - advance[part], g)
+            table = rec.group_steps[codes[part, q[part]]]  # per row, step and column
+            # the steps before a counter goes negative: need <= the counter
+            safe = np.minimum(left, (table[:, :, :d] <= vals[:, None]).sum(axis=1).min(axis=1))
+            taken, at = np.minimum(safe + 1, left), np.arange(len(part))
+            after, high = table[at, taken - 1], table[at, np.maximum(safe - 1, 0), d : 2 * d]
+            peak[part] = np.where(safe[:, None] > 0, np.maximum(peak[part], vals + high), peak[part])
+            cur[part] = vals + after[:, 2 * d : 3 * d]
+            passed[part] += np.column_stack([taken, after[:, 3 * d :]])
+            advance[part] += taken
+            ended[part] = safe < left  # the words past the terminal step go unused
+        steps += advance
+        leaving = ended | (steps == self.end)
+        if self.held:
+            # a walk `_run` handed over follows its run's steps, and the run
+            # leaves for the scalar path once a counter reaches 2**53
+            for (_, _, _, walk), walked in zip(self.runs, steps.tolist()):
+                if walk is not None:
+                    walk.steps = walked
+            leaving |= cur.max(axis=1) >= FAST_COUNTER_LIMIT
+        gone = np.flatnonzero(leaving)
+        if not len(gone):
             return []
 
+        # the leaving rows' statistics, read out at once
         done: list[_Done] = []
-        for i, terminated in sorted(leaving.items()):
-            key, walk, stream = rows[i]
-            entry, walk.cur, walk.peak = walk.cur, cur[i].tolist(), peak[i].tolist()
-            at_least = [*passed[i].tolist(), 0]
-            if len(rec.tids) == 2 and not rec.passes:
-                k, (c0, c1) = rec.varying[0][0], rec.varying[0][1].tolist()
-                at_least.insert(1, (walk.cur[k] - entry[k] - at_least[0] * c0) // (c1 - c0))
-            # branch b is used by the steps that pick a branch past b - 1 but not past b
-            for tid, a, b in zip(rec.tids, at_least, at_least[1:]):
-                if a > b:
-                    walk.counts[tid] += a - b
-            if terminated is None:
-                done.append((key, _run(self.res, walk, stream, cap, False), stream))
+        if not rec.passes:  # two branches: a varying counter's change tells them apart
+            k, (c0, c1) = rec.varying[0][0], rec.varying[0][1].tolist()
+        for i, end, row in zip(gone.tolist(), ended[gone].tolist(), self.rows[gone].tolist()):
+            vals, tops, entry = row[:d], row[d : 2 * d], row[2 * d : 3 * d]
+            walked, passes = row[3 * d], row[3 * d + 1 :]
+            if rec.passes:  # branch b: the steps past threshold b - 1 and not past b
+                used = [a - b for a, b in zip(passes, [*passes[1:], 0])]
             else:
-                done.append((key, _stats(walk, terminated), stream))
-        keep = [i for i in range(r) if i not in leaving]
-        self.rows = [rows[i] for i in keep]
-        for a in (self.cur, self.peak, self.passed):
-            a[: len(keep)] = a[keep]
+                second = (vals[k] - entry[k] - passes[0] * c0) // (c1 - c0)
+                used = [passes[0] - second, second]
+            key, base, rtype, walk = self.runs[i]
+            counts = dict(base) if base else {}
+            for tid, c in zip(rec.tids, used):
+                if c:
+                    counts[tid] = counts.get(tid, 0) + c
+            if walk is not None:
+                walk.cur, walk.peak, walk.steps, walk.counts = vals, tops, walked, TallyCounter(counts)
+                self.held -= 1
+            if end or walked == self.cap:
+                stats = TrajectoryStats(end, walked, tuple(tops), counts, rtype)
+            else:  # a counter of a run `_run` handed over reached 2**53
+                stats = _run(self.res, walk, _DrawStream(self.gens[i], self.left[i]), self.cap, False)
+            done.append((key, stats, self.gens[i]))
+        kept = np.flatnonzero(~leaving)
+        self.rows[: len(kept)] = self.rows[kept]
+        kept = kept.tolist()
+        self.runs = [self.runs[i] for i in kept]
+        self.gens = [self.gens[i] for i in kept]
+        self.left = [self.left[i] for i in kept]
+        self.count = len(kept)
         return done
 
 
@@ -928,18 +1009,20 @@ def _lockstep(
                 out[run_ids[i]] = TrajectoryStats(bool(ended), walked, peaks, used, tuple(rtypes[i]))
                 streams.close(gens[i])
                 continue
-            walk = _Walk(t.names[state], values[:d], values[d : 2 * d], TallyCounter(used), rtypes[i], walked)
-            if res.region(walk.state) is not None:
+            name, cur, peaks = t.names[state], values[:d], values[d : 2 * d]
+            if res.region(name) is not None:
+                walk = _Walk(name, cur, peaks, TallyCounter(used), rtypes[i], walked)
                 out[run_ids[i]] = _closed_form(res, walk, cap)
                 streams.close(gens[i])
                 continue
-            # the run entered a block-path state: its stepper finishes the
-            # run, first on the words drawn here and not used
-            stepper = steppers.get(walk.state)
+            # the run entered a block-path state: it takes a row of the
+            # state's stepper, which finishes it, first on the words drawn
+            # here and not used, and steps whenever every row is taken
+            stepper = steppers.get(name)
             if stepper is None:
-                stepper = steppers[walk.state] = _Stepper(res, res.resolve(walk.state), cap)
-            stream = _DrawStream(gens[i], draws[i, first + at + 1 :].copy())
-            _finish(stepper.add(run_ids[i], walk, stream), out, streams)
+                stepper = steppers[name] = _Stepper(res, res.resolve(name), cap, min(ROWS, runs))
+            stepper.enter(run_ids[i], cur, peaks, walked, used, rtypes[i], gens[i], draws[i, first + at + 1 :].copy())
+            _finish(stepper.step_while(stepper.size), out, streams)
         rows -= len(gone)
         holes = gone[gone < rows]
         movers = rows + np.flatnonzero(~leaving[rows:])
@@ -955,21 +1038,27 @@ def _lockstep(
 def _step_batch(
     res: _Resolved, rec: _StateRec, n: int, runs: int, seed: int, cap: int, start: str
 ) -> list[TrajectoryStats]:
-    """Run a batch whose start state is a block-path state on one stepper."""
-    stepper = _Stepper(res, rec, cap)
+    """Run a batch whose start state is a block-path state on one stepper,
+    admitting runs into every free row before each round."""
+    stepper = _Stepper(res, rec, cap, min(ROWS, runs))
     streams = _Streams(seed, n)
+    mid = res.owner.get(start)
+    rtype = () if mid is None else (mid,)
     out: list[Optional[TrajectoryStats]] = [None] * runs
-    for r in range(runs):
-        _finish(stepper.add(r, _start(res, n, start), _DrawStream(streams.open(r))), out, streams)
-    _finish(stepper.drain(), out, streams)
+    admitted = 0
+    while admitted < runs or stepper.count:
+        new = range(admitted, min(runs, admitted + stepper.size - stepper.count))
+        stepper.start(new, n, rtype, [streams.open(r) for r in new])
+        admitted = new.stop
+        _finish(stepper._round(), out, streams)
     return out
 
 
 def _finish(done: list[_Done], out: list, streams: _Streams) -> None:
     """Record the runs a stepper finished and take back their generators."""
-    for key, stats, stream in done:
+    for key, stats, bg in done:
         out[key] = stats
-        streams.close(stream.bg)
+        streams.close(bg)
 
 
 def _init_state(m: VassMdp, init_state: Optional[str]) -> str:

@@ -526,9 +526,10 @@ def test_check_exits_1_on_a_report_it_cannot_read(capsys, tmp_path):
     report = _analyze_to_file(tmp_path, walk)
     doc = json.loads(report.read_text())
     # a report of another model, a report missing a key, a number outside the
-    # rational grammar (even one Python reads as the right value), a class or
-    # counter that does not exist (named by a type, an estimate or a solve),
-    # a counter key outside the schema's ASCII grammar (even one Python reads
+    # rational grammar (even one Python reads as the right value), a class,
+    # counter, state or transition that does not exist (named by a type, an
+    # estimate, a class, a reach certificate or any field of a solve), a
+    # counter key outside the schema's ASCII grammar (even one Python reads
     # as 1), a repeated counter, no JSON
     assert run(capsys, "check", str(MODELS / "decreasing_loop.json"), str(report))[0] == 1
     broken = tmp_path / "broken.json"
@@ -558,6 +559,20 @@ def test_check_exits_1_on_a_report_it_cannot_read(capsys, tmp_path):
             for key in ("01", "١")
         ),
         pump_solve(k, {**pump_doc["solves"][k], "zeroed_counters": [2, 2]}),
+        pump_solve(0, {**first, "flow": {**first["flow"], "positive_counters": [2, 9]}}),
+        pump_solve(0, {**first, "flow": {**first["flow"], "flow": {**first["flow"]["flow"], "ghost": "0"}}}),
+        pump_solve(0, {**first, "flow": {**first["flow"], "positive_transitions": ["ghost"]}}),
+        *(
+            pump_solve(0, {**first, "ranking": {**first["ranking"], key: value}})
+            for key, value in (
+                ("counter_coefficients", {**first["ranking"]["counter_coefficients"], "9": "0"}),
+                ("state_offsets", {**first["ranking"]["state_offsets"], "zz": "0"}),
+                ("strict_probabilistic_states", ["zz"]),
+                ("strict_controlled_transitions", ["ghost"]),
+            )
+        ),
+        (pump, json.dumps({**pump_doc, "classes": [{**c, "transitions": [*c["transitions"], "ghost"]} for c in pump_doc["classes"]]})),
+        (pump, json.dumps({**pump_doc, "reach": [{**e, "values": {**e["values"], "zz": "0"}} for e in pump_doc["reach"]]})),
         (walk, json.dumps([doc])),
         (walk, "{not json"),
     ):

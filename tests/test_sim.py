@@ -170,6 +170,27 @@ def test_fast_path_spans_multiple_blocks(inc_loop, closed_forms):
     assert closed_forms == ["p"]
 
 
+def test_block_path_hands_counters_past_exact_range_to_the_scalar_path(monkeypatch):
+    # a run handed to the block path from 2**53 or above stays on the scalar
+    # path; one that starts below and reaches 2**53 within the cap leaves its
+    # row for the scalar path in the round that crosses it
+    m = self_loop([(1,), (3,)])
+    scalar = []  # the steps at which the scalar path takes a run on
+    inner = sim._advance
+
+    def recording(res, walk, *args):
+        scalar.append(walk.steps)
+        return inner(res, walk, *args)
+
+    monkeypatch.setattr(sim, "_advance", recording)
+    for n, taken_on in ((2**53 - 5000, [0, sim.BLOCK]), (2**53, [0, 0]), (2**60, [0, 0])):
+        scalar.clear()
+        fast = simulate_one(m, n, seed=4, max_steps=3 * sim.BLOCK)
+        assert scalar == taken_on
+        assert fast == simulate_one(m, n, seed=4, max_steps=3 * sim.BLOCK, _vectorized=False)
+        assert fast.max_counter[0] > 2**53 and fast.steps == 3 * sim.BLOCK
+
+
 def test_simulate_many_matches_simulate_one(walk):
     batch = simulate_many(walk, 2, 12, seed=5, max_steps=2000)
     for r, st in enumerate(batch):
@@ -414,10 +435,10 @@ def self_loop(updates, probs=None):
     )
 
 
-def stepper_of(m, cap):
-    """A stepper of state `s` of `m` with step cap `cap`."""
+def stepper_of(m, cap, size=sim.ROWS):
+    """A stepper of `size` rows for state `s` of `m` with step cap `cap`."""
     res = sim._Resolved(m, None)
-    return sim._Stepper(res, res.resolve("s"), cap)
+    return sim._Stepper(res, res.resolve("s"), cap, size)
 
 
 def step_rows(stepper, rows):
@@ -542,17 +563,20 @@ def test_simulate_many_runs_multi_block_walks_as_simulate_one(walk):
         assert st == simulate_one(walk, 40, run=r, seed=8, max_steps=5 * sim.BLOCK)
 
 
-def test_draw_stream_short_block_then_aligned():
-    # a run handed to the block path with L < k words buffered takes those L
-    # words alone, then whole blocks straight from its stream
+def test_stepper_takes_leftover_words_as_one_short_block():
+    # a run handed to the block path with L < BLOCK words drawn and not used
+    # takes those L words alone, then whole blocks straight from its stream
     left = 100
     words = np.random.Philox(key=7).random_raw(left + 2 * sim.BLOCK)
     bg = np.random.Philox(key=7)
-    stream = sim._DrawStream(bg, bg.random_raw(left))
-    assert np.array_equal(stream.take(sim.BLOCK), words[:left])
-    assert np.array_equal(stream.take(sim.BLOCK), words[left : left + sim.BLOCK])
-    assert np.array_equal(stream.take(30), words[left + sim.BLOCK : left + sim.BLOCK + 30])
-    assert stream.one() == int(words[left + sim.BLOCK + 30])
+    stepper = stepper_of(self_loop([(-1,), (1,)]), 10**9)
+    walk = sim._Walk("s", [10**12], [10**12], TallyCounter(), [])
+    assert stepper.add(0, walk, sim._DrawStream(bg, bg.random_raw(left))) == []
+    th = stepper.rec.thresholds[0]
+    for start, size in ((0, left), (left, sim.BLOCK)):
+        assert stepper._draw(1).tolist() == [size]
+        assert np.array_equal(stepper.flags[0, :size], words[start : start + size] >= th)
+    assert np.array_equal(bg.random_raw(30), words[left + sim.BLOCK : left + sim.BLOCK + 30])
 
 
 def constant_words(u, size):
@@ -646,7 +670,7 @@ def test_kernel_handoff_short_blocks_and_cap(kernel_batches, monkeypatch):
     inner = sim._Stepper._round
 
     def recording(self):
-        buffered = {key: len(stream._buf) - stream._pos for key, _, stream in self.rows}
+        buffered = {key: 0 if left is None else len(left) for (key, *_), left in zip(self.runs, self.left)}
         done = inner(self)
         blocks.extend((buffered[key], st.terminated) for key, st, _ in done)
         return done
@@ -728,8 +752,8 @@ def test_kernel_handoff_fills_two_steppers(pump, kernel_batches, closed_forms, m
     rounds = TallyCounter()  # (state, rows) per round
     inner = sim._Stepper._round
 
-    def recording(self):
-        rounds[self.rows[0][1].state, len(self.rows)] += 1
+    def recording(self):  # a state's name is the first letter of its transitions'
+        rounds[self.rec.tids[0][0], self.count] += 1
         return inner(self)
 
     monkeypatch.setattr(sim._Stepper, "_round", recording)
@@ -839,6 +863,27 @@ def test_batches_build_a_generator_per_row_not_per_run(pump, walk, monkeypatch):
         assert 0 < len(built) <= most
 
 
+def test_stepper_runs_build_no_per_run_objects(pump, walk, closed_forms, monkeypatch):
+    # a stepper run keeps its row from admission to its statistics, so no
+    # walk, tally or word stream is built for it: neither in a batch on the
+    # block path alone nor for the kernel's runs handed over to f. The kernel
+    # builds a walk and a tally for each run the closed form finishes at e
+    built = TallyCounter()
+    for name in ("_Walk", "_DrawStream", "TallyCounter"):
+
+        def counting(*args, _name=name, _inner=getattr(sim, name)):
+            built[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(sim, name, counting)
+    simulate_many(walk, 5, 3 * sim.ROWS + 1, seed=2, max_steps=300)
+    assert not built
+    batch = simulate_many(pump, 4, 200, seed=1, strategy=pump_leave(4), max_steps=8 * 4**4)
+    f_class = sim._Resolved(pump, None).owner["f"]
+    assert sum(st.realized_type[-1] == f_class for st in batch) > sim.ROWS
+    assert closed_forms and built == TallyCounter({"_Walk": len(closed_forms), "TallyCounter": len(closed_forms)})
+
+
 def test_kernel_rows_refill_past_the_slots(pump, kernel_batches, closed_forms):
     # MAX_IN_FLIGHT + 1 runs, so a run is admitted where one left, at caps
     # next to the edges of a block and of a draw of RUN_DRAWS blocks; runs
@@ -868,7 +913,8 @@ def test_block_path_terminal_step_at_each_group_position(updates):
     # branch 0 lowers counter 0 by one, so a row whose words all pick it
     # terminates on step n + 1: at each position of its first groups, and
     # next to the end of a short first block, in its last, partial group.
-    # Rows outnumber ROWS, so they share rounds with rows that go on
+    # Rows outnumber the stepper's 12, so they share rounds with rows that
+    # go on and take rows that others left
     m = self_loop(updates)
     g = sim._Resolved(m, None).resolve("s").group
     down = constant_words(0, sim.BLOCK)
@@ -877,8 +923,55 @@ def test_block_path_terminal_step_at_each_group_position(updates):
         rows += [(down[:size], (n, 10**6)) for n in (size - 2, size - 1, size) if n >= 0]
     random = np.random.Philox(key=9).random_raw(sim.BLOCK)
     rows += [(random[: 5 * g + 3], (2, 3)), (random, (40, 40))]
-    done = step_rows(stepper_of(m, 4 * sim.BLOCK), rows)
+    done = step_rows(stepper_of(m, 4 * sim.BLOCK, 12), rows)
     assert [(st.terminated, st.steps) for st, _ in done[: 3 * g]] == [(True, n + 1) for n in range(3 * g)]
+
+
+@pytest.mark.parametrize("updates", BRANCHES)
+def test_block_path_round_in_which_every_row_finishes(updates, monkeypatch):
+    # ROWS runs arrive with kernel leftovers of different lengths whose first
+    # n + 1 words pick branch 0, so run n terminates inside its leftover, on
+    # step n + 1: at every position of its group. Every third run arrives n
+    # steps before its cap and is truncated there instead. The round that
+    # steps them finishes every row, and each run equals the scalar path
+    m, cap = self_loop(updates), 4 * sim.BLOCK
+    rounds = []  # per round, the rows stepped and the runs finished
+    inner = sim._Stepper._round
+
+    def recording(self):
+        done = inner(self)
+        rounds.append((self.count + len(done), len(done)))
+        return done
+
+    monkeypatch.setattr(sim._Stepper, "_round", recording)
+    random = np.random.Philox(key=8).random_raw(5 * sim.ROWS)
+    runs = [
+        (np.concatenate([constant_words(0, n + 1), random[: 5 * n]]), n, cap - n if n % 3 == 1 else 0)
+        for n in range(sim.ROWS)
+    ]
+
+    def walk_and_stream(i):
+        words, n, steps = runs[i]
+        walk = sim._Walk("s", [n, 10**6], [n, 10**6], TallyCounter(), ["M1"], steps)
+        return walk, sim._DrawStream(np.random.Philox(key=i), words)
+
+    stepper, done = stepper_of(m, cap), []
+    for i in range(sim.ROWS):
+        done += stepper.add(i, *walk_and_stream(i))
+    assert rounds == [(sim.ROWS, sim.ROWS)]
+    stats = {key: st for key, st, _ in done}
+    for i in range(sim.ROWS):
+        assert stats[i] == sim._run(sim._Resolved(m, None), *walk_and_stream(i), cap, False), i
+    ends = [(stats[n].terminated, stats[n].steps) for n in range(sim.ROWS)]
+    assert ends == [(False, cap) if n % 3 == 1 else (True, n + 1) for n in range(sim.ROWS)]
+
+
+def test_block_path_rows_keep_their_words_when_an_earlier_row_leaves():
+    # rows 1 and 2 hold words past their first block when row 0 terminates;
+    # the rows left move up, each with its own words
+    random = np.random.Philox(key=10).random_raw(3 * sim.BLOCK)
+    rows = [(constant_words(0, 8), (3,)), (random, (10**6,)), (random[: 2 * sim.BLOCK + 5], (10**6,))]
+    step_rows(stepper_of(self_loop([(-1,), (1,)]), 4 * sim.BLOCK, 3), rows)
 
 
 @pytest.mark.parametrize("updates", BRANCHES)
