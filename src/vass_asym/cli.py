@@ -529,7 +529,7 @@ def _cmd_simulate(args) -> int:
     except ValueError:
         raise ValueError(f"--n expects comma-separated integers, got {args.n!r}") from None
     strategy = _load_strategy(args.strategy, m) if args.strategy else None
-    init = args.init_state if args.init_state else min(m.state_names())
+    init = min(m.state_names()) if args.init_state is None else args.init_state
     rep = estimate_tails(
         m,
         n_list,

@@ -30,23 +30,33 @@ steps it.
   region is one run computed once; the kernel and `_run` hand a run over
   when it enters one. A state that fails to resolve ends the region test,
   so the other paths raise when, and only when, a run reaches it.
-* The lockstep kernel (`_lockstep`) steps the runs of a `simulate_many` batch
-  together, at most MAX_IN_FLIGHT at a time. Each wave takes one word from
-  every active run's stream and maps (state, word) to a branch key through
-  padded per-state threshold tables; the keys then index padded tables of
-  next states and updates. Once per block of RUN_BUFFER waves the counter
-  updates are cumulatively summed, and each run's first terminal crossing,
+* The lockstep kernel (`_lockstep`) steps the runs of a `simulate_many`
+  batch together, at most MAX_IN_FLIGHT at a time. Each wave takes one word
+  from every active run's stream and maps (state, word) to a branch key
+  through padded per-state threshold tables; the keys then index padded
+  tables of next states and updates. When no state the kernel steps sends
+  its branches to two or more successors, a run's states follow from its
+  state at a block's start alone: a table of the state reached after j
+  waves, built once per batch, gives every wave's state in one gather, and
+  one compare of the block's words per threshold column gives the keys; else
+  the states are chased wave by wave. The states a run is handed off from
+  (block-path states and regions) are left out of that test, since the
+  kernel never takes their branches. Once per block of RUN_BUFFER waves the
+  updates of each counter that some stepped branch moves are cumulatively
+  summed, laid out as (counter, wave, row); only the counters some stepped
+  branch lowers are tested for going negative, and a counter no stepped
+  branch moves keeps its value and peak. Each run's first terminal crossing,
   peaks, per-transition counts and realized-type entries are read off. It
-  runs a batch when the start state is neither in a deterministic region
-  nor a block-path state, every state reachable from it resolves under the
+  runs a batch when the start state is neither in a deterministic region nor
+  a block-path state, every state reachable from it resolves under the
   strategy, and n + cap * max|update| < 2**53, so that no counter can leave
-  exact int64 range within the cap. A run leaves the kernel where it
-  enters a region or a block-path state. The runs in flight hold rows of
-  arrays made once per batch: a run that leaves gives its row to the last
-  one, an admitted run takes the next free row, and each row draws the
-  words of RUN_DRAWS blocks in one call (words past a run's end go
-  unused). The statistics of the runs that leave in a block are read out
-  of the arrays in one call.
+  exact int64 range within the cap. A run leaves the kernel where it enters
+  a region or a block-path state. The runs in flight hold rows of arrays
+  made once per batch: a run that leaves gives its row to the last one, an
+  admitted run takes the next free row, and each row draws the words of
+  RUN_DRAWS blocks in one call (words past a run's end go unused). The
+  statistics of the runs that leave in a block are read out of the arrays in
+  one call.
 * The block path applies while a run sits in a state whose two or more
   resolved branches (at most 256) are all self-loops, the absorbing tail
   phase of typical models; a run never leaves such a state. One stepper
@@ -837,6 +847,13 @@ class _Tables:
     run's state by the key of its first branch. Pad columns repeat a state's
     last branch; pad thresholds are 2**64 - 1, which only the draw 2**64 - 1
     reaches, and that draw selects the last branch anyway.
+
+    The kernel steps only the states that are not hand-off states (block-path
+    states and states in deterministic regions): a run leaves it on entering
+    one. When no stepped state forks, `walk[j, sk]` is the key of the state
+    reached from the state of key `sk` after j waves, else `walk` is None.
+    Hand-off states have one successor anyway (all self-loops, or one
+    branch), so the table follows them too.
     """
 
     def __init__(self, res: _Resolved, recs: dict[str, _StateRec]):
@@ -847,10 +864,12 @@ class _Tables:
         self.width = width
         self.size = size
         self.names = list(recs)
+        hands = {name: rec.fast_ok or res.region(name) is not None for name, rec in recs.items()}
+        stepped = [rec for name, rec in recs.items() if not hands[name]]
         # one column per branch past the first; only state keys are read
         self.thresholds = [np.full(size, MASK64, dtype=np.uint64) for _ in range(width - 1)]
         self.nxt = np.empty(size, dtype=np.int64)  # key of the target state
-        self.updates = np.empty((size, res.dimension), dtype=np.int64)
+        updates = np.empty((res.dimension, size), dtype=np.int64)
         # the target is a block-path state or lies in a deterministic region
         self.hand = np.empty(size, dtype=bool)
         self.enters = np.empty(size, dtype=bool)  # the target may extend the realized type
@@ -865,11 +884,26 @@ class _Tables:
                 mid = res.owner.get(target)
                 key = i * width + k
                 self.nxt[key] = index[target] * width
-                self.updates[key] = rec.updates[b]
-                self.hand[key] = recs[target].fast_ok or res.region(target) is not None
+                updates[:, key] = rec.updates[b]
+                self.hand[key] = hands[target]
                 self.enters[key] = mid is not None and mid != res.owner.get(name)
                 self.tids.append(rec.tids[b])
                 self.mids.append(mid)
+        # the counters some stepped branch moves, those it lowers first, and
+        # per such counter the update of each key; a counter no stepped branch
+        # moves keeps its value and peak in the kernel
+        moves = [u for rec in stepped for u in rec.updates]
+        lowers = [k for k in range(res.dimension) if any(u[k] < 0 for u in moves)]
+        raises = [k for k in range(res.dimension) if k not in lowers and any(u[k] for u in moves)]
+        self.moved = lowers + raises
+        self.lowered = len(lowers)
+        self.updates = updates[self.moved]
+        self.walk: Optional[np.ndarray] = None
+        if all(len(set(rec.targets)) == 1 for rec in stepped):
+            self.walk = np.empty((RUN_BUFFER + 1, size), dtype=np.int64)
+            self.walk[0] = np.arange(size)
+            for j in range(RUN_BUFFER):
+                self.walk[j + 1] = self.nxt[self.walk[j]]
         # a transition's keys are consecutive (pads repeat a state's last
         # branch): the first key of each, and its id
         self.tid_starts = [key for key, tid in enumerate(self.tids) if key == 0 or tid != self.tids[key - 1]]
@@ -881,6 +915,15 @@ class _Tables:
         for th in self.thresholds:
             key = key + (u >= th[sk])
         return key
+
+    def walked(self, sk: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Off `walk`: the branch keys that a block's words (wave, row) select
+        from the states with keys `sk`, and the state keys after the block."""
+        states = self.walk[: len(words), sk]
+        keys = states.copy()
+        for th in self.thresholds:
+            keys += words >= th[states]
+        return keys, self.walk[len(words), sk]
 
 
 def _lockstep_tables(res: _Resolved, start: str, n: int, cap: int) -> Optional[_Tables]:
@@ -960,20 +1003,25 @@ def _lockstep(
         first = phase * width
         phase = (phase + 1) % RUN_DRAWS
         words = draws[:rows, first : first + width].T
-        keys = np.empty((width, rows), dtype=np.int64)
-        sk = sk_all[:rows]
-        for j in range(width):
-            keys[j] = t.branch(sk, words[j])
-            sk = t.nxt[keys[j]]
-        sk_all[:rows] = sk
+        if t.walk is None:  # a stepped state forks: chase the states wave by wave
+            keys = np.empty((width, rows), dtype=np.int64)
+            sk = sk_all[:rows]
+            for j in range(width):
+                keys[j] = t.branch(sk, words[j])
+                sk = t.nxt[keys[j]]
+            sk_all[:rows] = sk
+        else:
+            keys, sk_all[:rows] = t.walked(sk_all[:rows], words)
 
-        # where each row leaves the block: the step that terminates it, enters
-        # a block-path state or a deterministic region, or reaches the cap,
-        # whichever comes first
-        pos = t.updates[keys]
-        np.cumsum(pos, axis=0, out=pos)
-        pos += cur
-        neg = (pos < 0).any(axis=2)
+        # per counter a stepped branch moves, its value after each wave
+        # (counter, wave, row); where each row leaves the block: the step
+        # that terminates it (only a counter some stepped branch lowers can
+        # go negative), enters a block-path state or a deterministic region,
+        # or reaches the cap, whichever comes first
+        pos = t.updates.take(keys, axis=1)
+        np.cumsum(pos, axis=1, out=pos)
+        pos += cur[:, t.moved].T[:, None]
+        neg = (pos[: t.lowered] < 0).any(axis=0)  # an OR of the lowered counters' masks
         term_at = np.where(neg.any(axis=0), neg.argmax(axis=0), width)
         hand = t.hand[keys]
         hand_at = np.where(hand.any(axis=0), hand.argmax(axis=0), width)
@@ -982,12 +1030,12 @@ def _lockstep(
         terminated = (term_at < width) & (term_at == stop)
         live = wave < taken - terminated  # configurations reached, terminal one excluded
 
-        cur[:] = pos[taken - 1, np.arange(rows)]
+        cur[:, t.moved] = pos[:, taken - 1, np.arange(rows)].T
         steps += taken
         flat = (keys + np.arange(rows) * t.size)[wave < taken]
         counts += np.bincount(flat, minlength=rows * t.size).reshape(rows, t.size)
-        pos[~live] = 0  # live counters and peaks are all >= 0
-        np.maximum(peak, pos.max(axis=0), out=peak)
+        high = np.where(live, pos, 0).max(axis=1)  # live counters and peaks are all >= 0
+        peak[:, t.moved] = np.maximum(peak[:, t.moved], high.T)
         for j, i in zip(*np.nonzero(t.enters[keys] & live)):
             mid = t.mids[keys[j, i]]
             if not rtypes[i] or rtypes[i][-1] != mid:

@@ -931,8 +931,9 @@ def test_simulate_rejects_bad_arguments(capsys):
     model = str(MODELS / "random_walk_1d.json")
     assert run(capsys, "simulate", model, "--n", "4,3", "--runs", "5")[0] == 1
     assert run(capsys, "simulate", model, "--n", "x", "--runs", "5")[0] == 1
-    assert run(capsys, "simulate", model, "--n", "4", "--runs", "5",
-               "--init-state", "zz")[0] == 1
+    for name in ("zz", ""):  # only an absent --init-state means the least name
+        rc, _, err = run(capsys, "simulate", model, "--n", "4", "--runs", "5", "--init-state", name)
+        assert rc == 1 and f"unknown state {name!r}" in err
     for runs in ("0", "-3"):
         assert run(capsys, "simulate", model, "--n", "4", "--runs", runs)[0] == 1
     # seeds past the 64-bit key word would alias others' streams

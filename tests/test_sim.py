@@ -4,6 +4,7 @@ import json
 import time
 import tracemalloc
 from collections import Counter as TallyCounter
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isclose
 
@@ -220,18 +221,35 @@ def test_runs_differ_across_run_index_and_seed(walk):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def kernel_batches(monkeypatch):
-    """Counts the batches the lockstep kernel runs."""
+@contextmanager
+def recorded(owner, name):
+    """The arguments of every call of `owner.name` inside the block."""
     calls = []
-    inner = sim._lockstep
+    inner = getattr(owner, name)
 
-    def counting(*args):
+    def recording(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(sim, "_lockstep", counting)
-    return calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, recording)
+        yield calls
+
+
+@pytest.fixture
+def kernel_batches():
+    """Counts the batches the lockstep kernel runs."""
+    with recorded(sim, "_lockstep") as calls:
+        yield calls
+
+
+@pytest.fixture
+def chased_waves():
+    """Counts the waves the lockstep kernel chases state by state, one
+    `_Tables.branch` call each; it reads the states of a block off the walk
+    table instead when no stepped state forks."""
+    with recorded(sim._Tables, "branch") as calls:
+        yield calls
 
 
 @pytest.fixture
@@ -408,6 +426,144 @@ def models_with_strategies(draw):
 def test_kernel_matches_reference_on_random_models(case, n, runs, cap, seed):
     m, strategy, init = case
     assert_matches_reference(m, n, runs, seed=seed, strategy=strategy, max_steps=cap, init_state=init)
+
+
+def forks(m, strategy, init):
+    """Whether a state the kernel steps from `init` sends its resolved
+    branches to two or more successors; a hand-off state (a block-path state,
+    or one whose one-branch successors reach only one-branch states) is not
+    stepped."""
+    res = sim._Resolved(m, strategy)
+
+    def one_way(name):
+        seen = set()
+        while name not in seen:
+            seen.add(name)
+            rec = res.try_resolve(name)
+            if rec is None or len(rec.tids) != 1:
+                return False
+            name = rec.targets[0]
+        return True
+
+    seen, todo, found = set(), [init], False
+    while todo:
+        name = todo.pop()
+        rec = res.try_resolve(name)
+        if name in seen or rec is None or rec.fast_ok or one_way(name):
+            continue
+        seen.add(name)
+        found |= len(set(rec.targets)) > 1
+        todo += rec.targets
+    return found
+
+
+def test_kernel_walks_exactly_when_no_stepped_state_forks(pump, kernel_batches, chased_waves):
+    # a and b each have one successor under a -> a_b
+    assert not forks(pump, {"a": "a_b"}, "a")
+    assert_matches_reference(pump, 6, 70, seed=2, strategy={"a": "a_b"}, max_steps=300)
+    assert len(kernel_batches) == 1 and not chased_waves
+    # a forks to b and q, and q to e and f
+    assert forks(pump, pump_leave(4), "a")
+    assert_matches_reference(pump, 4, 40, seed=11, strategy=pump_leave(4), max_steps=300)
+    assert len(kernel_batches) == 2 and len(chased_waves) % sim.RUN_BUFFER == 0 and chased_waves
+    # only the start state q forks, to p and back to q
+    chased_waves.clear()
+    assert forks(coin_zero_cycle(), None, "q")
+    assert_matches_reference(coin_zero_cycle(), 2, 5, seed=4, init_state="q", max_steps=301)
+    assert len(kernel_batches) == 3 and chased_waves
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(models_with_strategies(), st.integers(0, 6), st.integers(1, 150), st.integers(0, 2**32))
+def test_kernel_walks_random_models_exactly_when_no_stepped_state_forks(case, n, cap, seed):
+    m, strategy, init = case
+    with recorded(sim, "_lockstep") as batches, recorded(sim._Tables, "branch") as chased:
+        try:
+            simulate_many(m, n, 3, seed=seed, strategy=strategy, max_steps=cap, init_state=init)
+        except IncompleteStrategy:
+            return
+    if batches:
+        assert bool(chased) == forks(m, strategy, init)
+
+
+COUNTER_MOVES = {"lowered": (-2, 2), "raised": (0, 2), "unmoved": (0, 0)}
+
+
+@st.composite
+def one_successor_cycles(draw):
+    """A cycle of 2-4 coin states in which every state has one successor and
+    1-3 branches, on 1-3 counters, and a start state on it with two or more
+    branches. Per counter, the cycle's branches lower and raise it, only
+    raise it, or leave it. The last state may lead instead into a self-loop
+    state `z` of two branches or a one-branch self-loop `r` (a deterministic
+    region), whose branches may move every counter."""
+    k, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    start = draw(st.integers(0, k - 1))
+    moves = [COUNTER_MOVES[draw(st.sampled_from(sorted(COUNTER_MOVES)))] for _ in range(d)]
+    sink = draw(st.sampled_from(["", "z", "r"]))
+    names = [f"c{i}" for i in range(k)]
+    kinds = dict.fromkeys(names + ([sink] if sink else []), "prob")
+    transitions = []
+    for i, (a, b) in enumerate(zip(names, names[1:] + [sink or names[0]])):
+        weights = draw(st.lists(st.integers(1, 4), min_size=2 if i == start else 1, max_size=3))
+        for j, w in enumerate(weights):
+            update = [draw(st.integers(lo, hi)) for lo, hi in moves]
+            transitions.append((f"{a}_{j}", a, b, update, F(w, sum(weights))))
+    if sink:
+        loops = 2 if sink == "z" else 1
+        for j in range(loops):
+            update = [draw(st.integers(-2, 2)) for _ in range(d)]
+            transitions.append((f"{sink}_{j}", sink, sink, update, F(1, loops)))
+    return vass(kinds, transitions, d), names[start]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    one_successor_cycles(),
+    st.integers(0, 70),
+    st.integers(1, 70),
+    st.integers(1, 3 * sim.RUN_BUFFER + 1),
+    st.integers(0, 2**32),
+)
+def test_kernel_walk_matches_reference_on_one_successor_cycles(case, n, runs, cap, seed):
+    m, init = case
+    with recorded(sim, "_lockstep") as batches, recorded(sim._Tables, "branch") as chased:
+        assert_matches_reference(m, n, runs, seed=seed, max_steps=cap, init_state=init)
+    assert len(batches) == 1 and not chased
+
+
+def countdown_cycle():
+    """Two coins a and b, each lowering counter 0 by one whichever branch it
+    takes: a run from n terminates at step n + 1. No branch moves counter 1,
+    and counter 2 is only raised, by 0, 1 or 2."""
+    return vass(
+        dict.fromkeys("ab", "prob"),
+        [
+            ("a0", "a", "b", [-1, 0, 0], F(1, 3)),
+            ("a1", "a", "b", [-1, 0, 1], F(2, 3)),
+            ("b0", "b", "a", [-1, 0, 1], F(1, 2)),
+            ("b1", "b", "a", [-1, 0, 2], F(1, 2)),
+        ],
+        dimension=3,
+    )
+
+
+@pytest.mark.parametrize("n", [0, sim.RUN_BUFFER - 1, sim.RUN_BUFFER, 2 * sim.RUN_BUFFER - 1])
+def test_kernel_walk_terminates_at_each_end_of_a_block(n, kernel_batches, chased_waves):
+    # the terminal step n + 1 falls on wave n mod RUN_BUFFER of its block: the
+    # first wave for n = 0 and RUN_BUFFER, the last for the others
+    batch = assert_matches_reference(countdown_cycle(), n, 5, seed=n, max_steps=3 * sim.RUN_BUFFER)
+    assert {(st.terminated, st.steps, st.max_counter[:2]) for st in batch} == {(True, n + 1, (n, n))}
+    assert n == 0 or len({st.max_counter[2] for st in batch}) > 1  # the raised counter varies
+    assert len(kernel_batches) == 1 and not chased_waves
+
+
+@pytest.mark.parametrize("cap", [1, sim.RUN_BUFFER // 2, sim.RUN_BUFFER, sim.RUN_BUFFER + 5])
+def test_kernel_walk_caps_inside_a_block(cap, kernel_batches, chased_waves):
+    n = 3 * sim.RUN_BUFFER
+    batch = assert_matches_reference(countdown_cycle(), n, 5, seed=cap, max_steps=cap)
+    assert {(st.terminated, st.steps, st.max_counter[:2]) for st in batch} == {(False, cap, (n, n))}
+    assert len(kernel_batches) == 1 and not chased_waves
 
 
 # ---------------------------------------------------------------------------
