@@ -371,6 +371,8 @@ def _load_strategy(arg: str, m: VassMdp):
     a randomized strategy from that class's maximal pumping flow. A file's
     every entry must resolve as the simulator resolves it; a state without
     an entry fails only when a run reaches it."""
+    if not arg:
+        raise ValueError("--strategy expects a JSON file or witness:<class-id>, got ''")
     if arg.startswith("witness:"):
         mid = arg[len("witness:") :]
         for mec in mec_decomposition(m):
@@ -524,11 +526,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     m = _read_model(args.model)
-    try:
-        n_list = [int(part) for part in args.n.split(",") if part.strip() != ""]
+    try:  # an empty entry is no integer either
+        n_list = [int(part) for part in args.n.split(",")]
     except ValueError:
         raise ValueError(f"--n expects comma-separated integers, got {args.n!r}") from None
-    strategy = _load_strategy(args.strategy, m) if args.strategy else None
+    strategy = None if args.strategy is None else _load_strategy(args.strategy, m)
     init = min(m.state_names()) if args.init_state is None else args.init_state
     rep = estimate_tails(
         m,

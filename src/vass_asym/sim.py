@@ -46,17 +46,22 @@ steps it.
   summed, laid out as (counter, wave, row); only the counters some stepped
   branch lowers are tested for going negative, and a counter no stepped
   branch moves keeps its value and peak. Each run's first terminal crossing,
-  peaks, per-transition counts and realized-type entries are read off. It
-  runs a batch when the start state is neither in a deterministic region nor
-  a block-path state, every state reachable from it resolves under the
-  strategy, and n + cap * max|update| < 2**53, so that no counter can leave
-  exact int64 range within the cap. A run leaves the kernel where it enters
-  a region or a block-path state. The runs in flight hold rows of arrays
-  made once per batch: a run that leaves gives its row to the last one, an
-  admitted run takes the next free row, and each row draws the words of
-  RUN_DRAWS blocks in one call (words past a run's end go unused). The
-  statistics of the runs that leave in a block are read out of the arrays in
-  one call.
+  peaks, per-transition counts and realized-type entries are read off. A
+  block's keys are scanned for a hand-off only when some stepped branch
+  leads into a hand-off state, and for class entries only when some stepped
+  branch enters a class other than its state's; else the scan would find
+  none, and is skipped. It runs a batch when the start state is neither in
+  a deterministic region nor a block-path state, every state reachable from
+  it resolves under the strategy, and n + cap * max|update| < 2**53, so
+  that no counter can leave exact int64 range within the cap. A run leaves
+  the kernel where it enters a region or a block-path state. The runs in
+  flight hold rows of arrays made once per batch: a run that leaves gives
+  its row to the last one, an admitted run takes the next free row, and
+  each row draws the words of RUN_DRAWS blocks in one call (words past a
+  run's end go unused). The statistics of the runs that leave in a block
+  are read out of the arrays at once, one list per field. The tables are
+  built from lists, one call per array, and the table of states after j
+  waves by doubling.
 * The block path applies while a run sits in a state whose two or more
   resolved branches (at most 256) are all self-loops, the absorbing tail
   phase of typical models; a run never leaves such a state. One stepper
@@ -109,11 +114,11 @@ from __future__ import annotations
 import statistics
 from bisect import bisect_right
 from collections import Counter as TallyCounter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import ceil, inf, isfinite
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -216,11 +221,13 @@ class _Streams:
         if n >> 96:
             raise ValueError("start value n must be below 2**96 for a run that draws words")
         self._low = (n & 0xFFFFFFFF) << 32
-        self._key = np.array([seed, 0], dtype=np.uint64)
+        # Python ints, not arrays: the state setter reads them about twice
+        # as fast
+        self._key = [seed, 0]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.array([0, 0, 0, n >> 32], dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": [0, 0, 0, n >> 32], "key": self._key},
+            "buffer": [0] * 4,
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -336,19 +343,32 @@ class _StateRec:
                     self.varying.append((k, np.array(col, dtype=np.int64)))
             self.bits = next(b for b in (1, 2, 4, 8) if len(self.tids) <= 1 << b)
             self.group = 8 // self.bits
-            branch = np.minimum(_group_branches(self.bits), len(self.tids) - 1)  # codes no block makes
-            past = []  # per threshold with `passes`, per code and step
-            if len(self.tids) > 2 or not self.varying:
-                past = [np.cumsum(branch > j, axis=1) for j in range(len(self.thresholds))]
-                self.passes = [steps[:, -1].copy() for steps in past]
-            # per code, counter and step, the prefix sum
-            sums = np.cumsum(np.array(self.updates, dtype=np.int64)[branch], axis=1).transpose(0, 2, 1)
-            for k, _ in self.varying:
-                total = sums[:, k, -1].copy()
-                self.tables.append((total, sums[:, k].min(axis=1) - total, sums[:, k].max(axis=1) - total))
-            need, high = -np.minimum.accumulate(sums, axis=2), np.maximum.accumulate(sums, axis=2)
-            steps = np.concatenate([need, high, sums, *(p[:, None] for p in past)], axis=1, dtype=np.int32)
-            self.group_steps = np.ascontiguousarray(steps.transpose(0, 2, 1))
+            # `group_steps`'s columns, laid out as (step, column, code), codes
+            # no block makes clipped to the last branch: the running lowest
+            # prefix sum (negated last), the running highest one, the prefix
+            # sum and the steps so far past each threshold, accumulated one
+            # step at a time over rows of 256 codes (numpy accumulates an
+            # axis several times slower, and a group has at most 8 steps)
+            branch = np.minimum(_group_branches(self.bits), len(self.tids) - 1).T
+            d, nth = len(self.updates[0]), len(self.thresholds)
+            past = len(self.tids) > 2 or not self.varying
+            steps = np.empty((self.group, 3 * d + past * nth, 256), dtype=np.int64)
+            low, high, sums = steps[:, :d], steps[:, d : 2 * d], steps[:, 2 * d : 3 * d]
+            sums[:] = np.array(self.updates, dtype=np.int64).T.take(branch, axis=1).transpose(1, 0, 2)
+            if past:
+                np.greater(branch[:, None], np.arange(nth)[:, None], out=steps[:, 3 * d :])
+            low[0], high[0] = sums[0], sums[0]
+            for s in range(1, self.group):
+                steps[s, 2 * d :] += steps[s - 1, 2 * d :]
+                np.minimum(low[s - 1], sums[s], out=low[s])
+                np.maximum(high[s - 1], sums[s], out=high[s])
+            for k, _ in self.varying:  # a group's last step holds its sum and extremes
+                total = sums[-1, k].copy()
+                self.tables.append((total, low[-1, k] - total, high[-1, k] - total))
+            if past:
+                self.passes = list(steps[-1, 3 * d :].copy())
+            np.negative(low, out=low)
+            self.group_steps = steps.transpose(2, 0, 1).astype(np.int32, order="C")
 
     def pick(self, u: int) -> int:
         return bisect_right(self.thresholds, u)
@@ -866,29 +886,29 @@ class _Tables:
         self.names = list(recs)
         hands = {name: rec.fast_ok or res.region(name) is not None for name, rec in recs.items()}
         stepped = [rec for name, rec in recs.items() if not hands[name]]
-        # one column per branch past the first; only state keys are read
-        self.thresholds = [np.full(size, MASK64, dtype=np.uint64) for _ in range(width - 1)]
-        self.nxt = np.empty(size, dtype=np.int64)  # key of the target state
-        updates = np.empty((res.dimension, size), dtype=np.int64)
+        # per key: its state, the state's record, and the branch it takes
+        keys = [(name, rec, min(k, len(rec.tids) - 1)) for name, rec in recs.items() for k in range(width)]
+        targets = [rec.targets[b] for _, rec, b in keys]
+        self.tids = [rec.tids[b] for _, rec, b in keys]
+        self.mids = [res.owner.get(target) for target in targets]
+        self.nxt = np.array([index[target] * width for target in targets], dtype=np.int64)  # key of the target state
+        # one column per branch past the first, at every key of a state (only
+        # state keys are read)
+        pad = (MASK64,) * (width - 1)
+        ths = np.array([(rec.thresholds + pad)[: width - 1] for rec in recs.values()], dtype=np.uint64)
+        self.thresholds = list(ths.T.repeat(width, axis=1))
+        updates = np.array([rec.updates[b] for _, rec, b in keys], dtype=np.int64).reshape(size, res.dimension).T
         # the target is a block-path state or lies in a deterministic region
-        self.hand = np.empty(size, dtype=bool)
-        self.enters = np.empty(size, dtype=bool)  # the target may extend the realized type
-        self.tids: list[str] = []
-        self.mids: list[Optional[str]] = []
-        for i, (name, rec) in enumerate(recs.items()):
-            for j, th in enumerate(rec.thresholds):
-                self.thresholds[j][i * width] = th
-            for k in range(width):
-                b = min(k, len(rec.tids) - 1)
-                target = rec.targets[b]
-                mid = res.owner.get(target)
-                key = i * width + k
-                self.nxt[key] = index[target] * width
-                updates[:, key] = rec.updates[b]
-                self.hand[key] = hands[target]
-                self.enters[key] = mid is not None and mid != res.owner.get(name)
-                self.tids.append(rec.tids[b])
-                self.mids.append(mid)
+        hand = [hands[target] for target in targets]
+        # the target may extend the realized type
+        enters = [mid is not None and mid != res.owner.get(name) for (name, _, _), mid in zip(keys, self.mids)]
+        self.hand, self.enters = np.array(hand, dtype=bool), np.array(enters, dtype=bool)
+        # whether some key hands a run off (the kernel's start state is
+        # stepped, so a stepped key leads into every hand-off state), and
+        # whether some stepped key may extend the realized type; where none
+        # does, the kernel skips that scan of a block's keys
+        self.hands_off = any(hand)
+        self.enters_class = any(e for e, (name, _, _) in zip(enters, keys) if not hands[name])
         # the counters some stepped branch moves, those it lowers first, and
         # per such counter the update of each key; a counter no stepped branch
         # moves keeps its value and peak in the kernel
@@ -900,10 +920,15 @@ class _Tables:
         self.updates = updates[self.moved]
         self.walk: Optional[np.ndarray] = None
         if all(len(set(rec.targets)) == 1 for rec in stepped):
+            # by doubling: the state after h + j waves is the one h waves
+            # after the state after j waves
             self.walk = np.empty((RUN_BUFFER + 1, size), dtype=np.int64)
-            self.walk[0] = np.arange(size)
-            for j in range(RUN_BUFFER):
-                self.walk[j + 1] = self.nxt[self.walk[j]]
+            self.walk[0], self.walk[1] = np.arange(size), self.nxt
+            h = 1
+            while h < RUN_BUFFER:
+                more = min(h, RUN_BUFFER - h)
+                self.walk[h + 1 : h + 1 + more] = self.walk[h].take(self.walk[1 : 1 + more])
+                h += more
         # a transition's keys are consecutive (pads repeat a state's last
         # branch): the first key of each, and its id
         self.tid_starts = [key for key, tid in enumerate(self.tids) if key == 0 or tid != self.tids[key - 1]]
@@ -924,6 +949,17 @@ class _Tables:
         for th in self.thresholds:
             keys += words >= th[states]
         return keys, self.walk[len(words), sk]
+
+    def handed(self, keys: np.ndarray) -> np.ndarray:
+        """Per row of a block's keys (wave, row), the first wave whose
+        branch hands the run off, or the block's width if none does."""
+        hand = self.hand[keys]
+        return np.where(hand.any(axis=0), hand.argmax(axis=0), len(keys))
+
+    def entered(self, keys: np.ndarray, live: np.ndarray) -> Iterator[tuple[int, int]]:
+        """The (wave, row) pairs of a block whose branch may extend the
+        realized type, among the live ones, in wave order."""
+        return zip(*(a.tolist() for a in np.nonzero(self.enters[keys] & live)))
 
 
 def _lockstep_tables(res: _Resolved, start: str, n: int, cap: int) -> Optional[_Tables]:
@@ -961,15 +997,18 @@ def _lockstep(
     width = RUN_BUFFER
     wave = np.arange(width)[:, None]  # a block's wave index, against (wave, row) arrays
     start_mid = res.owner.get(start)
+    start_type = () if start_mid is None else (start_mid,)
     streams = _Streams(seed, n)
     out: list[Optional[TrajectoryStats]] = [None] * runs
     # the runs in flight sit in rows 0..rows-1 of slot lists and arrays made
     # once; a run that leaves gives its row to the last one in flight, and a
     # run admitted takes the next free row
     slots = min(MAX_IN_FLIGHT, runs)
+    row = np.arange(slots)
+    row_keys = row * t.size  # each row's offset in a flat (row, key) array
     run_ids = [0] * slots
     gens: list[Optional[np.random.Philox]] = [None] * slots
-    rtypes: list[list[str]] = [[] for _ in range(slots)]
+    rtypes: list[tuple[str, ...]] = [()] * slots
     sk_all = np.empty(slots, dtype=np.int64)  # key of each row's state
     cur_all = np.empty((slots, d), dtype=np.int64)
     peak_all = np.empty((slots, d), dtype=np.int64)
@@ -987,11 +1026,13 @@ def _lockstep(
             for i in range(rows):
                 draws[i] = gens[i].random_raw(RUN_DRAWS * width)
         new = min(slots - rows, runs - admitted)
-        for i, r in zip(range(rows, rows + new), range(admitted, admitted + new)):
-            run_ids[i], gens[i] = r, streams.open(r)
-            draws[i, phase * width :] = gens[i].random_raw((RUN_DRAWS - phase) * width)
-            rtypes[i] = [] if start_mid is None else [start_mid]
         fresh = slice(rows, rows + new)
+        run_ids[fresh] = range(admitted, admitted + new)
+        rtypes[fresh] = [start_type] * new
+        tail, k = draws[:, phase * width :], (RUN_DRAWS - phase) * width
+        for i, r in zip(range(rows, rows + new), run_ids[fresh]):
+            gens[i] = bg = streams.open(r)
+            tail[i] = bg.random_raw(k)
         sk_all[fresh] = t.index[start] * t.width
         cur_all[fresh] = peak_all[fresh] = n
         steps_all[fresh] = counts_all[fresh] = 0
@@ -1016,50 +1057,51 @@ def _lockstep(
         # per counter a stepped branch moves, its value after each wave
         # (counter, wave, row); where each row leaves the block: the step
         # that terminates it (only a counter some stepped branch lowers can
-        # go negative), enters a block-path state or a deterministic region,
-        # or reaches the cap, whichever comes first
+        # go negative), enters a block-path state or a deterministic region
+        # (only if some stepped branch leads into one), or reaches the cap,
+        # whichever comes first
         pos = t.updates.take(keys, axis=1)
         np.cumsum(pos, axis=1, out=pos)
         pos += cur[:, t.moved].T[:, None]
         neg = (pos[: t.lowered] < 0).any(axis=0)  # an OR of the lowered counters' masks
         term_at = np.where(neg.any(axis=0), neg.argmax(axis=0), width)
-        hand = t.hand[keys]
-        hand_at = np.where(hand.any(axis=0), hand.argmax(axis=0), width)
-        stop = np.minimum(np.minimum(term_at, hand_at), cap - 1 - steps)
+        stop = np.minimum(term_at, cap - 1 - steps)
+        if t.hands_off:
+            np.minimum(stop, t.handed(keys), out=stop)
         taken = np.minimum(stop + 1, width)
         terminated = (term_at < width) & (term_at == stop)
         live = wave < taken - terminated  # configurations reached, terminal one excluded
 
-        cur[:, t.moved] = pos[:, taken - 1, np.arange(rows)].T
+        cur[:, t.moved] = pos[:, taken - 1, row[:rows]].T
         steps += taken
-        flat = (keys + np.arange(rows) * t.size)[wave < taken]
+        flat = (keys + row_keys[:rows])[wave < taken]
         counts += np.bincount(flat, minlength=rows * t.size).reshape(rows, t.size)
         high = np.where(live, pos, 0).max(axis=1)  # live counters and peaks are all >= 0
         peak[:, t.moved] = np.maximum(peak[:, t.moved], high.T)
-        for j, i in zip(*np.nonzero(t.enters[keys] & live)):
-            mid = t.mids[keys[j, i]]
-            if not rtypes[i] or rtypes[i][-1] != mid:
-                rtypes[i].append(mid)
+        if t.enters_class:
+            for j, i in t.entered(keys, live):
+                mid = t.mids[keys[j, i]]
+                if not rtypes[i] or rtypes[i][-1] != mid:
+                    rtypes[i] += (mid,)
 
         leaving = stop < width
         if not leaving.any():
             continue
-        # the leaving rows' statistics, read out in one call
+        # the leaving rows' statistics, read out of the arrays at once
         gone = np.flatnonzero(leaving)
-        last = stop[gone]
-        states = t.nxt[keys[last, gone]] // t.width
-        tally = np.add.reduceat(counts[gone], t.tid_starts, axis=1)
-        fields = np.column_stack([states, terminated[gone], steps[gone], cur[gone], peak[gone], tally])
-        for i, at, (state, ended, walked, *values) in zip(gone.tolist(), last.tolist(), fields.tolist()):
-            used = {tid: c for tid, c in zip(t.tid_names, values[2 * d :]) if c}
+        tally = np.add.reduceat(counts[gone], t.tid_starts, axis=1).tolist()
+        fields = zip(gone.tolist(), terminated[gone].tolist(), steps[gone].tolist(), peak[gone].tolist(), tally)
+        for i, ended, walked, peaks, used in fields:
+            used = {tid: c for tid, c in zip(t.tid_names, used) if c}
             if ended or walked == cap:
-                peaks = tuple(values[d : 2 * d])
-                out[run_ids[i]] = TrajectoryStats(bool(ended), walked, peaks, used, tuple(rtypes[i]))
+                out[run_ids[i]] = TrajectoryStats(ended, walked, tuple(peaks), used, rtypes[i])
                 streams.close(gens[i])
                 continue
-            name, cur, peaks = t.names[state], values[:d], values[d : 2 * d]
+            # the run entered a hand-off state on its last step here
+            at = int(stop[i])
+            name, vals = t.names[t.nxt[keys[at, i]] // t.width], cur[i].tolist()
             if res.region(name) is not None:
-                walk = _Walk(name, cur, peaks, TallyCounter(used), rtypes[i], walked)
+                walk = _Walk(name, vals, peaks, TallyCounter(used), list(rtypes[i]), walked)
                 out[run_ids[i]] = _closed_form(res, walk, cap)
                 streams.close(gens[i])
                 continue
@@ -1069,7 +1111,7 @@ def _lockstep(
             stepper = steppers.get(name)
             if stepper is None:
                 stepper = steppers[name] = _Stepper(res, res.resolve(name), cap, min(ROWS, runs))
-            stepper.enter(run_ids[i], cur, peaks, walked, used, rtypes[i], gens[i], draws[i, first + at + 1 :].copy())
+            stepper.enter(run_ids[i], vals, peaks, walked, used, rtypes[i], gens[i], draws[i, first + at + 1 :].copy())
             _finish(stepper.step_while(stepper.size), out, streams)
         rows -= len(gone)
         holes = gone[gone < rows]
@@ -1166,9 +1208,10 @@ def simulate_many(
     start = _init_state(m, init_state)
     res = _Resolved(m, strategy)
     if _vectorized and res.region(start) is not None:
-        # every run is the same run, and draws no word
+        # every run is the same run, and draws no word; each owns its counts
         run = _closed_form(res, _start(res, n, start), max_steps)
-        return [replace(run, transition_counts=dict(run.transition_counts)) for _ in range(runs)]
+        fields, counts = (run.terminated, run.steps, run.max_counter), run.transition_counts
+        return [TrajectoryStats(*fields, dict(counts), run.realized_type) for _ in range(runs)]
     tables = _lockstep_tables(res, start, n, max_steps) if _vectorized else None
     if tables is not None:
         rec = res.resolve(start)

@@ -5,6 +5,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from vass_asym.dichotomy import (
     Label,
     _use_row,
@@ -135,6 +137,25 @@ def expected_update(m, strategy, state) -> tuple:
         sum((p * upd[k] for p, upd in zip(rec.probs, rec.updates)), Fraction(0))
         for k in range(m.dimension)
     )
+
+
+def reference_block_tables(rec):
+    """A block-path state record's per-code tables, built one threshold and
+    one counter at a time along a (code, counter, step) layout: `passes`,
+    `tables` and `group_steps`, as `sim._StateRec` defines them."""
+    branch = np.minimum(sim._group_branches(rec.bits), len(rec.tids) - 1)
+    past, passes = [], []
+    if len(rec.tids) > 2 or not rec.varying:
+        past = [np.cumsum(branch > j, axis=1) for j in range(len(rec.thresholds))]
+        passes = [steps[:, -1].copy() for steps in past]
+    sums = np.cumsum(np.array(rec.updates, dtype=np.int64)[branch], axis=1).transpose(0, 2, 1)
+    tables = []
+    for k, _ in rec.varying:
+        total = sums[:, k, -1].copy()
+        tables.append((total, sums[:, k].min(axis=1) - total, sums[:, k].max(axis=1) - total))
+    need, high = -np.minimum.accumulate(sums, axis=2), np.maximum.accumulate(sums, axis=2)
+    steps = np.concatenate([need, high, sums, *(p[:, None] for p in past)], axis=1, dtype=np.int32)
+    return passes, tables, np.ascontiguousarray(steps.transpose(0, 2, 1))
 
 
 def augment_step_counter(m, only=None) -> VassMdp:

@@ -930,7 +930,12 @@ def test_simulate_rejects_a_cap_that_cannot_be_computed(capsys, n, theta):
 def test_simulate_rejects_bad_arguments(capsys):
     model = str(MODELS / "random_walk_1d.json")
     assert run(capsys, "simulate", model, "--n", "4,3", "--runs", "5")[0] == 1
-    assert run(capsys, "simulate", model, "--n", "x", "--runs", "5")[0] == 1
+    for n in ("x", "1,,2", "8,", ",8", " "):  # an empty entry is not skipped
+        rc, _, err = run(capsys, "simulate", model, "--n", n, "--runs", "5")
+        assert rc == 1 and f"--n expects comma-separated integers, got {n!r}" in err
+    # only an absent --strategy means no strategy
+    rc, _, err = run(capsys, "simulate", model, "--n", "4", "--runs", "5", "--strategy", "")
+    assert rc == 1 and "--strategy expects a JSON file or witness:<class-id>, got ''" in err
     for name in ("zz", ""):  # only an absent --init-state means the least name
         rc, _, err = run(capsys, "simulate", model, "--n", "4", "--runs", "5", "--init-state", name)
         assert rc == 1 and f"unknown state {name!r}" in err

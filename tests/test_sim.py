@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_doc
-from oracles import expected_update
+from oracles import expected_update, reference_block_tables
 from strategies import random_models
 from vass_asym import sim
 from vass_asym.model import IncompleteStrategy, parse_vass
@@ -400,18 +400,24 @@ def test_kernel_declines_counters_beyond_exact_range(pump, kernel_batches):
 
 
 @st.composite
-def models_with_strategies(draw):
+def models_with_strategies(draw, forked_start=False):
+    """A random model, a random memoryless strategy and a start state; with
+    `forked_start`, a state with two or more branches under the strategy
+    where there is one, so that the batch is not one closed-form run."""
     m = draw(random_models())
     strategy = {}
+    branches = {s.name: len(m.out(s.name)) for s in m.states}
     for s in m.nondet_states():
         tids = [t.tid for t in m.out(s.name)]
         chosen = draw(st.lists(st.sampled_from(tids), min_size=1, unique=True))
+        branches[s.name] = len(chosen)
         if len(chosen) == 1 and draw(st.booleans()):
             strategy[s.name] = chosen[0]
         else:
             weights = [draw(st.integers(1, 4)) for _ in chosen]
             strategy[s.name] = {tid: F(w, sum(weights)) for tid, w in zip(chosen, weights)}
-    init = draw(st.sampled_from(m.state_names()))
+    forked = [name for name in m.state_names() if branches[name] > 1]
+    init = draw(st.sampled_from(forked if forked_start and forked else m.state_names()))
     return m, strategy, init
 
 
@@ -428,11 +434,11 @@ def test_kernel_matches_reference_on_random_models(case, n, runs, cap, seed):
     assert_matches_reference(m, n, runs, seed=seed, strategy=strategy, max_steps=cap, init_state=init)
 
 
-def forks(m, strategy, init):
-    """Whether a state the kernel steps from `init` sends its resolved
-    branches to two or more successors; a hand-off state (a block-path state,
-    or one whose one-branch successors reach only one-branch states) is not
-    stepped."""
+def stepped_states(m, strategy, init):
+    """The resolver of `strategy`, and the states the kernel steps from `init`
+    with their records, and a test of whether a state is a hand-off state (a
+    block-path state, or one whose one-branch successors reach only
+    one-branch states), which the kernel does not step."""
     res = sim._Resolved(m, strategy)
 
     def one_way(name):
@@ -445,16 +451,36 @@ def forks(m, strategy, init):
             name = rec.targets[0]
         return True
 
-    seen, todo, found = set(), [init], False
+    def hand_off(name):
+        rec = res.try_resolve(name)
+        return rec is not None and (rec.fast_ok or one_way(name))
+
+    seen, todo, found = set(), [init], []
     while todo:
         name = todo.pop()
         rec = res.try_resolve(name)
-        if name in seen or rec is None or rec.fast_ok or one_way(name):
+        if name in seen or rec is None or hand_off(name):
             continue
         seen.add(name)
-        found |= len(set(rec.targets)) > 1
+        found.append((name, rec))
         todo += rec.targets
-    return found
+    return res, found, hand_off
+
+
+def forks(m, strategy, init):
+    """Whether a state the kernel steps from `init` sends its resolved
+    branches to two or more successors."""
+    _, stepped, _ = stepped_states(m, strategy, init)
+    return any(len(set(rec.targets)) > 1 for _, rec in stepped)
+
+
+def stepped_keys_need(m, strategy, init):
+    """Whether some branch of a state the kernel steps from `init` hands the
+    run off, and whether one enters a class other than its state's."""
+    res, stepped, hand_off = stepped_states(m, strategy, init)
+    targets = [(name, target) for name, rec in stepped for target in rec.targets]
+    enters = [res.owner.get(target) not in (None, res.owner.get(name)) for name, target in targets]
+    return any(hand_off(target) for _, target in targets), any(enters)
 
 
 def test_kernel_walks_exactly_when_no_stepped_state_forks(pump, kernel_batches, chased_waves):
@@ -484,6 +510,91 @@ def test_kernel_walks_random_models_exactly_when_no_stepped_state_forks(case, n,
             return
     if batches:
         assert bool(chased) == forks(m, strategy, init)
+
+
+@contextmanager
+def block_scans():
+    """The calls of the kernel's per-block hand-off scan and class-entry
+    scan; it skips each where no stepped key can need it."""
+    with recorded(sim._Tables, "handed") as handed, recorded(sim._Tables, "entered") as entered:
+        yield handed, entered
+
+
+def enter_without_hand_off():
+    """A transient coin-free state p leading into the class {q, r}, whose
+    states step on the kernel: p's branch enters a class, and no branch
+    hands a run off."""
+    return vass(
+        dict.fromkeys("pqr", "prob"),
+        [
+            ("pq", "p", "q", [1], 1),
+            ("qq", "q", "q", [1], F(1, 2)),
+            ("qr", "q", "r", [-1], F(1, 2)),
+            ("rq", "r", "q", [-1], 1),
+        ],
+    )
+
+
+def hand_off_without_enter():
+    """A coin p that loops or moves to the transient state s, which leads
+    into the one-branch self-loop z (a deterministic region): p's branch to
+    s hands the run off and enters no class."""
+    return vass(
+        dict.fromkeys("psz", "prob"),
+        [
+            ("pp", "p", "p", [1], F(3, 4)),
+            ("ps", "p", "s", [0], F(1, 4)),
+            ("sz", "s", "z", [-1], 1),
+            ("zz", "z", "z", [-1], 1),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "case, handed, entered",
+    [
+        ("pump-stay", False, False),  # a and b loop in M1
+        ("pump-leave", True, True),  # q's branches hand off into e's and f's classes
+        ("enter", False, True),
+        ("hand-off", True, False),
+    ],
+)
+def test_kernel_scans_a_block_only_for_what_its_stepped_keys_need(case, handed, entered, pump, kernel_batches):
+    m, kw = {
+        "pump-stay": (pump, dict(strategy={"a": "a_b"}, max_steps=300)),
+        "pump-leave": (pump, dict(strategy=pump_leave(3), max_steps=300)),
+        "enter": (enter_without_hand_off(), dict(max_steps=200)),
+        "hand-off": (hand_off_without_enter(), dict(max_steps=200)),
+    }[case]
+    init = min(m.state_names())
+    assert stepped_keys_need(m, kw.get("strategy"), init) == (handed, entered)
+    with block_scans() as (handed_calls, entered_calls):
+        batch = assert_matches_reference(m, 3, 70, seed=5, **kw)
+    assert len(kernel_batches) == 1 and (bool(handed_calls), bool(entered_calls)) == (handed, entered)
+    if case == "enter":  # every run enters {q, r} on its first step
+        assert {st.realized_type for st in batch} == {("M1",)} and all(st.steps > 1 for st in batch)
+    if case == "hand-off":  # p is transient; the closed form takes every run from s into z's class
+        assert {st.realized_type for st in batch} == {("M1",)}
+        assert all("zz" in st.transition_counts for st in batch)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    models_with_strategies(forked_start=True),
+    st.integers(0, 6),
+    st.integers(1, 40),
+    st.integers(1, 150),
+    st.integers(0, 2**32),
+)
+def test_kernel_skips_block_scans_exactly_when_no_stepped_key_needs_them(case, n, runs, cap, seed):
+    m, strategy, init = case
+    with recorded(sim, "_lockstep") as batches, block_scans() as (handed, entered):
+        try:
+            assert_matches_reference(m, n, runs, seed=seed, strategy=strategy, max_steps=cap, init_state=init)
+        except IncompleteStrategy:
+            return
+    if batches:
+        assert (bool(handed), bool(entered)) == stepped_keys_need(m, strategy, init)
 
 
 COUNTER_MOVES = {"lowered": (-2, 2), "raised": (0, 2), "unmoved": (0, 0)}
@@ -637,6 +748,30 @@ def test_block_path_picks_as_scalar_path():
             assert (st.steps, st.terminated) == (1, False)
             assert st.transition_counts == {rec.tids[i]: 1}
             assert walk.cur == [5 + c for c in rec.updates[i]]
+
+
+@pytest.mark.parametrize("branches", [2, 3, 5, 17, 256])
+@pytest.mark.parametrize("moves", ["varying", "constant", "both"])
+def test_block_path_tables_match_reference_construction(branches, moves):
+    # 2, 3, 5, 17 and 256 branches take 1-, 2-, 4- and 8-bit codes; per
+    # counter every branch makes the same update (constant) or not (varying)
+    varying = [(b % 7 - 3, (-1) ** b * (b % 3)) for b in range(branches)]
+    constant = [(-1, 2)] * branches
+    updates = {
+        "varying": varying,
+        "constant": constant,
+        "both": [(u, c, v) for (u, _), (c, _), (_, v) in zip(varying, constant, varying)],
+    }[moves]
+    rec = sim._Resolved(self_loop(updates), None).resolve("s")
+    assert rec.fast_ok and rec.bits == {2: 1, 3: 2, 5: 4, 17: 8, 256: 8}[branches]
+    assert bool(rec.varying) == (moves != "constant") and bool(rec.constant) == (moves != "varying")
+    passes, tables, group_steps = reference_block_tables(rec)
+    assert (len(rec.passes), len(rec.tables)) == (len(passes), len(tables))
+    got = [*rec.passes, *(a for table in rec.tables for a in table)]
+    for got, want in zip(got, [*passes, *(a for table in tables for a in table)]):
+        assert got.dtype == want.dtype and got.flags.c_contiguous and np.array_equal(got, want)
+    assert rec.group_steps.dtype == group_steps.dtype and rec.group_steps.flags.c_contiguous
+    assert np.array_equal(rec.group_steps, group_steps)
 
 
 def test_block_path_many_branches():
@@ -1249,7 +1384,10 @@ def test_deterministic_batch_draws_no_word(zero_cycle, pump, monkeypatch, closed
     batch = simulate_many(zero_cycle, 3, 4, strategy=ALTERNATE, max_steps=1001)
     assert batch == [TrajectoryStats(False, 1001, (4,), {"t_pq": 501, "t_qp": 500}, ("M1",))] * 4
     batch[0].transition_counts["t_pq"] += 1  # each run owns its counts
+    batch[2].transition_counts["t_new"] = 1
     assert [st.transition_counts["t_pq"] for st in batch] == [502, 501, 501, 501]
+    assert ["t_new" in st.transition_counts for st in batch] == [False, False, True, False]
+    assert len({id(st.transition_counts) for st in batch}) == 4
     (st,) = simulate_many(pump, 4, 1, strategy={"c": "c_c"}, init_state="c", max_steps=10)
     assert st == TrajectoryStats(True, 5, (4, 4, 8), {"c_c": 5}, ("M2",))
     assert closed_forms == ["p", "c"]
