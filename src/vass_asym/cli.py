@@ -380,7 +380,7 @@ def _load_strategy(arg: str, m: VassMdp):
                 w, _ = compute_maximal_solutions(m, mec)
                 return multicycle_strategy_from_x(m, w.x)
         raise ValueError(f"no class named {mid!r}")
-    doc = json.loads(Path(arg).read_text())
+    doc = _read_json(arg)
     if not isinstance(doc, dict):
         raise ValueError("strategy file must map state names to choices")
     unknown = sorted(set(doc) - set(m.state_names()))
@@ -500,6 +500,15 @@ def _read_model(path: str) -> VassMdp:
     return parse_vass(Path(path).read_text())
 
 
+def _read_json(path: str):
+    """The JSON document in file `path`; one nested deeper than the decoder
+    recurses is bad input too."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+
+
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
         Path(output).write_text(text + "\n")
@@ -519,7 +528,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    checks = check_report(_read_model(args.model), json.loads(Path(args.report).read_text()))
+    checks = check_report(_read_model(args.model), _read_json(args.report))
     _emit(f"{checks} exact re-substitution checks passed", None)
     return 0
 
@@ -615,7 +624,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_gen_hamiltonian(args) -> int:
-    doc = json.loads(Path(args.graph).read_text())
+    doc = _read_json(args.graph)
     m = hamiltonian_reduction(doc, args.pivot)
     _emit(json.dumps(serialize_vass(m), indent=2), args.output)
     return 0

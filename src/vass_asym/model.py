@@ -268,6 +268,8 @@ def parse_vass(source: Union[str, bytes, dict]) -> VassMdp:
             doc = json.loads(source)
         except json.JSONDecodeError as e:
             raise SchemaError(f"not valid JSON: {e}") from None
+        except RecursionError:
+            raise SchemaError("not valid JSON: nested too deeply to decode") from None
     else:
         doc = source
     if not isinstance(doc, dict):

@@ -34,72 +34,74 @@ steps it.
   batch together, at most MAX_IN_FLIGHT at a time. Each wave takes one word
   from every active run's stream and maps (state, word) to a branch key
   through padded per-state threshold tables; the keys then index padded
-  tables of next states and updates. When no state the kernel steps sends
-  its branches to two or more successors, a run's states follow from its
-  state at a block's start alone: a table of the state reached after j
-  waves, built once per batch, gives every wave's state in one gather, and
-  one compare of the block's words per threshold column gives the keys; else
-  the states are chased wave by wave. The states a run is handed off from
-  (block-path states and regions) are left out of that test, since the
-  kernel never takes their branches. Once per block of RUN_BUFFER waves the
-  updates of each counter that some stepped branch moves are cumulatively
-  summed, laid out as (counter, wave, row); only the counters some stepped
-  branch lowers are tested for going negative, and a counter no stepped
-  branch moves keeps its value and peak. Each run's first terminal crossing,
-  peaks, per-transition counts and realized-type entries are read off. A
-  block's keys are scanned for a hand-off only when some stepped branch
-  leads into a hand-off state, and for class entries only when some stepped
-  branch enters a class other than its state's; else the scan would find
-  none, and is skipped. It runs a batch when the start state is neither in
-  a deterministic region nor a block-path state, every state reachable from
-  it resolves under the strategy, and n + cap * max|update| < 2**53, so
-  that no counter can leave exact int64 range within the cap. A run leaves
-  the kernel where it enters a region or a block-path state. The runs in
+  tables of next states and updates, and the states are chased wave by
+  wave. It steps only the states that fork and the lasso tails, the states
+  on a path into a ring or a region: the states a run is handed off from
+  (on a ring, in a region) are left out. Once per block of RUN_BUFFER waves
+  the updates of each counter that some stepped branch moves are
+  cumulatively summed, laid out as (counter, wave, row); only the counters
+  some stepped branch lowers are tested for going negative, and a counter
+  no stepped branch moves keeps its value and peak. Each run's first
+  terminal crossing, peaks, per-transition counts and realized-type entries
+  are read off. A block's keys are scanned for a hand-off only when some
+  stepped branch leads into a hand-off state, and for class entries only
+  when some stepped branch enters a class other than its state's; else the
+  scan would find none, and is skipped. It runs a batch when the start
+  state is neither in a deterministic region nor on a ring, every state
+  reachable from it resolves under the strategy, and n + cap * max|update|
+  < 2**53, so that no counter can leave exact int64 range within the cap. A
+  run leaves the kernel where it enters a region or a ring. The runs in
   flight hold rows of arrays made once per batch: a run that leaves gives
   its row to the last one, an admitted run takes the next free row, and
   each row draws the words of RUN_DRAWS blocks in one call (words past a
   run's end go unused). The statistics of the runs that leave in a block
   are read out of the arrays at once, one list per field. The tables are
-  built from lists, one call per array, and the table of states after j
-  waves by doubling.
-* The block path applies while a run sits in a state whose two or more
-  resolved branches (at most 256) are all self-loops, the absorbing tail
-  phase of typical models; a run never leaves such a state. One stepper
-  (`_Stepper`) per such state steps its runs in rounds. A run holds one row
-  of the stepper's arrays from admission to its statistics: its counters,
-  peaks, steps and branch tallies in one int64 row, its key, generator and
-  leftover words in lists. The buffers are sized to min(ROWS, runs) rows,
-  so `_run`'s hand-off of a single run allocates one. Each round draws a
-  block of at most BLOCK words from each row's stream and compares it, as
-  it is drawn, into the row's bytes of a byte buffer: a word picks a branch
-  past i iff it is >= th[i], the kernel's rule. This draw-and-compare loop
-  is the round's only Python per row. The bytes are packed into group
-  codes, one byte per g steps (g = 8 with two branches: one bit a step;
-  fewer steps of more bits with more branches), and each numpy call then
-  serves every row. Per code, tables of the state record give each varying
-  counter's group sum and lowest and highest prefix sums: a cumulative sum
-  over the groups gives the counter at each group's end, the lowest prefix
-  finds the first group that goes negative and the highest one the peak.
-  Branch counts come from per-code counts of the steps past each threshold
-  or, with two branches, from a varying counter's change. A counter whose
-  update is the same on every branch is resolved in closed form. The group
-  that holds the terminal step, the cap or a short block's end is read off
-  per-code tables of the group's steps, not stepped, for all those rows at
-  once: per counter, the least start value that stays >= 0 through each
-  step gives the first step that goes negative, and the running highest
-  prefix sums, the prefix sums and the counts past each threshold give the
-  peak, the counters and the branch counts up to it. The rows that finish
-  in a round are read out together, with one gather of their rows, and the
-  rows left are compacted once. The buffers are made once per stepper and
-  refilled in place, so a round allocates no array of a block of words.
-  A batch that starts in such a state runs on its stepper alone, which
-  admits runs into every free row before each round. A run that enters
-  such a state from the kernel takes a row of the state's stepper, which
-  steps whenever every row is taken; every stepper drains when the kernel
-  is done. The run's first block is the words the kernel drew for it and
-  did not use, then whole blocks follow. Counters must stay below 2**53 and
-  updates within 2**20, so int64 arithmetic cannot overflow; a run `_run`
-  hands over whose counters reach 2**53 finishes on the scalar path.
+  built from lists, one call per array.
+* The block path applies while a run sits on a ring: a cycle s0 -> s1 ->
+  ... -> s(L-1) -> s0 of period L <= MAX_PERIOD whose states each send all
+  their resolved branches (at most 256) to the next, one or more with two
+  or more branches (`_Ring`; with L = 1, a state whose branches are all
+  self-loops, the absorbing tail phase of typical models). A run never
+  leaves a ring, and its phase, the index of its state, advances by one a
+  step. One stepper (`_Stepper`) per ring steps its runs in rounds. A run
+  holds one row of the stepper's arrays from admission to its statistics:
+  its counters, peaks, steps, phase and branch tallies in one int64 row, its
+  key, generator and leftover words in lists. The buffers are sized to
+  min(ROWS, runs) rows of min(BLOCK, cap) words, so `_run`'s hand-off of a
+  single run allocates one row. Each round draws a block of at most BLOCK
+  words from each row's stream and compares each word, as it is drawn,
+  against the thresholds of its state into the row's bytes of a byte
+  buffer: a word picks a branch past i iff it is >= th[i], the kernel's
+  rule. This draw-and-compare loop is the round's only Python per row. The
+  bytes are packed into group codes, one byte per g steps (g = 8 when no
+  state has more than two branches: one bit a step; fewer steps of more
+  bits with more branches), and each numpy call then serves every row, over
+  the groups that hold the round's longest block. The ring's tables are
+  indexed by the phase at a group's first step and the code: per varying
+  counter they give the group's sum and lowest and highest prefix sums: a
+  cumulative sum over the groups gives the counter at each group's end, the
+  lowest prefix finds the first group that goes negative and the highest
+  one the peak. Branch counts come from per-index counts of the steps past
+  each threshold or, with one state of two branches and the others of one,
+  from a varying counter's change. A counter whose update is the same on
+  every branch is resolved in closed form. The group that holds the
+  terminal step, the cap or a short block's end is read off per-index
+  tables of the group's steps, not stepped, for all those rows at once: per
+  counter, the least start value that stays >= 0 through each step gives
+  the first step that goes negative, and the running highest prefix sums,
+  the prefix sums and the counts past each threshold give the peak, the
+  counters and the branch counts up to it. The rows that finish in a round
+  are read out together, with one gather of their rows, and the rows left
+  are compacted once. The buffers are made once per stepper and refilled in
+  place, so a round allocates no array of a block of words. A batch that
+  starts on a ring runs on its stepper alone, which admits runs into every
+  free row before each round. A run that enters a ring from the kernel
+  takes a row of the ring's stepper, with its phase, which steps whenever
+  every row is taken; every stepper drains when the kernel is done. The
+  run's first block is the words the kernel drew for it and did not use,
+  then whole blocks follow. Counters must stay below 2**53 and updates
+  within 2**20, so int64 arithmetic cannot overflow; a run `_run` hands
+  over whose counters reach 2**53 finishes on the scalar path.
 * The scalar path (`_run`) steps one run at a time in arbitrary-precision
   integers and resolves states as runs enter them. It is the draw-for-draw
   reference (`_vectorized=False`), it runs `simulate_one` up to the closed
@@ -132,7 +134,8 @@ FAST_UPDATE_LIMIT = 1 << 20
 MAX_IN_FLIGHT = 64  # runs the lockstep kernel steps together
 RUN_BUFFER = 64  # waves per kernel block
 RUN_DRAWS = 4  # kernel blocks of words a run in flight draws at a time
-ROWS = 32  # runs a block-path stepper steps together
+ROWS = 32  # runs a ring's stepper steps together
+MAX_PERIOD = 16  # the longest cycle the block path steps
 
 _NO_WORDS = np.empty(0, dtype=np.uint64)
 
@@ -281,97 +284,126 @@ def _group_branches(bits: int) -> np.ndarray:
 class _StateRec:
     """One state's resolved branch table."""
 
-    __slots__ = (
-        "tids",
-        "targets",
-        "updates",
-        "probs",
-        "thresholds",
-        "fast_ok",
-        "block_thresholds",
-        "varying",
-        "constant",
-        "bits",
-        "group",
-        "passes",
-        "tables",
-        "group_steps",
-    )
+    __slots__ = ("tids", "targets", "updates", "probs", "thresholds")
 
-    def __init__(self, name: str, branches: list[tuple[str, str, tuple[int, ...], Fraction]]):
+    def __init__(self, branches: list[tuple[str, str, tuple[int, ...], Fraction]]):
         self.tids = [b[0] for b in branches]
         self.targets = [b[1] for b in branches]
         self.updates = [b[2] for b in branches]
         self.probs = [b[3] for b in branches]
         self.thresholds = _cumulative_thresholds(self.probs)
-        # a single-branch self-loop is a deterministic region, which the
-        # closed form finishes
-        self.fast_ok = (
-            all(t == name for t in self.targets)
-            and len(self.updates[0]) > 0
-            and 2 <= len(self.tids) <= 256
-            and all(abs(u) <= FAST_UPDATE_LIMIT for upd in self.updates for u in upd)
-        )
-        # the block path's tables: thresholds as 0-d uint64 arrays (numpy
-        # compares words against one faster than against a scalar), then per
-        # counter either a column of per-branch updates (varying) or the one
-        # update every branch makes (constant)
-        self.block_thresholds = tuple(np.array(th, dtype=np.uint64) for th in self.thresholds)
-        self.varying: list[tuple[int, np.ndarray]] = []
-        self.constant: list[tuple[int, int]] = []
-        # a group is `group` consecutive branch indices of `bits` bits each,
-        # packed into one byte code, first step highest. Per code, `tables`
-        # holds per varying counter the group's sum and its lowest and
-        # highest prefix sums, both less the sum, and `passes` per threshold
-        # the group's steps that pick a branch past it. With two branches a
-        # varying counter's change tells how often each was taken, and
-        # `passes` stays empty. `group_steps` holds per code and step of the
-        # group, after that step, per counter the least start value that
-        # stays >= 0 so far (minus the lowest prefix sum), then per counter
-        # the highest prefix sum, then per counter the prefix sum, and per
-        # threshold with `passes` the steps so far that pick a branch past
-        # it; its values are within 8 * 2**20, so 32 bits hold them.
-        self.bits = self.group = 0
-        self.passes: list[np.ndarray] = []
-        self.tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.group_steps = np.empty(0, dtype=np.int32)
-        if self.fast_ok:
-            for k, col in enumerate(zip(*self.updates)):
-                if len(set(col)) == 1:
-                    self.constant.append((k, col[0]))
-                else:
-                    self.varying.append((k, np.array(col, dtype=np.int64)))
-            self.bits = next(b for b in (1, 2, 4, 8) if len(self.tids) <= 1 << b)
-            self.group = 8 // self.bits
-            # `group_steps`'s columns, laid out as (step, column, code), codes
-            # no block makes clipped to the last branch: the running lowest
-            # prefix sum (negated last), the running highest one, the prefix
-            # sum and the steps so far past each threshold, accumulated one
-            # step at a time over rows of 256 codes (numpy accumulates an
-            # axis several times slower, and a group has at most 8 steps)
-            branch = np.minimum(_group_branches(self.bits), len(self.tids) - 1).T
-            d, nth = len(self.updates[0]), len(self.thresholds)
-            past = len(self.tids) > 2 or not self.varying
-            steps = np.empty((self.group, 3 * d + past * nth, 256), dtype=np.int64)
-            low, high, sums = steps[:, :d], steps[:, d : 2 * d], steps[:, 2 * d : 3 * d]
-            sums[:] = np.array(self.updates, dtype=np.int64).T.take(branch, axis=1).transpose(1, 0, 2)
-            if past:
-                np.greater(branch[:, None], np.arange(nth)[:, None], out=steps[:, 3 * d :])
-            low[0], high[0] = sums[0], sums[0]
-            for s in range(1, self.group):
-                steps[s, 2 * d :] += steps[s - 1, 2 * d :]
-                np.minimum(low[s - 1], sums[s], out=low[s])
-                np.maximum(high[s - 1], sums[s], out=high[s])
-            for k, _ in self.varying:  # a group's last step holds its sum and extremes
-                total = sums[-1, k].copy()
-                self.tables.append((total, low[-1, k] - total, high[-1, k] - total))
-            if past:
-                self.passes = list(steps[-1, 3 * d :].copy())
-            np.negative(low, out=low)
-            self.group_steps = steps.transpose(2, 0, 1).astype(np.int32, order="C")
 
     def pick(self, u: int) -> int:
         return bisect_right(self.thresholds, u)
+
+
+class _Ring:
+    """A cycle s0 -> s1 -> ... -> s(L-1) -> s0 of period L <= MAX_PERIOD on
+    the block path: every state sends all its resolved branches (at most
+    256) to the next, and one or more has two or more branches. A run's phase
+    is the index of its state.
+
+    The block path's tables: per state, its thresholds as 0-d uint64 arrays
+    (numpy compares words against one faster than against a scalar); the
+    counters every branch moves by the same update (constant), and the others
+    (varying). A group is `group` consecutive steps of `bits` bits each (from
+    the widest state), packed into one byte code, first step highest; every
+    table is indexed by 256 * (the phase at the group's first step) + code.
+    Per varying counter, `tables` holds the group's sum and its lowest and
+    highest prefix sums, both less the sum, and `passes` per state and
+    threshold the group's steps in that state that pick a branch past it.
+    When one state has two branches and the others one (`split`), a counter
+    those two branches move differently tells how often each was taken, and
+    `passes` stays empty. `group_steps` holds per index and step of the
+    group, after that step, per counter the least start value that stays >=
+    0 so far (minus the lowest prefix sum), then per counter the highest
+    prefix sum, then per counter the prefix sum, and per column of `passes`
+    the steps so far that count for it; its values are within 8 * 2**20, so
+    32 bits hold them.
+    """
+
+    def __init__(self, states: list[str], recs: list[_StateRec]):
+        self.states, self.recs, self.period = states, recs, len(recs)
+        self.tids = [tid for rec in recs for tid in rec.tids]
+        self.block_thresholds = [tuple(np.array(th, dtype=np.uint64) for th in rec.thresholds) for rec in recs]
+        updates = [u for rec in recs for u in rec.updates]
+        d, widths = len(updates[0]), [len(rec.tids) for rec in recs]
+        self.varying: list[int] = []
+        self.constant: list[tuple[int, int]] = []
+        for k, col in enumerate(zip(*updates)):
+            if len(set(col)) == 1:
+                self.constant.append((k, col[0]))
+            else:
+                self.varying.append(k)
+        # (state, counter, its update on the first branch, on the second)
+        self.split: Optional[tuple[int, int, int, int]] = None
+        if sum(widths) == len(recs) + 1:
+            p = widths.index(2)
+            self.split = next(((p, k, a, b) for k, (a, b) in enumerate(zip(*recs[p].updates)) if a != b), None)
+        thresholds = [(p, j) for p, rec in enumerate(recs) for j in range(len(rec.thresholds))]
+        columns = [] if self.split else thresholds
+        # for `tally`: per state the split counter's first update, and per
+        # transition the columns of the steps that reach its branch (its
+        # state's visits or the steps past the threshold before it) and of
+        # those past it (the next threshold, or the last column, of zeros)
+        self.first = np.array([rec.updates[0][self.split[1]] if self.split else 0 for rec in recs], dtype=np.int64)
+        self.upper, self.lower = [], []
+        for p, rec in enumerate(recs):
+            at = [len(recs) + thresholds.index((p, j)) for j in range(len(rec.thresholds))]
+            self.upper += [p, *at]
+            self.lower += [*at, len(recs) + len(thresholds)]
+        self.bits = next(b for b in (1, 2, 4, 8) if max(widths) <= 1 << b)
+        self.group = g = 8 // self.bits
+        # `group_steps`'s columns, laid out as (phase, step, column, code),
+        # codes no block makes clipped to the state's last branch: the
+        # running lowest prefix sum (negated last), the running highest one,
+        # the prefix sum and the steps so far that count for each column of
+        # `passes`, accumulated one step at a time over rows of 256 codes
+        # (numpy accumulates an axis several times slower, and a group has at
+        # most 8 steps)
+        period = self.period
+        at = (np.arange(period)[:, None] + np.arange(g)) % period  # the phase of each step of a group
+        branch = np.minimum(_group_branches(self.bits).T, (np.array(widths) - 1)[at][..., None])
+        table = np.zeros((period, max(widths), d), dtype=np.int64)
+        for p, rec in enumerate(recs):
+            table[p, : widths[p]] = rec.updates
+        steps = np.empty((period, g, 3 * d + len(columns), 256), dtype=np.int64)
+        low, high, sums = steps[:, :, :d], steps[:, :, d : 2 * d], steps[:, :, 2 * d : 3 * d]
+        sums[:] = table[at[..., None], branch].transpose(0, 1, 3, 2)
+        if columns:
+            state, past = np.array(columns).T
+            steps[:, :, 3 * d :] = (at[..., None, None] == state[:, None]) & (branch[:, :, None] > past[:, None])
+        low[:, 0], high[:, 0] = sums[:, 0], sums[:, 0]
+        for s in range(1, g):
+            steps[:, s, 2 * d :] += steps[:, s - 1, 2 * d :]
+            np.minimum(low[:, s - 1], sums[:, s], out=low[:, s])
+            np.maximum(high[:, s - 1], sums[:, s], out=high[:, s])
+        self.tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for k in self.varying:  # a group's last step holds its sum and extremes
+            total = sums[:, -1, k].flatten()
+            self.tables.append((total, low[:, -1, k].flatten() - total, high[:, -1, k].flatten() - total))
+        self.passes = [steps[:, -1, 3 * d + c].flatten() for c in range(len(columns))]
+        np.negative(low, out=low)
+        self.group_steps = steps.transpose(0, 3, 1, 2).astype(np.int32, order="C").reshape(period * 256, g, -1)
+
+    def tally(self, phase: np.ndarray, taken: np.ndarray, moved: np.ndarray, passes: np.ndarray) -> np.ndarray:
+        """Per run (row) and transition, in `tids` order, how often the run
+        took it in `taken` steps from phase `phase`: from its count for each
+        column of `passes`, or with `split` from how far the split counter
+        moved (`moved`)."""
+        period = self.period
+        # the steps taken in each state
+        if period == 1:
+            visits = taken[:, None]
+        else:
+            visits = (taken[:, None] - (np.arange(period) - phase[:, None]) % period + period - 1) // period
+        if self.split:
+            _, _, a, b = self.split
+            passes = ((moved - visits @ self.first) // (b - a))[:, None]
+        # a transition's count: the steps in its state, or past the threshold
+        # before it, less the steps past the threshold after it
+        ext = np.concatenate([visits, passes, np.zeros((len(taken), 1), dtype=np.int64)], axis=1)
+        return ext[:, self.upper] - ext[:, self.lower]
 
 
 @dataclass(frozen=True)
@@ -396,6 +428,7 @@ class _Resolved:
         self.owner = state_to_mec(mec_decomposition(m))
         self._recs: dict[str, _StateRec] = {}
         self._regions: dict[str, Optional[tuple[int, _Cycle]]] = {}
+        self._rings: dict[str, Optional[tuple[int, _Ring]]] = {}
 
     def try_resolve(self, name: str) -> Optional[_StateRec]:
         """`resolve(name)`, or None where the strategy entry makes it raise;
@@ -409,36 +442,75 @@ class _Resolved:
         """Whether `name` lies in a deterministic region: every state its
         one-branch successors reach resolves to one branch. If so, the
         steps from `name` to the entry of the cycle the walk ends in, and
-        that cycle from its entry; else None. Each state of the walk is
-        memoized with it, so a state is tested once."""
+        that cycle from its entry; else None."""
+        if name not in self._regions:
+            self._follow(name)
+        return self._regions[name]
+
+    def ring(self, name: str) -> Optional[tuple[int, _Ring]]:
+        """The phase of `name` and the block path's ring it lies on, or None
+        where it lies on none."""
+        if name not in self._regions:
+            self._follow(name)
+        return self._rings[name]
+
+    def hands_off(self, name: str) -> bool:
+        """Whether a run in `name` leaves the kernel and the scalar path: for
+        the closed form or the block path."""
+        return self.region(name) is not None or self.ring(name) is not None
+
+    def _follow(self, name: str) -> None:
+        """Follow from `name` the states that send all their resolved branches
+        to one successor, and memoize the region and the ring of each state
+        of the walk, so that a state is tested once. A walk that closes a
+        cycle of one-branch states found a region; a cycle with a state of
+        two or more branches is a ring, if the block path can step it."""
         path: dict[str, int] = {}  # states not yet memoized, in walk order
         state = name
         while state not in self._regions:
             if state in path:  # the walk closed a cycle; `state` enters it
                 loop = list(path)[path[state] :]
-                prefix = [[0] * self.dimension]
+                recs = [self.resolve(s) for s in loop]
+                if all(len(rec.tids) == 1 for rec in recs):
+                    prefix = [[0] * self.dimension]
+                    for rec in recs:
+                        prefix.append([p + u for p, u in zip(prefix[-1], rec.updates[0])])
+                    cycle = _Cycle(
+                        tuple(rec.tids[0] for rec in recs),
+                        tuple(prefix[-1]),
+                        tuple(map(min, zip(*prefix[1:]))),
+                        tuple(map(max, zip(*prefix[1:]))),
+                    )
+                    for j, s in enumerate(loop):
+                        self._regions[s], self._rings[s] = (-j % len(loop), cycle), None
+                else:
+                    steppable = (
+                        len(loop) <= MAX_PERIOD
+                        and self.dimension > 0
+                        and all(len(rec.tids) <= 256 for rec in recs)
+                        and all(abs(u) <= FAST_UPDATE_LIMIT for rec in recs for upd in rec.updates for u in upd)
+                    )
+                    ring = _Ring(loop, recs) if steppable else None
+                    for j, s in enumerate(loop):
+                        self._regions[s], self._rings[s] = None, None if ring is None else (j, ring)
                 for s in loop:
-                    prefix.append([p + u for p, u in zip(prefix[-1], self.resolve(s).updates[0])])
-                cycle = _Cycle(
-                    tuple(self.resolve(s).tids[0] for s in loop),
-                    tuple(prefix[-1]),
-                    tuple(map(min, zip(*prefix[1:]))),
-                    tuple(map(max, zip(*prefix[1:]))),
-                )
-                for j, s in enumerate(loop):
-                    self._regions[s] = (-j % len(loop), cycle)
                     del path[s]
                 break
             rec = self.try_resolve(state)
-            if rec is None or len(rec.tids) != 1:
-                self._regions[state] = None
+            if rec is None or len(set(rec.targets)) != 1:
+                self._regions[state] = self._rings[state] = None
                 break
             path[state] = len(path)
             state = rec.targets[0]
+        # the tail into the cycle or up to the state that ends the walk: in a
+        # region while its states have one branch, on no ring
         found = self._regions[state]
-        for i, s in enumerate(reversed(path), 1):
-            self._regions[s] = None if found is None else (found[0] + i, found[1])
-        return self._regions[name]
+        for s in reversed(path):
+            if found is not None and len(self._recs[s].tids) == 1:
+                found = (found[0] + 1, found[1])
+            else:
+                found = None
+            self._regions[s], self._rings[s] = found, None
 
     def resolve(self, name: str) -> _StateRec:
         rec = self._recs.get(name)
@@ -470,7 +542,7 @@ class _Resolved:
             ]
         else:
             branches = [(t.tid, t.target, t.update, t.prob) for t in outs]
-        rec = _StateRec(name, branches)
+        rec = _StateRec(branches)
         self._recs[name] = rec
         return rec
 
@@ -522,7 +594,7 @@ def _advance(
     ended: Optional[bool] = False
     while steps < cap:
         rec = res.resolve(state)
-        if vectorized and (rec.fast_ok or res.region(state) is not None):
+        if vectorized and res.hands_off(state):
             ended = None
             break
         i = rec.pick(stream.one())
@@ -555,10 +627,11 @@ def _run(
     ended = _advance(res, walk, stream, cap, vectorized)
     if ended is not None:
         return _stats(walk, ended)
-    rec = res.resolve(walk.state)
-    if not rec.fast_ok:
+    on = res.ring(walk.state)
+    if on is None:
         return _closed_form(res, walk, cap)
-    ((_, stats, _),) = _Stepper(res, rec, cap, 1).add(0, walk, stream)
+    phase, ring = on
+    ((_, stats, _),) = _Stepper(res, ring, cap, 1).add(0, walk, stream, phase)
     return stats
 
 
@@ -608,52 +681,59 @@ GATHER = np.uint64(0x8040201008040201)
 
 
 class _Stepper:
-    """Steps the runs that sit in one block-path state, up to `size` at a
-    time, one block of each run's words per round; see the module docstring.
+    """Steps the runs that sit on one ring, up to `size` at a time, one block
+    of each run's words per round; see the module docstring.
 
     A run holds one row from admission to its statistics: a row of `rows`,
     whose columns hold its counters, its peaks, its counters at admission,
-    its steps, then the steps it took here and, per threshold with
-    `rec.passes`, those that picked a branch past it; and an entry of each
-    list: its key, the transition counts and realized type it came with and,
-    for a run `_run` handed over, its walk (`runs`); its generator (`gens`);
-    and the words drawn for it and not used yet (`left`). Every buffer is
-    made once and refilled in place by each round.
+    its steps, its phase at admission, then the steps it took here and its
+    count for each column of `ring.passes`; and an entry of each list: its
+    key, the transition counts and realized type it came with and, for a run
+    `_run` handed over, its walk (`runs`); its generator (`gens`); and the
+    words drawn for it and not used yet (`left`). Every buffer is made once,
+    for blocks of min(BLOCK, cap) words, and refilled in place by each round,
+    which lays out its (row, group) arrays at the buffer's front.
     """
 
-    def __init__(self, res: _Resolved, rec: _StateRec, cap: int, size: int = ROWS):
-        self.res, self.rec, self.cap, self.size = res, rec, cap, size
+    def __init__(self, res: _Resolved, ring: _Ring, cap: int, size: int = ROWS):
+        self.res, self.ring, self.cap, self.size = res, ring, cap, size
         self.end = min(cap, 1 << 62)  # the cap as an int64; no run steps 2**62 times
-        d, nth = res.dimension, len(rec.thresholds)
+        d, g, period = res.dimension, ring.group, ring.period
         self.count = 0  # rows 0..count-1 are taken
         self.held = 0  # rows whose walk `_run` handed over
-        self.rows = np.empty((size, 3 * d + 2 + len(rec.passes)), dtype=np.int64)
+        self.rows = np.empty((size, 3 * d + 3 + len(ring.passes)), dtype=np.int64)
         self.runs: list[tuple[int, Optional[Mapping[str, int]], tuple[str, ...], Optional[_Walk]]] = []
         self.gens: list[np.random.Philox] = []
         self.left: list[Optional[np.ndarray]] = []
-        groups = BLOCK // rec.group
+        span = min(BLOCK, cap)  # the most words a row steps in a round
+        groups = -(-span // g)
         # a row's group codes; each round first compares the row's words
         # into the same memory, as a branch mask (two branches) or a branch
-        # index of one byte per word
+        # index of one byte per word. A round uses the groups that hold its
+        # longest block: the first columns of each buffer
         self.codes = np.empty((size, groups), dtype=np.intp)
-        self.words = self.codes.view(np.uint8)[:, :BLOCK]
+        self.words = self.codes.view(np.uint8)[:, : groups * g]
         self.flags = self.words.view(bool)
-        self.scratch = np.empty(BLOCK if nth > 1 else 0, dtype=bool)
-        self.packed = np.empty((size, groups if nth > 1 else 0), dtype=np.uint8)
+        self.scratch = np.empty(span if ring.bits > 1 else 0, dtype=bool)
+        self.packed = np.empty((size, groups if ring.bits > 1 else 0), dtype=np.uint8)
         # per varying counter, the counter after each group, less cur: every
         # other word of a buffer, since numpy sums an axis of contiguous
         # words up several times slower than a strided one; and per group a
         # table's value at its code, plus those sums, with one spare word
         # past the rows for the last bound of a `reduceat`
-        self.sums = np.empty((len(rec.varying), size, groups, 2), dtype=np.int64)[..., 0]
+        self.sums = np.empty((len(ring.varying), size, groups, 2), dtype=np.int64)[..., 0]
         self.ends = np.empty(size * groups + 1, dtype=np.int64)
+        # per phase at a block's start, each group's offset into the tables
+        self.shift = 256 * ((np.arange(period)[:, None] + g * np.arange(groups)) % period)
+        self.groups = groups  # the groups of the round under way
 
-    def start(self, keys: range, n: int, rtype: tuple[str, ...], gens: list[np.random.Philox]) -> None:
-        """Admit the fresh runs `keys` of a batch at start value `n`, on the
-        generators `gens`, into the next free rows."""
+    def start(self, keys: range, n: int, rtype: tuple[str, ...], gens: list[np.random.Philox], phase: int) -> None:
+        """Admit the fresh runs `keys` of a batch at start value `n` and phase
+        `phase`, on the generators `gens`, into the next free rows."""
         a, b, d = self.count, self.count + len(keys), self.res.dimension
         self.rows[a:b, : 3 * d] = n
         self.rows[a:b, 3 * d :] = 0
+        self.rows[a:b, 3 * d + 1] = phase
         self.runs += [(key, None, rtype, None) for key in keys]
         self.gens += gens
         self.left += [None] * len(keys)
@@ -669,25 +749,26 @@ class _Stepper:
         rtype: Sequence[str],
         bg: np.random.Philox,
         left: np.ndarray,
+        phase: int,
         walk: Optional[_Walk] = None,
     ) -> None:
-        """Admit a run that arrives part-way, with the words drawn for it and
-        not used (`left`), into the next free row."""
-        self.rows[self.count] = [*cur, *peak, *cur, steps] + [0] * (1 + len(self.rec.passes))
+        """Admit a run that arrives part-way at phase `phase`, with the words
+        drawn for it and not used (`left`), into the next free row."""
+        self.rows[self.count] = [*cur, *peak, *cur, steps, phase] + [0] * (1 + len(self.ring.passes))
         self.runs.append((key, counts, tuple(rtype), walk))
         self.gens.append(bg)
         self.left.append(left if len(left) else None)
         self.held += walk is not None
         self.count += 1
 
-    def add(self, key: int, walk: _Walk, stream: _DrawStream) -> list[_Done]:
-        """Take over the run `key` that `walk` and `stream` hold, as `_run`
-        hands one over; step whenever every row is taken, and return the runs
-        that finish meanwhile. The walk follows the run's steps, and is left
-        where the run ended."""
+    def add(self, key: int, walk: _Walk, stream: _DrawStream, phase: int) -> list[_Done]:
+        """Take over the run `key` that `walk` and `stream` hold at phase
+        `phase`, as `_run` hands one over; step whenever every row is taken,
+        and return the runs that finish meanwhile. The walk follows the run's
+        steps, and is left where the run ended."""
         if max(walk.peak) >= FAST_COUNTER_LIMIT:  # beyond exact int64 range
             return [(key, _run(self.res, walk, stream, self.cap, False), stream.bg)]
-        self.enter(key, walk.cur, walk.peak, walk.steps, walk.counts, walk.rtype, stream.bg, stream.unread(), walk)
+        self.enter(key, walk.cur, walk.peak, walk.steps, walk.counts, walk.rtype, stream.bg, stream.unread(), phase, walk)
         return self.step_while(self.size)
 
     def step_while(self, least: int) -> list[_Done]:
@@ -702,14 +783,21 @@ class _Stepper:
         """Step until every run has finished; return them."""
         return self.step_while(1)
 
-    def _draw(self, r: int) -> np.ndarray:
+    def _draw(self, r: int, phase: Optional[np.ndarray]) -> np.ndarray:
         """Draw each row's next block of words and compare it, as it is
         drawn, into the row's bytes of `words`: the branch index, or with two
-        branches whether the word picks the second. Returns the blocks'
-        lengths: BLOCK words, fewer at the cap or where a run's words left
-        from the kernel run out."""
+        branches whether the word picks the second; each word against the
+        thresholds of its state, from the row's phase `phase` (None with one
+        state). Returns the blocks' lengths: BLOCK words, fewer at the cap or
+        where a run's words left from the kernel run out. The round's groups
+        are the fewest that hold the longest block (`groups`)."""
+        ring, g = self.ring, self.ring.group
         lens = np.minimum(self.end - self.rows[:r, 3 * self.res.dimension], BLOCK)
-        ths, words = self.rec.block_thresholds, self.words
+        width, words, flags = -(-int(lens.max()) // g) * g, self.words, self.flags  # whole groups, at most
+        period, thresholds = ring.period, ring.block_thresholds
+        ths, at = thresholds[0], [0] * r if phase is None else phase.tolist()
+        if period > 1:  # the bytes of one-branch states and past a short block read 0
+            words[:r, :width] = 0
         for i, k in enumerate(lens.tolist()):
             us = self.left[i]
             if us is None:
@@ -718,47 +806,64 @@ class _Stepper:
                 self.left[i] = us[k:] if len(us) > k else None
                 us = us[:k]
                 k = lens[i] = len(us)
-            np.greater_equal(us, ths[0], out=self.flags[i, :k])
-            for th in ths[1:]:
-                mask = np.greater_equal(us, th, out=self.scratch[:k])
-                np.add(words[i, :k], mask.view(np.uint8), out=words[i, :k])
-            if k < BLOCK:
-                words[i, k:] = 0  # a short block's last group reads no stale byte
+            if period == 1:
+                np.greater_equal(us, ths[0], out=flags[i, :k])
+                for th in ths[1:]:
+                    mask = np.greater_equal(us, th, out=self.scratch[:k])
+                    np.add(words[i, :k], mask.view(np.uint8), out=words[i, :k])
+                if k < width:
+                    words[i, k:width] = 0  # a short block's last group reads no stale byte
+                continue
+            for p, state_ths in enumerate(thresholds):
+                if state_ths:  # the words of state p: every period-th from the first at p
+                    s = (p - at[i]) % period
+                    state_words, state_flags = us[s::period], flags[i, s:k:period]
+                    np.greater_equal(state_words, state_ths[0], out=state_flags)
+                    for th in state_ths[1:]:
+                        mask = np.greater_equal(state_words, th, out=self.scratch[: len(state_words)])
+                        np.add(state_flags.view(np.uint8), mask.view(np.uint8), out=state_flags.view(np.uint8))
+        self.groups = -(-int(lens.max()) // g)
         return lens
 
-    def _codes(self, r: int) -> np.ndarray:
-        """Each row's group codes, from the bytes `_draw` wrote per word."""
-        rec, codes = self.rec, self.codes[:r]
-        if rec.bits == 1:
+    def _codes(self, r: int, phase: Optional[np.ndarray]) -> np.ndarray:
+        """Each row's table indices per group: the group codes, from the
+        bytes `_draw` wrote per word, plus 256 times the group's first phase
+        when the rows start at phases `phase`."""
+        ring, groups = self.ring, self.groups
+        codes = self.codes[:r, :groups]
+        if ring.bits == 1:
             packed = codes.view(np.uint64)
             np.multiply(codes.view("<u8"), GATHER, out=packed)
             np.right_shift(packed, 56, out=packed)
         else:
-            words, packed, g = self.words[:r], self.packed[:r], rec.group
+            words, packed, g = self.words[:r, : groups * ring.group], self.packed[:r, :groups], ring.group
             np.copyto(packed, words[:, ::g])
             for s in range(1, g):
-                np.left_shift(packed, rec.bits, out=packed)
+                np.left_shift(packed, ring.bits, out=packed)
                 np.bitwise_or(packed, words[:, s::g], out=packed)
             np.copyto(codes, packed)
+        if phase is not None:
+            codes += self.shift[:, :groups].take(phase, axis=0)
         return codes
 
     def _round(self) -> list[_Done]:
         """Step every row one block and return the runs that finish."""
-        rec, r, g, d = self.rec, self.count, self.rec.group, self.res.dimension
-        groups = BLOCK // g
-        lens = self._draw(r)
-        codes = self._codes(r)
+        ring, r, g, d = self.ring, self.count, self.ring.group, self.res.dimension
         rows = self.rows[:r]
-        cur, peak, steps, passed = rows[:, :d], rows[:, d : 2 * d], rows[:, 3 * d], rows[:, 3 * d + 1 :]
+        cur, peak, steps, passed = rows[:, :d], rows[:, d : 2 * d], rows[:, 3 * d], rows[:, 3 * d + 2 :]
+        phase = None if ring.period == 1 else (rows[:, 3 * d + 1] + passed[:, 0]) % ring.period
+        lens = self._draw(r, phase)
+        codes = self._codes(r, phase)
+        groups = self.groups
         ends = self.ends[: r * groups].reshape(r, groups)
+        all_sums = self.sums[:, :r, :groups]
         # q: the whole groups each row takes off the tables, which stop
         # before the group that holds a terminal step
         q = lens // g
-        for k, c in rec.constant:
+        for k, c in ring.constant:
             if c < 0:
                 np.minimum(q, cur[:, k] // -c // g, out=q)
-        for (k, _), (total, low, _), sums in zip(rec.varying, rec.tables, self.sums):
-            sums = sums[:r]
+        for k, (total, low, _), sums in zip(ring.varying, ring.tables, all_sums):
             total.take(codes, out=ends, mode="clip")
             np.cumsum(ends, axis=1, out=sums)
             low.take(codes, out=ends, mode="clip")
@@ -777,32 +882,31 @@ class _Stepper:
         bounds[1::2] += q
 
         def over_whole(ufunc: np.ufunc) -> np.ndarray:
-            return np.where(whole, ufunc.reduceat(self.ends, bounds)[::2], 0)
+            return np.where(whole, ufunc.reduceat(self.ends[: r * groups + 1], bounds)[::2], 0)
 
-        for (k, _), (_, _, high), sums in zip(rec.varying, rec.tables, self.sums):
-            sums = sums[:r]
+        for k, (_, _, high), sums in zip(ring.varying, ring.tables, all_sums):
             high.take(codes, out=ends, mode="clip")
             ends += sums  # the highest value inside each group, less cur
             np.maximum(peak[:, k], cur[:, k] + over_whole(np.maximum), out=peak[:, k])
             cur[:, k] += np.where(whole, sums[at, q - 1], 0)
-        for j, table in enumerate(rec.passes, 1):
+        for j, table in enumerate(ring.passes, 1):
             table.take(codes, out=ends, mode="clip")
             passed[:, j] += over_whole(np.add)
         advance = q * g
         passed[:, 0] += advance
-        for k, c in rec.constant:
+        for k, c in ring.constant:
             cur[:, k] += c * advance
             if c > 0:
                 np.maximum(peak[:, k], cur[:, k], out=peak[:, k])
 
         # the group past the tables, at most one a row: its steps up to the
-        # terminal step, the cap or a short block's end, read off the
-        # record's per-step tables of the group's code
+        # terminal step, the cap or a short block's end, read off the ring's
+        # per-step tables of the group's index
         ended = np.zeros(r, dtype=bool)
         part = np.flatnonzero(advance < lens)
         if len(part):
             vals, left = cur[part], np.minimum(lens[part] - advance[part], g)
-            table = rec.group_steps[codes[part, q[part]]]  # per row, step and column
+            table = ring.group_steps[codes[part, q[part]]]  # per row, step and column
             # the steps before a counter goes negative: need <= the counter
             safe = np.minimum(left, (table[:, :, :d] <= vals[:, None]).sum(axis=1).min(axis=1))
             taken, at = np.minimum(safe + 1, left), np.arange(len(part))
@@ -827,22 +931,20 @@ class _Stepper:
 
         # the leaving rows' statistics, read out at once
         done: list[_Done] = []
-        if not rec.passes:  # two branches: a varying counter's change tells them apart
-            k, (c0, c1) = rec.varying[0][0], rec.varying[0][1].tolist()
-        for i, end, row in zip(gone.tolist(), ended[gone].tolist(), self.rows[gone].tolist()):
-            vals, tops, entry = row[:d], row[d : 2 * d], row[2 * d : 3 * d]
-            walked, passes = row[3 * d], row[3 * d + 1 :]
-            if rec.passes:  # branch b: the steps past threshold b - 1 and not past b
-                used = [a - b for a, b in zip(passes, [*passes[1:], 0])]
-            else:
-                second = (vals[k] - entry[k] - passes[0] * c0) // (c1 - c0)
-                used = [passes[0] - second, second]
+        out = self.rows[gone]
+        first, taken = out[:, 3 * d + 1], out[:, 3 * d + 2]
+        k = ring.split[1] if ring.split else 0  # the counter whose change splits two branches
+        tally = ring.tally(first, taken, out[:, k] - out[:, 2 * d + k], out[:, 3 * d + 3 :]).tolist()
+        at = ((first + taken) % ring.period).tolist()
+        fields = zip(gone.tolist(), ended[gone].tolist(), out.tolist(), tally, at)
+        for i, end, row, used, place in fields:
+            vals, tops, walked = row[:d], row[d : 2 * d], row[3 * d]
             key, base, rtype, walk = self.runs[i]
-            counts = dict(base) if base else {}
-            for tid, c in zip(rec.tids, used):
-                if c:
-                    counts[tid] = counts.get(tid, 0) + c
+            counts = {tid: c for tid, c in zip(ring.tids, used) if c}
+            for tid, c in base.items() if base else ():
+                counts[tid] = counts.get(tid, 0) + c
             if walk is not None:
+                walk.state = ring.states[place]
                 walk.cur, walk.peak, walk.steps, walk.counts = vals, tops, walked, TallyCounter(counts)
                 self.held -= 1
             if end or walked == self.cap:
@@ -868,12 +970,8 @@ class _Tables:
     last branch; pad thresholds are 2**64 - 1, which only the draw 2**64 - 1
     reaches, and that draw selects the last branch anyway.
 
-    The kernel steps only the states that are not hand-off states (block-path
-    states and states in deterministic regions): a run leaves it on entering
-    one. When no stepped state forks, `walk[j, sk]` is the key of the state
-    reached from the state of key `sk` after j waves, else `walk` is None.
-    Hand-off states have one successor anyway (all self-loops, or one
-    branch), so the table follows them too.
+    The kernel steps only the states that are not hand-off states (states on
+    a ring and in deterministic regions): a run leaves it on entering one.
     """
 
     def __init__(self, res: _Resolved, recs: dict[str, _StateRec]):
@@ -884,7 +982,7 @@ class _Tables:
         self.width = width
         self.size = size
         self.names = list(recs)
-        hands = {name: rec.fast_ok or res.region(name) is not None for name, rec in recs.items()}
+        hands = {name: res.hands_off(name) for name in recs}
         stepped = [rec for name, rec in recs.items() if not hands[name]]
         # per key: its state, the state's record, and the branch it takes
         keys = [(name, rec, min(k, len(rec.tids) - 1)) for name, rec in recs.items() for k in range(width)]
@@ -898,7 +996,7 @@ class _Tables:
         ths = np.array([(rec.thresholds + pad)[: width - 1] for rec in recs.values()], dtype=np.uint64)
         self.thresholds = list(ths.T.repeat(width, axis=1))
         updates = np.array([rec.updates[b] for _, rec, b in keys], dtype=np.int64).reshape(size, res.dimension).T
-        # the target is a block-path state or lies in a deterministic region
+        # the target lies on a ring or in a deterministic region
         hand = [hands[target] for target in targets]
         # the target may extend the realized type
         enters = [mid is not None and mid != res.owner.get(name) for (name, _, _), mid in zip(keys, self.mids)]
@@ -918,17 +1016,6 @@ class _Tables:
         self.moved = lowers + raises
         self.lowered = len(lowers)
         self.updates = updates[self.moved]
-        self.walk: Optional[np.ndarray] = None
-        if all(len(set(rec.targets)) == 1 for rec in stepped):
-            # by doubling: the state after h + j waves is the one h waves
-            # after the state after j waves
-            self.walk = np.empty((RUN_BUFFER + 1, size), dtype=np.int64)
-            self.walk[0], self.walk[1] = np.arange(size), self.nxt
-            h = 1
-            while h < RUN_BUFFER:
-                more = min(h, RUN_BUFFER - h)
-                self.walk[h + 1 : h + 1 + more] = self.walk[h].take(self.walk[1 : 1 + more])
-                h += more
         # a transition's keys are consecutive (pads repeat a state's last
         # branch): the first key of each, and its id
         self.tid_starts = [key for key, tid in enumerate(self.tids) if key == 0 or tid != self.tids[key - 1]]
@@ -940,15 +1027,6 @@ class _Tables:
         for th in self.thresholds:
             key = key + (u >= th[sk])
         return key
-
-    def walked(self, sk: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Off `walk`: the branch keys that a block's words (wave, row) select
-        from the states with keys `sk`, and the state keys after the block."""
-        states = self.walk[: len(words), sk]
-        keys = states.copy()
-        for th in self.thresholds:
-            keys += words >= th[states]
-        return keys, self.walk[len(words), sk]
 
     def handed(self, keys: np.ndarray) -> np.ndarray:
         """Per row of a block's keys (wave, row), the first wave whose
@@ -1019,7 +1097,7 @@ def _lockstep(
     # only the blocks from there
     draws = np.empty((slots, RUN_DRAWS * width), dtype=np.uint64)
     phase = 0
-    steppers: dict[str, _Stepper] = {}  # by block-path state
+    steppers: dict[_Ring, _Stepper] = {}
     rows = admitted = 0
     while admitted < runs or rows:
         if phase == 0:
@@ -1044,20 +1122,17 @@ def _lockstep(
         first = phase * width
         phase = (phase + 1) % RUN_DRAWS
         words = draws[:rows, first : first + width].T
-        if t.walk is None:  # a stepped state forks: chase the states wave by wave
-            keys = np.empty((width, rows), dtype=np.int64)
-            sk = sk_all[:rows]
-            for j in range(width):
-                keys[j] = t.branch(sk, words[j])
-                sk = t.nxt[keys[j]]
-            sk_all[:rows] = sk
-        else:
-            keys, sk_all[:rows] = t.walked(sk_all[:rows], words)
+        keys = np.empty((width, rows), dtype=np.int64)
+        sk = sk_all[:rows]
+        for j in range(width):
+            keys[j] = t.branch(sk, words[j])
+            sk = t.nxt[keys[j]]
+        sk_all[:rows] = sk
 
         # per counter a stepped branch moves, its value after each wave
         # (counter, wave, row); where each row leaves the block: the step
         # that terminates it (only a counter some stepped branch lowers can
-        # go negative), enters a block-path state or a deterministic region
+        # go negative), enters a ring or a deterministic region
         # (only if some stepped branch leads into one), or reaches the cap,
         # whichever comes first
         pos = t.updates.take(keys, axis=1)
@@ -1105,13 +1180,15 @@ def _lockstep(
                 out[run_ids[i]] = _closed_form(res, walk, cap)
                 streams.close(gens[i])
                 continue
-            # the run entered a block-path state: it takes a row of the
-            # state's stepper, which finishes it, first on the words drawn
-            # here and not used, and steps whenever every row is taken
-            stepper = steppers.get(name)
+            # the run entered a ring: it takes a row of the ring's stepper,
+            # which finishes it, first on the words drawn here and not used,
+            # and steps whenever every row is taken
+            place, ring = res.ring(name)
+            stepper = steppers.get(ring)
             if stepper is None:
-                stepper = steppers[name] = _Stepper(res, res.resolve(name), cap, min(ROWS, runs))
-            stepper.enter(run_ids[i], vals, peaks, walked, used, rtypes[i], gens[i], draws[i, first + at + 1 :].copy())
+                stepper = steppers[ring] = _Stepper(res, ring, cap, min(ROWS, runs))
+            left = draws[i, first + at + 1 :].copy()
+            stepper.enter(run_ids[i], vals, peaks, walked, used, rtypes[i], gens[i], left, place)
             _finish(stepper.step_while(stepper.size), out, streams)
         rows -= len(gone)
         holes = gone[gone < rows]
@@ -1126,11 +1203,11 @@ def _lockstep(
 
 
 def _step_batch(
-    res: _Resolved, rec: _StateRec, n: int, runs: int, seed: int, cap: int, start: str
+    res: _Resolved, ring: _Ring, phase: int, n: int, runs: int, seed: int, cap: int, start: str
 ) -> list[TrajectoryStats]:
-    """Run a batch whose start state is a block-path state on one stepper,
-    admitting runs into every free row before each round."""
-    stepper = _Stepper(res, rec, cap, min(ROWS, runs))
+    """Run a batch whose start state lies on a ring, at phase `phase`, on one
+    stepper, admitting runs into every free row before each round."""
+    stepper = _Stepper(res, ring, cap, min(ROWS, runs))
     streams = _Streams(seed, n)
     mid = res.owner.get(start)
     rtype = () if mid is None else (mid,)
@@ -1138,7 +1215,7 @@ def _step_batch(
     admitted = 0
     while admitted < runs or stepper.count:
         new = range(admitted, min(runs, admitted + stepper.size - stepper.count))
-        stepper.start(new, n, rtype, [streams.open(r) for r in new])
+        stepper.start(new, n, rtype, [streams.open(r) for r in new], phase)
         admitted = new.stop
         _finish(stepper._round(), out, streams)
     return out
@@ -1195,9 +1272,12 @@ def simulate_many(
     max_steps: int = 10**6,
     init_state: Optional[str] = None,
     _vectorized: bool = True,
+    _resolved: Optional[_Resolved] = None,
 ) -> list[TrajectoryStats]:
     """Sample `runs` independent trajectories, indexed by run. Run `r` equals
-    `simulate_one(..., run=r)` whichever path the batch takes."""
+    `simulate_one(..., run=r)` whichever path the batch takes. `_resolved`,
+    if given, is `m` resolved under `strategy` already, with the tables it
+    has built."""
     if n < 0:
         raise ValueError("start value n must be >= 0")
     if not 1 <= runs <= 1 << 32:
@@ -1206,7 +1286,7 @@ def simulate_many(
         raise ValueError("max_steps must be >= 1")
     _check_seed(seed)
     start = _init_state(m, init_state)
-    res = _Resolved(m, strategy)
+    res = _Resolved(m, strategy) if _resolved is None else _resolved
     if _vectorized and res.region(start) is not None:
         # every run is the same run, and draws no word; each owns its counts
         run = _closed_form(res, _start(res, n, start), max_steps)
@@ -1214,9 +1294,10 @@ def simulate_many(
         return [TrajectoryStats(*fields, dict(counts), run.realized_type) for _ in range(runs)]
     tables = _lockstep_tables(res, start, n, max_steps) if _vectorized else None
     if tables is not None:
-        rec = res.resolve(start)
-        if rec.fast_ok:
-            return _step_batch(res, rec, n, runs, seed, max_steps, start)
+        on = res.ring(start)
+        if on is not None:
+            phase, ring = on
+            return _step_batch(res, ring, phase, n, runs, seed, max_steps, start)
         return _lockstep(res, tables, n, runs, seed, max_steps, start)
     # one run after the other, on one re-keyed generator
     streams = _Streams(seed, n)
@@ -1306,6 +1387,7 @@ def estimate_tails(
     except OverflowError:
         raise ValueError(f"step cap 4*n**{theta} is too large to compute") from None
     groups: dict[int, tuple[TailGroup, ...]] = {}
+    res = _Resolved(m, strategy)  # its branch and ring tables serve every n
     for n in n_list:
         stats = simulate_many(
             m,
@@ -1315,6 +1397,7 @@ def estimate_tails(
             strategy=strategy,
             max_steps=caps[n],
             init_state=init_state,
+            _resolved=res,
         )
         by_type: dict[tuple[str, ...], list[TrajectoryStats]] = {}
         for st in stats:

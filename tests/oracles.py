@@ -139,23 +139,41 @@ def expected_update(m, strategy, state) -> tuple:
     )
 
 
-def reference_block_tables(rec):
-    """A block-path state record's per-code tables, built one threshold and
-    one counter at a time along a (code, counter, step) layout: `passes`,
-    `tables` and `group_steps`, as `sim._StateRec` defines them."""
-    branch = np.minimum(sim._group_branches(rec.bits), len(rec.tids) - 1)
-    past, passes = [], []
-    if len(rec.tids) > 2 or not rec.varying:
-        past = [np.cumsum(branch > j, axis=1) for j in range(len(rec.thresholds))]
-        passes = [steps[:, -1].copy() for steps in past]
-    sums = np.cumsum(np.array(rec.updates, dtype=np.int64)[branch], axis=1).transpose(0, 2, 1)
-    tables = []
-    for k, _ in rec.varying:
-        total = sums[:, k, -1].copy()
-        tables.append((total, sums[:, k].min(axis=1) - total, sums[:, k].max(axis=1) - total))
-    need, high = -np.minimum.accumulate(sums, axis=2), np.maximum.accumulate(sums, axis=2)
-    steps = np.concatenate([need, high, sums, *(p[:, None] for p in past)], axis=1, dtype=np.int32)
-    return passes, tables, np.ascontiguousarray(steps.transpose(0, 2, 1))
+def reference_block_tables(ring):
+    """A ring's per-index tables, built one phase, one threshold and one
+    counter at a time along a (code, counter, step) layout: `passes`,
+    `tables` and `group_steps`, as `sim._Ring` defines them. The rows of
+    phase p (at a group's first step) follow those of phase p - 1."""
+    recs, period, g = ring.recs, ring.period, ring.group
+    widths = [len(rec.tids) for rec in recs]
+    d = len(recs[0].updates[0])
+    # one state of two branches, the others of one, and a counter the two
+    # branches move differently: its change tells them apart
+    split = sum(widths) == period + 1 and any(
+        len(set(col)) > 1 for rec in recs if len(rec.tids) == 2 for col in zip(*rec.updates)
+    )
+    columns = [] if split else [(p, j) for p, rec in enumerate(recs) for j in range(len(rec.thresholds))]
+    varying = [k for k in range(d) if len({u[k] for rec in recs for u in rec.updates}) > 1]
+    passes, totals, lows, highs, steps = [[] for _ in columns], [[] for _ in varying], [[] for _ in varying], [[] for _ in varying], []
+    codes = sim._group_branches(ring.bits)  # (code, step)
+    for first in range(period):
+        at = [(first + s) % period for s in range(g)]
+        branch = np.stack([np.minimum(codes[:, s], widths[p] - 1) for s, p in enumerate(at)], axis=1)
+        updates = np.stack([np.array(recs[p].updates, dtype=np.int64)[branch[:, s]] for s, p in enumerate(at)], axis=1)
+        sums = np.cumsum(updates, axis=1).transpose(0, 2, 1)  # (code, counter, step)
+        past = [np.cumsum((branch > j) & (np.array(at) == p), axis=1) for p, j in columns]
+        for c, steps_past in enumerate(past):
+            passes[c].append(steps_past[:, -1])
+        for i, k in enumerate(varying):
+            total = sums[:, k, -1]
+            totals[i].append(total)
+            lows[i].append(sums[:, k].min(axis=1) - total)
+            highs[i].append(sums[:, k].max(axis=1) - total)
+        need, high = -np.minimum.accumulate(sums, axis=2), np.maximum.accumulate(sums, axis=2)
+        steps.append(np.concatenate([need, high, sums, *(p[:, None] for p in past)], axis=1, dtype=np.int32))
+    tables = [tuple(np.concatenate(t) for t in parts) for parts in zip(totals, lows, highs)]
+    group_steps = np.ascontiguousarray(np.concatenate(steps).transpose(0, 2, 1))
+    return [np.concatenate(c) for c in passes], tables, group_steps
 
 
 def augment_step_counter(m, only=None) -> VassMdp:

@@ -12,11 +12,11 @@ _names = st.lists(
 
 
 @st.composite
-def random_models(draw, max_states=4, max_dim=3, max_update=9, min_dim=1):
+def random_models(draw, max_states=4, max_dim=3, max_update=9, min_dim=1, min_states=1, min_branches=1):
     names = draw(
         st.lists(
             st.text(alphabet="abcdefgh", min_size=1, max_size=3),
-            min_size=1,
+            min_size=min_states,
             max_size=max_states,
             unique=True,
         )
@@ -26,7 +26,7 @@ def random_models(draw, max_states=4, max_dim=3, max_update=9, min_dim=1):
     transitions = []
     tid = 0
     for s in states:
-        k = draw(st.integers(1, 3))
+        k = draw(st.integers(min_branches, 3))
         targets = [draw(st.sampled_from(names)) for _ in range(k)]
         if s.kind == "prob":
             weights = [draw(st.integers(1, 5)) for _ in range(k)]

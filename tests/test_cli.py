@@ -1103,6 +1103,16 @@ def _graph(vertices, edges):
     ]
 
 
+def _nested(command):
+    """`command`'s argv with one JSON file of 100000 nested arrays, deeper
+    than the decoder recurses, where the placeholder `{}` stands."""
+    def argv(tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        return [str(path) if arg == "{}" else arg for arg in command]
+    return argv
+
+
 WALK = str(MODELS / "random_walk_1d.json")
 K3_EDGES = [["a", "b"], ["b", "c"], ["a", "c"]]
 
@@ -1148,6 +1158,12 @@ K3_EDGES = [["a", "b"], ["b", "c"], ["a", "c"]]
                      id="analyze-json-text"),
         pytest.param(lambda _: ["simulate", WALK, "--n", "4", "--runs", "2", "--csv", "--json"],
                      "not allowed with", id="simulate-csv-json"),
+        pytest.param(_nested(["analyze", "{}"]), "nested too deeply", id="analyze-nested-model"),
+        pytest.param(_nested(["check", WALK, "{}"]), "nested too deeply", id="check-nested-report"),
+        pytest.param(_nested(["check", "{}", WALK]), "nested too deeply", id="check-nested-model"),
+        pytest.param(_nested(["simulate", WALK, "--n", "4", "--runs", "2", "--strategy", "{}"]),
+                     "nested too deeply", id="simulate-nested-strategy"),
+        pytest.param(_nested(["gen-hamiltonian", "{}", "a"]), "nested too deeply", id="graph-nested"),
     ],
 )
 def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, argv, named):

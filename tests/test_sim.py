@@ -190,6 +190,17 @@ def test_block_path_hands_counters_past_exact_range_to_the_scalar_path(monkeypat
         assert scalar == taken_on
         assert fast == simulate_one(m, n, seed=4, max_steps=3 * sim.BLOCK, _vectorized=False)
         assert fast.max_counter[0] > 2**53 and fast.steps == 3 * sim.BLOCK
+    # on a ring of period 3 the scalar path goes on from the state the run
+    # reached, whose branches differ from its neighbours'
+    ring = vass(
+        dict.fromkeys("abc", "prob"),
+        [("a1", "a", "b", [1], F(1, 2)), ("a3", "a", "b", [3], F(1, 2)), ("b", "b", "c", [2], 1), ("c", "c", "a", [0], 1)],
+    )
+    for start in "abc":
+        scalar.clear()
+        fast = simulate_one(ring, 2**53 - 5000, seed=5, max_steps=3 * sim.BLOCK, init_state=start)
+        assert scalar == [0, sim.BLOCK]
+        assert fast == simulate_one(ring, 2**53 - 5000, seed=5, max_steps=3 * sim.BLOCK, init_state=start, _vectorized=False)
 
 
 def test_simulate_many_matches_simulate_one(walk):
@@ -246,9 +257,15 @@ def kernel_batches():
 @pytest.fixture
 def chased_waves():
     """Counts the waves the lockstep kernel chases state by state, one
-    `_Tables.branch` call each; it reads the states of a block off the walk
-    table instead when no stepped state forks."""
+    `_Tables.branch` call each."""
     with recorded(sim._Tables, "branch") as calls:
+        yield calls
+
+
+@pytest.fixture
+def ring_batches():
+    """Counts the batches that start on a ring and run on its stepper."""
+    with recorded(sim, "_step_batch") as calls:
         yield calls
 
 
@@ -280,13 +297,15 @@ def pump_leave(n):
     return {"a": {"a_b": 1 - leave, "a_q": leave}, "e": "e_e"}
 
 
-def test_kernel_matches_reference_on_pump(pump, kernel_batches):
+def test_kernel_matches_reference_on_pump(pump, kernel_batches, ring_batches):
     assert_matches_reference(pump, 4, 40, seed=11, strategy=pump_leave(4), max_steps=4 * 4**4)
     assert_matches_reference(pump, 6, 70, seed=2, strategy={"a": "a_b"}, max_steps=36)
     assert_matches_reference(pump, 3, 30, seed=5, strategy={"a": "a_q", "e": "e_e"}, max_steps=300)
-    # runs spanning several kernel blocks
+    # runs spanning several blocks
     assert_matches_reference(pump, 10, 100, seed=7, strategy={"a": "a_b"}, max_steps=400)
-    assert len(kernel_batches) == 4
+    # under a -> a_b, a and b form a ring of period 2, which the kernel
+    # leaves to the ring's stepper
+    assert len(kernel_batches) == 2 and len(ring_batches) == 2
 
 
 def padded_coins():
@@ -369,8 +388,8 @@ def test_kernel_edge_cases(pump, walk, zero_cycle, kernel_batches, closed_forms)
     assert_matches_reference(pump, 0, 6, strategy=pump_leave(2), max_steps=50)
     assert_matches_reference(pump, 5, 6, strategy=pump_leave(2), max_steps=1)
     assert len(kernel_batches) == 3
-    # a start state whose two or more branches are all self-loops goes
-    # straight to the block path, one in a deterministic region to the
+    # a start state on a ring (here two or more branches, all self-loops)
+    # goes straight to the block path, one in a deterministic region to the
     # closed form
     closed_forms.clear()
     assert_matches_reference(walk, 4, 6, seed=3, max_steps=400)
@@ -399,26 +418,62 @@ def test_kernel_declines_counters_beyond_exact_range(pump, kernel_batches):
     assert batch[0].max_counter[1] > 2**62
 
 
+def ring_of_states(res, name):
+    """The states of the ring `name` lies on, from `name`, as the block path
+    takes one: a cycle of at most MAX_PERIOD states that each resolve and
+    send every branch (at most 256, each moving a counter by at most 2**20)
+    to the next, one or more with two or more branches; else None."""
+    ring, rec = [name], res.try_resolve(name)
+    while rec is not None and len(set(rec.targets)) == 1 and rec.targets[0] != name:
+        if rec.targets[0] in ring:  # `name` is on the tail into a cycle
+            return None
+        ring.append(rec.targets[0])
+        rec = res.try_resolve(ring[-1])
+    if rec is None or len(set(rec.targets)) != 1:
+        return None
+    recs = [res.resolve(state) for state in ring]
+    fits = all(len(r.tids) <= 256 and all(abs(u) <= sim.FAST_UPDATE_LIMIT for upd in r.updates for u in upd) for r in recs)
+    forks = any(len(r.tids) > 1 for r in recs)
+    return ring if len(ring) <= sim.MAX_PERIOD and fits and forks else None
+
+
+def hand_off(res, name):
+    """Whether `name` is a hand-off state, which the kernel does not step:
+    on a ring, or one whose one-branch successors reach only one-branch
+    states (a deterministic region)."""
+    seen, state = set(), name
+    while state not in seen:
+        seen.add(state)
+        rec = res.try_resolve(state)
+        if rec is None or len(rec.tids) != 1:
+            break
+        state = rec.targets[0]
+    else:
+        return True
+    return res.try_resolve(name) is not None and ring_of_states(res, name) is not None
+
+
 @st.composite
-def models_with_strategies(draw, forked_start=False):
-    """A random model, a random memoryless strategy and a start state; with
-    `forked_start`, a state with two or more branches under the strategy
-    where there is one, so that the batch is not one closed-form run."""
-    m = draw(random_models())
+def models_with_strategies(draw):
+    """A random model of two or more states, a random memoryless strategy
+    and a start state: one the kernel steps (it resolves and is no hand-off
+    state) where there is one, so that the batch is neither one closed-form
+    run nor a ring's. A one-state model has none, and every state has two or
+    more transitions, so that most models have a state that forks; a state
+    resolves to one branch where the strategy chooses one."""
+    m = draw(random_models(min_states=2, min_branches=2))
     strategy = {}
-    branches = {s.name: len(m.out(s.name)) for s in m.states}
     for s in m.nondet_states():
         tids = [t.tid for t in m.out(s.name)]
         chosen = draw(st.lists(st.sampled_from(tids), min_size=1, unique=True))
-        branches[s.name] = len(chosen)
         if len(chosen) == 1 and draw(st.booleans()):
             strategy[s.name] = chosen[0]
         else:
             weights = [draw(st.integers(1, 4)) for _ in chosen]
             strategy[s.name] = {tid: F(w, sum(weights)) for tid, w in zip(chosen, weights)}
-    forked = [name for name in m.state_names() if branches[name] > 1]
-    init = draw(st.sampled_from(forked if forked_start and forked else m.state_names()))
-    return m, strategy, init
+    res = sim._Resolved(m, strategy)
+    stepped = [name for name in m.state_names() if res.try_resolve(name) is not None and not hand_off(res, name)]
+    return m, strategy, draw(st.sampled_from(stepped or m.state_names()))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -434,82 +489,100 @@ def test_kernel_matches_reference_on_random_models(case, n, runs, cap, seed):
     assert_matches_reference(m, n, runs, seed=seed, strategy=strategy, max_steps=cap, init_state=init)
 
 
+def test_random_model_draws_mostly_reach_the_kernel_or_a_ring():
+    # the start is drawn among the states the kernel steps, so most draws
+    # step there or, after a hand-off, on a ring's stepper, rather than in
+    # one closed-form run or on the scalar path
+    reached = []
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(models_with_strategies(), st.integers(0, 6), st.integers(0, 2**32))
+    def draw(case, n, seed):
+        m, strategy, init = case
+        with recorded(sim, "_lockstep") as batches, recorded(sim._Stepper, "_round") as rounds:
+            try:
+                simulate_many(m, n, 3, seed=seed, strategy=strategy, max_steps=60, init_state=init)
+            except IncompleteStrategy:
+                pass
+        reached.append(bool(batches or rounds))
+
+    draw()
+    assert len(reached) == 200 and sum(reached) > 150, sum(reached)
+
+
 def stepped_states(m, strategy, init):
     """The resolver of `strategy`, and the states the kernel steps from `init`
-    with their records, and a test of whether a state is a hand-off state (a
-    block-path state, or one whose one-branch successors reach only
-    one-branch states), which the kernel does not step."""
+    with their records."""
     res = sim._Resolved(m, strategy)
-
-    def one_way(name):
-        seen = set()
-        while name not in seen:
-            seen.add(name)
-            rec = res.try_resolve(name)
-            if rec is None or len(rec.tids) != 1:
-                return False
-            name = rec.targets[0]
-        return True
-
-    def hand_off(name):
-        rec = res.try_resolve(name)
-        return rec is not None and (rec.fast_ok or one_way(name))
-
     seen, todo, found = set(), [init], []
     while todo:
         name = todo.pop()
         rec = res.try_resolve(name)
-        if name in seen or rec is None or hand_off(name):
+        if name in seen or rec is None or hand_off(res, name):
             continue
         seen.add(name)
         found.append((name, rec))
         todo += rec.targets
-    return res, found, hand_off
-
-
-def forks(m, strategy, init):
-    """Whether a state the kernel steps from `init` sends its resolved
-    branches to two or more successors."""
-    _, stepped, _ = stepped_states(m, strategy, init)
-    return any(len(set(rec.targets)) > 1 for _, rec in stepped)
+    return res, found
 
 
 def stepped_keys_need(m, strategy, init):
     """Whether some branch of a state the kernel steps from `init` hands the
     run off, and whether one enters a class other than its state's."""
-    res, stepped, hand_off = stepped_states(m, strategy, init)
+    res, stepped = stepped_states(m, strategy, init)
     targets = [(name, target) for name, rec in stepped for target in rec.targets]
     enters = [res.owner.get(target) not in (None, res.owner.get(name)) for name, target in targets]
-    return any(hand_off(target) for _, target in targets), any(enters)
+    return any(hand_off(res, target) for _, target in targets), any(enters)
 
 
-def test_kernel_walks_exactly_when_no_stepped_state_forks(pump, kernel_batches, chased_waves):
-    # a and b each have one successor under a -> a_b
-    assert not forks(pump, {"a": "a_b"}, "a")
+def countdown_lasso(tail, entry="a"):
+    """The countdown cycle after a lasso tail of `tail` coins t000, t001, ...,
+    each moving the counters as a does, the last leading into `entry`."""
+    m = countdown_cycle()
+    names = [f"t{i:03d}" for i in range(tail)]
+    transitions = [(t.tid, t.source, t.target, t.update, t.prob) for t in m.transitions]
+    for a, b in zip(names, [*names[1:], entry]):
+        transitions += [(f"{a}_0", a, b, [-1, 0, 0], F(1, 3)), (f"{a}_1", a, b, [-1, 0, 1], F(2, 3))]
+    return vass(dict.fromkeys([*names, "a", "b"], "prob"), transitions, 3)
+
+
+def test_kernel_chases_forking_states_and_lasso_tails(pump, kernel_batches, ring_batches, chased_waves):
+    # under a -> a_b, a and b form a ring: the batch runs on its stepper
     assert_matches_reference(pump, 6, 70, seed=2, strategy={"a": "a_b"}, max_steps=300)
-    assert len(kernel_batches) == 1 and not chased_waves
+    assert (len(kernel_batches), len(ring_batches), len(chased_waves)) == (0, 1, 0)
     # a forks to b and q, and q to e and f
-    assert forks(pump, pump_leave(4), "a")
     assert_matches_reference(pump, 4, 40, seed=11, strategy=pump_leave(4), max_steps=300)
-    assert len(kernel_batches) == 2 and len(chased_waves) % sim.RUN_BUFFER == 0 and chased_waves
-    # only the start state q forks, to p and back to q
-    chased_waves.clear()
-    assert forks(coin_zero_cycle(), None, "q")
-    assert_matches_reference(coin_zero_cycle(), 2, 5, seed=4, init_state="q", max_steps=301)
-    assert len(kernel_batches) == 3 and chased_waves
+    assert len(kernel_batches) == 1 and chased_waves and len(chased_waves) % sim.RUN_BUFFER == 0
+    # no state forks on a lasso tail, which the kernel chases into the ring
+    # {a, b}, entered at either phase
+    for entry in "ab":
+        chased_waves.clear()
+        with recorded(sim._Stepper, "enter") as entered:
+            batch = assert_matches_reference(countdown_lasso(5, entry), 40, 60, seed=3, init_state="t000", max_steps=300)
+        assert len(chased_waves) == sim.RUN_BUFFER and len(entered) == 60
+        assert {args[0].ring.states[args[9]] for args in entered} == {entry}
+        assert {(st.terminated, st.steps) for st in batch} == {(True, 41)}
+    assert len(kernel_batches) == 3 and len(ring_batches) == 1
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(models_with_strategies(), st.integers(0, 6), st.integers(1, 150), st.integers(0, 2**32))
-def test_kernel_walks_random_models_exactly_when_no_stepped_state_forks(case, n, cap, seed):
+def test_kernel_hands_random_models_off_at_rings_and_regions(case, n, cap, seed):
+    # the kernel steps only states that are not hand-off states, and a run
+    # it hands to a stepper enters that ring at the phase of its state
     m, strategy, init = case
-    with recorded(sim, "_lockstep") as batches, recorded(sim._Tables, "branch") as chased:
+    with recorded(sim, "_lockstep") as batches, recorded(sim._Stepper, "enter") as entered:
         try:
-            simulate_many(m, n, 3, seed=seed, strategy=strategy, max_steps=cap, init_state=init)
+            assert_matches_reference(m, n, 3, seed=seed, strategy=strategy, max_steps=cap, init_state=init)
         except IncompleteStrategy:
             return
-    if batches:
-        assert bool(chased) == forks(m, strategy, init)
+    res = sim._Resolved(m, strategy)
+    assert not batches or not hand_off(res, init)
+    for args in entered:
+        stepper, phase = args[0], args[9]
+        ring = ring_of_states(res, stepper.ring.states[phase])
+        assert ring is not None and ring == stepper.ring.states[phase:] + stepper.ring.states[:phase]
 
 
 @contextmanager
@@ -560,6 +633,8 @@ def hand_off_without_enter():
     ],
 )
 def test_kernel_scans_a_block_only_for_what_its_stepped_keys_need(case, handed, entered, pump, kernel_batches):
+    # pump-stay's a and b form a ring: no state is stepped on the kernel, so
+    # no key needs either scan, and the batch runs on the ring's stepper
     m, kw = {
         "pump-stay": (pump, dict(strategy={"a": "a_b"}, max_steps=300)),
         "pump-leave": (pump, dict(strategy=pump_leave(3), max_steps=300)),
@@ -570,7 +645,8 @@ def test_kernel_scans_a_block_only_for_what_its_stepped_keys_need(case, handed, 
     assert stepped_keys_need(m, kw.get("strategy"), init) == (handed, entered)
     with block_scans() as (handed_calls, entered_calls):
         batch = assert_matches_reference(m, 3, 70, seed=5, **kw)
-    assert len(kernel_batches) == 1 and (bool(handed_calls), bool(entered_calls)) == (handed, entered)
+    assert len(kernel_batches) == (case != "pump-stay")
+    assert (bool(handed_calls), bool(entered_calls)) == (handed, entered)
     if case == "enter":  # every run enters {q, r} on its first step
         assert {st.realized_type for st in batch} == {("M1",)} and all(st.steps > 1 for st in batch)
     if case == "hand-off":  # p is transient; the closed form takes every run from s into z's class
@@ -580,7 +656,7 @@ def test_kernel_scans_a_block_only_for_what_its_stepped_keys_need(case, handed, 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    models_with_strategies(forked_start=True),
+    models_with_strategies(),
     st.integers(0, 6),
     st.integers(1, 40),
     st.integers(1, 150),
@@ -600,47 +676,52 @@ def test_kernel_skips_block_scans_exactly_when_no_stepped_key_needs_them(case, n
 COUNTER_MOVES = {"lowered": (-2, 2), "raised": (0, 2), "unmoved": (0, 0)}
 
 
+# caps next to the edges of one- to eight-step groups and of blocks
+EDGE_CAPS = sorted({c + e for c in (2, 4, 8, 16, sim.BLOCK, 2 * sim.BLOCK) for e in (-1, 0, 1)})
+
+
 @st.composite
 def one_successor_cycles(draw):
-    """A cycle of 2-4 coin states in which every state has one successor and
-    1-3 branches, on 1-3 counters, and a start state on it with two or more
-    branches. Per counter, the cycle's branches lower and raise it, only
-    raise it, or leave it. The last state may lead instead into a self-loop
-    state `z` of two branches or a one-branch self-loop `r` (a deterministic
-    region), whose branches may move every counter."""
-    k, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
-    start = draw(st.integers(0, k - 1))
+    """A cycle of 1-5 coin states in which every state sends its 1, 2, 3 or
+    5 branches to the next and one or more has two or more, on 1-3 counters,
+    and a coin p that loops or enters the cycle at a drawn state. Per
+    counter, the cycle's branches lower and raise it, only raise it, or leave
+    it. The run starts at p, where the kernel steps it, or anywhere on the
+    cycle. Two branches of p enter the cycle, so that runs may enter at a
+    state other than the one the ring's phases count from."""
+    k, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     moves = [COUNTER_MOVES[draw(st.sampled_from(sorted(COUNTER_MOVES)))] for _ in range(d)]
-    sink = draw(st.sampled_from(["", "z", "r"]))
     names = [f"c{i}" for i in range(k)]
-    kinds = dict.fromkeys(names + ([sink] if sink else []), "prob")
+    widths = [draw(st.sampled_from([1, 2, 3, 5])) for _ in names]
+    if max(widths) == 1:
+        widths[draw(st.integers(0, k - 1))] = 2
     transitions = []
-    for i, (a, b) in enumerate(zip(names, names[1:] + [sink or names[0]])):
-        weights = draw(st.lists(st.integers(1, 4), min_size=2 if i == start else 1, max_size=3))
+    for a, b, width in zip(names, [*names[1:], names[0]], widths):
+        weights = [draw(st.integers(1, 4)) for _ in range(width)]
         for j, w in enumerate(weights):
             update = [draw(st.integers(lo, hi)) for lo, hi in moves]
             transitions.append((f"{a}_{j}", a, b, update, F(w, sum(weights))))
-    if sink:
-        loops = 2 if sink == "z" else 1
-        for j in range(loops):
-            update = [draw(st.integers(-2, 2)) for _ in range(d)]
-            transitions.append((f"{sink}_{j}", sink, sink, update, F(1, loops)))
-    return vass(kinds, transitions, d), names[start]
+    loop = [draw(st.integers(-1, 1)) for _ in range(d)]
+    transitions += [("p_p", "p", "p", loop, F(1, 3))]
+    transitions += [(f"p_in{j}", "p", draw(st.sampled_from(names)), [0] * d, F(1, 3)) for j in range(2)]
+    return vass(dict.fromkeys([*names, "p"], "prob"), transitions, d), draw(st.sampled_from(["p", *names]))
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     one_successor_cycles(),
     st.integers(0, 70),
-    st.integers(1, 70),
-    st.integers(1, 3 * sim.RUN_BUFFER + 1),
+    st.integers(1, 2 * sim.ROWS + 3),
+    st.one_of(st.integers(1, 3 * sim.RUN_BUFFER + 1), st.sampled_from(EDGE_CAPS)),
     st.integers(0, 2**32),
 )
-def test_kernel_walk_matches_reference_on_one_successor_cycles(case, n, runs, cap, seed):
+def test_cycle_stepper_matches_reference_on_one_successor_cycles(case, n, runs, cap, seed):
+    # periods 1 to 5 with one- to eight-step groups, so a group may start at
+    # any phase; runs start at every phase or enter from the kernel at p
     m, init = case
-    with recorded(sim, "_lockstep") as batches, recorded(sim._Tables, "branch") as chased:
+    with recorded(sim, "_step_batch") as batches, recorded(sim, "_lockstep") as kernel:
         assert_matches_reference(m, n, runs, seed=seed, max_steps=cap, init_state=init)
-    assert len(batches) == 1 and not chased
+    assert (len(batches), len(kernel)) == ((0, 1) if init == "p" else (1, 0))
 
 
 def countdown_cycle():
@@ -660,21 +741,33 @@ def countdown_cycle():
 
 
 @pytest.mark.parametrize("n", [0, sim.RUN_BUFFER - 1, sim.RUN_BUFFER, 2 * sim.RUN_BUFFER - 1])
-def test_kernel_walk_terminates_at_each_end_of_a_block(n, kernel_batches, chased_waves):
-    # the terminal step n + 1 falls on wave n mod RUN_BUFFER of its block: the
-    # first wave for n = 0 and RUN_BUFFER, the last for the others
-    batch = assert_matches_reference(countdown_cycle(), n, 5, seed=n, max_steps=3 * sim.RUN_BUFFER)
+def test_kernel_walk_terminates_at_each_end_of_a_block(n, kernel_batches, ring_batches, chased_waves):
+    # the kernel walks a lasso tail of one-successor coins, chasing it wave by
+    # wave; the terminal step n + 1 falls on wave n mod RUN_BUFFER of its
+    # block: the first wave for n = 0 and RUN_BUFFER, the last for the
+    # others. The same runs from either state of the cycle run on its stepper
+    cap = 3 * sim.RUN_BUFFER
+    batch = assert_matches_reference(countdown_lasso(cap), n, 5, seed=n, init_state="t000", max_steps=cap)
     assert {(st.terminated, st.steps, st.max_counter[:2]) for st in batch} == {(True, n + 1, (n, n))}
     assert n == 0 or len({st.max_counter[2] for st in batch}) > 1  # the raised counter varies
-    assert len(kernel_batches) == 1 and not chased_waves
+    assert len(kernel_batches) == 1 and len(chased_waves) == (n // sim.RUN_BUFFER + 1) * sim.RUN_BUFFER
+    for start in "ab":
+        batch = assert_matches_reference(countdown_cycle(), n, 5, seed=n, init_state=start, max_steps=cap)
+        assert {(st.terminated, st.steps, st.max_counter[:2]) for st in batch} == {(True, n + 1, (n, n))}
+    assert len(kernel_batches) == 1 and len(ring_batches) == 2
 
 
 @pytest.mark.parametrize("cap", [1, sim.RUN_BUFFER // 2, sim.RUN_BUFFER, sim.RUN_BUFFER + 5])
-def test_kernel_walk_caps_inside_a_block(cap, kernel_batches, chased_waves):
+def test_kernel_walk_caps_inside_a_block(cap, kernel_batches, ring_batches, chased_waves):
+    # as above, with every run reaching the cap on the tail, or on the cycle
     n = 3 * sim.RUN_BUFFER
-    batch = assert_matches_reference(countdown_cycle(), n, 5, seed=cap, max_steps=cap)
+    batch = assert_matches_reference(countdown_lasso(n), n, 5, seed=cap, init_state="t000", max_steps=cap)
     assert {(st.terminated, st.steps, st.max_counter[:2]) for st in batch} == {(False, cap, (n, n))}
-    assert len(kernel_batches) == 1 and not chased_waves
+    assert len(kernel_batches) == 1 and len(chased_waves) == -(-cap // sim.RUN_BUFFER) * sim.RUN_BUFFER
+    for start in "ab":
+        batch = assert_matches_reference(countdown_cycle(), n, 5, seed=cap, init_state=start, max_steps=cap)
+        assert {(st.terminated, st.steps, st.max_counter[:2]) for st in batch} == {(False, cap, (n, n))}
+    assert len(kernel_batches) == 1 and len(ring_batches) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -702,10 +795,17 @@ def self_loop(updates, probs=None):
     )
 
 
+def ring_of(m, name="s", strategy=None):
+    """The ring that state `name` of `m` lies on under `strategy`, or None."""
+    on = sim._Resolved(m, strategy).ring(name)
+    return None if on is None else on[1]
+
+
 def stepper_of(m, cap, size=sim.ROWS):
-    """A stepper of `size` rows for state `s` of `m` with step cap `cap`."""
+    """A stepper of `size` rows for the self-loop state `s` of `m` with step
+    cap `cap`."""
     res = sim._Resolved(m, None)
-    return sim._Stepper(res, res.resolve("s"), cap, size)
+    return sim._Stepper(res, res.ring("s")[1], cap, size)
 
 
 def step_rows(stepper, rows):
@@ -714,11 +814,11 @@ def step_rows(stepper, rows):
     the scalar path on the same stream, and its final counters the start
     plus its transitions' updates. Returns each run's statistics and walk,
     in row order."""
-    rec, cap, m = stepper.rec, stepper.cap, stepper.res.m
+    (rec,), cap, m = stepper.ring.recs, stepper.cap, stepper.res.m
     walks = [sim._Walk("s", list(start), list(start), TallyCounter(), ["M1"]) for _, start in rows]
     done = []
     for i, ((words, _), walk) in enumerate(zip(rows, walks)):
-        done += stepper.add(i, walk, sim._DrawStream(np.random.Philox(key=i), words))
+        done += stepper.add(i, walk, sim._DrawStream(np.random.Philox(key=i), words), 0)
     done += stepper.drain()
     stats = {key: st for key, st, _ in done}
     assert sorted(stats) == list(range(len(rows)))
@@ -762,16 +862,61 @@ def test_block_path_tables_match_reference_construction(branches, moves):
         "constant": constant,
         "both": [(u, c, v) for (u, _), (c, _), (_, v) in zip(varying, constant, varying)],
     }[moves]
-    rec = sim._Resolved(self_loop(updates), None).resolve("s")
-    assert rec.fast_ok and rec.bits == {2: 1, 3: 2, 5: 4, 17: 8, 256: 8}[branches]
-    assert bool(rec.varying) == (moves != "constant") and bool(rec.constant) == (moves != "varying")
-    passes, tables, group_steps = reference_block_tables(rec)
-    assert (len(rec.passes), len(rec.tables)) == (len(passes), len(tables))
-    got = [*rec.passes, *(a for table in rec.tables for a in table)]
+    ring = ring_of(self_loop(updates))
+    assert ring.period == 1 and ring.bits == {2: 1, 3: 2, 5: 4, 17: 8, 256: 8}[branches]
+    assert bool(ring.varying) == (moves != "constant") and bool(ring.constant) == (moves != "varying")
+    assert_tables_match_reference(ring)
+
+
+def assert_tables_match_reference(ring):
+    passes, tables, group_steps = reference_block_tables(ring)
+    assert (len(ring.passes), len(ring.tables)) == (len(passes), len(tables))
+    got = [*ring.passes, *(a for table in ring.tables for a in table)]
     for got, want in zip(got, [*passes, *(a for table in tables for a in table)]):
         assert got.dtype == want.dtype and got.flags.c_contiguous and np.array_equal(got, want)
-    assert rec.group_steps.dtype == group_steps.dtype and rec.group_steps.flags.c_contiguous
-    assert np.array_equal(rec.group_steps, group_steps)
+    assert ring.group_steps.dtype == group_steps.dtype and ring.group_steps.flags.c_contiguous
+    assert np.array_equal(ring.group_steps, group_steps)
+
+
+def ring_model(widths, moves):
+    """A ring of coins c0, c1, ... with `widths` branches each, in which
+    branch j of state p moves counter k by `moves(p, j, k)`, on two counters."""
+    names = [f"c{p}" for p in range(len(widths))]
+    transitions = [
+        (f"{a}_{j}", a, b, [moves(p, j, k) for k in range(2)], F(1, width))
+        for p, (a, b, width) in enumerate(zip(names, [*names[1:], names[0]], widths))
+        for j in range(width)
+    ]
+    return vass(dict.fromkeys(names, "prob"), transitions, 2)
+
+
+RING_WIDTHS = [[1, 2], [2, 1, 1], [2, 2], [1, 3, 1], [5, 1, 2], [2, 1, 1, 1, 17], [1] * 15 + [3]]
+
+
+@pytest.mark.parametrize("period", [1, 3, sim.MAX_PERIOD, sim.MAX_PERIOD + 1])
+def test_rings_up_to_the_longest_period_run_on_their_stepper(period, kernel_batches, ring_batches):
+    # a longer cycle whose one state forks runs on the kernel
+    m = ring_model([2] + [1] * (period - 1), lambda p, j, k: (2 * j - 1) * (k + 1) if p == 0 else p % 3 - 1)
+    assert (ring_of(m, "c0") is None) == (period > sim.MAX_PERIOD)
+    assert_matches_reference(m, 5, 20, seed=period, init_state=f"c{period // 2}", max_steps=300)
+    assert (len(ring_batches), len(kernel_batches)) == ((0, 1) if period > sim.MAX_PERIOD else (1, 0))
+
+
+@pytest.mark.parametrize("widths", RING_WIDTHS, ids=lambda w: "-".join(map(str, w)))
+@pytest.mark.parametrize("moves", ["varying", "constant", "equal-split"])
+def test_ring_tables_match_reference_construction(widths, moves):
+    # periods 2 to 16, groups of 1, 2, 4 and 8 steps, so a group may start
+    # at any phase; a ring with one two-branch state splits its branches by
+    # a counter's change unless the two branches move every counter alike
+    move = {
+        "varying": lambda p, j, k: (p + 2 * j + k) % 5 - 2,
+        "constant": lambda p, j, k: -1 if k else 2,
+        "equal-split": lambda p, j, k: (p + k) % 3 - 1,
+    }[moves]
+    ring = ring_of(ring_model(widths, move), "c0")
+    assert ring.period == len(widths) and ring.bits == {2: 1, 3: 2, 5: 4, 17: 8}[max(widths)]
+    assert (ring.split is not None) == (sorted(widths)[-2:] == [1, 2] and moves == "varying")
+    assert_tables_match_reference(ring)
 
 
 def test_block_path_many_branches():
@@ -790,8 +935,8 @@ def test_block_path_terminal_step_on_varying_counter(n):
     # counter 1 goes negative first, at block index n % BLOCK; t1 is never
     # drawn, so counter 0 and counter 1 vary but step by +1 and -1
     m = self_loop([(1, -1, 2), (3, -2, 2)], [1 - RARE, RARE])
-    rec = sim._Resolved(m, None).resolve("s")
-    assert [k for k, _ in rec.varying] == [0, 1] and rec.constant == [(2, 2)]
+    ring = ring_of(m)
+    assert ring.varying == [0, 1] and ring.constant == [(2, 2)]
     batch = assert_matches_reference(m, n, 2, seed=1, max_steps=3 * sim.BLOCK)
     # peaks exclude the terminal configuration, the closed-form counter's too
     expected = TrajectoryStats(True, n + 1, (2 * n, n, 3 * n), {"t0": n + 1}, ("M1",))
@@ -803,8 +948,8 @@ def test_block_path_terminal_step_on_constant_counter(n):
     # counter 2 steps by -1 on every branch and goes negative first, at
     # block index n % BLOCK; both branches are drawn
     m = self_loop([(1, 3, -1), (2, 0, -1)])
-    rec = sim._Resolved(m, None).resolve("s")
-    assert [k for k, _ in rec.varying] == [0, 1] and rec.constant == [(2, -1)]
+    ring = ring_of(m)
+    assert ring.varying == [0, 1] and ring.constant == [(2, -1)]
     batch = assert_matches_reference(m, n, 3, seed=2, max_steps=3 * sim.BLOCK)
     for st in batch:
         assert st.terminated and st.steps == n + 1 and st.max_counter[2] == n
@@ -862,10 +1007,11 @@ def test_stepper_takes_leftover_words_as_one_short_block():
     bg = np.random.Philox(key=7)
     stepper = stepper_of(self_loop([(-1,), (1,)]), 10**9)
     walk = sim._Walk("s", [10**12], [10**12], TallyCounter(), [])
-    assert stepper.add(0, walk, sim._DrawStream(bg, bg.random_raw(left))) == []
-    th = stepper.rec.thresholds[0]
+    assert stepper.add(0, walk, sim._DrawStream(bg, bg.random_raw(left)), 0) == []
+    th = stepper.ring.recs[0].thresholds[0]
     for start, size in ((0, left), (left, sim.BLOCK)):
-        assert stepper._draw(1).tolist() == [size]
+        assert stepper._draw(1, None).tolist() == [size]
+        assert stepper.groups == -(-size // 8)  # a round's groups hold its longest block
         assert np.array_equal(stepper.flags[0, :size], words[start : start + size] >= th)
     assert np.array_equal(bg.random_raw(30), words[left + sim.BLOCK : left + sim.BLOCK + 30])
 
@@ -976,6 +1122,12 @@ def test_kernel_handoff_short_blocks_and_cap(kernel_batches, monkeypatch):
         assert st == simulate_one(m, 1, run=r, seed=3, max_steps=300, _vectorized=False), r
 
 
+@pytest.mark.parametrize("cap, groups", [(1, 1), (100, 13), (sim.BLOCK, sim.BLOCK // 8), (10**9, sim.BLOCK // 8)])
+def test_stepper_buffers_hold_one_block_of_at_most_the_cap(cap, groups):
+    stepper = stepper_of(self_loop([(-1,), (1,)]), cap)
+    assert stepper.codes.shape == (sim.ROWS, groups) and stepper.ends.shape == (sim.ROWS * groups + 1,)
+
+
 @pytest.mark.parametrize(
     "updates",
     [
@@ -991,7 +1143,7 @@ def test_block_path_allocates_no_block_sized_temporaries(updates):
     words = np.random.Philox(key=3).random_raw(101 * sim.BLOCK)
     walks = [sim._Walk("s", [10**12] * len(updates[0]), [10**12] * len(updates[0]), TallyCounter(), []) for _ in range(sim.ROWS - 1)]
     for i, walk in enumerate(walks):
-        assert stepper.add(i, walk, sim._DrawStream(None, words)) == []
+        assert stepper.add(i, walk, sim._DrawStream(None, words), 0) == []
     assert stepper._round() == []
     tracemalloc.start()
     try:
@@ -1012,10 +1164,6 @@ def self_loop_models(draw):
     updates = [tuple(draw(st.integers(-3, 3)) for _ in range(d)) for _ in range(k)]
     weights = [draw(st.integers(1, 4)) for _ in range(k)]
     return self_loop(updates, [F(w, sum(weights)) for w in weights])
-
-
-# caps next to the edges of one- to eight-step groups and of blocks
-EDGE_CAPS = sorted({c + e for c in (2, 4, 8, 16, sim.BLOCK, 2 * sim.BLOCK) for e in (-1, 0, 1)})
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1044,7 +1192,7 @@ def test_kernel_handoff_fills_two_steppers(pump, kernel_batches, closed_forms, m
     inner = sim._Stepper._round
 
     def recording(self):  # a state's name is the first letter of its transitions'
-        rounds[self.rec.tids[0][0], self.count] += 1
+        rounds[self.ring.tids[0][0], self.count] += 1
         return inner(self)
 
     monkeypatch.setattr(sim._Stepper, "_round", recording)
@@ -1207,7 +1355,7 @@ def test_block_path_terminal_step_at_each_group_position(updates):
     # Rows outnumber the stepper's 12, so they share rounds with rows that
     # go on and take rows that others left
     m = self_loop(updates)
-    g = sim._Resolved(m, None).resolve("s").group
+    g = ring_of(m).group
     down = constant_words(0, sim.BLOCK)
     rows = [(down, (n, 10**6)) for n in range(3 * g)]
     for size in (g - 1, 3 * g + 2):
@@ -1248,7 +1396,7 @@ def test_block_path_round_in_which_every_row_finishes(updates, monkeypatch):
 
     stepper, done = stepper_of(m, cap), []
     for i in range(sim.ROWS):
-        done += stepper.add(i, *walk_and_stream(i))
+        done += stepper.add(i, *walk_and_stream(i), 0)
     assert rounds == [(sim.ROWS, sim.ROWS)]
     stats = {key: st for key, st, _ in done}
     for i in range(sim.ROWS):
@@ -1534,6 +1682,27 @@ def test_estimate_tails_caps_and_groups(walk):
         assert (g.median_steps is None) == (2 * g.terminated <= g.runs)
         assert rep.group(n, ("M1",)) is g
         assert rep.group(n, ("M9",)) is None
+
+
+@pytest.mark.parametrize("strategy", [{"a": "a_b"}, pump_leave(4)], ids=["pump-stay", "pump-leave"])
+def test_estimate_tails_resolves_once_for_every_start_value(pump, strategy, monkeypatch):
+    # one resolver serves every n of a call: each state's branch table and
+    # each ring's tables are built once, as in a call with one n
+    built = TallyCounter()
+    for cls in (sim._Resolved, sim._StateRec, sim._Ring):
+
+        def counting(self, *args, _inner=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _inner(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    estimate_tails(pump, [4], 50, seed=1, strategy=strategy, max_steps=300)
+    once = TallyCounter(built)
+    built.clear()
+    rep = estimate_tails(pump, [4, 8, 16], 50, seed=1, strategy=strategy, max_steps=300)
+    # a and b under a -> a_b; else a, b, q, e and f, with f's self-loops
+    assert built == once == {"_Resolved": 1, "_StateRec": 2 if strategy == {"a": "a_b"} else 5, "_Ring": 1}
+    assert all(sum(g.runs for g in rep.groups[n]) == 50 for n in (4, 8, 16))
 
 
 def test_estimate_tails_max_steps_overrides_theta(walk):
