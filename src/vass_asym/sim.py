@@ -37,16 +37,18 @@ steps it.
   tables of next states and updates, and the states are chased wave by
   wave. It steps only the states that fork and the lasso tails, the states
   on a path into a ring or a region: the states a run is handed off from
-  (on a ring, in a region) are left out. Once per block of RUN_BUFFER waves
-  the updates of each counter that some stepped branch moves are
-  cumulatively summed, laid out as (counter, wave, row); only the counters
-  some stepped branch lowers are tested for going negative, and a counter
-  no stepped branch moves keeps its value and peak. Each run's first
-  terminal crossing, peaks, per-transition counts and realized-type entries
-  are read off. A block's keys are scanned for a hand-off only when some
-  stepped branch leads into a hand-off state, and for class entries only
-  when some stepped branch enters a class other than its state's; else the
-  scan would find none, and is skipped. It runs a batch when the start
+  (on a ring, in a region) are left out. Where the stepped states form no
+  cycle, every run leaves them within as many waves as the longest path
+  through them has states, and a block is no longer. Once per block of
+  RUN_BUFFER waves the updates of each counter that some stepped branch
+  moves are cumulatively summed, laid out as (counter, wave, row); only the
+  counters some stepped branch lowers are tested for going negative, and a
+  counter no stepped branch moves keeps its value and peak. Each run's
+  first terminal crossing, peaks, per-transition counts and realized-type
+  entries are read off. A block's keys are scanned for a hand-off only when
+  some stepped branch leads into a hand-off state, and for class entries
+  only when some stepped branch enters a class other than its state's; else
+  the scan would find none, and is skipped. It runs a batch when the start
   state is neither in a deterministic region nor on a ring, every state
   reachable from it resolves under the strategy, and n + cap * max|update|
   < 2**53, so that no counter can leave exact int64 range within the cap. A
@@ -58,34 +60,35 @@ steps it.
   are read out of the arrays at once, one list per field. The tables are
   built from lists, one call per array.
 * The block path applies while a run sits on a ring: a cycle s0 -> s1 ->
-  ... -> s(L-1) -> s0 of period L <= MAX_PERIOD whose states each send all
-  their resolved branches (at most 256) to the next, one or more with two
-  or more branches (`_Ring`; with L = 1, a state whose branches are all
-  self-loops, the absorbing tail phase of typical models). A run never
-  leaves a ring, and its phase, the index of its state, advances by one a
-  step. One stepper (`_Stepper`) per ring steps its runs in rounds. A run
-  holds one row of the stepper's arrays from admission to its statistics:
-  its counters, peaks, steps, phase and branch tallies in one int64 row, its
-  key, generator and leftover words in lists. The buffers are sized to
-  min(ROWS, runs) rows of min(BLOCK, cap) words, so `_run`'s hand-off of a
-  single run allocates one row. Each round draws a block of at most BLOCK
-  words from each row's stream and compares each word, as it is drawn,
-  against the thresholds of its state into the row's bytes of a byte
-  buffer: a word picks a branch past i iff it is >= th[i], the kernel's
-  rule. This draw-and-compare loop is the round's only Python per row. The
-  bytes are packed into group codes, one byte per g steps (g = 8 when no
-  state has more than two branches: one bit a step; fewer steps of more
-  bits with more branches), and each numpy call then serves every row, over
-  the groups that hold the round's longest block. The ring's tables are
-  indexed by the phase at a group's first step and the code: per varying
-  counter they give the group's sum and lowest and highest prefix sums: a
-  cumulative sum over the groups gives the counter at each group's end, the
-  lowest prefix finds the first group that goes negative and the highest
-  one the peak. Branch counts come from per-index counts of the steps past
-  each threshold or, with one state of two branches and the others of one,
-  from a varying counter's change. A counter whose update is the same on
-  every branch is resolved in closed form. The group that holds the
-  terminal step, the cap or a short block's end is read off per-index
+  ... -> s(L-1) -> s0 of period L whose states each send all their resolved
+  branches (at most 256) to the next, one or more with two or more branches
+  (`_Ring`; with L = 1, a state whose branches are all self-loops, the
+  absorbing tail phase of typical models). Its per-step tables must fit
+  MAX_TABLE_ROWS rows of 256 codes; a longer or wider cycle runs on the
+  kernel. A run never leaves a ring, and its phase, the index of its state,
+  advances by one a step. One stepper (`_Stepper`) per ring steps its runs
+  in rounds. A run holds one row of the stepper's arrays from admission to
+  its statistics: its counters, peaks, steps, phase and branch tallies in
+  one int64 row, its key, generator and leftover words in lists. The
+  buffers are sized to min(ROWS, runs) rows of min(BLOCK, cap) words, so
+  `_run`'s hand-off of a single run allocates one row. Each round draws a
+  block of at most BLOCK words from each row's stream and compares each
+  word, as it is drawn, against the thresholds of its state into the row's
+  bytes of a byte buffer: a word picks a branch past i iff it is >= th[i],
+  the kernel's rule. This draw-and-compare loop is the round's only Python
+  per row. The bytes are packed into group codes, one byte per g steps (g =
+  8 when no state has more than two branches: one bit a step; fewer steps
+  of more bits with more branches), and each numpy call then serves every
+  row, over the groups that hold the round's longest block. The ring's
+  tables are indexed by the phase at a group's first step and the code: per
+  varying counter they give the group's sum and lowest and highest prefix
+  sums: a cumulative sum over the groups gives the counter at each group's
+  end, the lowest prefix finds the first group that goes negative and the
+  highest one the peak. Branch counts come from per-index counts of the
+  steps past each threshold or, with one state of two branches and the
+  others of one, from a varying counter's change. A counter whose update is
+  the same on every branch is resolved in closed form. The group that holds
+  the terminal step, the cap or a short block's end is read off per-index
   tables of the group's steps, not stepped, for all those rows at once: per
   counter, the least start value that stays >= 0 through each step gives
   the first step that goes negative, and the running highest prefix sums,
@@ -95,13 +98,13 @@ steps it.
   are compacted once. The buffers are made once per stepper and refilled in
   place, so a round allocates no array of a block of words. A batch that
   starts on a ring runs on its stepper alone, which admits runs into every
-  free row before each round. A run that enters a ring from the kernel
-  takes a row of the ring's stepper, with its phase, which steps whenever
-  every row is taken; every stepper drains when the kernel is done. The
-  run's first block is the words the kernel drew for it and did not use,
-  then whole blocks follow. Counters must stay below 2**53 and updates
-  within 2**20, so int64 arithmetic cannot overflow; a run `_run` hands
-  over whose counters reach 2**53 finishes on the scalar path.
+  free row before each round. The runs that enter a ring in a kernel block
+  take rows of the ring's stepper in one call, each with its phase; it
+  steps whenever every row is taken, and every stepper drains when the
+  kernel is done. A run's first block is the words the kernel drew for it
+  and did not use, then whole blocks follow. Counters must stay below 2**53
+  and updates within 2**20, so int64 arithmetic cannot overflow; a run
+  `_run` hands over whose counters reach 2**53 finishes on the scalar path.
 * The scalar path (`_run`) steps one run at a time in arbitrary-precision
   integers and resolves states as runs enter them. It is the draw-for-draw
   reference (`_vectorized=False`), it runs `simulate_one` up to the closed
@@ -135,7 +138,7 @@ MAX_IN_FLIGHT = 64  # runs the lockstep kernel steps together
 RUN_BUFFER = 64  # waves per kernel block
 RUN_DRAWS = 4  # kernel blocks of words a run in flight draws at a time
 ROWS = 32  # runs a ring's stepper steps together
-MAX_PERIOD = 16  # the longest cycle the block path steps
+MAX_TABLE_ROWS = 1 << 12  # rows of 256 codes in a ring's per-step tables, at most
 
 _NO_WORDS = np.empty(0, dtype=np.uint64)
 
@@ -272,6 +275,11 @@ class _DrawStream:
         return u
 
 
+def _code_bits(width: int) -> int:
+    """The bits a step takes in a group code, with at most `width` branches."""
+    return next(b for b in (1, 2, 4, 8) if width <= 1 << b)
+
+
 @cache
 def _group_branches(bits: int) -> np.ndarray:
     """Per byte code, the branch indices of a group of `bits`-bit steps."""
@@ -298,34 +306,39 @@ class _StateRec:
 
 
 class _Ring:
-    """A cycle s0 -> s1 -> ... -> s(L-1) -> s0 of period L <= MAX_PERIOD on
-    the block path: every state sends all its resolved branches (at most
-    256) to the next, and one or more has two or more branches. A run's phase
-    is the index of its state.
+    """A cycle s0 -> s1 -> ... -> s(L-1) -> s0 of period L on the block path:
+    every state sends all its resolved branches (at most 256) to the next,
+    and one or more has two or more branches. A run's phase is the index of
+    its state.
 
-    The block path's tables: per state, its thresholds as 0-d uint64 arrays
-    (numpy compares words against one faster than against a scalar); the
-    counters every branch moves by the same update (constant), and the others
-    (varying). A group is `group` consecutive steps of `bits` bits each (from
-    the widest state), packed into one byte code, first step highest; every
-    table is indexed by 256 * (the phase at the group's first step) + code.
-    Per varying counter, `tables` holds the group's sum and its lowest and
-    highest prefix sums, both less the sum, and `passes` per state and
-    threshold the group's steps in that state that pick a branch past it.
-    When one state has two branches and the others one (`split`), a counter
-    those two branches move differently tells how often each was taken, and
-    `passes` stays empty. `group_steps` holds per index and step of the
-    group, after that step, per counter the least start value that stays >=
-    0 so far (minus the lowest prefix sum), then per counter the highest
-    prefix sum, then per counter the prefix sum, and per column of `passes`
-    the steps so far that count for it; its values are within 8 * 2**20, so
-    32 bits hold them.
+    The block path's tables: per phase at a block's start and per state of two
+    or more branches, the offset of the state's first word in the block and
+    its thresholds as 0-d uint64 arrays (`compares`; numpy compares words
+    against one faster than against a scalar); the counters every branch moves
+    by the same update (constant), and the others (varying). A group is
+    `group` consecutive steps of `bits` bits each (from the widest state),
+    packed into one byte code, first step highest; every table is indexed by
+    256 * (the phase at the group's first step) + code. Per varying counter,
+    `tables` holds the group's sum and its lowest and highest prefix sums,
+    both less the sum, and `passes` per state and threshold the group's steps
+    in that state that pick a branch past it. When one state has two branches
+    and the others one (`split`), a counter those two branches move
+    differently tells how often each was taken, and `passes` stays empty.
+    `group_steps` holds per index and step of the group, after that step, per
+    counter the least start value that stays >= 0 so far (minus the lowest
+    prefix sum), then per counter the highest prefix sum, then per counter the
+    prefix sum, and per column of `passes` the steps so far that count for it;
+    its values are within 8 * 2**20, so 32 bits hold them. Per phase and step
+    of a group these tables take 3d rows of 256 codes and at most one per
+    threshold; `_Resolved` takes a ring only where they come to at most
+    MAX_TABLE_ROWS rows.
     """
 
     def __init__(self, states: list[str], recs: list[_StateRec]):
         self.states, self.recs, self.period = states, recs, len(recs)
         self.tids = [tid for rec in recs for tid in rec.tids]
-        self.block_thresholds = [tuple(np.array(th, dtype=np.uint64) for th in rec.thresholds) for rec in recs]
+        ths = [tuple(np.array(th, dtype=np.uint64) for th in rec.thresholds) for rec in recs]
+        self.compares = [[((p - a) % len(recs), t) for p, t in enumerate(ths) if t] for a in range(len(recs))]
         updates = [u for rec in recs for u in rec.updates]
         d, widths = len(updates[0]), [len(rec.tids) for rec in recs]
         self.varying: list[int] = []
@@ -347,12 +360,14 @@ class _Ring:
         # state's visits or the steps past the threshold before it) and of
         # those past it (the next threshold, or the last column, of zeros)
         self.first = np.array([rec.updates[0][self.split[1]] if self.split else 0 for rec in recs], dtype=np.int64)
+        # per phase a and state p, L - 1 less the steps from a to p's first visit
+        self.lag = len(recs) - 1 - (np.arange(len(recs)) - np.arange(len(recs))[:, None]) % len(recs)
         self.upper, self.lower = [], []
         for p, rec in enumerate(recs):
             at = [len(recs) + thresholds.index((p, j)) for j in range(len(rec.thresholds))]
             self.upper += [p, *at]
             self.lower += [*at, len(recs) + len(thresholds)]
-        self.bits = next(b for b in (1, 2, 4, 8) if max(widths) <= 1 << b)
+        self.bits = _code_bits(max(widths))
         self.group = g = 8 // self.bits
         # `group_steps`'s columns, laid out as (phase, step, column, code),
         # codes no block makes clipped to the state's last branch: the
@@ -391,12 +406,7 @@ class _Ring:
         took it in `taken` steps from phase `phase`: from its count for each
         column of `passes`, or with `split` from how far the split counter
         moved (`moved`)."""
-        period = self.period
-        # the steps taken in each state
-        if period == 1:
-            visits = taken[:, None]
-        else:
-            visits = (taken[:, None] - (np.arange(period) - phase[:, None]) % period + period - 1) // period
+        visits = (taken[:, None] + self.lag.take(phase, axis=0)) // self.period  # the steps in each state
         if self.split:
             _, _, a, b = self.split
             passes = ((moved - visits @ self.first) // (b - a))[:, None]
@@ -484,10 +494,12 @@ class _Resolved:
                     for j, s in enumerate(loop):
                         self._regions[s], self._rings[s] = (-j % len(loop), cycle), None
                 else:
+                    # the rows of the ring's per-step tables (see `_Ring`)
+                    widths, d = [len(rec.tids) for rec in recs], self.dimension
                     steppable = (
-                        len(loop) <= MAX_PERIOD
-                        and self.dimension > 0
-                        and all(len(rec.tids) <= 256 for rec in recs)
+                        d > 0
+                        and max(widths) <= 256
+                        and len(loop) * 8 // _code_bits(max(widths)) * (3 * d + sum(widths) - len(loop)) <= MAX_TABLE_ROWS
                         and all(abs(u) <= FAST_UPDATE_LIMIT for rec in recs for upd in rec.updates for u in upd)
                     )
                     ring = _Ring(loop, recs) if steppable else None
@@ -674,6 +686,9 @@ def _closed_form(res: _Resolved, walk: _Walk, cap: int) -> TrajectoryStats:
 
 # a run the stepper has finished: its key, its statistics and its generator
 _Done = tuple[int, TrajectoryStats, "np.random.Philox"]
+# a run on a stepper: its key, the transition counts and realized type it
+# came with and, for a run `_run` handed over, its walk
+_Entry = tuple[int, Optional[Mapping[str, int]], tuple[str, ...], Optional[_Walk]]
 
 # A group's eight bytes of 0 or 1, read as one little-endian word and
 # multiplied by GATHER, land in the product's top byte, first step highest.
@@ -702,7 +717,7 @@ class _Stepper:
         self.count = 0  # rows 0..count-1 are taken
         self.held = 0  # rows whose walk `_run` handed over
         self.rows = np.empty((size, 3 * d + 3 + len(ring.passes)), dtype=np.int64)
-        self.runs: list[tuple[int, Optional[Mapping[str, int]], tuple[str, ...], Optional[_Walk]]] = []
+        self.runs: list[_Entry] = []
         self.gens: list[np.random.Philox] = []
         self.left: list[Optional[np.ndarray]] = []
         span = min(BLOCK, cap)  # the most words a row steps in a round
@@ -739,27 +754,25 @@ class _Stepper:
         self.left += [None] * len(keys)
         self.count = b
 
-    def enter(
-        self,
-        key: int,
-        cur: list[int],
-        peak: list[int],
-        steps: int,
-        counts: Mapping[str, int],
-        rtype: Sequence[str],
-        bg: np.random.Philox,
-        left: np.ndarray,
-        phase: int,
-        walk: Optional[_Walk] = None,
-    ) -> None:
-        """Admit a run that arrives part-way at phase `phase`, with the words
-        drawn for it and not used (`left`), into the next free row."""
-        self.rows[self.count] = [*cur, *peak, *cur, steps, phase] + [0] * (1 + len(self.ring.passes))
-        self.runs.append((key, counts, tuple(rtype), walk))
-        self.gens.append(bg)
-        self.left.append(left if len(left) else None)
-        self.held += walk is not None
-        self.count += 1
+    def enter(self, runs: list[_Entry], gens: list[np.random.Philox], left: list[np.ndarray], state: np.ndarray) -> list[_Done]:
+        """Admit runs that arrive part-way, each with its entry of `runs`, its
+        generator, the words drawn for it and not used (`left`) and a row of
+        `state`: its counters, peaks, steps and phase. Step whenever every row
+        is taken, and return the runs that finish meanwhile."""
+        d, done = self.res.dimension, []
+        while runs:
+            a, k = self.count, min(self.size - self.count, len(runs))
+            rows = self.rows[a : a + k]
+            rows[:, : 2 * d], rows[:, 2 * d : 3 * d] = state[:k, : 2 * d], state[:k, :d]
+            rows[:, 3 * d : 3 * d + 2], rows[:, 3 * d + 2 :] = state[:k, 2 * d :], 0
+            self.runs += runs[:k]
+            self.gens += gens[:k]
+            self.left += [us if len(us) else None for us in left[:k]]
+            self.held += sum(run[3] is not None for run in runs[:k])
+            self.count += k
+            runs, gens, left, state = runs[k:], gens[k:], left[k:], state[k:]
+            done += self.step_while(self.size)
+        return done
 
     def add(self, key: int, walk: _Walk, stream: _DrawStream, phase: int) -> list[_Done]:
         """Take over the run `key` that `walk` and `stream` hold at phase
@@ -768,8 +781,8 @@ class _Stepper:
         steps, and is left where the run ended."""
         if max(walk.peak) >= FAST_COUNTER_LIMIT:  # beyond exact int64 range
             return [(key, _run(self.res, walk, stream, self.cap, False), stream.bg)]
-        self.enter(key, walk.cur, walk.peak, walk.steps, walk.counts, walk.rtype, stream.bg, stream.unread(), phase, walk)
-        return self.step_while(self.size)
+        state = np.array([[*walk.cur, *walk.peak, walk.steps, phase]], dtype=np.int64)
+        return self.enter([(key, walk.counts, tuple(walk.rtype), walk)], [stream.bg], [stream.unread()], state)
 
     def step_while(self, least: int) -> list[_Done]:
         """Step while at least `least` rows are taken; return the runs that
@@ -783,21 +796,19 @@ class _Stepper:
         """Step until every run has finished; return them."""
         return self.step_while(1)
 
-    def _draw(self, r: int, phase: Optional[np.ndarray]) -> np.ndarray:
+    def _draw(self, r: int, phase: np.ndarray) -> np.ndarray:
         """Draw each row's next block of words and compare it, as it is
         drawn, into the row's bytes of `words`: the branch index, or with two
         branches whether the word picks the second; each word against the
-        thresholds of its state, from the row's phase `phase` (None with one
-        state). Returns the blocks' lengths: BLOCK words, fewer at the cap or
-        where a run's words left from the kernel run out. The round's groups
-        are the fewest that hold the longest block (`groups`)."""
+        thresholds of its state, from the row's phase `phase`. Returns the
+        blocks' lengths: BLOCK words, fewer at the cap or where a run's words
+        left from the kernel run out. The round's groups are the fewest that
+        hold the longest block (`groups`)."""
         ring, g = self.ring, self.ring.group
         lens = np.minimum(self.end - self.rows[:r, 3 * self.res.dimension], BLOCK)
         width, words, flags = -(-int(lens.max()) // g) * g, self.words, self.flags  # whole groups, at most
-        period, thresholds = ring.period, ring.block_thresholds
-        ths, at = thresholds[0], [0] * r if phase is None else phase.tolist()
-        if period > 1:  # the bytes of one-branch states and past a short block read 0
-            words[:r, :width] = 0
+        period, compares, at = ring.period, ring.compares, phase.tolist()
+        words[:r, :width] = 0  # the bytes of one-branch states and past a short block read 0
         for i, k in enumerate(lens.tolist()):
             us = self.left[i]
             if us is None:
@@ -806,29 +817,19 @@ class _Stepper:
                 self.left[i] = us[k:] if len(us) > k else None
                 us = us[:k]
                 k = lens[i] = len(us)
-            if period == 1:
-                np.greater_equal(us, ths[0], out=flags[i, :k])
+            for s, ths in compares[at[i]]:  # a state's words: every period-th from its first
+                state_words, state_flags = us[s::period], flags[i, s:k:period]
+                np.greater_equal(state_words, ths[0], out=state_flags)
                 for th in ths[1:]:
-                    mask = np.greater_equal(us, th, out=self.scratch[:k])
-                    np.add(words[i, :k], mask.view(np.uint8), out=words[i, :k])
-                if k < width:
-                    words[i, k:width] = 0  # a short block's last group reads no stale byte
-                continue
-            for p, state_ths in enumerate(thresholds):
-                if state_ths:  # the words of state p: every period-th from the first at p
-                    s = (p - at[i]) % period
-                    state_words, state_flags = us[s::period], flags[i, s:k:period]
-                    np.greater_equal(state_words, state_ths[0], out=state_flags)
-                    for th in state_ths[1:]:
-                        mask = np.greater_equal(state_words, th, out=self.scratch[: len(state_words)])
-                        np.add(state_flags.view(np.uint8), mask.view(np.uint8), out=state_flags.view(np.uint8))
+                    mask = np.greater_equal(state_words, th, out=self.scratch[: len(state_words)])
+                    np.add(state_flags.view(np.uint8), mask.view(np.uint8), out=state_flags.view(np.uint8))
         self.groups = -(-int(lens.max()) // g)
         return lens
 
-    def _codes(self, r: int, phase: Optional[np.ndarray]) -> np.ndarray:
+    def _codes(self, r: int, phase: np.ndarray) -> np.ndarray:
         """Each row's table indices per group: the group codes, from the
-        bytes `_draw` wrote per word, plus 256 times the group's first phase
-        when the rows start at phases `phase`."""
+        bytes `_draw` wrote per word, plus 256 times the group's first phase,
+        for rows at phases `phase`."""
         ring, groups = self.ring, self.groups
         codes = self.codes[:r, :groups]
         if ring.bits == 1:
@@ -842,8 +843,10 @@ class _Stepper:
                 np.left_shift(packed, ring.bits, out=packed)
                 np.bitwise_or(packed, words[:, s::g], out=packed)
             np.copyto(codes, packed)
-        if phase is not None:
-            codes += self.shift[:, :groups].take(phase, axis=0)
+        if ring.period > 1:  # with one state every offset is 0
+            offsets = self.ends[: r * groups].reshape(r, groups)  # free until the tables are read
+            self.shift[:, :groups].take(phase, axis=0, out=offsets, mode="clip")
+            codes += offsets
         return codes
 
     def _round(self) -> list[_Done]:
@@ -851,7 +854,7 @@ class _Stepper:
         ring, r, g, d = self.ring, self.count, self.ring.group, self.res.dimension
         rows = self.rows[:r]
         cur, peak, steps, passed = rows[:, :d], rows[:, d : 2 * d], rows[:, 3 * d], rows[:, 3 * d + 2 :]
-        phase = None if ring.period == 1 else (rows[:, 3 * d + 1] + passed[:, 0]) % ring.period
+        phase = (rows[:, 3 * d + 1] + passed[:, 0]) % ring.period
         lens = self._draw(r, phase)
         codes = self._codes(r, phase)
         groups = self.groups
@@ -1007,6 +1010,16 @@ class _Tables:
         # does, the kernel skips that scan of a block's keys
         self.hands_off = any(hand)
         self.enters_class = any(e for e, (name, _, _) in zip(enters, keys) if not hands[name])
+        # where the stepped states form no cycle (lasso tails), a run leaves
+        # them within as many waves as the longest path through them has
+        # states (`depth`), else None: peel off the stepped states whose
+        # targets are all hand-off states, one layer a wave
+        on, depth = {name for name in recs if not hands[name]}, 0
+        while on and depth is not None:
+            ends = {name for name in on if on.isdisjoint(recs[name].targets)}
+            on -= ends
+            depth = depth + 1 if ends else None
+        self.depth: Optional[int] = depth
         # the counters some stepped branch moves, those it lowers first, and
         # per such counter the update of each key; a counter no stepped branch
         # moves keeps its value and peak in the kernel
@@ -1073,7 +1086,10 @@ def _lockstep(
     """Step the runs of a batch together; see the module docstring."""
     d = res.dimension
     width = RUN_BUFFER
-    wave = np.arange(width)[:, None]  # a block's wave index, against (wave, row) arrays
+    # a block's waves: no more than the stepped states' depth, within which
+    # every run leaves them, so that no run is left after a shorter block
+    span = width if t.depth is None else min(width, t.depth)
+    wave = np.arange(span)[:, None]  # a block's wave index, against (wave, row) arrays
     start_mid = res.owner.get(start)
     start_type = () if start_mid is None else (start_mid,)
     streams = _Streams(seed, n)
@@ -1121,10 +1137,10 @@ def _lockstep(
         # the waves: branch keys in order, one word per run and wave
         first = phase * width
         phase = (phase + 1) % RUN_DRAWS
-        words = draws[:rows, first : first + width].T
-        keys = np.empty((width, rows), dtype=np.int64)
+        words = draws[:rows, first : first + span].T
+        keys = np.empty((span, rows), dtype=np.int64)
         sk = sk_all[:rows]
-        for j in range(width):
+        for j in range(span):
             keys[j] = t.branch(sk, words[j])
             sk = t.nxt[keys[j]]
         sk_all[:rows] = sk
@@ -1139,12 +1155,12 @@ def _lockstep(
         np.cumsum(pos, axis=1, out=pos)
         pos += cur[:, t.moved].T[:, None]
         neg = (pos[: t.lowered] < 0).any(axis=0)  # an OR of the lowered counters' masks
-        term_at = np.where(neg.any(axis=0), neg.argmax(axis=0), width)
+        term_at = np.where(neg.any(axis=0), neg.argmax(axis=0), span)
         stop = np.minimum(term_at, cap - 1 - steps)
         if t.hands_off:
             np.minimum(stop, t.handed(keys), out=stop)
-        taken = np.minimum(stop + 1, width)
-        terminated = (term_at < width) & (term_at == stop)
+        taken = np.minimum(stop + 1, span)
+        terminated = (term_at < span) & (term_at == stop)
         live = wave < taken - terminated  # configurations reached, terminal one excluded
 
         cur[:, t.moved] = pos[:, taken - 1, row[:rows]].T
@@ -1159,13 +1175,14 @@ def _lockstep(
                 if not rtypes[i] or rtypes[i][-1] != mid:
                     rtypes[i] += (mid,)
 
-        leaving = stop < width
+        leaving = stop < span
         if not leaving.any():
             continue
         # the leaving rows' statistics, read out of the arrays at once
         gone = np.flatnonzero(leaving)
         tally = np.add.reduceat(counts[gone], t.tid_starts, axis=1).tolist()
         fields = zip(gone.tolist(), terminated[gone].tolist(), steps[gone].tolist(), peak[gone].tolist(), tally)
+        entering: dict[_Ring, list[tuple[int, int, dict[str, int]]]] = {}  # (row, phase, counts) by ring
         for i, ended, walked, peaks, used in fields:
             used = {tid: c for tid, c in zip(t.tid_names, used) if c}
             if ended or walked == cap:
@@ -1173,23 +1190,25 @@ def _lockstep(
                 streams.close(gens[i])
                 continue
             # the run entered a hand-off state on its last step here
-            at = int(stop[i])
-            name, vals = t.names[t.nxt[keys[at, i]] // t.width], cur[i].tolist()
+            name = t.names[t.nxt[keys[stop[i], i]] // t.width]
             if res.region(name) is not None:
-                walk = _Walk(name, vals, peaks, TallyCounter(used), list(rtypes[i]), walked)
+                walk = _Walk(name, cur[i].tolist(), peaks, TallyCounter(used), list(rtypes[i]), walked)
                 out[run_ids[i]] = _closed_form(res, walk, cap)
                 streams.close(gens[i])
                 continue
-            # the run entered a ring: it takes a row of the ring's stepper,
-            # which finishes it, first on the words drawn here and not used,
-            # and steps whenever every row is taken
             place, ring = res.ring(name)
+            entering.setdefault(ring, []).append((i, place, used))
+        for ring, arrivals in entering.items():
+            # the runs that entered a ring take rows of its stepper, which
+            # finishes them, first on the words drawn here and not used
             stepper = steppers.get(ring)
             if stepper is None:
                 stepper = steppers[ring] = _Stepper(res, ring, cap, min(ROWS, runs))
-            left = draws[i, first + at + 1 :].copy()
-            stepper.enter(run_ids[i], vals, peaks, walked, used, rtypes[i], gens[i], left, place)
-            _finish(stepper.step_while(stepper.size), out, streams)
+            at = [i for i, _, _ in arrivals]
+            left = [draws[i, first + j + 1 :].copy() for i, j in zip(at, stop[at].tolist())]
+            state = np.column_stack([cur[at], peak[at], steps[at], [place for _, place, _ in arrivals]])
+            entries = [(run_ids[i], used, rtypes[i], None) for i, _, used in arrivals]
+            _finish(stepper.enter(entries, [gens[i] for i in at], left, state), out, streams)
         rows -= len(gone)
         holes = gone[gone < rows]
         movers = rows + np.flatnonzero(~leaving[rows:])

@@ -420,9 +420,10 @@ def test_kernel_declines_counters_beyond_exact_range(pump, kernel_batches):
 
 def ring_of_states(res, name):
     """The states of the ring `name` lies on, from `name`, as the block path
-    takes one: a cycle of at most MAX_PERIOD states that each resolve and
-    send every branch (at most 256, each moving a counter by at most 2**20)
-    to the next, one or more with two or more branches; else None."""
+    takes one: a cycle of states that each resolve and send every branch
+    (at most 256, each moving a counter by at most 2**20) to the next, one
+    or more with two or more branches, whose per-step tables take at most
+    MAX_TABLE_ROWS rows of 256 codes; else None."""
     ring, rec = [name], res.try_resolve(name)
     while rec is not None and len(set(rec.targets)) == 1 and rec.targets[0] != name:
         if rec.targets[0] in ring:  # `name` is on the tail into a cycle
@@ -432,9 +433,13 @@ def ring_of_states(res, name):
     if rec is None or len(set(rec.targets)) != 1:
         return None
     recs = [res.resolve(state) for state in ring]
-    fits = all(len(r.tids) <= 256 and all(abs(u) <= sim.FAST_UPDATE_LIMIT for upd in r.updates for u in upd) for r in recs)
+    widths = [len(r.tids) for r in recs]
+    fits = max(widths) <= 256 and all(abs(u) <= sim.FAST_UPDATE_LIMIT for r in recs for upd in r.updates for u in upd)
+    if fits:  # per phase and step of a group: 3 rows per counter, 1 per threshold
+        steps = 8 // next(b for b in (1, 2, 4, 8) if max(widths) <= 1 << b)
+        fits = len(ring) * steps * (3 * res.dimension + sum(widths) - len(ring)) <= sim.MAX_TABLE_ROWS
     forks = any(len(r.tids) > 1 for r in recs)
-    return ring if len(ring) <= sim.MAX_PERIOD and fits and forks else None
+    return ring if fits and forks else None
 
 
 def hand_off(res, name):
@@ -536,6 +541,14 @@ def stepped_keys_need(m, strategy, init):
     return any(hand_off(res, target) for _, target in targets), any(enters)
 
 
+def entered_runs(calls):
+    """Per run that recorded calls of `_Stepper.enter` admitted: its stepper
+    and its phase."""
+    for stepper, runs, _, _, state in calls:
+        assert len(runs) == len(state)
+        yield from ((stepper, phase) for phase in state[:, -1].tolist())
+
+
 def countdown_lasso(tail, entry="a"):
     """The countdown cycle after a lasso tail of `tail` coins t000, t001, ...,
     each moving the counters as a does, the last leading into `entry`."""
@@ -555,13 +568,14 @@ def test_kernel_chases_forking_states_and_lasso_tails(pump, kernel_batches, ring
     assert_matches_reference(pump, 4, 40, seed=11, strategy=pump_leave(4), max_steps=300)
     assert len(kernel_batches) == 1 and chased_waves and len(chased_waves) % sim.RUN_BUFFER == 0
     # no state forks on a lasso tail, which the kernel chases into the ring
-    # {a, b}, entered at either phase
+    # {a, b}, entered at either phase: its five waves, after which every run
+    # has left the kernel
     for entry in "ab":
         chased_waves.clear()
         with recorded(sim._Stepper, "enter") as entered:
             batch = assert_matches_reference(countdown_lasso(5, entry), 40, 60, seed=3, init_state="t000", max_steps=300)
-        assert len(chased_waves) == sim.RUN_BUFFER and len(entered) == 60
-        assert {args[0].ring.states[args[9]] for args in entered} == {entry}
+        assert len(chased_waves) == 5 and len(list(entered_runs(entered))) == 60
+        assert {stepper.ring.states[phase] for stepper, phase in entered_runs(entered)} == {entry}
         assert {(st.terminated, st.steps) for st in batch} == {(True, 41)}
     assert len(kernel_batches) == 3 and len(ring_batches) == 1
 
@@ -579,8 +593,7 @@ def test_kernel_hands_random_models_off_at_rings_and_regions(case, n, cap, seed)
             return
     res = sim._Resolved(m, strategy)
     assert not batches or not hand_off(res, init)
-    for args in entered:
-        stepper, phase = args[0], args[9]
+    for stepper, phase in entered_runs(entered):
         ring = ring_of_states(res, stepper.ring.states[phase])
         assert ring is not None and ring == stepper.ring.states[phase:] + stepper.ring.states[:phase]
 
@@ -893,13 +906,33 @@ def ring_model(widths, moves):
 RING_WIDTHS = [[1, 2], [2, 1, 1], [2, 2], [1, 3, 1], [5, 1, 2], [2, 1, 1, 1, 17], [1] * 15 + [3]]
 
 
-@pytest.mark.parametrize("period", [1, 3, sim.MAX_PERIOD, sim.MAX_PERIOD + 1])
-def test_rings_up_to_the_longest_period_run_on_their_stepper(period, kernel_batches, ring_batches):
-    # a longer cycle whose one state forks runs on the kernel
-    m = ring_model([2] + [1] * (period - 1), lambda p, j, k: (2 * j - 1) * (k + 1) if p == 0 else p % 3 - 1)
-    assert (ring_of(m, "c0") is None) == (period > sim.MAX_PERIOD)
-    assert_matches_reference(m, 5, 20, seed=period, init_state=f"c{period // 2}", max_steps=300)
-    assert (len(ring_batches), len(kernel_batches)) == ((0, 1) if period > sim.MAX_PERIOD else (1, 0))
+@pytest.mark.parametrize(
+    "widths, fits",
+    [
+        ([2], True),
+        ([2, 1, 1], True),
+        ([2] + [1] * 72, True),
+        ([2] + [1] * 73, False),
+        ([255] * 4, True),
+        ([256] * 4, False),
+        ([256] * 16, False),
+    ],
+    ids=lambda w: f"{len(w)}x{max(w)}" if isinstance(w, list) else str(w),
+)
+def test_rings_run_on_their_stepper_while_their_tables_fit(widths, fits, kernel_batches, ring_batches):
+    # a ring's per-step tables take, per phase and step of a group, 3 rows
+    # of 256 codes per counter and at most 1 per threshold. On 2 counters,
+    # one two-branch state (groups of 8 one-bit steps) and L - 1 one-branch
+    # states take L * 8 * (6 + 1) rows, which fit MAX_TABLE_ROWS up to L =
+    # 73; four states of 255 branches (one step a group) take 4 * (6 + 4 *
+    # 254) = 4088 rows, four of 256 take 4104, sixteen of 256 take 16 * (6 +
+    # 16 * 255). A ring past the bound runs on the kernel
+    period, steps = len(widths), 8 if max(widths) == 2 else 1
+    assert (period * steps * (6 + sum(widths) - period) <= sim.MAX_TABLE_ROWS) == fits
+    m = ring_model(widths, lambda p, j, k: (j + p) % 7 - 3 + k)
+    assert (ring_of(m, "c0") is None) == (not fits)
+    assert_matches_reference(m, 5, 12, seed=period, init_state=f"c{period // 2}", max_steps=300)
+    assert (len(ring_batches), len(kernel_batches)) == ((1, 0) if fits else (0, 1))
 
 
 @pytest.mark.parametrize("widths", RING_WIDTHS, ids=lambda w: "-".join(map(str, w)))
@@ -1010,7 +1043,7 @@ def test_stepper_takes_leftover_words_as_one_short_block():
     assert stepper.add(0, walk, sim._DrawStream(bg, bg.random_raw(left)), 0) == []
     th = stepper.ring.recs[0].thresholds[0]
     for start, size in ((0, left), (left, sim.BLOCK)):
-        assert stepper._draw(1, None).tolist() == [size]
+        assert stepper._draw(1, np.zeros(1, dtype=np.int64)).tolist() == [size]
         assert stepper.groups == -(-size // 8)  # a round's groups hold its longest block
         assert np.array_equal(stepper.flags[0, :size], words[start : start + size] >= th)
     assert np.array_equal(bg.random_raw(30), words[left + sim.BLOCK : left + sim.BLOCK + 30])
@@ -1136,14 +1169,27 @@ def test_stepper_buffers_hold_one_block_of_at_most_the_cap(cap, groups):
     ],
 )
 def test_block_path_allocates_no_block_sized_temporaries(updates):
+    assert_rounds_allocate_no_block(self_loop(updates), "s")
+
+
+def test_ring_path_allocates_no_block_sized_temporaries():
+    # a ring of period 2 adds each group's phase to its codes
+    assert_rounds_allocate_no_block(ring_model([2, 3], lambda p, j, k: (2 * j - 1) * (p + k + 1)), "c1")
+
+
+def assert_rounds_allocate_no_block(m, start):
     # after its first round has run, a round allocates no array of a block
     # of words: the traced peak grows by less than one int64 block, for
-    # ROWS - 1 rows; every row reads one pre-drawn stream
-    stepper = stepper_of(self_loop(updates), 10**9)
+    # ROWS - 1 rows that start at `start`; every row reads one pre-drawn
+    # stream
+    res = sim._Resolved(m, None)
+    phase, ring = res.ring(start)
+    stepper = sim._Stepper(res, ring, 10**9)
     words = np.random.Philox(key=3).random_raw(101 * sim.BLOCK)
-    walks = [sim._Walk("s", [10**12] * len(updates[0]), [10**12] * len(updates[0]), TallyCounter(), []) for _ in range(sim.ROWS - 1)]
+    d = m.dimension
+    walks = [sim._Walk(start, [10**12] * d, [10**12] * d, TallyCounter(), []) for _ in range(sim.ROWS - 1)]
     for i, walk in enumerate(walks):
-        assert stepper.add(i, walk, sim._DrawStream(None, words), 0) == []
+        assert stepper.add(i, walk, sim._DrawStream(None, words), phase) == []
     assert stepper._round() == []
     tracemalloc.start()
     try:
