@@ -355,18 +355,23 @@ class _Ring:
             self.split = next(((p, k, a, b) for k, (a, b) in enumerate(zip(*recs[p].updates)) if a != b), None)
         thresholds = [(p, j) for p, rec in enumerate(recs) for j in range(len(rec.thresholds))]
         columns = [] if self.split else thresholds
-        # for `tally`: per state the split counter's first update, and per
-        # transition the columns of the steps that reach its branch (its
-        # state's visits or the steps past the threshold before it) and of
-        # those past it (the next threshold, or the last column, of zeros)
+        # for `tally`: per state the split counter's first update; per phase
+        # a and state p, L - 1 less the steps from a to p's first visit; and
+        # per column of [visits | passes] and transition, +1 at the steps
+        # that reach its branch (its state's visits or the steps past the
+        # threshold before it) and -1 at those past it (past the next
+        # threshold; the extra last row takes the -1 of a state's last branch)
         self.first = np.array([rec.updates[0][self.split[1]] if self.split else 0 for rec in recs], dtype=np.int64)
-        # per phase a and state p, L - 1 less the steps from a to p's first visit
         self.lag = len(recs) - 1 - (np.arange(len(recs)) - np.arange(len(recs))[:, None]) % len(recs)
-        self.upper, self.lower = [], []
+        upper, lower = [], []
         for p, rec in enumerate(recs):
             at = [len(recs) + thresholds.index((p, j)) for j in range(len(rec.thresholds))]
-            self.upper += [p, *at]
-            self.lower += [*at, len(recs) + len(thresholds)]
+            upper += [p, *at]
+            lower += [*at, -1]
+        self.signs = np.zeros((len(recs) + len(thresholds) + 1, len(self.tids)), dtype=np.int64)
+        self.signs[upper, np.arange(len(self.tids))] = 1
+        self.signs[lower, np.arange(len(self.tids))] = -1
+        self.signs = self.signs[:-1]
         self.bits = _code_bits(max(widths))
         self.group = g = 8 // self.bits
         # `group_steps`'s columns, laid out as (phase, step, column, code),
@@ -410,10 +415,7 @@ class _Ring:
         if self.split:
             _, _, a, b = self.split
             passes = ((moved - visits @ self.first) // (b - a))[:, None]
-        # a transition's count: the steps in its state, or past the threshold
-        # before it, less the steps past the threshold after it
-        ext = np.concatenate([visits, passes, np.zeros((len(taken), 1), dtype=np.int64)], axis=1)
-        return ext[:, self.upper] - ext[:, self.lower]
+        return np.concatenate([visits, passes], axis=1) @ self.signs
 
 
 @dataclass(frozen=True)
@@ -808,7 +810,8 @@ class _Stepper:
         lens = np.minimum(self.end - self.rows[:r, 3 * self.res.dimension], BLOCK)
         width, words, flags = -(-int(lens.max()) // g) * g, self.words, self.flags  # whole groups, at most
         period, compares, at = ring.period, ring.compares, phase.tolist()
-        words[:r, :width] = 0  # the bytes of one-branch states and past a short block read 0
+        if len(compares[0]) < period:  # the bytes of one-branch states read 0
+            words[:r, :width] = 0
         for i, k in enumerate(lens.tolist()):
             us = self.left[i]
             if us is None:
@@ -817,6 +820,8 @@ class _Stepper:
                 self.left[i] = us[k:] if len(us) > k else None
                 us = us[:k]
                 k = lens[i] = len(us)
+            if k < width:
+                words[i, k:width] = 0  # a short block's last group reads no stale byte
             for s, ths in compares[at[i]]:  # a state's words: every period-th from its first
                 state_words, state_flags = us[s::period], flags[i, s:k:period]
                 np.greater_equal(state_words, ths[0], out=state_flags)
