@@ -943,16 +943,15 @@ class _Stepper:
         first, taken = out[:, 3 * d + 1], out[:, 3 * d + 2]
         k = ring.split[1] if ring.split else 0  # the counter whose change splits two branches
         tally = ring.tally(first, taken, out[:, k] - out[:, 2 * d + k], out[:, 3 * d + 3 :]).tolist()
-        at = ((first + taken) % ring.period).tolist()
-        fields = zip(gone.tolist(), ended[gone].tolist(), out.tolist(), tally, at)
-        for i, end, row, used, place in fields:
+        fields = zip(gone.tolist(), ended[gone].tolist(), out.tolist(), tally)
+        for i, end, row, used in fields:
             vals, tops, walked = row[:d], row[d : 2 * d], row[3 * d]
             key, base, rtype, walk = self.runs[i]
             counts = {tid: c for tid, c in zip(ring.tids, used) if c}
             for tid, c in base.items() if base else ():
                 counts[tid] = counts.get(tid, 0) + c
-            if walk is not None:
-                walk.state = ring.states[place]
+            if walk is not None:  # the phase at admission, plus the steps taken here
+                walk.state = ring.states[(row[3 * d + 1] + row[3 * d + 2]) % ring.period]
                 walk.cur, walk.peak, walk.steps, walk.counts = vals, tops, walked, TallyCounter(counts)
                 self.held -= 1
             if end or walked == self.cap:
