@@ -1,18 +1,20 @@
 """Re-check an analysis report from its serialized form alone.
 
 `check_report(m, doc)` reads the document (`ReportError` if a field it uses
-is missing or mistyped, or it names what does not exist), then re-substitutes
+is missing or mistyped, its model's digest, dimension or state or transition
+count is not `m`'s, or it names what does not exist), then re-substitutes
 its claims into the model in exact rational arithmetic, solving nothing:
 each class is an end component whose transitions are exactly the model's
 between its states; each solve, listed once per (zeroed counters, class), is
 a valid flow and ranking, with exactly the claimed positive and strict sets,
-and maximal; each class pair's reach certificate and each type weight; the
-zero-cycle stationary distribution; that each measure has one estimate
-along each listed type and none along another; each d >= 2 label, against
-the type's pipeline the checker reads off the solves itself (`_pipeline`);
-and each fluctuation hint: where counters were zeroed before the step that
-first pumps the measure, off that class's solve with nothing zeroed (a
-missing one fails), and false everywhere else, d = 1 included.
+and maximal; each class pair's reach certificate and each type weight, and
+no type longer than `max_type_len`; the zero-cycle stationary distribution;
+that each measure has one estimate along each listed type and none along
+another; each d >= 2 label, against the type's pipeline the checker reads
+off the solves itself (`_pipeline`); and each fluctuation hint: where
+counters were zeroed before the step that first pumps the measure, off that
+class's solve with nothing zeroed (a missing one fails), and false
+everywhere else, d = 1 included.
 
 Not checked: that the classes are maximal and no end component lies outside
 them, `dag_like`, `types_complete`, that the types listed are all the
@@ -71,7 +73,8 @@ _SOLVE = {
     },
 }
 _REPORT = {
-    "model": {"digest": str},
+    "model": {"digest": str, "dimension": int, "states": int, "transitions": int},
+    "max_type_len": int,
     "classes": [{"id": str, "states": [str], "transitions": [str]}],
     "types": [{"classes": [str], "weight": Fraction}],
     "reach": [{"from": str, "to": str, "values": {str: Fraction}, "choice": {str: str}}],
@@ -444,6 +447,8 @@ def _check(m: VassMdp, doc: dict) -> tuple[int, list[str]]:
     for ts in doc["types"]:
         pairs = list(zip(ts["classes"], ts["classes"][1:]))
         errors = [f"no reach certificate for {a}->{b}" for a, b in pairs if (a, b) not in value]
+        if len(ts["classes"]) > doc["max_type_len"]:
+            errors.append(f"{len(ts['classes'])} classes, past max_type_len {doc['max_type_len']}")
         weight = Fraction(1)
         for pair in pairs:
             weight *= value.get(pair, 1)
@@ -493,6 +498,10 @@ def check_report(m: VassMdp, doc: dict) -> int:
     _read(doc, _REPORT, "report")
     if doc["model"]["digest"] != model_digest(m):
         raise ReportError("the report was made for another model (its digest differs)")
+    counts = {"dimension": m.dimension, "states": len(m.states), "transitions": len(m.transitions)}
+    wrong = [f"{key} {doc['model'][key]} (the model has {n})" for key, n in counts.items() if doc["model"][key] != n]
+    if wrong:
+        raise ReportError(f"the report was made for another model: it gives {', '.join(wrong)}")
     _names(m, doc)
     try:
         checks, failures = _check(m, doc)

@@ -6,16 +6,16 @@ each step owns the next raw 64-bit word of that stream, probability-1
 branches included. Seeds lie in 0..2**64-1, runs in 0..2**32-1 and the
 start values of runs that draw below 2**96, so no two runs share a stream.
 Philox is counter-based: a stream is a function of its key and counter
-alone, so a batch builds one generator per row it steps runs in and re-keys
-it in place for each run (`_Streams`), drawing the words a fresh generator
-would. Branches are picked by comparing the word against cumulative
-thresholds floor(cum * 2**64), so each branch's sampling probability is off
-by less than 2**-64 from its exact rational probability. A word that no
-branch reads is not drawn: a run in a deterministic region (below) reads
-none for the rest of its steps. Because step k always owns word k, the four
-execution paths below produce byte-identical trajectories, and a run's
-trajectory does not depend on which other runs execute or on which path
-steps it.
+alone, so a batch re-keys generators in place (`_Streams`), at a run's first
+word or at any later one, drawing the words a fresh generator would, and
+builds no more of them than it has runs drawing at a time. Branches are
+picked by comparing the word against cumulative thresholds floor(cum *
+2**64), so each branch's sampling probability is off by less than 2**-64
+from its exact rational probability. A word that no branch reads is not
+drawn: a run in a deterministic region (below) reads none for the rest of
+its steps. Because step k always owns word k, the four execution paths
+below produce byte-identical trajectories, and a run's trajectory does not
+depend on which other runs execute or on which path steps it.
 
 * The closed form (`_closed_form`) finishes a run whose state lies in a
   deterministic region: following each state's one resolved branch from it
@@ -70,8 +70,17 @@ steps it.
   in rounds. A run holds one row of the stepper's arrays from admission to
   its statistics: its counters, peaks, steps, phase and branch tallies in
   one int64 row, its key, generator and leftover words in lists. The
-  buffers are sized to min(ROWS, runs) rows of min(BLOCK, cap) words, so
-  `_run`'s hand-off of a single run allocates one row. Each round draws a
+  buffers hold min(BLOCK, cap) words a row, and as many rows, up to the
+  batch's runs, as the buffers of ROWS rows of BLOCK words hold: ROWS rows
+  at a cap of BLOCK or more, about ROWS * BLOCK / cap below it, so that a
+  round of short runs steps hundreds of them, and `_run`'s hand-off of a
+  single run allocates one row. A row holds a generator only while its
+  run's stream goes on past the round: a fresh run, or one the kernel hands
+  over, takes one when its words are next drawn, re-keyed at its word
+  position (step k takes word k), and gives it back right after a draw
+  short of a block, which reaches the cap, or once the run finishes, so
+  that the rows of a round of short runs share one; a run `_run` hands over
+  keeps its own. Each round draws a
   block of at most BLOCK words from each row's stream and compares each
   word, as it is drawn, against the thresholds of its state into the row's
   bytes of a byte buffer: a word picks a branch past i iff it is >= th[i],
@@ -218,9 +227,10 @@ class _Streams:
     Run `run` draws the stream of key (seed, (n mod 2**32) * 2**32 + run)
     from counter (0, 0, 0, n >> 32), so the stream is a function of (seed,
     n, run) and no other triple shares it. A generator is re-keyed in place
-    from one template state, and a run that has finished hands it back for
-    the next run, so a batch builds no more generators than it has runs in
-    flight at a time.
+    from one template state, at any word of the stream: Philox makes four
+    words per counter value, so word 4k on starts at counter (k, 0, 0, n >>
+    32). A run hands its generator back once it has drawn what it needs,
+    so a batch builds no more generators than it has runs drawing at a time.
     """
 
     def __init__(self, seed: int, n: int):
@@ -230,9 +240,10 @@ class _Streams:
         # Python ints, not arrays: the state setter reads them about twice
         # as fast
         self._key = [seed, 0]
+        self._counter = [0, 0, 0, n >> 32]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, n >> 32], "key": self._key},
+            "state": {"counter": self._counter, "key": self._key},
             "buffer": [0] * 4,
             "buffer_pos": 4,
             "has_uint32": 0,
@@ -240,15 +251,18 @@ class _Streams:
         }
         self._spare: list[np.random.Philox] = []
 
-    def open(self, run: int) -> np.random.Philox:
-        """A generator at the start of run `run`'s stream."""
+    def open(self, run: int, at: int = 0) -> np.random.Philox:
+        """A generator at word `at` of run `run`'s stream."""
         bg = self._spare.pop() if self._spare else _generator()
         self._key[1] = self._low + run
+        self._counter[0] = at >> 2
         bg.state = self._state
+        if at & 3:
+            bg.random_raw(at & 3)
         return bg
 
     def close(self, bg: np.random.Philox) -> None:
-        """Take back the generator of a run that has finished."""
+        """Take back a generator whose run draws no more from it."""
         self._spare.append(bg)
 
 
@@ -380,16 +394,17 @@ class _Ring:
         # the prefix sum and the steps so far that count for each column of
         # `passes`, accumulated one step at a time over rows of 256 codes
         # (numpy accumulates an axis several times slower, and a group has at
-        # most 8 steps)
-        period = self.period
+        # most 8 steps), in int32, so that the final layout is one transposed
+        # copy
+        period, width = self.period, max(widths)
         at = (np.arange(period)[:, None] + np.arange(g)) % period  # the phase of each step of a group
         branch = np.minimum(_group_branches(self.bits).T, (np.array(widths) - 1)[at][..., None])
-        table = np.zeros((period, max(widths), d), dtype=np.int64)
+        table = np.zeros((d, period * width), dtype=np.int32)  # per counter, a (state, branch)'s update
         for p, rec in enumerate(recs):
-            table[p, : widths[p]] = rec.updates
-        steps = np.empty((period, g, 3 * d + len(columns), 256), dtype=np.int64)
+            table[:, p * width : p * width + widths[p]] = np.array(rec.updates).T
+        steps = np.empty((period, g, 3 * d + len(columns), 256), dtype=np.int32)
         low, high, sums = steps[:, :, :d], steps[:, :, d : 2 * d], steps[:, :, 2 * d : 3 * d]
-        sums[:] = table[at[..., None], branch].transpose(0, 1, 3, 2)
+        sums[:] = table.take(at[..., None] * width + branch, axis=1).transpose(1, 2, 0, 3)
         if columns:
             state, past = np.array(columns).T
             steps[:, :, 3 * d :] = (at[..., None, None] == state[:, None]) & (branch[:, :, None] > past[:, None])
@@ -400,11 +415,11 @@ class _Ring:
             np.maximum(high[:, s - 1], sums[:, s], out=high[:, s])
         self.tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for k in self.varying:  # a group's last step holds its sum and extremes
-            total = sums[:, -1, k].flatten()
-            self.tables.append((total, low[:, -1, k].flatten() - total, high[:, -1, k].flatten() - total))
-        self.passes = [steps[:, -1, 3 * d + c].flatten() for c in range(len(columns))]
+            total, lowest, highest = (a[:, -1, k].astype(np.int64).ravel() for a in (sums, low, high))
+            self.tables.append((total, lowest - total, highest - total))
+        self.passes = [steps[:, -1, 3 * d + c].astype(np.int64).ravel() for c in range(len(columns))]
         np.negative(low, out=low)
-        self.group_steps = steps.transpose(0, 3, 1, 2).astype(np.int32, order="C").reshape(period * 256, g, -1)
+        self.group_steps = np.ascontiguousarray(steps.transpose(0, 3, 1, 2)).reshape(period * 256, g, -1)
 
     def tally(self, phase: np.ndarray, taken: np.ndarray, moved: np.ndarray, passes: np.ndarray) -> np.ndarray:
         """Per run (row) and transition, in `tids` order, how often the run
@@ -645,7 +660,7 @@ def _run(
     if on is None:
         return _closed_form(res, walk, cap)
     phase, ring = on
-    ((_, stats, _),) = _Stepper(res, ring, cap, 1).add(0, walk, stream, phase)
+    ((_, stats),) = _Stepper(res, ring, cap, 1).add(0, walk, stream, phase)
     return stats
 
 
@@ -686,8 +701,8 @@ def _closed_form(res: _Resolved, walk: _Walk, cap: int) -> TrajectoryStats:
     return _stats(walk, ended)
 
 
-# a run the stepper has finished: its key, its statistics and its generator
-_Done = tuple[int, TrajectoryStats, "np.random.Philox"]
+# a run the stepper has finished: its key and its statistics
+_Done = tuple[int, TrajectoryStats]
 # a run on a stepper: its key, the transition counts and realized type it
 # came with and, for a run `_run` handed over, its walk
 _Entry = tuple[int, Optional[Mapping[str, int]], tuple[str, ...], Optional[_Walk]]
@@ -706,24 +721,42 @@ class _Stepper:
     its steps, its phase at admission, then the steps it took here and its
     count for each column of `ring.passes`; and an entry of each list: its
     key, the transition counts and realized type it came with and, for a run
-    `_run` handed over, its walk (`runs`); its generator (`gens`); and the
-    words drawn for it and not used yet (`left`). Every buffer is made once,
-    for blocks of min(BLOCK, cap) words, and refilled in place by each round,
-    which lays out its (row, group) arrays at the buffer's front.
+    `_run` handed over, its walk (`runs`); its generator, if it holds one
+    (`gens`); and the words drawn for it and not used yet (`left`). Every
+    buffer is made once, for blocks of min(BLOCK, cap) words, and refilled in
+    place by each round, which lays out its (row, group) arrays at the
+    buffer's front. There are as many rows, up to `runs`, as keep the buffers
+    within those of ROWS rows of BLOCK words: ROWS where the cap is at least
+    BLOCK, about ROWS * BLOCK / cap below it.
+
+    A run `_run` hands over keeps the generator of its stream. Any other run
+    takes one of `streams` when its stream's words are next drawn, re-keyed
+    at the run's word position (its steps: step k takes word k), and gives it
+    back right after a draw short of a block, which reaches the cap, or once
+    the run finishes, so that a round of short runs shares one generator.
     """
 
-    def __init__(self, res: _Resolved, ring: _Ring, cap: int, size: int = ROWS):
-        self.res, self.ring, self.cap, self.size = res, ring, cap, size
+    def __init__(self, res: _Resolved, ring: _Ring, cap: int, runs: int = ROWS, streams: Optional[_Streams] = None):
+        self.res, self.ring, self.cap, self.streams = res, ring, cap, streams
         self.end = min(cap, 1 << 62)  # the cap as an int64; no run steps 2**62 times
         d, g, period = res.dimension, ring.group, ring.period
-        self.count = 0  # rows 0..count-1 are taken
-        self.held = 0  # rows whose walk `_run` handed over
-        self.rows = np.empty((size, 3 * d + 3 + len(ring.passes)), dtype=np.int64)
-        self.runs: list[_Entry] = []
-        self.gens: list[np.random.Philox] = []
-        self.left: list[Optional[np.ndarray]] = []
         span = min(BLOCK, cap)  # the most words a row steps in a round
         groups = -(-span // g)
+        columns = 3 * d + 3 + len(ring.passes)
+
+        def row_bytes(groups: int) -> int:
+            # a row's share of the buffers below: its int64 columns and, per
+            # group, its code and `ends` word, two words of `sums` per varying
+            # counter and, with codes of more than one bit, a byte of `packed`
+            return 8 * columns + groups * (16 + 16 * len(ring.varying) + (ring.bits > 1))
+
+        self.size = size = min(runs, ROWS * row_bytes(-(-BLOCK // g)) // row_bytes(groups))
+        self.count = 0  # rows 0..count-1 are taken
+        self.held = 0  # rows whose walk `_run` handed over
+        self.rows = np.empty((size, columns), dtype=np.int64)
+        self.runs: list[_Entry] = []
+        self.gens: list[Optional[np.random.Philox]] = []
+        self.left: list[Optional[np.ndarray]] = []
         # a row's group codes; each round first compares the row's words
         # into the same memory, as a branch mask (two branches) or a branch
         # index of one byte per word. A round uses the groups that hold its
@@ -744,23 +777,26 @@ class _Stepper:
         self.shift = 256 * ((np.arange(period)[:, None] + g * np.arange(groups)) % period)
         self.groups = groups  # the groups of the round under way
 
-    def start(self, keys: range, n: int, rtype: tuple[str, ...], gens: list[np.random.Philox], phase: int) -> None:
+    def start(self, keys: range, n: int, rtype: tuple[str, ...], phase: int) -> None:
         """Admit the fresh runs `keys` of a batch at start value `n` and phase
-        `phase`, on the generators `gens`, into the next free rows."""
+        `phase` into the next free rows."""
         a, b, d = self.count, self.count + len(keys), self.res.dimension
         self.rows[a:b, : 3 * d] = n
         self.rows[a:b, 3 * d :] = 0
         self.rows[a:b, 3 * d + 1] = phase
         self.runs += [(key, None, rtype, None) for key in keys]
-        self.gens += gens
+        self.gens += [None] * len(keys)
         self.left += [None] * len(keys)
         self.count = b
 
-    def enter(self, runs: list[_Entry], gens: list[np.random.Philox], left: list[np.ndarray], state: np.ndarray) -> list[_Done]:
-        """Admit runs that arrive part-way, each with its entry of `runs`, its
-        generator, the words drawn for it and not used (`left`) and a row of
-        `state`: its counters, peaks, steps and phase. Step whenever every row
-        is taken, and return the runs that finish meanwhile."""
+    def enter(
+        self, runs: list[_Entry], gens: list[Optional[np.random.Philox]], left: list[np.ndarray], state: np.ndarray
+    ) -> list[_Done]:
+        """Admit runs that arrive part-way, each with its entry of `runs`, the
+        generator it keeps or None, the words drawn for it and not used
+        (`left`) and a row of `state`: its counters, peaks, steps and phase.
+        Step whenever every row is taken, and return the runs that finish
+        meanwhile."""
         d, done = self.res.dimension, []
         while runs:
             a, k = self.count, min(self.size - self.count, len(runs))
@@ -782,7 +818,7 @@ class _Stepper:
         and return the runs that finish meanwhile. The walk follows the run's
         steps, and is left where the run ended."""
         if max(walk.peak) >= FAST_COUNTER_LIMIT:  # beyond exact int64 range
-            return [(key, _run(self.res, walk, stream, self.cap, False), stream.bg)]
+            return [(key, _run(self.res, walk, stream, self.cap, False))]
         state = np.array([[*walk.cur, *walk.peak, walk.steps, phase]], dtype=np.int64)
         return self.enter([(key, walk.counts, tuple(walk.rtype), walk)], [stream.bg], [stream.unread()], state)
 
@@ -802,12 +838,14 @@ class _Stepper:
         """Draw each row's next block of words and compare it, as it is
         drawn, into the row's bytes of `words`: the branch index, or with two
         branches whether the word picks the second; each word against the
-        thresholds of its state, from the row's phase `phase`. Returns the
+        thresholds of its state, from the row's phase `phase`. A row that
+        holds no generator takes one (see the class docstring). Returns the
         blocks' lengths: BLOCK words, fewer at the cap or where a run's words
         left from the kernel run out. The round's groups are the fewest that
         hold the longest block (`groups`)."""
-        ring, g = self.ring, self.ring.group
-        lens = np.minimum(self.end - self.rows[:r, 3 * self.res.dimension], BLOCK)
+        ring, g, runs, gens = self.ring, self.ring.group, self.runs, self.gens
+        walked = self.rows[:r, 3 * self.res.dimension]
+        lens = np.minimum(self.end - walked, BLOCK)
         width, words, flags = -(-int(lens.max()) // g) * g, self.words, self.flags  # whole groups, at most
         period, compares, at = ring.period, ring.compares, phase.tolist()
         if len(compares[0]) < period:  # the bytes of one-branch states read 0
@@ -815,7 +853,13 @@ class _Stepper:
         for i, k in enumerate(lens.tolist()):
             us = self.left[i]
             if us is None:
-                us = self.gens[i].random_raw(k)
+                bg = gens[i]
+                if bg is None:  # the run's next word is its step count's
+                    bg = gens[i] = self.streams.open(runs[i][0], int(walked[i]))
+                us = bg.random_raw(k)
+                if k < BLOCK and runs[i][3] is None:  # a short draw reaches the cap
+                    self.streams.close(bg)
+                    gens[i] = None
             else:  # first the words the kernel drew for the run, as one block
                 self.left[i] = us[k:] if len(us) > k else None
                 us = us[:k]
@@ -958,7 +1002,9 @@ class _Stepper:
                 stats = TrajectoryStats(end, walked, tuple(tops), counts, rtype)
             else:  # a counter of a run `_run` handed over reached 2**53
                 stats = _run(self.res, walk, _DrawStream(self.gens[i], self.left[i]), self.cap, False)
-            done.append((key, stats, self.gens[i]))
+            if walk is None and self.gens[i] is not None:
+                self.streams.close(self.gens[i])
+            done.append((key, stats))
         kept = np.flatnonzero(~leaving)
         self.rows[: len(kept)] = self.rows[kept]
         kept = kept.tolist()
@@ -1057,10 +1103,10 @@ class _Tables:
         return zip(*(a.tolist() for a in np.nonzero(self.enters[keys] & live)))
 
 
-def _lockstep_tables(res: _Resolved, start: str, n: int, cap: int) -> Optional[_Tables]:
-    """Kernel tables for a batch, or None when the batch must run on the
-    scalar path: a reachable state does not resolve under the strategy, or a
-    counter could reach 2**53 within the cap."""
+def _reachable(res: _Resolved, start: str, n: int, cap: int) -> Optional[dict[str, _StateRec]]:
+    """The records of the states reachable from `start`, or None when the
+    batch must run on the scalar path: a reachable state does not resolve
+    under the strategy, or a counter could reach 2**53 within the cap."""
     recs: dict[str, _StateRec] = {}
     todo = [start]
     while todo:
@@ -1075,7 +1121,7 @@ def _lockstep_tables(res: _Resolved, start: str, n: int, cap: int) -> Optional[_
     bound = max((abs(u) for rec in recs.values() for upd in rec.updates for u in upd), default=0)
     if n + cap * bound >= FAST_COUNTER_LIMIT:
         return None
-    return _Tables(res, recs)
+    return recs
 
 
 def _lockstep(
@@ -1200,6 +1246,7 @@ def _lockstep(
                 out[run_ids[i]] = _closed_form(res, walk, cap)
                 streams.close(gens[i])
                 continue
+            streams.close(gens[i])  # the stepper re-keys one where the run's words run out
             place, ring = res.ring(name)
             entering.setdefault(ring, []).append((i, place, used))
         for ring, arrivals in entering.items():
@@ -1207,12 +1254,12 @@ def _lockstep(
             # finishes them, first on the words drawn here and not used
             stepper = steppers.get(ring)
             if stepper is None:
-                stepper = steppers[ring] = _Stepper(res, ring, cap, min(ROWS, runs))
+                stepper = steppers[ring] = _Stepper(res, ring, cap, runs, streams)
             at = [i for i, _, _ in arrivals]
             left = [draws[i, first + j + 1 :].copy() for i, j in zip(at, stop[at].tolist())]
             state = np.column_stack([cur[at], peak[at], steps[at], [place for _, place, _ in arrivals]])
             entries = [(run_ids[i], used, rtypes[i], None) for i, _, used in arrivals]
-            _finish(stepper.enter(entries, [gens[i] for i in at], left, state), out, streams)
+            _finish(stepper.enter(entries, [None] * len(at), left, state), out)
         rows -= len(gone)
         holes = gone[gone < rows]
         movers = rows + np.flatnonzero(~leaving[rows:])
@@ -1221,7 +1268,7 @@ def _lockstep(
         for h, m in zip(holes.tolist(), movers.tolist()):
             run_ids[h], gens[h], rtypes[h] = run_ids[m], gens[m], rtypes[m]
     for stepper in steppers.values():
-        _finish(stepper.drain(), out, streams)
+        _finish(stepper.drain(), out)
     return out
 
 
@@ -1230,25 +1277,23 @@ def _step_batch(
 ) -> list[TrajectoryStats]:
     """Run a batch whose start state lies on a ring, at phase `phase`, on one
     stepper, admitting runs into every free row before each round."""
-    stepper = _Stepper(res, ring, cap, min(ROWS, runs))
-    streams = _Streams(seed, n)
+    stepper = _Stepper(res, ring, cap, runs, _Streams(seed, n))
     mid = res.owner.get(start)
     rtype = () if mid is None else (mid,)
     out: list[Optional[TrajectoryStats]] = [None] * runs
     admitted = 0
     while admitted < runs or stepper.count:
         new = range(admitted, min(runs, admitted + stepper.size - stepper.count))
-        stepper.start(new, n, rtype, [streams.open(r) for r in new], phase)
+        stepper.start(new, n, rtype, phase)
         admitted = new.stop
-        _finish(stepper._round(), out, streams)
+        _finish(stepper._round(), out)
     return out
 
 
-def _finish(done: list[_Done], out: list, streams: _Streams) -> None:
-    """Record the runs a stepper finished and take back their generators."""
-    for key, stats, bg in done:
+def _finish(done: list[_Done], out: list) -> None:
+    """Record the runs a stepper finished."""
+    for key, stats in done:
         out[key] = stats
-        streams.close(bg)
 
 
 def _init_state(m: VassMdp, init_state: Optional[str]) -> str:
@@ -1315,13 +1360,13 @@ def simulate_many(
         run = _closed_form(res, _start(res, n, start), max_steps)
         fields, counts = (run.terminated, run.steps, run.max_counter), run.transition_counts
         return [TrajectoryStats(*fields, dict(counts), run.realized_type) for _ in range(runs)]
-    tables = _lockstep_tables(res, start, n, max_steps) if _vectorized else None
-    if tables is not None:
+    recs = _reachable(res, start, n, max_steps) if _vectorized else None
+    if recs is not None:
         on = res.ring(start)
         if on is not None:
             phase, ring = on
             return _step_batch(res, ring, phase, n, runs, seed, max_steps, start)
-        return _lockstep(res, tables, n, runs, seed, max_steps, start)
+        return _lockstep(res, _Tables(res, recs), n, runs, seed, max_steps, start)
     # one run after the other, on one re-keyed generator
     streams = _Streams(seed, n)
     out = []

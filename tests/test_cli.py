@@ -410,6 +410,11 @@ TAMPERS = {
         lambda d: d["types"][5].update(weight="1/3"),
         "type M1,M3: reported weight 1/3 != recomputed 1/2",
     ),
+    "max_type_len below a listed type": (
+        "pump_transfer_3d.json",
+        lambda d: d.update(max_type_len=1),
+        "type M1,M3: 2 classes, past max_type_len 1",
+    ),
     "stationary weight": (
         "zero_cycle_2state.json",
         lambda d: d["zero_cycle_witness"]["stationary"].update(p="1/3", q="2/3"),
@@ -525,12 +530,13 @@ def test_check_exits_1_on_a_report_it_cannot_read(capsys, tmp_path):
     pump_doc = json.loads(_analyze_to_file(tmp_path, pump).read_text())
     report = _analyze_to_file(tmp_path, walk)
     doc = json.loads(report.read_text())
-    # a report of another model, a report missing a key, a number outside the
-    # rational grammar (even one Python reads as the right value), a class,
-    # counter, state or transition that does not exist (named by a type, an
-    # estimate, a class, a reach certificate or any field of a solve), a
-    # counter key outside the schema's ASCII grammar (even one Python reads
-    # as 1), a repeated counter, no JSON
+    # a report of another model (by its digest, dimension, state count or
+    # transition count), a report missing a key, a mistyped max_type_len, a
+    # number outside the rational grammar (even one Python reads as the
+    # right value), a class, counter, state or transition that does not
+    # exist (named by a type, an estimate, a class, a reach certificate or
+    # any field of a solve), a counter key outside the schema's ASCII grammar
+    # (even one Python reads as 1), a repeated counter, no JSON
     assert run(capsys, "check", str(MODELS / "decreasing_loop.json"), str(report))[0] == 1
     broken = tmp_path / "broken.json"
     (solve,) = doc["solves"]
@@ -543,7 +549,12 @@ def test_check_exits_1_on_a_report_it_cannot_read(capsys, tmp_path):
 
     first, k = pump_doc["solves"][0], pump_doc["solves"].index(_solve(pump_doc, "M2", [2]))
     for model, text in (
+        *(
+            (walk, json.dumps({**doc, "model": {**doc["model"], key: doc["model"][key] + 1}}))
+            for key in ("dimension", "states", "transitions")
+        ),
         (walk, json.dumps({k: v for k, v in doc.items() if k != "reach"})),
+        (walk, json.dumps({**doc, "max_type_len": "1"})),
         *(
             (walk, json.dumps({**doc, "types": [{"classes": ["M1"], "weight": weight}]}))
             for weight in ("one", "0.5", "1e3", "1e0", "+1", " 1", "1_0", "1/2\n", "١")

@@ -308,6 +308,16 @@ def test_kernel_matches_reference_on_pump(pump, kernel_batches, ring_batches):
     assert len(kernel_batches) == 2 and len(ring_batches) == 2
 
 
+def test_ring_batches_build_no_kernel_tables(pump):
+    # a batch that starts on a ring runs on its stepper alone and never reads
+    # the kernel's tables; one that starts on a forking state builds them once
+    with recorded(sim, "_Tables") as built:
+        simulate_many(pump, 16, 40, seed=1, strategy={"a": "a_b"}, max_steps=256)
+        assert len(built) == 0
+        simulate_many(pump, 4, 40, seed=1, strategy=pump_leave(4), max_steps=300)
+        assert len(built) == 1
+
+
 def padded_coins():
     """Coins at p (three branches), q (two) and r (one): with width 3, q's
     and r's key rows are padded."""
@@ -326,7 +336,7 @@ def padded_coins():
 
 def test_kernel_tables_pick_as_scalar_path():
     res = sim._Resolved(padded_coins(), None)
-    tables = sim._lockstep_tables(res, "p", 0, 100)
+    tables = sim._Tables(res, sim._reachable(res, "p", 0, 100))
     assert tables.width == 3
     for name, i in tables.index.items():
         rec = res.resolve(name)
@@ -833,7 +843,7 @@ def step_rows(stepper, rows):
     for i, ((words, _), walk) in enumerate(zip(rows, walks)):
         done += stepper.add(i, walk, sim._DrawStream(np.random.Philox(key=i), words), 0)
     done += stepper.drain()
-    stats = {key: st for key, st, _ in done}
+    stats = {key: st for key, st in done}
     assert sorted(stats) == list(range(len(rows)))
     for i, (words, start) in enumerate(rows):
         walk = sim._Walk("s", list(start), list(start), TallyCounter(), ["M1"])
@@ -1142,7 +1152,7 @@ def test_kernel_handoff_short_blocks_and_cap(kernel_batches, monkeypatch):
     def recording(self):
         buffered = {key: 0 if left is None else len(left) for (key, *_), left in zip(self.runs, self.left)}
         done = inner(self)
-        blocks.extend((buffered[key], st.terminated) for key, st, _ in done)
+        blocks.extend((buffered[key], st.terminated) for key, st in done)
         return done
 
     monkeypatch.setattr(sim._Stepper, "_round", recording)
@@ -1161,6 +1171,71 @@ def test_stepper_buffers_hold_one_block_of_at_most_the_cap(cap, groups):
     assert stepper.codes.shape == (sim.ROWS, groups) and stepper.ends.shape == (sim.ROWS * groups + 1,)
 
 
+def buffer_bytes(stepper):
+    """The bytes of a stepper's arrays, each view counted with its owner."""
+    owners = {}
+    for a in vars(stepper).values():
+        if isinstance(a, np.ndarray):
+            owner = a if a.base is None else a.base
+            owners[id(owner)] = owner.nbytes
+    return sum(owners.values())
+
+
+# a self-loop of one-bit codes, one of two-bit codes with a column of passes,
+# and a ring of period 2, each with its start state
+BUDGET_RINGS = {
+    "walk": (self_loop([(-1,), (1,)]), "s"),
+    "three branches": (self_loop([(-1, 2), (0, -1), (2, 0)]), "s"),
+    "period 2": (ring_model([2, 3], lambda p, j, k: (2 * j - 1) * (p + k + 1)), "c1"),
+}
+
+
+@pytest.mark.parametrize("cap", [1, 3, 4, 5, 7, 8, 9, 100, 256, *(sim.BLOCK + e for e in (-sim.BLOCK // 2, -1, 0, 1)), 10**9])
+@pytest.mark.parametrize("ring", list(BUDGET_RINGS))
+def test_stepper_rows_fill_the_word_budget(cap, ring):
+    # a stepper holds as many rows, up to its runs, as the buffers of ROWS
+    # rows of BLOCK words hold: ROWS at a cap of BLOCK or more, more below it
+    m, start = BUDGET_RINGS[ring]
+    res = sim._Resolved(m, None)
+    _, ring = res.ring(start)
+
+    def row_bytes(cap):  # a row's share of a stepper's buffers
+        one, two = (buffer_bytes(sim._Stepper(res, ring, cap, runs)) for runs in (1, 2))
+        return two - one
+
+    stepper = sim._Stepper(res, ring, cap, 10**9)
+    assert stepper.size * row_bytes(cap) <= sim.ROWS * row_bytes(sim.BLOCK) < (stepper.size + 1) * row_bytes(cap)
+    assert buffer_bytes(stepper) <= buffer_bytes(sim._Stepper(res, ring, sim.BLOCK))
+    assert stepper.size == sim.ROWS if cap >= sim.BLOCK else stepper.size > sim.ROWS or cap > sim.BLOCK // 2
+    assert sim._Stepper(res, ring, cap, 5).size == 5
+
+
+def test_cap_1_batch_of_many_runs_keeps_its_buffers_within_the_budget(walk):
+    # one-step runs take thousands of rows a round, and no more than the
+    # budget holds: the batch's runs take several rounds
+    runs = 20000
+    with recorded(sim._Stepper, "_round") as rounds:
+        batch = simulate_many(walk, 3, runs, seed=6, max_steps=1)
+    (stepper,) = {id(s): s for (s,) in rounds}.values()
+    assert 100 * sim.ROWS < stepper.size < runs and len(rounds) == -(-runs // stepper.size)
+    assert buffer_bytes(stepper) <= buffer_bytes(sim._Stepper(stepper.res, stepper.ring, sim.BLOCK))
+    for r, st in enumerate(batch):
+        assert st == simulate_one(walk, 3, run=r, seed=6, max_steps=1, _vectorized=False), r
+
+
+@pytest.mark.parametrize("ring", list(BUDGET_RINGS))
+def test_wide_steppers_match_reference_past_their_rows(ring):
+    # caps on both sides of a group's edge and of BLOCK, each with one run
+    # more than its stepper's rows, so that a run takes a row another left
+    m, start = BUDGET_RINGS[ring]
+    res = sim._Resolved(m, None)
+    _, ring = res.ring(start)
+    g = ring.group
+    for cap in (g, g + 1, 40 * g, 40 * g + 1, sim.BLOCK - 1, sim.BLOCK):
+        runs = sim._Stepper(res, ring, cap, 10**9).size + 1
+        assert_matches_reference(m, 300, runs, seed=cap, init_state=start, max_steps=cap)
+
+
 @pytest.mark.parametrize(
     "updates",
     [
@@ -1170,6 +1245,33 @@ def test_stepper_buffers_hold_one_block_of_at_most_the_cap(cap, groups):
 )
 def test_block_path_allocates_no_block_sized_temporaries(updates):
     assert_rounds_allocate_no_block(self_loop(updates), "s")
+
+
+@pytest.mark.parametrize("ring", list(BUDGET_RINGS))
+def test_wide_stepper_allocates_no_block_sized_temporaries(ring):
+    # below a cap of BLOCK a stepper holds more rows, and each fresh run
+    # reaches the cap in its round: after the first round, a round frees
+    # less than one byte per word of the round once it has read out its
+    # rows, whose statistics it returns
+    m, start = BUDGET_RINGS[ring]
+    res = sim._Resolved(m, None)
+    phase, ring = res.ring(start)
+    cap = sim.BLOCK // 2
+    stepper = sim._Stepper(res, ring, cap, 10**9, sim._Streams(3, 10**12))
+    size, freed = stepper.size, []
+    assert size > sim.ROWS
+    for r in range(6):
+        stepper.start(range(r * size, (r + 1) * size), 10**12, (), phase)
+        tracemalloc.start()
+        try:
+            done = stepper._round()
+            now, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [st.steps for _, st in done] == [cap] * size
+        freed.append(top - now)
+        del done
+    assert max(freed[1:]) < size * cap
 
 
 def test_ring_path_allocates_no_block_sized_temporaries():
@@ -1229,30 +1331,35 @@ def test_block_path_matches_reference_on_random_self_loops(m, n, cap, runs, seed
 def test_kernel_handoff_fills_two_steppers(pump, kernel_batches, closed_forms, monkeypatch):
     # under the criterion-5 strategy runs leave the pump for e (one branch:
     # the closed form) or f (two branches: the block path). A twin of e's
-    # self-loop gives e two branches, and then more than ROWS wait on each
-    # stepper at a time
+    # self-loop gives e two branches, and then more runs than a stepper has
+    # rows wait on each at a time: ROWS rows at a cap of BLOCK or more, more
+    # below it, where they stay within the word budget
     doc = load_doc("pump_transfer_3d.json")
     doc["transitions"].append({"id": "e_e_twin", "from": "e", "update": [0, -1, 0], "to": "e"})
     twin = parse_vass(doc)
-    rounds = TallyCounter()  # (state, rows) per round
+    rounds = TallyCounter()  # (state, rows, the stepper's rows) per round
     inner = sim._Stepper._round
 
     def recording(self):  # a state's name is the first letter of its transitions'
-        rounds[self.ring.tids[0][0], self.count] += 1
+        rounds[self.ring.tids[0][0], self.count, self.size] += 1
         return inner(self)
 
     monkeypatch.setattr(sim._Stepper, "_round", recording)
     strategy = pump_leave(3) | {"e": {"e_e": F(1, 2), "e_e_twin": F(1, 2)}}
-    kw = dict(seed=4, max_steps=8 * 3**4)
-    batch = assert_matches_reference(twin, 3, 150, strategy=strategy, **kw)
-    assert len(kernel_batches) == 1 and not closed_forms
-    for state in "ef":
-        assert rounds[state, sim.ROWS] >= 2, rounds
-        assert any(rows < sim.ROWS for s, rows in rounds if s == state)  # the drain
-    assert {st.realized_type for st in batch} >= {("M1", "M3"), ("M1", "M4")}
+    for cap, runs in ((8 * 3**4, 900), (2 * sim.BLOCK, 150)):
+        rounds.clear()
+        batch = assert_matches_reference(twin, 3, runs, strategy=strategy, seed=4, max_steps=cap)
+        assert not closed_forms
+        for state in "ef":
+            sizes = {size for s, _, size in rounds if s == state}
+            assert len(sizes) == 1 and (sizes == {sim.ROWS} if cap >= sim.BLOCK else min(sizes) > 4 * sim.ROWS)
+            assert sum(k for (s, rows, size), k in rounds.items() if s == state and rows == size) >= 2, rounds
+            assert any(rows < size for s, rows, size in rounds if s == state)  # the drain
+        assert {st.realized_type for st in batch} >= {("M1", "M3"), ("M1", "M4")}
+    assert len(kernel_batches) == 2
     rounds.clear()
-    batch = assert_matches_reference(pump, 3, 150, strategy=pump_leave(3), **kw)
-    assert {s for s, _ in rounds} == {"f"}
+    batch = assert_matches_reference(pump, 3, 150, strategy=pump_leave(3), seed=4, max_steps=8 * 3**4)
+    assert {s for s, _, _ in rounds} == {"f"}
     e_class = sim._Resolved(pump, None).owner["e"]
     assert closed_forms == ["e"] * sum(st.realized_type[-1] == e_class for st in batch)
 
@@ -1276,6 +1383,20 @@ def test_rekeyed_generator_draws_as_a_fresh_one():
         fresh = np.random.Philox(key=np.array([7, (3 << 32) + run], dtype=np.uint64))
         assert np.array_equal(bg.random_raw(9), fresh.random_raw(9))
         streams.close(bg)
+
+
+@pytest.mark.parametrize("at", [0, 1, 3, 4, 5, 64, 256, 4 * sim.BLOCK + 2])
+def test_generator_rekeyed_at_a_word_draws_the_stream_from_there(at):
+    # Philox makes four words per counter value, so a generator re-keyed at
+    # word 4k starts at counter k; at another word it skips the rest of its
+    # four. The start value's high part stays in the counter's top word
+    streams = sim._Streams(7, 3 + 2**32)
+    bg = streams.open(5, at)
+    key = np.array([7, (3 << 32) + 5], dtype=np.uint64)
+    words = np.random.Philox(key=key, counter=np.array([0, 0, 0, 1], dtype=np.uint64)).random_raw(at + 9)
+    assert np.array_equal(bg.random_raw(9), words[at:])
+    streams.close(bg)  # and back at the stream's start
+    assert streams.open(5) is bg and np.array_equal(bg.random_raw(at + 9), words)
 
 
 def test_streams_of_start_values_past_2_32_are_their_own(walk, dec_loop):
@@ -1322,9 +1443,9 @@ def test_deterministic_run_builds_no_generator(zero_cycle, pump, walk, monkeypat
         simulate_one(walk, 3, max_steps=10)
 
 
-def test_batches_build_a_generator_per_row_not_per_run(pump, walk, monkeypatch):
-    # the kernel's rows and each stepper's rows hold one generator each, and
-    # a run that finishes hands its generator to the next one
+@pytest.fixture
+def generators_built(monkeypatch):
+    """One entry per generator built."""
     built = []
     inner = sim._generator
 
@@ -1333,19 +1454,91 @@ def test_batches_build_a_generator_per_row_not_per_run(pump, walk, monkeypatch):
         return inner()
 
     monkeypatch.setattr(sim, "_generator", counting)
+    return built
+
+
+def test_batches_build_a_generator_per_row_not_per_run(pump, walk, generators_built):
+    # a kernel row holds a generator while its run is in flight, and a
+    # stepper row only while its run's stream goes on past the round; a run
+    # that is done drawing hands its generator to the next one. Below a cap
+    # of BLOCK every stepper row's draw reaches the cap, so the rows of a
+    # round share one generator
+    built = generators_built
     doc = load_doc("pump_transfer_3d.json")
     doc["transitions"].append({"id": "e_e_twin", "from": "e", "update": [0, -1, 0], "to": "e"})
     strategy = pump_leave(3) | {"e": {"e_e": F(1, 2), "e_e_twin": F(1, 2)}}
-    simulate_many(parse_vass(doc), 3, 300, strategy=strategy, seed=4, max_steps=8 * 3**4)
-    assert 0 < len(built) <= sim.MAX_IN_FLIGHT + 2 * sim.ROWS
+    for cap in (8 * 3**4, 3 * sim.BLOCK):
+        built.clear()
+        simulate_many(parse_vass(doc), 3, 300, strategy=strategy, seed=4, max_steps=cap)
+        assert 0 < len(built) <= sim.MAX_IN_FLIGHT + 2 * sim.ROWS
     for batch, most in (
-        (lambda: simulate_many(walk, 5, 3 * sim.ROWS + 1, seed=2, max_steps=300), sim.ROWS),
+        (lambda: simulate_many(walk, 5, 3 * sim.ROWS + 1, seed=2, max_steps=300), 1),
+        (lambda: simulate_many(walk, 5, 3 * sim.ROWS + 1, seed=2, max_steps=3 * sim.BLOCK), sim.ROWS),
         (lambda: simulate_many(pump, 2**62, 5, strategy={"a": "a_b"}, max_steps=20), 1),  # the scalar loop
         (lambda: simulate_one(walk, 5, max_steps=300), 1),
     ):
         built.clear()
         batch()
         assert 0 < len(built) <= most
+
+
+@contextmanager
+def round_rows():
+    """The stepper and its rows taken at each `_Stepper._round` call."""
+    calls = []
+    inner = sim._Stepper._round
+
+    def recording(self):
+        calls.append((self, self.count))
+        return inner(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim._Stepper, "_round", recording)
+        yield calls
+
+
+def test_pump_stay_batch_runs_one_round_on_one_generator(pump, generators_built):
+    # the word budget holds all 400 runs of a cap of 256 in one round, and
+    # each row's one draw reaches the cap, so the rows share one generator
+    kw = dict(seed=1000, strategy={"a": "a_b"}, max_steps=256)
+    with round_rows() as rounds:
+        batch = simulate_many(pump, 16, 400, **kw)
+    assert [rows for _, rows in rounds] == [400] and len(generators_built) == 1
+    for r, stats in enumerate(batch):
+        assert stats == simulate_one(pump, 16, run=r, _vectorized=False, **kw), r
+
+
+def lasso_into_pump_stay(tail):
+    """The pump with `tail` coins t0, t1, ... in front of a, each sending
+    both its branches to the next (the last to a), one of which raises
+    counter 3: under a -> a_b, a lasso tail into the ring {a, b}."""
+    doc = load_doc("pump_transfer_3d.json")
+    names = [f"t{i}" for i in range(tail)]
+    for a, b in zip(names, [*names[1:], "a"]):
+        doc["states"].append({"name": a, "kind": "prob"})
+        doc["transitions"] += [
+            {"id": f"{a}_{j}", "from": a, "update": [0, 0, j], "to": b, "prob": "1/2"} for j in (0, 1)
+        ]
+    return parse_vass(doc)
+
+
+def test_kernel_handoffs_fill_a_wide_stepper_and_rekey_after_their_leftover_words(kernel_batches):
+    # 600 runs walk three coins on the kernel into pump-stay's ring, 64 a
+    # block: they fill the ring's stepper, which at cap 256 holds hundreds
+    # of rows and steps when they are all taken. A run admitted with one,
+    # two or three kernel blocks of a draw left gives its generator back on
+    # leaving the kernel, steps its leftover words, and re-keys at its next
+    # word (64, 128 or 192), where its stream goes on
+    m, kw = lasso_into_pump_stay(3), dict(seed=1000, strategy={"a": "a_b"}, max_steps=256, init_state="t0")
+    with round_rows() as rounds, recorded(sim._Streams, "open") as opened:
+        batch = simulate_many(m, 16, 600, **kw)
+    (stepper,) = {id(s): s for s, _ in rounds}.values()
+    assert 4 * sim.ROWS < stepper.size < 600 and len(kernel_batches) == 1
+    assert rounds[0][1] == stepper.size and len(rounds) >= 2
+    assert {tuple(at) for _, _, *at in opened} == {(), (64,), (128,), (192,)}
+    assert {(st.terminated, st.steps == 256) for st in batch} == {(True, False), (False, True)}
+    for r, stats in enumerate(batch):
+        assert stats == simulate_one(m, 16, run=r, _vectorized=False, **kw), r
 
 
 def test_stepper_runs_build_no_per_run_objects(pump, walk, closed_forms, monkeypatch):
@@ -1444,7 +1637,7 @@ def test_block_path_round_in_which_every_row_finishes(updates, monkeypatch):
     for i in range(sim.ROWS):
         done += stepper.add(i, *walk_and_stream(i), 0)
     assert rounds == [(sim.ROWS, sim.ROWS)]
-    stats = {key: st for key, st, _ in done}
+    stats = {key: st for key, st in done}
     for i in range(sim.ROWS):
         assert stats[i] == sim._run(sim._Resolved(m, None), *walk_and_stream(i), cap, False), i
     ends = [(stats[n].terminated, stats[n].steps) for n in range(sim.ROWS)]
